@@ -19,7 +19,7 @@ use spnerf_core::{MaskMode, SpNerfConfig, SpNerfModel};
 use spnerf_dram::controller::MemoryController;
 use spnerf_dram::timing::DramTimings;
 use spnerf_dram::trace::{gather, sequential};
-use spnerf_render::composite::{accumulate_weighted_lanes, accumulate_weighted_scalar};
+use spnerf_render::composite::accumulate_weighted;
 use spnerf_render::fp16::{f16_bits_to_f32, f32_to_f16_bits};
 use spnerf_render::interp::{interpolate_cell_lanes, interpolate_cell_scalar, trilinear_cell};
 use spnerf_render::mlp::{Mlp, MlpF16, MlpScratch, MLP_INPUT_DIM};
@@ -178,10 +178,9 @@ fn bench_fp16(c: &mut Criterion) {
 }
 
 fn bench_composite(c: &mut Criterion) {
-    // The compositing inner loop (`acc[c] += values[c] * w`) in its scalar
-    // reference and lane-blocked forms — the pair `bench_snapshot` records
-    // as `composite.scalar` / `composite.lanes`. Nine channels: the baked
-    // path's specular feature accumulation width.
+    // The compositing inner loop (`acc[c] += values[c] * w`) — the kernel
+    // `bench_snapshot` records as `composite.scalar`. Nine channels: the
+    // baked path's specular feature accumulation width.
     let weights: Vec<f32> = (0..512).map(|i| (i as f32 * 0.11).sin().abs()).collect();
     let values: [f32; 9] = std::array::from_fn(|c| (c as f32 * 0.31).sin());
     let mut g = c.benchmark_group("composite");
@@ -190,16 +189,7 @@ fn bench_composite(c: &mut Criterion) {
         b.iter(|| {
             let mut acc = [0.0f32; 9];
             for w in &weights {
-                accumulate_weighted_scalar(&mut acc, black_box(&values), *w);
-            }
-            acc
-        })
-    });
-    g.bench_function("accumulate_lanes", |b| {
-        b.iter(|| {
-            let mut acc = [0.0f32; 9];
-            for w in &weights {
-                accumulate_weighted_lanes(&mut acc, black_box(&values), *w);
+                accumulate_weighted(&mut acc, black_box(&values), *w);
             }
             acc
         })

@@ -4,7 +4,7 @@
 //! Measure mode times both hot-path kernels (trilinear interpolation and
 //! the MLP GEMV) in scalar, lane, and — for the GEMV — fp16-storage form,
 //! the fp16 conversions themselves, the bake-and-defer rows (bake pass,
-//! deferred per-pixel MLP, compositing accumulator scalar + lanes), and
+//! deferred per-pixel MLP, compositing accumulator), and
 //! the temporal-reuse rows (forward-warp splat, disocclusion test), and
 //! writes one snapshot file:
 //!

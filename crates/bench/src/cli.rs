@@ -93,10 +93,6 @@ pub struct HarnessArgs {
     /// the cycles derived from them) through the occupancy pyramid,
     /// `mip:N` caps the coarsest pyramid level consulted at `N`.
     pub skip_mode: SkipMode,
-    /// `--packet-size N` / `--packet-size=N`: rays marched in lockstep per
-    /// packet by the tile engine (`None` keeps the preset default of 1).
-    /// Outputs are bitwise-identical at every packet size.
-    pub packet_size: Option<usize>,
     /// `--source spnerf|baked`: the primary data path measurements flow
     /// from. `baked` renders the baked grid with the deferred per-pixel
     /// MLP, collapsing the workload's MLP column from samples to pixels.
@@ -177,8 +173,8 @@ pub enum ArgError {
     UnknownFlag(String),
     /// A bare positional argument (the harnesses take none).
     UnexpectedPositional(String),
-    /// `--threads` / `--skip-mode` / `--packet-size` / `--source` without a
-    /// value.
+    /// A value-taking flag (`--threads`, `--skip-mode`, `--source`, …)
+    /// without a value.
     MissingValue(&'static str),
     /// A flag value that failed to parse.
     BadValue {
@@ -207,7 +203,7 @@ impl std::error::Error for ArgError {}
 /// The usage text every harness binary prints for `--help` and on errors.
 pub fn usage(bin: &str) -> String {
     format!(
-        "usage: {bin} [--quick] [--threads N] [--corpus] [--skip-mode MODE] [--packet-size N] [--source MODE]\n\
+        "usage: {bin} [--quick] [--threads N] [--corpus] [--skip-mode MODE] [--source MODE]\n\
          \x20          [--sparse-format F] [--seed N] [--duration-ticks N] [--cache-bytes N] [--replay FILE]\n\
          \x20          [--zipf-s S] [--trajectory PATH] [--reuse-mode MODE] [--help]\n\
          \n\
@@ -218,8 +214,6 @@ pub fn usage(bin: &str) -> String {
          \x20                    (scene-sweeping binaries only)\n\
          \x20 --skip-mode MODE   empty-space skipping: off (default), mip, or mip:N to cap the\n\
          \x20                    coarsest pyramid level at N; images are identical in every mode\n\
-         \x20 --packet-size N    rays marched in lockstep per packet by the tile engine\n\
-         \x20                    (default 1; images are identical at every packet size)\n\
          \x20 --source MODE      primary data path: spnerf (default) or baked — the bake-and-defer\n\
          \x20                    path whose small view MLP runs once per pixel, not per sample\n\
          \x20 --sparse-format F  sparse occupancy-index encoding: auto (default), bitmap, coo,\n\
@@ -236,7 +230,7 @@ pub fn usage(bin: &str) -> String {
          \x20                    default measures both and reports the amortization ratio)\n\
          \x20 -h, --help         print this help\n\
          \n\
-         Outputs are bitwise-identical at every thread count, skip mode, and packet size."
+         Outputs are bitwise-identical at every thread count and skip mode."
     )
 }
 
@@ -252,14 +246,6 @@ pub fn parse(args: &[String]) -> Result<HarnessArgs, ArgError> {
     let parse_threads = |v: &str| {
         v.parse::<usize>()
             .map_err(|_| ArgError::BadValue { flag: "--threads", value: v.to_string() })
-    };
-    let parse_packet = |v: &str| {
-        // `0` would silently alias the default (the engine treats it as 1),
-        // so the strict surface rejects it outright.
-        match v.parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(n),
-            _ => Err(ArgError::BadValue { flag: "--packet-size", value: v.to_string() }),
-        }
     };
     let parse_source = |v: &str| match v {
         "spnerf" => Ok(SourceMode::SpNerf),
@@ -338,14 +324,6 @@ pub fn parse(args: &[String]) -> Result<HarnessArgs, ArgError> {
             }
             _ if a.starts_with("--skip-mode=") => {
                 out.skip_mode = parse_skip(&a["--skip-mode=".len()..])?;
-            }
-            "--packet-size" => {
-                let v = args.get(i + 1).ok_or(ArgError::MissingValue("--packet-size"))?;
-                out.packet_size = Some(parse_packet(v)?);
-                i += 1;
-            }
-            _ if a.starts_with("--packet-size=") => {
-                out.packet_size = Some(parse_packet(&a["--packet-size=".len()..])?);
             }
             "--source" => {
                 let v = args.get(i + 1).ok_or(ArgError::MissingValue("--source"))?;
@@ -520,22 +498,6 @@ mod tests {
             assert_eq!(
                 parse(&args(&["--skip-mode", bad])),
                 Err(ArgError::BadValue { flag: "--skip-mode", value: bad.to_string() }),
-                "`{bad}` must be rejected"
-            );
-        }
-    }
-
-    #[test]
-    fn packet_size_flag_forms() {
-        assert_eq!(parse(&args(&[])).unwrap().packet_size, None);
-        assert_eq!(parse(&args(&["--packet-size", "4"])).unwrap().packet_size, Some(4));
-        assert_eq!(parse(&args(&["--packet-size=16"])).unwrap().packet_size, Some(16));
-        assert_eq!(parse(&args(&["--packet-size", "1"])).unwrap().packet_size, Some(1));
-        assert_eq!(parse(&args(&["--packet-size"])), Err(ArgError::MissingValue("--packet-size")));
-        for bad in ["0", "-1", "four", ""] {
-            assert_eq!(
-                parse(&args(&["--packet-size", bad])),
-                Err(ArgError::BadValue { flag: "--packet-size", value: bad.to_string() }),
                 "`{bad}` must be rejected"
             );
         }
@@ -764,7 +726,6 @@ mod tests {
         assert!(u.contains("--quick") && u.contains("--threads") && u.contains(THREADS_ENV_VAR));
         assert!(u.contains("--corpus"));
         assert!(u.contains("--skip-mode") && u.contains("mip:N"));
-        assert!(u.contains("--packet-size"));
         assert!(u.contains("--source") && u.contains("baked"));
         assert!(u.contains("--sparse-format") && u.contains("rank"));
         for serve in ["--seed", "--duration-ticks", "--cache-bytes", "--replay", "--zipf-s"] {

@@ -75,10 +75,6 @@ pub struct Fidelity {
     /// column) are bitwise-identical in every mode; marched-sample and
     /// cycle columns drop with skipping on.
     pub skip_mode: SkipMode,
-    /// Rays marched in lockstep per packet; forwarded to
-    /// [`RenderConfig::packet_size`]. Outputs are bitwise-identical at
-    /// every packet size.
-    pub packet_size: usize,
     /// Primary data path measurements flow from ([`SourceMode::SpNerf`] is
     /// the paper's pipeline; [`SourceMode::Baked`] swaps the primary
     /// stats/workload to the bake-and-defer render, whose MLP column is
@@ -105,7 +101,6 @@ impl Fidelity {
             table_size: 32 * 1024,
             threads: 1,
             skip_mode: SkipMode::Off,
-            packet_size: 1,
             source: SourceMode::SpNerf,
             sparse_format: FormatSelection::Auto,
         }
@@ -128,7 +123,6 @@ impl Fidelity {
             table_size: 4096,
             threads: 1,
             skip_mode: SkipMode::Off,
-            packet_size: 1,
             source: SourceMode::SpNerf,
             sparse_format: FormatSelection::Auto,
         }
@@ -170,9 +164,6 @@ impl Fidelity {
             fid.threads = threads;
         }
         fid.skip_mode = args.skip_mode;
-        if let Some(packet_size) = args.packet_size {
-            fid.packet_size = packet_size;
-        }
         fid.source = args.source;
         fid.sparse_format = args.sparse_format;
         fid
@@ -203,7 +194,6 @@ impl Fidelity {
             samples_per_ray: self.samples_per_ray,
             parallelism: self.threads,
             skip_mode: self.skip_mode,
-            packet_size: self.packet_size,
             ..Default::default()
         }
     }

@@ -24,7 +24,7 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use spnerf::render::bake::bake;
-use spnerf::render::composite::{accumulate_weighted_lanes, accumulate_weighted_scalar};
+use spnerf::render::composite::accumulate_weighted;
 use spnerf::render::fp16::{f16_bits_to_f32, f32_to_f16_bits};
 use spnerf::render::interp::{
     interpolate_cell_lanes, interpolate_cell_scalar, trilinear_cell, TrilinearCell,
@@ -73,17 +73,15 @@ pub const REQUIRED_KERNELS: [&str; 8] = [
 
 /// Kernel rows recorded since PR 7, on top of [`REQUIRED_KERNELS`]: the
 /// bake pass (one color-MLP forward per occupied vertex), the deferred
-/// per-pixel view MLP, the compositing accumulator in both forms, and —
-/// since PR 10 — the temporal-reuse hot path (the forward-warp splat and
-/// the disocclusion test, one op per pixel each).
-pub const EXTRA_KERNELS: [&str; 6] = [
-    "bake.pass",
-    "deferred_mlp.pixel",
-    "composite.scalar",
-    "composite.lanes",
-    "warp.splat",
-    "disocclusion.test",
-];
+/// per-pixel view MLP, the compositing accumulator, and — since PR 10 —
+/// the temporal-reuse hot path (the forward-warp splat and the
+/// disocclusion test, one op per pixel each).
+///
+/// Older snapshots also carry a `composite.lanes` row (a since-deleted
+/// lane-blocked twin of the accumulator); extra rows still validate — only
+/// [`REQUIRED_KERNELS`] is enforced.
+pub const EXTRA_KERNELS: [&str; 5] =
+    ["bake.pass", "deferred_mlp.pixel", "composite.scalar", "warp.splat", "disocclusion.test"];
 
 /// Timing of one kernel variant.
 #[derive(Debug, Clone, PartialEq)]
@@ -321,14 +319,7 @@ pub fn measure(label: &str, quick: bool) -> Snapshot {
         time_kernel("composite.scalar", spec_weights.len() as u64, target, || {
             let mut acc = [0.0f32; SPEC_DIM];
             for w in &spec_weights {
-                accumulate_weighted_scalar(&mut acc, black_box(&spec_values), *w);
-            }
-            black_box(acc);
-        }),
-        time_kernel("composite.lanes", spec_weights.len() as u64, target, || {
-            let mut acc = [0.0f32; SPEC_DIM];
-            for w in &spec_weights {
-                accumulate_weighted_lanes(&mut acc, black_box(&spec_values), *w);
+                accumulate_weighted(&mut acc, black_box(&spec_values), *w);
             }
             black_box(acc);
         }),
@@ -820,6 +811,21 @@ mod tests {
         // Structurally valid JSON, wrong shape.
         let errs = validate_snapshot_json("{}").unwrap_err();
         assert!(errs.len() >= 4, "every missing section is reported: {errs:?}");
+    }
+
+    #[test]
+    fn checked_in_snapshots_validate() {
+        // The perf trajectory at the repository root, validated without a
+        // filesystem walk (the `bench_snapshot --check` CLI does the walk).
+        for (name, text) in [
+            ("BENCH_pr6.json", include_str!("../../../BENCH_pr6.json")),
+            ("BENCH_pr7.json", include_str!("../../../BENCH_pr7.json")),
+            ("BENCH_pr10.json", include_str!("../../../BENCH_pr10.json")),
+        ] {
+            if let Err(errs) = validate_snapshot_json(text) {
+                panic!("{name} fails the schema: {errs:?}");
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! `C = Σ T_i · α_i · c_i + T_N · C_bg` with `α_i = 1 − exp(−σ_i δ)` and
 //! `T_i = Π_{j<i} (1 − α_j)`.
 
-use crate::lanes::{F32x8, LANE_WIDTH};
 use crate::vec3::Vec3;
 
 /// Converts a density sample to an opacity given the step length `dt`.
@@ -20,61 +19,17 @@ pub fn alpha_from_density(sigma: f32, dt: f32) -> f32 {
     }
 }
 
-/// The compositing inner loop: `acc[c] += values[c] * w` for every channel.
-///
-/// Dispatches to the lane-blocked kernel under the `simd` feature and to
-/// the scalar reference otherwise; the two are **bitwise identical** (see
-/// [`accumulate_weighted_lanes`]), so the feature flag never changes a
-/// composited pixel or an accumulated specular feature.
+/// The compositing inner loop: `acc[c] += values[c] * w` for every channel
+/// — one multiply and one add per channel (two IEEE rounding steps),
+/// channels in ascending order.
 ///
 /// # Panics
 ///
 /// Panics if the slices differ in length.
 pub fn accumulate_weighted(acc: &mut [f32], values: &[f32], w: f32) {
-    #[cfg(feature = "simd")]
-    {
-        accumulate_weighted_lanes(acc, values, w);
-    }
-    #[cfg(not(feature = "simd"))]
-    {
-        accumulate_weighted_scalar(acc, values, w);
-    }
-}
-
-/// Scalar reference for [`accumulate_weighted`]: one multiply and one add
-/// per channel (two IEEE rounding steps), channels in ascending order.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn accumulate_weighted_scalar(acc: &mut [f32], values: &[f32], w: f32) {
     assert_eq!(acc.len(), values.len(), "channel counts must match");
     for (a, v) in acc.iter_mut().zip(values) {
         *a += *v * w;
-    }
-}
-
-/// Lane-blocked twin of [`accumulate_weighted_scalar`], bitwise-identical
-/// for every input.
-///
-/// Channels are independent outputs, so they map onto [`F32x8`] lanes the
-/// same way the GEMV kernels lane their neurons: each lane computes exactly
-/// `acc[c] + values[c] * w` with the unfused [`F32x8::mul_add`] (two
-/// rounding steps, like the scalar path), and ragged tails go through the
-/// zero-padding loads and length-clamped stores. Always compiled, so the
-/// equivalence is pinned under either feature.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn accumulate_weighted_lanes(acc: &mut [f32], values: &[f32], w: f32) {
-    assert_eq!(acc.len(), values.len(), "channel counts must match");
-    let wv = F32x8::splat(w);
-    for start in (0..acc.len()).step_by(LANE_WIDTH) {
-        let end = acc.len().min(start + LANE_WIDTH);
-        let a = F32x8::load_padded(&acc[start..]);
-        let v = F32x8::load_padded(&values[start..]);
-        wv.mul_add(v, a).store_padded(&mut acc[start..end]);
     }
 }
 
@@ -113,9 +68,7 @@ impl RayAccumulator {
     /// Adds one sample with opacity `alpha` and radiance `rgb`.
     ///
     /// Alpha is clamped to `[0, 1]`. The channel update runs through
-    /// [`accumulate_weighted`], so under `--features simd` the blend is
-    /// lane-blocked — bitwise-identical to the scalar formula
-    /// `C += c · (T · α)`.
+    /// [`accumulate_weighted`]: `C += c · (T · α)`.
     pub fn add_sample(&mut self, alpha: f32, rgb: Vec3) {
         let a = alpha.clamp(0.0, 1.0);
         let mut ch = [self.color.x, self.color.y, self.color.z];
@@ -226,23 +179,6 @@ mod tests {
     }
 
     #[test]
-    fn accumulate_weighted_lanes_is_bitwise_scalar() {
-        // Ragged lengths (tails shorter than a lane) and full blocks alike.
-        for len in [0usize, 1, 3, 8, 9, 12, 16, 31] {
-            let mut scalar: Vec<f32> = (0..len).map(|i| (i as f32 * 0.37).sin() * 3.0).collect();
-            let mut lanes = scalar.clone();
-            let values: Vec<f32> = (0..len).map(|i| (i as f32 * 0.91).cos() * 5.0 - 1.0).collect();
-            for w in [0.0f32, 1.0, 0.12345, -2.5, 1e-8] {
-                accumulate_weighted_scalar(&mut scalar, &values, w);
-                accumulate_weighted_lanes(&mut lanes, &values, w);
-                for (c, (s, l)) in scalar.iter().zip(&lanes).enumerate() {
-                    assert_eq!(s.to_bits(), l.to_bits(), "channel {c} diverged at len {len} w {w}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn accumulate_weighted_matches_the_manual_blend() {
         let mut acc = [0.5f32, -1.0, 2.0];
         accumulate_weighted(&mut acc, &[1.0, 2.0, 3.0], 0.25);
@@ -255,7 +191,7 @@ mod tests {
     #[should_panic(expected = "channel counts must match")]
     fn accumulate_weighted_rejects_length_mismatch() {
         let mut acc = [0.0f32; 3];
-        accumulate_weighted_scalar(&mut acc, &[0.0; 4], 1.0);
+        accumulate_weighted(&mut acc, &[0.0; 4], 1.0);
     }
 
     #[test]

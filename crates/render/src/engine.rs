@@ -1,22 +1,26 @@
 //! Tile-parallel render engine: a [`TileScheduler`] that partitions the
-//! image into rectangular tiles and a scoped worker pool that traces them
-//! concurrently.
+//! image into rectangular tiles and one ordered scoped worker pool that
+//! runs render jobs concurrently.
 //!
 //! This mirrors how the accelerator literature scales the workload —
 //! Potamoi streams rays through independently scheduled chunks and RT-NeRF
 //! balances tiles across on-device units — applied to the CPU reference so
 //! every figure bin and PSNR sweep saturates a many-core host instead of
-//! one core.
+//! one core. The same pool serves still frames
+//! ([`crate::renderer::render_view`] submits one job per tile) and the
+//! temporal warp pass ([`crate::temporal`] submits one job per chunk of
+//! re-marched pixels).
 //!
 //! # Determinism guarantee
 //!
 //! Primary rays are independent and [`crate::renderer::trace_ray`] is pure,
-//! so parallelism cannot change any pixel. Workers pull tiles from an
-//! atomic counter (dynamic load balancing), but results are written back
-//! and [`RenderStats`] are merged **in tile index order** on the calling
-//! thread; the produced [`ImageBuffer`] and stats are therefore
-//! bitwise-identical to [`crate::renderer::render_view_serial`] for every
-//! tile size and thread count, including `parallelism: 0` (all cores).
+//! so parallelism cannot change any pixel. Workers pull jobs from an
+//! atomic counter (dynamic load balancing), but results are handed back
+//! **in job index order** on the calling thread, where pixels are written
+//! and [`crate::renderer::RenderStats`] merged; the produced image and
+//! stats are therefore bitwise-identical to
+//! [`crate::renderer::render_view_serial`] for every tile size and thread
+//! count, including `parallelism: 0` (all cores).
 //!
 //! # Example
 //!
@@ -35,16 +39,6 @@
 //! ```
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-use crate::camera::PinholeCamera;
-use crate::image::ImageBuffer;
-use crate::mlp::{Mlp, MlpScratch};
-use crate::ray::{Aabb, Ray};
-use crate::renderer::{
-    trace_packet_shaded, trace_ray_shaded, RenderConfig, RenderFrame, RenderStats, Shader,
-};
-use crate::source::VoxelSource;
-use crate::vec3::Vec3;
 
 /// Environment variable consulted by [`threads_from_args_or_env`] when no
 /// `--threads` flag is given.
@@ -142,9 +136,9 @@ impl TileScheduler {
     }
 }
 
-/// Resolves a [`RenderConfig::parallelism`] value to a concrete worker
-/// count: `0` maps to the host's available parallelism (at least 1), any
-/// other value is taken as-is.
+/// Resolves a [`crate::renderer::RenderConfig::parallelism`] value to a
+/// concrete worker count: `0` maps to the host's available parallelism (at
+/// least 1), any other value is taken as-is.
 pub fn resolve_parallelism(parallelism: usize) -> usize {
     if parallelism == 0 {
         std::thread::available_parallelism().map(usize::from).unwrap_or(1)
@@ -190,127 +184,40 @@ pub fn take_threads_args(args: &mut Vec<String>) -> Option<usize> {
     found.or_else(|| std::env::var(THREADS_ENV_VAR).ok().map(|v| parse(&v, THREADS_ENV_VAR)))
 }
 
-/// One rendered tile: pixel colors in the tile's row-major order plus the
-/// tile's aggregated statistics.
-struct TileOutput {
-    pixels: Vec<Vec3>,
-    stats: RenderStats,
-}
-
-/// Renders one tile serially on the calling thread.
+/// The ordered worker pool: runs `job(0) .. job(jobs - 1)` on up to
+/// [`resolve_parallelism`]`(parallelism)` scoped threads and returns the
+/// results in job-index order.
 ///
-/// Rays are grouped into packets of [`RenderConfig::packet_size`] (in the
-/// tile's row-major pixel order) and marched in lockstep through
-/// [`trace_packet`], sharing one MLP scratch per tile; `packet_size ≤ 1`
-/// keeps the historical ray-at-a-time loop. Pixels and stats are
-/// bitwise-identical at every packet size.
-fn render_tile<S: VoxelSource + ?Sized>(
-    source: &S,
-    shader: Shader<'_>,
-    camera: &PinholeCamera,
-    frame: &RenderFrame,
-    cfg: &RenderConfig,
-    tile: Tile,
-) -> TileOutput {
-    let mut pixels = Vec::with_capacity(tile.pixel_count());
-    let mut stats = RenderStats::default();
-    let mut scratch = MlpScratch::new();
-    if cfg.packet_size <= 1 {
-        for (px, py) in tile.pixels() {
-            let ray = camera.ray_for_pixel(px, py);
-            let (color, ray_stats) =
-                trace_ray_shaded(source, shader, frame, ray, cfg, &mut scratch);
-            stats.record_ray(&ray_stats);
-            pixels.push(color);
-        }
-        return TileOutput { pixels, stats };
-    }
-    let coords: Vec<(u32, u32)> = tile.pixels().collect();
-    for chunk in coords.chunks(cfg.packet_size) {
-        let rays: Vec<Ray> = chunk.iter().map(|&(px, py)| camera.ray_for_pixel(px, py)).collect();
-        for (color, ray_stats) in
-            trace_packet_shaded(source, shader, frame, &rays, cfg, &mut scratch)
-        {
-            stats.record_ray(&ray_stats);
-            pixels.push(color);
-        }
-    }
-    TileOutput { pixels, stats }
-}
-
-/// Renders one view through the tile scheduler and worker pool, honoring
-/// [`RenderConfig::parallelism`] and [`RenderConfig::tile_size`].
-///
-/// This is the engine behind [`crate::renderer::render_view`]; see the
-/// module docs for the determinism guarantee.
+/// Workers take jobs from an atomic cursor (dynamic load balancing, so a
+/// slow job never stalls the rest), and the results are put back in job
+/// order on the calling thread — so the output never depends on which
+/// worker ran which job. With one worker (or at most one job) the jobs run
+/// inline on the calling thread.
 ///
 /// # Panics
 ///
-/// Panics if `cfg.samples_per_ray` or `cfg.tile_size` is zero, or if a
-/// worker thread panics.
-pub fn render_view_tiled<S: VoxelSource + Sync>(
-    source: &S,
-    mlp: &Mlp,
-    camera: &PinholeCamera,
-    aabb: &Aabb,
-    cfg: &RenderConfig,
-) -> (ImageBuffer, RenderStats) {
-    render_view_tiled_shaded(source, Shader::PerSample(mlp), camera, aabb, cfg)
-}
-
-/// [`render_view_tiled`] generalized over the shading model — the engine
-/// behind [`crate::renderer::render_view_shaded`] and therefore the
-/// bake-and-defer render path. The determinism guarantee is unchanged:
-/// both [`Shader`] variants are pure per-ray computations, so images and
-/// stats are bitwise-identical to the serial reference at every thread
-/// count, tile size, and packet size.
-///
-/// # Panics
-///
-/// Panics if `cfg.samples_per_ray` or `cfg.tile_size` is zero, or if a
-/// worker thread panics.
-pub fn render_view_tiled_shaded<S: VoxelSource + Sync>(
-    source: &S,
-    shader: Shader<'_>,
-    camera: &PinholeCamera,
-    aabb: &Aabb,
-    cfg: &RenderConfig,
-) -> (ImageBuffer, RenderStats) {
-    let sched = TileScheduler::new(camera.width, camera.height, cfg.tile_size);
-    let n_tiles = sched.tile_count();
-    let workers = resolve_parallelism(cfg.parallelism).clamp(1, n_tiles);
-    let frame = RenderFrame::new(source.dims(), aabb, cfg);
-    if workers == 1 {
-        // One worker loops over the tiles in index order on the calling
-        // thread — the same per-tile packeting as the pool, without the
-        // thread or per-tile buffers (bitwise-identical by construction).
-        let mut img = ImageBuffer::new(camera.width, camera.height);
-        let mut stats = RenderStats::default();
-        for tile in sched.tiles() {
-            let out = render_tile(source, shader, camera, &frame, cfg, tile);
-            for ((px, py), color) in tile.pixels().zip(&out.pixels) {
-                img.set(px, py, *color);
-            }
-            stats += out.stats;
-        }
-        return (img, stats);
+/// Panics if a job panics.
+pub(crate) fn run_ordered<T: Send>(
+    parallelism: usize,
+    jobs: usize,
+    job: impl Fn(usize) -> T + Sync,
+) -> Vec<T> {
+    let workers = resolve_parallelism(parallelism).min(jobs);
+    if workers <= 1 {
+        return (0..jobs).map(job).collect();
     }
-
-    // Dynamic scheduling: workers race on an atomic tile cursor, so a
-    // slow (dense) tile never stalls the rest of the frame.
     let next = AtomicUsize::new(0);
-    let rendered = std::thread::scope(|s| {
+    let done = std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 s.spawn(|| {
                     let mut done = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n_tiles {
+                        if i >= jobs {
                             break done;
                         }
-                        let out = render_tile(source, shader, camera, &frame, cfg, sched.tile(i));
-                        done.push((i, out));
+                        done.push((i, job(i)));
                     }
                 })
             })
@@ -320,29 +227,49 @@ pub fn render_view_tiled_shaded<S: VoxelSource + Sync>(
             .flat_map(|h| h.join().expect("render worker panicked"))
             .collect::<Vec<_>>()
     });
-    let mut outputs: Vec<Option<TileOutput>> = (0..n_tiles).map(|_| None).collect();
-    for (i, out) in rendered {
-        outputs[i] = Some(out);
+    let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(jobs).collect();
+    for (i, out) in done {
+        slots[i] = Some(out);
     }
-
-    // Merge in tile index order — the determinism anchor.
-    let mut img = ImageBuffer::new(camera.width, camera.height);
-    let mut stats = RenderStats::default();
-    for (tile, out) in sched.tiles().zip(outputs) {
-        let out = out.expect("every tile index was rendered exactly once");
-        for ((px, py), color) in tile.pixels().zip(&out.pixels) {
-            img.set(px, py, *color);
-        }
-        stats += out.stats;
-    }
-    (img, stats)
+    slots.into_iter().map(|out| out.expect("every job ran exactly once")).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::renderer::render_view_serial;
+    use crate::mlp::Mlp;
+    use crate::renderer::{render_view, render_view_serial, RenderConfig};
     use crate::scene::{build_grid, default_camera, scene_aabb, SceneId};
+
+    #[test]
+    fn pool_returns_results_in_job_order() {
+        let square = |i: usize| i * i;
+        // More jobs than workers, more workers than jobs, all cores, one
+        // worker (inline), and zero jobs (an empty re-march list).
+        for (parallelism, jobs) in [(3usize, 17usize), (8, 3), (0, 23), (1, 9), (4, 0), (0, 0)] {
+            let expected: Vec<usize> = (0..jobs).map(square).collect();
+            assert_eq!(
+                run_ordered(parallelism, jobs, square),
+                expected,
+                "parallelism={parallelism} jobs={jobs}"
+            );
+        }
+        // Force out-of-order completion: job 0 holds its worker until the
+        // other worker has finished every other job, so job 0 completes
+        // last. The results must still come back in job order.
+        let jobs = 37;
+        let finished = AtomicUsize::new(0);
+        let out = run_ordered(2, jobs, |i| {
+            if i == 0 {
+                while finished.load(Ordering::SeqCst) < jobs - 1 {
+                    std::thread::yield_now();
+                }
+            }
+            finished.fetch_add(1, Ordering::SeqCst);
+            square(i)
+        });
+        assert_eq!(out, (0..jobs).map(square).collect::<Vec<_>>());
+    }
 
     #[test]
     fn scheduler_covers_image_exactly_once() {
@@ -422,7 +349,7 @@ mod tests {
             let serial = render_view_serial(&grid, &mlp, &cam, &scene_aabb(), &base);
             for (tile_size, threads) in [(1, 2), (3, 4), (32, 8), (4, 0)] {
                 let cfg = RenderConfig { tile_size, parallelism: threads, ..base };
-                let got = render_view_tiled(&grid, &mlp, &cam, &scene_aabb(), &cfg);
+                let got = render_view(&grid, &mlp, &cam, &scene_aabb(), &cfg);
                 assert_eq!(got, serial, "{w}x{h} tile={tile_size} threads={threads}");
             }
         }

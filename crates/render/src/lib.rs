@@ -24,8 +24,8 @@
 //!   drops marched samples without changing a single pixel,
 //! * [`engine`] — the tile-parallel render engine: a
 //!   [`engine::TileScheduler`] partitions each view into rectangular tiles
-//!   and a scoped worker pool traces them concurrently over any
-//!   `VoxelSource + Sync`,
+//!   and one ordered scoped worker pool traces them concurrently over any
+//!   `VoxelSource + Sync` (the temporal warp pass shares the same pool),
 //! * [`temporal`] — deterministic camera trajectories (orbit, dolly,
 //!   handheld jitter) rendered as frame sequences with Cicero-style
 //!   forward-warp reuse: [`temporal::ReuseMode::Off`] stays
@@ -35,11 +35,12 @@
 //!
 //! # Render engine architecture
 //!
-//! Rendering is layered: [`renderer::trace_ray`] is the pure per-ray kernel
-//! (march → decode → interpolate → MLP → composite) over a read-only
-//! [`renderer::RenderFrame`]; the [`engine`] fans rays out across worker
-//! threads tile by tile; [`renderer::render_view`] is the front door that
-//! honors [`renderer::RenderConfig::parallelism`] (`0` = all cores) and
+//! Rendering is layered: [`renderer::trace_ray`] is the one pure per-ray
+//! kernel (march → decode → interpolate → MLP → composite) over a
+//! read-only [`renderer::RenderFrame`], for either [`renderer::Shader`];
+//! the [`engine`]'s ordered worker pool fans rays out across threads tile
+//! by tile; [`renderer::render_view`] is the front door that honors
+//! [`renderer::RenderConfig::parallelism`] (`0` = all cores) and
 //! [`renderer::RenderConfig::tile_size`]. Because rays are independent and
 //! tile results are merged back in deterministic tile order, the engine's
 //! images and stats are **bitwise-identical** to the serial reference
@@ -92,13 +93,13 @@ pub use lanes::F32x8;
 pub use mlp::{DeferredMlp, Mlp, MlpF16, MlpScratch};
 pub use ray::{Aabb, Ray};
 pub use renderer::{
-    render_view, render_view_serial, render_view_serial_shaded, render_view_shaded, trace_packet,
-    trace_ray, trace_ray_traced, RenderConfig, RenderStats, Shader, SkipCache, SkipMode, TracedRay,
+    render_view, render_view_serial, trace_ray, RenderConfig, RenderStats, Shader, SkipCache,
+    SkipMode, TracedRay,
 };
 pub use scene::SceneId;
 pub use source::{support_bitmap, VoxelData, VoxelSource, WithOccupancy};
 pub use temporal::{
-    advance_frame, render_trajectory_shaded, PathKind, ReuseMode, ReuseState, TemporalFrame,
+    advance_frame, render_trajectory, PathKind, ReuseMode, ReuseState, TemporalFrame,
     TrajectorySpec, WarpConfig,
 };
 pub use vec3::Vec3;

@@ -201,8 +201,8 @@ impl Mlp {
     }
 
     /// [`Mlp::forward`] reusing caller-owned hidden-activation buffers, so
-    /// packeted ray marching ([`crate::renderer::trace_packet`]) amortizes
-    /// the scratch across every sample of a tile.
+    /// the ray kernel ([`crate::renderer::trace_ray`]) amortizes the scratch
+    /// across every sample of a tile.
     pub fn forward_with(
         &self,
         input: &[f32; MLP_INPUT_DIM],
@@ -355,9 +355,10 @@ impl Mlp {
 /// Reusable hidden-activation buffers for [`Mlp::forward_with`] and
 /// [`MlpF16::forward_with`].
 ///
-/// One scratch per worker (or per ray packet) replaces two 128-element
-/// stack zeroings per sample with buffer reuse; contents are fully
-/// overwritten by each forward pass, so reuse never changes results.
+/// One scratch per render job (a tile or a chunk of re-marched pixels)
+/// replaces two 128-element stack zeroings per sample with buffer reuse;
+/// contents are fully overwritten by each forward pass, so reuse never
+/// changes results.
 #[derive(Debug, Clone)]
 pub struct MlpScratch {
     h1: [f32; MLP_HIDDEN_DIM],

@@ -14,10 +14,10 @@
 //!
 //! The renderer is split into three layers:
 //!
-//! 1. [`trace_ray`] — the pure per-ray kernel: march, decode, shade,
+//! 1. [`trace_ray`] — the one pure per-ray kernel: march, decode, shade,
 //!    composite one primary ray against a shared read-only [`RenderFrame`];
-//! 2. [`crate::engine`] — the tile scheduler and worker pool that fan rays
-//!    out over threads and merge results back deterministically;
+//! 2. [`crate::engine`] — the tile scheduler and the ordered worker pool
+//!    that fans jobs out over threads and returns results in job order;
 //! 3. [`render_view`] — the front door: renders one view honoring
 //!    [`RenderConfig::parallelism`] / [`RenderConfig::tile_size`].
 //!
@@ -27,9 +27,9 @@
 
 use crate::camera::PinholeCamera;
 use crate::composite::{accumulate_weighted, alpha_from_density, RayAccumulator};
-use crate::engine;
+use crate::engine::{run_ordered, TileScheduler};
 use crate::image::ImageBuffer;
-use crate::interp::{interpolate_cell, trilinear_cell, GridFrame, TrilinearCell};
+use crate::interp::{interpolate_cell, trilinear_cell, GridFrame, InterpSample, TrilinearCell};
 use crate::mlp::{
     encode_direction, DeferredMlp, Mlp, MlpScratch, DEFERRED_INPUT_DIM, MLP_INPUT_DIM,
 };
@@ -104,7 +104,10 @@ impl SkipMode {
 /// through the accelerator model.
 ///
 /// Both variants are pure per-ray computations, so every determinism
-/// guarantee (threads, tiles, packet sizes, `simd` feature) holds for both.
+/// guarantee (threads, tiles, `simd` feature) holds for both.
+///
+/// `&Mlp` converts into [`Shader::PerSample`], so the front doors accept
+/// a bare color MLP wherever they accept a shader.
 #[derive(Debug, Clone, Copy)]
 pub enum Shader<'a> {
     /// Evaluate the full color MLP on every shaded sample.
@@ -114,6 +117,12 @@ pub enum Shader<'a> {
     /// feature channels (diffuse RGB in `0..3`, specular feature in
     /// `3..12`), as produced by [`crate::bake::bake`].
     Deferred(&'a DeferredMlp),
+}
+
+impl<'a> From<&'a Mlp> for Shader<'a> {
+    fn from(mlp: &'a Mlp) -> Self {
+        Shader::PerSample(mlp)
+    }
 }
 
 /// Rendering parameters.
@@ -140,12 +149,6 @@ pub struct RenderConfig {
     /// mode; `Mip` drops [`RenderStats::samples_marched`] on sources that
     /// carry an occupancy pyramid.
     pub skip_mode: SkipMode,
-    /// Rays marched in lockstep per packet by the tile engine (`0` is
-    /// treated as `1`, the historical ray-at-a-time loop). Packeting
-    /// amortizes per-sample setup (shared MLP scratch) across the packet;
-    /// each ray keeps its own sampler, accumulator, and stats, so images
-    /// and stats are bitwise-identical at every packet size.
-    pub packet_size: usize,
 }
 
 impl Default for RenderConfig {
@@ -158,7 +161,6 @@ impl Default for RenderConfig {
             parallelism: 1,
             tile_size: 32,
             skip_mode: SkipMode::Off,
-            packet_size: 1,
         }
     }
 }
@@ -305,21 +307,21 @@ impl SkipCache {
     }
 }
 
-/// Everything [`trace_ray_traced`] learns about one primary ray: the
-/// composited color, the opacity-weighted mean march depth (world-space
-/// distance along the ray; `+∞` for rays that shaded nothing), the per-ray
-/// workload statistics, and the final empty-space cache handle for
-/// cross-frame carry.
+/// Everything [`trace_ray`] learns about one primary ray: the composited
+/// color, the opacity-weighted mean march depth (world-space distance
+/// along the ray; `+∞` for rays that shaded nothing), the per-ray workload
+/// statistics, and the final empty-space cache handle for cross-frame
+/// carry.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TracedRay {
-    /// Composited pixel color (identical to [`trace_ray_shaded`]'s).
+    /// Composited pixel color.
     pub color: Vec3,
     /// Opacity-weighted mean depth of the shaded samples along the ray,
     /// in world units from the ray origin; `f32::INFINITY` when no sample
     /// shaded (pure background). This is the depth the temporal
     /// forward-warp reprojects radiance at.
     pub depth: f32,
-    /// Per-ray workload statistics (identical to [`trace_ray_shaded`]'s).
+    /// Per-ray workload statistics.
     pub stats: RayStats,
     /// The skipper's final cached empty region, reusable as the seed of a
     /// nearby ray in the next frame (see [`SkipCache`]).
@@ -387,7 +389,9 @@ struct EmptySkipper<'a> {
 }
 
 impl<'a> EmptySkipper<'a> {
-    fn new(mip: &'a OccupancyMip, max_level: usize) -> Self {
+    /// A skipper whose empty-region cache is pre-seeded from a previous
+    /// frame ([`SkipCache::EMPTY`] is the unseeded march).
+    fn new(mip: &'a OccupancyMip, max_level: usize, seed: SkipCache) -> Self {
         // Dilation bound: a contributing sample has a cell corner on an
         // occupied vertex, so its base ∈ [lo−1, hi] and its (unclamped)
         // grid position ∈ [lo−1.5, hi+1.5] per axis (trilinear_cell admits
@@ -400,7 +404,7 @@ impl<'a> EmptySkipper<'a> {
                 Vec3::new(hi.x as f32, hi.y as f32, hi.z as f32) + Vec3::splat(1.5),
             )
         });
-        Self { mip, max_level, clip, cached: None }
+        Self { mip, max_level, clip, cached: seed.0 }
     }
 
     /// Decides one sample at continuous grid position `g`: `Some(cell)`
@@ -438,244 +442,33 @@ impl<'a> EmptySkipper<'a> {
     }
 }
 
-/// The marching state of one ray: accumulator, statistics, the MLP input
-/// buffer with the view-direction encoding pre-written (features are
-/// overwritten per shaded sample), the deferred specular-feature
-/// accumulator, and the optional empty-space skipper.
-///
-/// [`trace_ray`] and [`trace_packet`] both drive rays through
-/// [`RayState::step`], so the per-sample arithmetic — and therefore every
-/// pixel — is identical whether rays march alone or in a packet.
-struct RayState<'a> {
-    acc: RayAccumulator,
-    stats: RayStats,
-    input: [f32; MLP_INPUT_DIM],
-    /// Alpha-weighted specular feature accumulated along the ray — the
-    /// deferred analogue of the color accumulator, fed to the per-pixel
-    /// [`DeferredMlp`] in [`RayState::finish`]. Unused (all zeros) under
-    /// [`Shader::PerSample`].
-    spec: [f32; SPEC_DIM],
-    /// `Σ T·α·t` over the shaded samples — the numerator of the
-    /// opacity-weighted mean depth [`TracedRay::depth`] reports. Pure
-    /// extra additions on the side of the color accumulator, so tracking
-    /// it never changes a composited pixel.
-    depth: f32,
-    skipper: Option<EmptySkipper<'a>>,
-}
-
-/// The immutable per-render context [`RayState::step`] reads: one copy per
-/// traced ray or packet, so stepping passes two references instead of five.
-#[derive(Clone, Copy)]
-struct StepCtx<'a> {
-    shader: Shader<'a>,
-    frame: &'a RenderFrame,
-    cfg: &'a RenderConfig,
-    dims: GridDims,
-}
-
-impl<'a> RayState<'a> {
-    fn new<S: VoxelSource + ?Sized>(source: &'a S, ray: &Ray, cfg: &RenderConfig) -> Self {
-        Self::with_cache(source, ray, cfg, SkipCache::EMPTY)
-    }
-
-    /// [`RayState::new`] with the skipper's empty-region cache pre-seeded
-    /// from a previous frame (a no-op without a skipper, and exactly
-    /// [`RayState::new`] for [`SkipCache::EMPTY`]).
-    fn with_cache<S: VoxelSource + ?Sized>(
-        source: &'a S,
-        ray: &Ray,
-        cfg: &RenderConfig,
-        seed: SkipCache,
-    ) -> Self {
-        let mut input = [0.0f32; MLP_INPUT_DIM];
-        input[FEATURE_DIM..].copy_from_slice(&encode_direction(ray.dir));
-        let skipper = match cfg.skip_mode {
-            SkipMode::Off => None,
-            SkipMode::Mip { levels } => source.occupancy_mip().map(|mip| {
-                let mut skipper = EmptySkipper::new(mip, levels);
-                skipper.cached = seed.0;
-                skipper
-            }),
-        };
-        Self {
-            acc: RayAccumulator::new(),
-            stats: RayStats::default(),
-            input,
-            spec: [0.0; SPEC_DIM],
-            depth: 0.0,
-            skipper,
-        }
-    }
-
-    /// Processes one sample position; returns `true` when the ray hit the
-    /// early-termination threshold and must stop marching.
-    fn step<S: VoxelSource + ?Sized>(
-        &mut self,
-        source: &S,
-        ctx: &StepCtx<'_>,
-        scratch: &mut MlpScratch,
-        t: f32,
-        pos: Vec3,
-    ) -> bool {
-        let StepCtx { shader, frame, cfg, dims } = *ctx;
-        let g = frame.grid.world_to_grid(pos);
-        let cell = match &mut self.skipper {
-            Some(skipper) => match skipper.admit(dims, g) {
-                Some(cell) => Some(cell),
-                None => {
-                    self.stats.samples_skipped += 1;
-                    return false;
-                }
-            },
-            None => trilinear_cell(dims, g),
-        };
-        self.stats.samples_marched += 1;
-        let sample = match cell {
-            Some(cell) => interpolate_cell(source, &cell),
-            None => crate::interp::InterpSample::empty(),
-        };
-        if sample.density <= 0.0 {
-            return false;
-        }
-        self.stats.samples_shaded += 1;
-        let alpha = alpha_from_density(sample.density * cfg.density_scale, frame.step);
-        match shader {
-            Shader::PerSample(mlp) => {
-                self.input[..FEATURE_DIM].copy_from_slice(&sample.features);
-                let rgb = mlp.forward_with(&self.input, scratch);
-                // Depth uses the same front-to-back weight `T·α` the color
-                // accumulator applies, captured *before* `add_sample`
-                // updates the transmittance — a pure side accumulation, so
-                // pixels stay bitwise-identical to the historical path.
-                let w = self.acc.transmittance() * alpha.clamp(0.0, 1.0);
-                self.depth += w * t;
-                self.acc.add_sample(alpha, Vec3::new(rgb[0], rgb[1], rgb[2]));
-            }
-            Shader::Deferred(_) => {
-                // No per-sample MLP: the baked payload already carries the
-                // diffuse color (channels 0..3) and the specular feature
-                // (channels 3..12). The specular feature is accumulated
-                // with the same front-to-back weight `T·α` the color
-                // accumulator applies — captured *before* `add_sample`
-                // updates the transmittance.
-                let w = self.acc.transmittance() * alpha.clamp(0.0, 1.0);
-                accumulate_weighted(&mut self.spec, &sample.features[DIFFUSE_DIM..], w);
-                self.depth += w * t;
-                let diffuse = Vec3::new(sample.features[0], sample.features[1], sample.features[2]);
-                self.acc.add_sample(alpha, diffuse);
-            }
-        }
-        if self.acc.is_opaque(cfg.early_stop) {
-            self.stats.terminated_early = true;
-            return true;
-        }
-        false
-    }
-
-    fn finish(self, ctx: &StepCtx<'_>) -> (Vec3, RayStats) {
-        let traced = self.finish_traced(ctx);
-        (traced.color, traced.stats)
-    }
-
-    fn finish_traced(mut self, ctx: &StepCtx<'_>) -> TracedRay {
-        let mut color = self.acc.finalize(ctx.cfg.background);
-        if let Shader::Deferred(deferred) = ctx.shader {
-            if self.stats.samples_shaded > 0 {
-                // The one deferred-MLP evaluation this pixel pays: view
-                // dependence from the accumulated specular feature and the
-                // ray's (pre-encoded) view direction, scaled by the ray's
-                // opacity so empty pixels stay pure background.
-                self.stats.pixels_shaded += 1;
-                let mut input = [0.0f32; DEFERRED_INPUT_DIM];
-                input[..SPEC_DIM].copy_from_slice(&self.spec);
-                input[SPEC_DIM..].copy_from_slice(&self.input[FEATURE_DIM..]);
-                let rgb = deferred.forward(&input);
-                color = color + Vec3::new(rgb[0], rgb[1], rgb[2]) * self.acc.opacity();
-            }
-        }
-        // Normalizing by the accumulated opacity makes the depth a mean
-        // over the shaded samples (shaded ⇒ α > 0 ⇒ opacity > 0); rays
-        // that shaded nothing have no surface and report +∞.
-        let depth = if self.stats.samples_shaded > 0 {
-            self.depth / self.acc.opacity()
-        } else {
-            f32::INFINITY
-        };
-        TracedRay {
-            color,
-            depth,
-            stats: self.stats,
-            skip_cache: SkipCache(self.skipper.as_ref().and_then(|s| s.cached)),
-        }
-    }
-}
-
 /// Traces one primary ray: march the AABB, decode and interpolate each
-/// sample, shade positive-density samples through the MLP, and composite.
+/// sample, shade positive-density samples, and composite — the one per-ray
+/// kernel behind still frames, the serial oracle, and the temporal warp
+/// pass.
 ///
 /// Pure in its inputs — no shared mutable state — which is what lets the
 /// tile engine run it from many threads with bitwise-reproducible output.
+/// `scratch` only lends the MLP its hidden-activation buffers, which every
+/// evaluation fully overwrites.
 ///
-/// Under [`SkipMode::Mip`] (and a source carrying an occupancy pyramid)
-/// samples in provably-empty macro-blocks are skipped: they are counted in
-/// [`RayStats::samples_skipped`] instead of
-/// [`RayStats::samples_marched`], and the returned color is
-/// bitwise-identical to [`SkipMode::Off`].
+/// * [`Shader::PerSample`] runs the color MLP on every shaded sample.
+///   [`Shader::Deferred`] composites baked diffuse color, accumulates the
+///   baked specular feature, and pays one [`DeferredMlp`] evaluation in the
+///   epilogue ([`RayStats::pixels_shaded`]).
+/// * Under [`SkipMode::Mip`] (and a source carrying an occupancy pyramid)
+///   samples in provably-empty macro-blocks are skipped: they are counted
+///   in [`RayStats::samples_skipped`] instead of
+///   [`RayStats::samples_marched`], and the color is bitwise-identical to
+///   [`SkipMode::Off`].
+/// * `seed` pre-loads the skipper with an empty region carried from a
+///   previous frame ([`SkipCache::EMPTY`] for none). A seed only changes
+///   *how* a provably-empty sample is proven empty (cached range vs
+///   pyramid descent), never whether it is skipped, so color and stats are
+///   bitwise-identical for every seed.
+/// * The depth is a pure side accumulation next to the color, so tracking
+///   it never changes a composited pixel.
 pub fn trace_ray<S: VoxelSource + ?Sized>(
-    source: &S,
-    mlp: &Mlp,
-    frame: &RenderFrame,
-    ray: Ray,
-    cfg: &RenderConfig,
-) -> (Vec3, RayStats) {
-    trace_ray_with(source, mlp, frame, ray, cfg, &mut MlpScratch::new())
-}
-
-/// [`trace_ray`] reusing caller-owned MLP scratch, so a tile's rays share
-/// one pair of hidden-activation buffers. Output is bitwise-identical to
-/// [`trace_ray`]: the scratch is fully overwritten by every MLP evaluation.
-pub fn trace_ray_with<S: VoxelSource + ?Sized>(
-    source: &S,
-    mlp: &Mlp,
-    frame: &RenderFrame,
-    ray: Ray,
-    cfg: &RenderConfig,
-    scratch: &mut MlpScratch,
-) -> (Vec3, RayStats) {
-    trace_ray_shaded(source, Shader::PerSample(mlp), frame, ray, cfg, scratch)
-}
-
-/// [`trace_ray`] generalized over the shading model: the per-ray kernel
-/// behind both the per-sample and the bake-and-defer render paths.
-///
-/// With [`Shader::PerSample`] this is exactly [`trace_ray_with`]. With
-/// [`Shader::Deferred`] the march composites baked diffuse color,
-/// accumulates the baked specular feature, and pays one [`DeferredMlp`]
-/// evaluation in the epilogue ([`RayStats::pixels_shaded`]).
-pub fn trace_ray_shaded<S: VoxelSource + ?Sized>(
-    source: &S,
-    shader: Shader<'_>,
-    frame: &RenderFrame,
-    ray: Ray,
-    cfg: &RenderConfig,
-    scratch: &mut MlpScratch,
-) -> (Vec3, RayStats) {
-    let traced = trace_ray_traced(source, shader, frame, ray, cfg, scratch, SkipCache::EMPTY);
-    (traced.color, traced.stats)
-}
-
-/// [`trace_ray_shaded`] with full temporal instrumentation: additionally
-/// returns the opacity-weighted march depth and the final empty-space
-/// cache handle, and accepts a [`SkipCache`] seed carried over from a
-/// previous frame.
-///
-/// The color and stats are **bitwise-identical** to [`trace_ray_shaded`]
-/// for every seed: depth tracking is a pure side accumulation, and a seed
-/// only changes *how* a provably-empty sample is proven empty (cached
-/// range vs pyramid descent), never whether it is skipped — both proofs
-/// count into [`RayStats::samples_skipped`] identically. This is the
-/// per-ray kernel of [`crate::temporal`].
-pub fn trace_ray_traced<S: VoxelSource + ?Sized>(
     source: &S,
     shader: Shader<'_>,
     frame: &RenderFrame,
@@ -684,179 +477,174 @@ pub fn trace_ray_traced<S: VoxelSource + ?Sized>(
     scratch: &mut MlpScratch,
     seed: SkipCache,
 ) -> TracedRay {
-    let ctx = StepCtx { shader, frame, cfg, dims: source.dims() };
-    let mut state = RayState::with_cache(source, &ray, cfg, seed);
+    let dims = source.dims();
+    // The MLP input carries the view-direction encoding pre-written;
+    // features are overwritten per shaded sample.
+    let mut input = [0.0f32; MLP_INPUT_DIM];
+    input[FEATURE_DIM..].copy_from_slice(&encode_direction(ray.dir));
+    let mut skipper = match cfg.skip_mode {
+        SkipMode::Off => None,
+        SkipMode::Mip { levels } => {
+            source.occupancy_mip().map(|mip| EmptySkipper::new(mip, levels, seed))
+        }
+    };
+    let mut acc = RayAccumulator::new();
+    let mut stats = RayStats::default();
+    // Alpha-weighted specular feature (the deferred analogue of the color
+    // accumulator; all zeros under `PerSample`) and `Σ T·α·t`, the
+    // numerator of the reported depth.
+    let mut spec = [0.0f32; SPEC_DIM];
+    let mut depth = 0.0f32;
     for (t, pos) in UniformSampler::new(ray, &frame.aabb, frame.step) {
-        if state.step(source, &ctx, scratch, t, pos) {
-            break;
-        }
-    }
-    state.finish_traced(&ctx)
-}
-
-/// Traces a packet of primary rays in lockstep: sample `k` of every live
-/// ray is processed before sample `k + 1` of any, sharing one MLP scratch.
-///
-/// Each ray keeps its own sampler, accumulator, skipper, and statistics —
-/// the packet only interleaves *when* per-ray work happens, never *what* —
-/// so the returned colors and stats are bitwise-identical to calling
-/// [`trace_ray`] per ray, at any packet size. Rays that terminate early or
-/// exhaust their sample range drop out of the lockstep individually.
-///
-/// This is the CPU analogue of the accelerator batching samples across its
-/// parallel ray units to keep the shared MLP array busy; the tile engine
-/// packets rays per [`RenderConfig::packet_size`].
-pub fn trace_packet<S: VoxelSource + ?Sized>(
-    source: &S,
-    mlp: &Mlp,
-    frame: &RenderFrame,
-    rays: &[Ray],
-    cfg: &RenderConfig,
-    scratch: &mut MlpScratch,
-) -> Vec<(Vec3, RayStats)> {
-    trace_packet_shaded(source, Shader::PerSample(mlp), frame, rays, cfg, scratch)
-}
-
-/// [`trace_packet`] generalized over the shading model, exactly as
-/// [`trace_ray_shaded`] generalizes [`trace_ray`]. Bitwise-identical to
-/// per-ray [`trace_ray_shaded`] calls at any packet size, for either
-/// [`Shader`] variant.
-pub fn trace_packet_shaded<S: VoxelSource + ?Sized>(
-    source: &S,
-    shader: Shader<'_>,
-    frame: &RenderFrame,
-    rays: &[Ray],
-    cfg: &RenderConfig,
-    scratch: &mut MlpScratch,
-) -> Vec<(Vec3, RayStats)> {
-    let ctx = StepCtx { shader, frame, cfg, dims: source.dims() };
-    struct Lane<'a> {
-        sampler: UniformSampler,
-        state: RayState<'a>,
-        done: bool,
-    }
-    let mut lanes: Vec<Lane<'_>> = rays
-        .iter()
-        .map(|ray| Lane {
-            sampler: UniformSampler::new(*ray, &frame.aabb, frame.step),
-            state: RayState::new(source, ray, cfg),
-            done: false,
-        })
-        .collect();
-    loop {
-        let mut progressed = false;
-        for lane in &mut lanes {
-            if lane.done {
-                continue;
-            }
-            match lane.sampler.next() {
-                None => lane.done = true,
-                Some((t, pos)) => {
-                    progressed = true;
-                    if lane.state.step(source, &ctx, scratch, t, pos) {
-                        lane.done = true;
-                    }
+        let g = frame.grid.world_to_grid(pos);
+        let cell = match &mut skipper {
+            Some(skipper) => match skipper.admit(dims, g) {
+                Some(cell) => Some(cell),
+                None => {
+                    stats.samples_skipped += 1;
+                    continue;
                 }
+            },
+            None => trilinear_cell(dims, g),
+        };
+        stats.samples_marched += 1;
+        let sample = match cell {
+            Some(cell) => interpolate_cell(source, &cell),
+            None => InterpSample::empty(),
+        };
+        if sample.density <= 0.0 {
+            continue;
+        }
+        stats.samples_shaded += 1;
+        let alpha = alpha_from_density(sample.density * cfg.density_scale, frame.step);
+        // The front-to-back weight `T·α` the color accumulator applies,
+        // captured *before* `add_sample` updates the transmittance.
+        let w = acc.transmittance() * alpha.clamp(0.0, 1.0);
+        depth += w * t;
+        match shader {
+            Shader::PerSample(mlp) => {
+                input[..FEATURE_DIM].copy_from_slice(&sample.features);
+                let rgb = mlp.forward_with(&input, scratch);
+                acc.add_sample(alpha, Vec3::new(rgb[0], rgb[1], rgb[2]));
+            }
+            Shader::Deferred(_) => {
+                // No per-sample MLP: the baked payload already carries the
+                // diffuse color (channels 0..3) and the specular feature
+                // (channels 3..12).
+                accumulate_weighted(&mut spec, &sample.features[DIFFUSE_DIM..], w);
+                let diffuse = Vec3::new(sample.features[0], sample.features[1], sample.features[2]);
+                acc.add_sample(alpha, diffuse);
             }
         }
-        if !progressed {
+        if acc.is_opaque(cfg.early_stop) {
+            stats.terminated_early = true;
             break;
         }
     }
-    lanes.into_iter().map(|lane| lane.state.finish(&ctx)).collect()
+
+    let mut color = acc.finalize(cfg.background);
+    if let Shader::Deferred(deferred) = shader {
+        if stats.samples_shaded > 0 {
+            // The one deferred-MLP evaluation this pixel pays: view
+            // dependence from the accumulated specular feature and the
+            // ray's (pre-encoded) view direction, scaled by the ray's
+            // opacity so empty pixels stay pure background.
+            stats.pixels_shaded += 1;
+            let mut deferred_input = [0.0f32; DEFERRED_INPUT_DIM];
+            deferred_input[..SPEC_DIM].copy_from_slice(&spec);
+            deferred_input[SPEC_DIM..].copy_from_slice(&input[FEATURE_DIM..]);
+            let rgb = deferred.forward(&deferred_input);
+            color = color + Vec3::new(rgb[0], rgb[1], rgb[2]) * acc.opacity();
+        }
+    }
+    // Normalizing by the accumulated opacity makes the depth a mean over
+    // the shaded samples (shaded ⇒ α > 0 ⇒ opacity > 0); rays that shaded
+    // nothing have no surface and report +∞.
+    let depth = if stats.samples_shaded > 0 { depth / acc.opacity() } else { f32::INFINITY };
+    TracedRay { color, depth, stats, skip_cache: SkipCache(skipper.and_then(|s| s.cached)) }
 }
 
 /// Renders one view of `source` through `camera`, returning the image and
 /// the workload statistics.
 ///
-/// Dispatches to the tile-parallel engine per
-/// [`RenderConfig::parallelism`]; output images and stats are
-/// bitwise-identical to [`render_view_serial`] at any thread count and tile
-/// size.
+/// `shader` is a [`Shader`] or a bare `&Mlp` (per-sample shading). The
+/// view is cut into [`RenderConfig::tile_size`] tiles that the engine's
+/// ordered worker pool traces on [`RenderConfig::parallelism`] threads;
+/// tiles are merged back in tile order, so the image and stats are
+/// bitwise-identical to [`render_view_serial`] at any thread count and
+/// tile size.
 ///
 /// # Panics
 ///
-/// Panics if `cfg.samples_per_ray` or `cfg.tile_size` is zero.
-pub fn render_view<S: VoxelSource + Sync>(
+/// Panics if `cfg.samples_per_ray` or `cfg.tile_size` is zero, or if a
+/// worker thread panics.
+pub fn render_view<'a, S: VoxelSource + Sync>(
     source: &S,
-    mlp: &Mlp,
+    shader: impl Into<Shader<'a>>,
     camera: &PinholeCamera,
     aabb: &Aabb,
     cfg: &RenderConfig,
 ) -> (ImageBuffer, RenderStats) {
-    engine::render_view_tiled(source, mlp, camera, aabb, cfg)
-}
-
-/// [`render_view`] generalized over the shading model: the front door of
-/// the bake-and-defer path (and, with [`Shader::PerSample`], exactly
-/// [`render_view`]).
-///
-/// The same determinism guarantee holds: output is bitwise-identical to
-/// [`render_view_serial_shaded`] at any thread count, tile size, and
-/// packet size.
-///
-/// # Panics
-///
-/// Panics if `cfg.samples_per_ray` or `cfg.tile_size` is zero.
-pub fn render_view_shaded<S: VoxelSource + Sync>(
-    source: &S,
-    shader: Shader<'_>,
-    camera: &PinholeCamera,
-    aabb: &Aabb,
-    cfg: &RenderConfig,
-) -> (ImageBuffer, RenderStats) {
-    engine::render_view_tiled_shaded(source, shader, camera, aabb, cfg)
+    let shader = shader.into();
+    let sched = TileScheduler::new(camera.width, camera.height, cfg.tile_size);
+    let frame = RenderFrame::new(source.dims(), aabb, cfg);
+    let tiles = run_ordered(cfg.parallelism, sched.tile_count(), |i| {
+        // One MLP scratch per tile, shared by the tile's rays.
+        let mut scratch = MlpScratch::new();
+        let mut stats = RenderStats::default();
+        let colors: Vec<Vec3> = sched
+            .tile(i)
+            .pixels()
+            .map(|(px, py)| {
+                let ray = camera.ray_for_pixel(px, py);
+                let traced =
+                    trace_ray(source, shader, &frame, ray, cfg, &mut scratch, SkipCache::EMPTY);
+                stats.record_ray(&traced.stats);
+                traced.color
+            })
+            .collect();
+        (colors, stats)
+    });
+    let mut img = ImageBuffer::new(camera.width, camera.height);
+    let mut stats = RenderStats::default();
+    for (tile, (colors, tile_stats)) in sched.tiles().zip(tiles) {
+        for ((px, py), color) in tile.pixels().zip(colors) {
+            img.set(px, py, color);
+        }
+        stats += tile_stats;
+    }
+    (img, stats)
 }
 
 /// The single-threaded row-major reference renderer.
 ///
-/// This is the determinism oracle: the tile engine's output must equal it
-/// bitwise. It ignores `cfg.parallelism` / `cfg.tile_size` /
-/// `cfg.packet_size` (rays march one at a time in row-major order) and
-/// does not require `Sync`, so it also serves trait-object sources.
+/// This is the determinism oracle: [`render_view`]'s output must equal it
+/// bitwise. It ignores `cfg.parallelism` / `cfg.tile_size` (rays march one
+/// at a time in row-major order) and does not require `Sync`, so it also
+/// serves trait-object sources.
 ///
 /// # Panics
 ///
 /// Panics if `cfg.samples_per_ray` is zero.
-pub fn render_view_serial<S: VoxelSource + ?Sized>(
+pub fn render_view_serial<'a, S: VoxelSource + ?Sized>(
     source: &S,
-    mlp: &Mlp,
+    shader: impl Into<Shader<'a>>,
     camera: &PinholeCamera,
     aabb: &Aabb,
     cfg: &RenderConfig,
 ) -> (ImageBuffer, RenderStats) {
-    render_view_serial_shaded(source, Shader::PerSample(mlp), camera, aabb, cfg)
-}
-
-/// [`render_view_serial`] generalized over the shading model — the
-/// determinism oracle for [`render_view_shaded`].
-///
-/// # Panics
-///
-/// Panics if `cfg.samples_per_ray` is zero.
-pub fn render_view_serial_shaded<S: VoxelSource + ?Sized>(
-    source: &S,
-    shader: Shader<'_>,
-    camera: &PinholeCamera,
-    aabb: &Aabb,
-    cfg: &RenderConfig,
-) -> (ImageBuffer, RenderStats) {
+    let shader = shader.into();
     let frame = RenderFrame::new(source.dims(), aabb, cfg);
     let mut stats = RenderStats::default();
     let mut img = ImageBuffer::new(camera.width, camera.height);
     let mut scratch = MlpScratch::new();
     for py in 0..camera.height {
         for px in 0..camera.width {
-            let (color, ray_stats) = trace_ray_shaded(
-                source,
-                shader,
-                &frame,
-                camera.ray_for_pixel(px, py),
-                cfg,
-                &mut scratch,
-            );
-            stats.record_ray(&ray_stats);
-            img.set(px, py, color);
+            let ray = camera.ray_for_pixel(px, py);
+            let traced =
+                trace_ray(source, shader, &frame, ray, cfg, &mut scratch, SkipCache::EMPTY);
+            stats.record_ray(&traced.stats);
+            img.set(px, py, traced.color);
         }
     }
     (img, stats)
@@ -1136,27 +924,26 @@ mod tests {
         let mlp = Mlp::random(0);
         let cam = default_camera(10, 10, 0, 4);
         let cfg = tiny_cfg();
+        let (img, view_stats) = render_view_serial(&grid, &mlp, &cam, &scene_aabb(), &cfg);
         let frame = RenderFrame::new(grid.dims(), &scene_aabb(), &cfg);
         let mut scratch = MlpScratch::new();
-        let shader = Shader::PerSample(&mlp);
+        let mut stats = RenderStats::default();
         let mut hits = 0;
         for py in 0..10 {
             for px in 0..10 {
                 let ray = cam.ray_for_pixel(px, py);
-                let (color, stats) =
-                    trace_ray_shaded(&grid, shader, &frame, ray, &cfg, &mut scratch);
-                let traced = trace_ray_traced(
+                let traced = trace_ray(
                     &grid,
-                    shader,
+                    (&mlp).into(),
                     &frame,
                     ray,
                     &cfg,
                     &mut scratch,
                     SkipCache::EMPTY,
                 );
-                assert_eq!(traced.color, color, "traced color must be bitwise-identical");
-                assert_eq!(traced.stats, stats);
-                if stats.samples_shaded > 0 {
+                assert_eq!(traced.color, img.get(px, py), "kernel color must be the view's pixel");
+                stats.record_ray(&traced.stats);
+                if traced.stats.samples_shaded > 0 {
                     hits += 1;
                     // Depth sits inside the march range of the 2.8-radius orbit
                     // camera over the [-1, 1]³ box.
@@ -1170,6 +957,7 @@ mod tests {
                 }
             }
         }
+        assert_eq!(stats, view_stats, "per-ray stats must sum to the view's");
         assert!(hits > 0, "object must be hit");
     }
 
@@ -1192,7 +980,7 @@ mod tests {
             let mut seed = SkipCache::EMPTY;
             for py in 0..12 {
                 let ray = cam.ray_for_pixel(px, py);
-                let fresh = trace_ray_traced(
+                let fresh = trace_ray(
                     &skippable,
                     shader,
                     &frame,
@@ -1201,8 +989,7 @@ mod tests {
                     &mut scratch,
                     SkipCache::EMPTY,
                 );
-                let seeded =
-                    trace_ray_traced(&skippable, shader, &frame, ray, &cfg, &mut scratch, seed);
+                let seeded = trace_ray(&skippable, shader, &frame, ray, &cfg, &mut scratch, seed);
                 assert_eq!(seeded.color, fresh.color, "seed must never change a pixel");
                 assert_eq!(seeded.stats, fresh.stats, "seed must never change the accounting");
                 assert_eq!(seeded.depth.to_bits(), fresh.depth.to_bits());
@@ -1216,18 +1003,6 @@ mod tests {
     }
 
     #[test]
-    fn per_sample_shader_is_the_classic_path() {
-        let grid = build_grid(SceneId::Lego, 24);
-        let mlp = Mlp::random(0);
-        let cam = default_camera(10, 10, 0, 4);
-        let classic = render_view(&grid, &mlp, &cam, &scene_aabb(), &tiny_cfg());
-        let shaded =
-            render_view_shaded(&grid, Shader::PerSample(&mlp), &cam, &scene_aabb(), &tiny_cfg());
-        assert_eq!(shaded, classic, "PerSample must be exactly the historical path");
-        assert_eq!(shaded.1.pixels_shaded, 0, "no deferred evaluations in per-sample mode");
-    }
-
-    #[test]
     fn deferred_collapses_mlp_work_to_pixels() {
         use crate::bake::bake;
         use crate::mlp::DeferredMlp;
@@ -1235,13 +1010,8 @@ mod tests {
         let baked = bake(&grid, &Mlp::random(0));
         let deferred = DeferredMlp::random(0);
         let cam = default_camera(12, 12, 0, 4);
-        let (img, stats) = render_view_shaded(
-            &baked,
-            Shader::Deferred(&deferred),
-            &cam,
-            &scene_aabb(),
-            &tiny_cfg(),
-        );
+        let (img, stats) =
+            render_view(&baked, Shader::Deferred(&deferred), &cam, &scene_aabb(), &tiny_cfg());
         assert!(stats.pixels_shaded > 0, "object must be hit");
         assert!(stats.pixels_shaded <= stats.rays, "at most one deferred eval per ray");
         assert!(
@@ -1259,6 +1029,7 @@ mod tests {
         let per_sample = render_view(&baked, &Mlp::random(0), &cam, &scene_aabb(), &tiny_cfg());
         assert_eq!(stats.samples_marched, per_sample.1.samples_marched);
         assert_eq!(stats.samples_shaded, per_sample.1.samples_shaded);
+        assert_eq!(per_sample.1.pixels_shaded, 0, "no deferred evaluations in per-sample mode");
     }
 
     #[test]
@@ -1270,16 +1041,11 @@ mod tests {
         let deferred = DeferredMlp::random(1);
         let cam = default_camera(13, 11, 1, 4);
         let shader = Shader::Deferred(&deferred);
-        let serial = render_view_serial_shaded(&baked, shader, &cam, &scene_aabb(), &tiny_cfg());
-        for (threads, packet) in [(2usize, 1usize), (3, 4), (8, 7)] {
-            let cfg = RenderConfig {
-                parallelism: threads,
-                tile_size: 5,
-                packet_size: packet,
-                ..tiny_cfg()
-            };
-            let parallel = render_view_shaded(&baked, shader, &cam, &scene_aabb(), &cfg);
-            assert_eq!(parallel, serial, "threads={threads} packet={packet}");
+        let serial = render_view_serial(&baked, shader, &cam, &scene_aabb(), &tiny_cfg());
+        for threads in [2usize, 3, 8] {
+            let cfg = RenderConfig { parallelism: threads, tile_size: 5, ..tiny_cfg() };
+            let parallel = render_view(&baked, shader, &cam, &scene_aabb(), &cfg);
+            assert_eq!(parallel, serial, "threads={threads}");
         }
     }
 
@@ -1293,10 +1059,10 @@ mod tests {
         let deferred = DeferredMlp::random(2);
         let cam = default_camera(10, 10, 2, 4);
         let shader = Shader::Deferred(&deferred);
-        let off = render_view_shaded(&baked, shader, &cam, &scene_aabb(), &tiny_cfg());
+        let off = render_view(&baked, shader, &cam, &scene_aabb(), &tiny_cfg());
         let skippable = WithOccupancy::build(&baked);
         let cfg = RenderConfig { skip_mode: SkipMode::mip(), ..tiny_cfg() };
-        let on = render_view_shaded(&skippable, shader, &cam, &scene_aabb(), &cfg);
+        let on = render_view(&skippable, shader, &cam, &scene_aabb(), &cfg);
         assert_eq!(on.0, off.0, "skipping must not change a deferred pixel");
         assert_eq!(on.1.pixels_shaded, off.1.pixels_shaded);
         assert_eq!(on.1.samples_shaded, off.1.samples_shaded);

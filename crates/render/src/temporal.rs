@@ -12,13 +12,13 @@
 //! * [`ReuseMode`] — the frame-to-frame reuse policy.
 //!   [`ReuseMode::Off`] renders every frame through the ordinary tile
 //!   engine and is **bitwise-identical** to a loop of independent
-//!   [`crate::renderer::render_view_shaded`] calls.
+//!   [`crate::renderer::render_view`] calls.
 //!   [`ReuseMode::Warp`] forward-warps the previous frame's radiance along
 //!   the camera delta at its marched depth and re-marches only the rays
 //!   that need it (disoccluded pixels, depth edges, and a rotating
 //!   validation subset), carrying each pixel's empty-space
 //!   [`SkipCache`] across frames;
-//! * [`advance_frame`] / [`render_trajectory_shaded`] — the stateful
+//! * [`advance_frame`] / [`render_trajectory`] — the stateful
 //!   per-frame driver and the one-shot path renderer.
 //!
 //! # Reuse semantics and determinism
@@ -30,10 +30,11 @@
 //!   row-major order with a strict nearest-depth-wins test, so conflicts
 //!   resolve identically on every run;
 //! * re-marched rays go through the same pure
-//!   [`crate::renderer::trace_ray_traced`] kernel as still frames, and the
-//!   per-frame merge is in pixel order — so a temporal frame is
-//!   bitwise-identical across thread counts, tile sizes, and packet sizes
-//!   (the warp path schedules rays itself and ignores the latter two);
+//!   [`crate::renderer::trace_ray`] kernel and the same ordered worker
+//!   pool as still frames, and the per-frame merge is in pixel order — so
+//!   a temporal frame is bitwise-identical across thread counts and tile
+//!   sizes (the warp pass schedules pixel chunks itself and ignores the
+//!   latter);
 //! * background is reused too: rays that shaded nothing are splatted at
 //!   [`WarpConfig::far_depth`], so an empty sky never forces a re-march.
 //!
@@ -46,18 +47,16 @@
 //! [`TemporalFrame::validation_error`] reports the largest warped-vs-
 //! re-marched discrepancy actually observed.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::camera::{PinholeCamera, Pose};
-use crate::engine::resolve_parallelism;
+use crate::engine::run_ordered;
 use crate::image::ImageBuffer;
 use crate::mlp::MlpScratch;
 use crate::ray::Aabb;
 use crate::renderer::{
-    trace_ray_traced, RenderConfig, RenderFrame, RenderStats, Shader, SkipCache, TracedRay,
+    render_view, trace_ray, RenderConfig, RenderFrame, RenderStats, Shader, SkipCache, TracedRay,
 };
 use crate::source::VoxelSource;
 use crate::vec3::Vec3;
@@ -463,12 +462,11 @@ pub struct TemporalFrame {
 /// Renders one frame of a trajectory, consuming and replacing the reuse
 /// state in `state`.
 ///
-/// * [`ReuseMode::Off`] — delegates to the ordinary tile engine
-///   ([`crate::engine::render_view_tiled_shaded`]); the result is
-///   bitwise-identical to an independent still render and `state` is
+/// * [`ReuseMode::Off`] — renders through [`render_view`]; the result
+///   is bitwise-identical to an independent still render and `state` is
 ///   cleared.
 /// * [`ReuseMode::Warp`] — with no usable state (first frame, or a camera
-///   shape change) renders every ray through the traced kernel (the image
+///   shape change) renders every ray through [`trace_ray`] (the image
 ///   is still bitwise-identical to a still render) and records reuse
 ///   state; otherwise forward-warps the previous frame and re-marches
 ///   only the rays that need it.
@@ -494,8 +492,7 @@ pub fn advance_frame<S: VoxelSource + Sync>(
     let wcfg = match mode {
         ReuseMode::Off => {
             *state = None;
-            let (image, stats) =
-                crate::engine::render_view_tiled_shaded(source, shader, camera, aabb, cfg);
+            let (image, stats) = render_view(source, shader, camera, aabb, cfg);
             return TemporalFrame { image, stats, validation_error: 0.0 };
         }
         ReuseMode::Warp(wcfg) => wcfg,
@@ -532,14 +529,7 @@ pub fn advance_frame<S: VoxelSource + Sync>(
     let n = w * h;
 
     let (mut colors, mut depths) = warp_splat(&prev, camera, &wcfg);
-    let (remarch, holes, validation) = disocclusion_mask(&colors, &depths, w, h, &wcfg, frame_idx);
-
-    if std::env::var("SPNERF_TEMPORAL_DEBUG").is_ok() {
-        let nh = holes.iter().filter(|&&x| x).count();
-        let nv = validation.iter().filter(|&&x| x).count();
-        let ne = remarch.iter().filter(|&&x| x).count() - nh - nv;
-        eprintln!("frame {frame_idx}: holes={nh} validation={nv} edges={ne} total={n}");
-    }
+    let (remarch, _, validation) = disocclusion_mask(&colors, &depths, w, h, &wcfg, frame_idx);
 
     // Re-march pass: only the selected rays, seeded with their pixel's
     // previous-frame empty-space cache.
@@ -572,13 +562,13 @@ pub fn advance_frame<S: VoxelSource + Sync>(
 /// Renders a whole camera path, threading reuse state frame to frame.
 ///
 /// With [`ReuseMode::Off`] the result is bitwise-identical to calling
-/// [`crate::renderer::render_view_shaded`] once per camera.
+/// [`render_view`] once per camera.
 ///
 /// # Panics
 ///
 /// Panics if `cfg.samples_per_ray` or `cfg.tile_size` is zero, or if a
 /// worker thread panics.
-pub fn render_trajectory_shaded<S: VoxelSource + Sync>(
+pub fn render_trajectory<S: VoxelSource + Sync>(
     source: &S,
     shader: Shader<'_>,
     cameras: &[PinholeCamera],
@@ -610,10 +600,11 @@ const REMARCH_CHUNK: usize = 128;
 /// Traces the listed pixels (each with its own [`SkipCache`] seed),
 /// returning results in job order.
 ///
-/// Parallelism mirrors the tile engine: workers race an atomic chunk
-/// cursor, and results are merged back in chunk index order. Since every
-/// job is a pure per-ray computation and the per-frame statistics are sums
-/// of naturals, the output is bitwise-identical at every worker count.
+/// The pixels are cut into [`REMARCH_CHUNK`]-sized jobs for the engine's
+/// ordered worker pool, which hands the chunks back in job order. Since
+/// every ray is a pure per-ray computation and the per-frame statistics
+/// are sums of naturals, the output is bitwise-identical at every worker
+/// count.
 fn trace_pixels<S: VoxelSource + Sync>(
     source: &S,
     shader: Shader<'_>,
@@ -622,58 +613,25 @@ fn trace_pixels<S: VoxelSource + Sync>(
     cfg: &RenderConfig,
     jobs: &[(usize, SkipCache)],
 ) -> Vec<TracedRay> {
-    let trace_chunk = |chunk: &[(usize, SkipCache)], scratch: &mut MlpScratch| -> Vec<TracedRay> {
-        chunk
+    let chunks: Vec<&[(usize, SkipCache)]> = jobs.chunks(REMARCH_CHUNK).collect();
+    let traced = run_ordered(cfg.parallelism, chunks.len(), |ci| {
+        let mut scratch = MlpScratch::new();
+        chunks[ci]
             .iter()
             .map(|&(j, seed)| {
-                let (px, py) = (j as u32 % camera.width, j as u32 / camera.width);
-                let ray = camera.ray_for_pixel(px, py);
-                trace_ray_traced(source, shader, frame, ray, cfg, scratch, seed)
+                let ray = camera.ray_for_pixel(j as u32 % camera.width, j as u32 / camera.width);
+                trace_ray(source, shader, frame, ray, cfg, &mut scratch, seed)
             })
-            .collect()
-    };
-    let n_chunks = jobs.len().div_ceil(REMARCH_CHUNK);
-    let workers = resolve_parallelism(cfg.parallelism).clamp(1, n_chunks.max(1));
-    if workers == 1 {
-        let mut scratch = MlpScratch::new();
-        return trace_chunk(jobs, &mut scratch);
-    }
-    let next = AtomicUsize::new(0);
-    let done = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut scratch = MlpScratch::new();
-                    let mut out = Vec::new();
-                    loop {
-                        let ci = next.fetch_add(1, Ordering::Relaxed);
-                        if ci >= n_chunks {
-                            break out;
-                        }
-                        let chunk =
-                            &jobs[ci * REMARCH_CHUNK..jobs.len().min((ci + 1) * REMARCH_CHUNK)];
-                        out.push((ci, trace_chunk(chunk, &mut scratch)));
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("re-march worker panicked"))
             .collect::<Vec<_>>()
     });
-    let mut slots: Vec<Option<Vec<TracedRay>>> = (0..n_chunks).map(|_| None).collect();
-    for (ci, chunk) in done {
-        slots[ci] = Some(chunk);
-    }
-    slots.into_iter().flat_map(|c| c.expect("every chunk traced exactly once")).collect()
+    traced.into_iter().flatten().collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mlp::Mlp;
-    use crate::renderer::{render_view_shaded, SkipMode};
+    use crate::renderer::SkipMode;
     use crate::scene::{build_grid, scene_aabb, SceneId};
 
     fn tiny_cfg() -> RenderConfig {
@@ -711,10 +669,9 @@ mod tests {
         let shader = Shader::PerSample(&mlp);
         let cfg = tiny_cfg();
         let cams = TrajectorySpec::orbit(3, 10, 10).cameras();
-        let frames =
-            render_trajectory_shaded(&grid, shader, &cams, &scene_aabb(), &cfg, ReuseMode::Off);
+        let frames = render_trajectory(&grid, shader, &cams, &scene_aabb(), &cfg, ReuseMode::Off);
         for (frame, cam) in frames.iter().zip(&cams) {
-            let (img, stats) = render_view_shaded(&grid, shader, cam, &scene_aabb(), &cfg);
+            let (img, stats) = render_view(&grid, shader, cam, &scene_aabb(), &cfg);
             assert_eq!(frame.image, img);
             assert_eq!(frame.stats, stats);
             assert_eq!(frame.stats.rays_warped, 0);
@@ -740,7 +697,7 @@ mod tests {
             0,
             &mut state,
         );
-        let (img, stats) = render_view_shaded(&grid, shader, &cam, &scene_aabb(), &cfg);
+        let (img, stats) = render_view(&grid, shader, &cam, &scene_aabb(), &cfg);
         assert_eq!(frame.image, img, "a stateless warp frame is a full render");
         assert_eq!(frame.stats.samples_marched, stats.samples_marched);
         assert_eq!(frame.stats.rays_remarched, frame.stats.rays);
@@ -755,7 +712,7 @@ mod tests {
         let cfg = tiny_cfg();
         let cams = TrajectorySpec::orbit(4, 16, 16).cameras();
         let frames =
-            render_trajectory_shaded(&grid, shader, &cams, &scene_aabb(), &cfg, ReuseMode::warp());
+            render_trajectory(&grid, shader, &cams, &scene_aabb(), &cfg, ReuseMode::warp());
         let tolerance = WarpConfig::default().tolerance;
         for (i, (frame, cam)) in frames.iter().zip(&cams).enumerate().skip(1) {
             assert!(
@@ -767,7 +724,7 @@ mod tests {
             assert_eq!(frame.stats.rays_warped + frame.stats.rays_remarched, frame.stats.rays);
             assert!(frame.validation_error <= tolerance, "frame {i}: {}", frame.validation_error);
             // Warped frames approximate the exact render within tolerance.
-            let (exact, _) = render_view_shaded(&grid, shader, cam, &scene_aabb(), &cfg);
+            let (exact, _) = render_view(&grid, shader, cam, &scene_aabb(), &cfg);
             for (a, b) in frame.image.pixels().iter().zip(exact.pixels()) {
                 let d = *a - *b;
                 for ch in [d.x, d.y, d.z] {
@@ -783,30 +740,13 @@ mod tests {
         let mlp = Mlp::random(2);
         let shader = Shader::PerSample(&mlp);
         let cams = TrajectorySpec::orbit(3, 14, 11).cameras();
-        let base = render_trajectory_shaded(
-            &grid,
-            shader,
-            &cams,
-            &scene_aabb(),
-            &tiny_cfg(),
-            ReuseMode::warp(),
-        );
-        for (threads, tile, packet) in [(2usize, 4u32, 1usize), (4, 7, 3), (0, 32, 8)] {
-            let cfg = RenderConfig {
-                parallelism: threads,
-                tile_size: tile,
-                packet_size: packet,
-                ..tiny_cfg()
-            };
-            let got = render_trajectory_shaded(
-                &grid,
-                shader,
-                &cams,
-                &scene_aabb(),
-                &cfg,
-                ReuseMode::warp(),
-            );
-            assert_eq!(got, base, "threads={threads} tile={tile} packet={packet}");
+        let base =
+            render_trajectory(&grid, shader, &cams, &scene_aabb(), &tiny_cfg(), ReuseMode::warp());
+        for (threads, tile) in [(2usize, 4u32), (4, 7), (0, 32)] {
+            let cfg = RenderConfig { parallelism: threads, tile_size: tile, ..tiny_cfg() };
+            let got =
+                render_trajectory(&grid, shader, &cams, &scene_aabb(), &cfg, ReuseMode::warp());
+            assert_eq!(got, base, "threads={threads} tile={tile}");
         }
     }
 
@@ -819,22 +759,10 @@ mod tests {
         let skippable = WithOccupancy::build(&grid);
         let cfg = RenderConfig { skip_mode: SkipMode::mip(), ..tiny_cfg() };
         let cams = TrajectorySpec::orbit(3, 12, 12).cameras();
-        let skipped = render_trajectory_shaded(
-            &skippable,
-            shader,
-            &cams,
-            &scene_aabb(),
-            &cfg,
-            ReuseMode::warp(),
-        );
-        let plain = render_trajectory_shaded(
-            &grid,
-            shader,
-            &cams,
-            &scene_aabb(),
-            &tiny_cfg(),
-            ReuseMode::warp(),
-        );
+        let skipped =
+            render_trajectory(&skippable, shader, &cams, &scene_aabb(), &cfg, ReuseMode::warp());
+        let plain =
+            render_trajectory(&grid, shader, &cams, &scene_aabb(), &tiny_cfg(), ReuseMode::warp());
         for (s, p) in skipped.iter().zip(&plain) {
             assert_eq!(s.image, p.image, "skipping must never change a temporal pixel");
             assert_eq!(s.stats.rays_remarched, p.stats.rays_remarched);

@@ -9,13 +9,12 @@
 //! pinned bitwise to its own scalar reference and to the quantized-f32
 //! twin, and only tolerance-checked against full precision (rounding
 //! weights through binary16 genuinely changes them). The bake-and-defer
-//! kernels carry the same contract: the compositing accumulator and the
-//! deferred per-pixel MLP are pinned lane-vs-scalar bitwise too.
+//! kernels carry the same contract: the deferred per-pixel MLP is pinned
+//! lane-vs-scalar bitwise too, and the compositing accumulator (scalar
+//! under either feature) is pinned to its per-channel formula.
 
 use proptest::prelude::*;
-use spnerf_render::composite::{
-    accumulate_weighted, accumulate_weighted_lanes, accumulate_weighted_scalar,
-};
+use spnerf_render::composite::accumulate_weighted;
 use spnerf_render::interp::{
     interpolate_cell_lanes, interpolate_cell_scalar, trilinear_cell, TrilinearCell,
 };
@@ -164,12 +163,11 @@ proptest! {
         }
     }
 
-    // The compositing accumulator's lane-blocked form equals the scalar
-    // reference bitwise for any channel count (full blocks and ragged
-    // tails), any starting accumulator, any weight sign or magnitude —
-    // and the dispatching entry point agrees with both under either
-    // feature. This is the kernel every composited pixel and every
-    // accumulated specular feature runs through.
+    // The compositing accumulator equals the per-channel formula
+    // `acc + value · w` bitwise for any channel count, any starting
+    // accumulator, any weight sign or magnitude — under either feature.
+    // This is the kernel every composited pixel and every accumulated
+    // specular feature runs through.
     #[test]
     fn composite_accumulate_is_bitwise_scalar(
         len in 0usize..33,
@@ -180,21 +178,14 @@ proptest! {
         let raw_acc = mlp_input(acc_seed);
         let raw_val = mlp_input(val_seed);
         let w = [0.0f32, 1.0, -1.0, 0.12345, -2.5, 1e-8][weight_idx];
-        let mut scalar: Vec<f32> = raw_acc.iter().cycle().take(len).copied().collect();
+        let start: Vec<f32> = raw_acc.iter().cycle().take(len).copied().collect();
         let values: Vec<f32> = raw_val.iter().cycle().take(len).copied().collect();
-        let mut lanes = scalar.clone();
-        let mut dispatched = scalar.clone();
-        accumulate_weighted_scalar(&mut scalar, &values, w);
-        accumulate_weighted_lanes(&mut lanes, &values, w);
-        accumulate_weighted(&mut dispatched, &values, w);
+        let mut acc = start.clone();
+        accumulate_weighted(&mut acc, &values, w);
         for c in 0..len {
             prop_assert_eq!(
-                scalar[c].to_bits(), lanes[c].to_bits(),
+                acc[c].to_bits(), (start[c] + values[c] * w).to_bits(),
                 "channel {} diverged: len={} w={}", c, len, w
-            );
-            prop_assert_eq!(
-                scalar[c].to_bits(), dispatched[c].to_bits(),
-                "dispatch diverged at channel {}: len={} w={}", c, len, w
             );
         }
     }

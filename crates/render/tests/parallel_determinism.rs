@@ -1,17 +1,14 @@
 //! Property tests for the tile-parallel render engine's determinism
-//! guarantee: for random scenes, image sizes, tile sizes, thread counts,
-//! and ray-packet sizes, the parallel image and stats are exactly equal to
-//! the serial reference. Under `--features simd` the same properties pin
+//! guarantee: for random scenes, image sizes, tile sizes, and thread
+//! counts, the parallel image and stats are exactly equal to the serial
+//! reference. Under `--features simd` the same properties pin
 //! the lane kernels: a feature-flagged build must render the identical
 //! image (CI runs this file in both configurations).
 
 use proptest::prelude::*;
 use spnerf_render::bake::bake;
 use spnerf_render::mlp::{DeferredMlp, Mlp};
-use spnerf_render::renderer::{
-    render_view, render_view_serial, render_view_serial_shaded, render_view_shaded, RenderConfig,
-    Shader, SkipMode,
-};
+use spnerf_render::renderer::{render_view, render_view_serial, RenderConfig, Shader, SkipMode};
 use spnerf_render::scene::{build_grid, default_camera, scene_aabb, SceneId};
 use spnerf_render::source::WithOccupancy;
 use spnerf_testkit::corpus::{generate, Archetype, CorpusSpec};
@@ -26,7 +23,6 @@ proptest! {
         tile_size in 1u32..=10,
         threads in 1usize..=8,
         pose in 0usize..6,
-        packet_size in 0usize..=9,
     ) {
         let scene = SceneId::all()[scene_idx];
         let grid = build_grid(scene, 20);
@@ -36,7 +32,6 @@ proptest! {
             samples_per_ray: 24,
             tile_size,
             parallelism: threads,
-            packet_size,
             ..Default::default()
         };
         let (serial_img, serial_stats) =
@@ -151,59 +146,20 @@ proptest! {
     }
 
     #[test]
-    fn packet_size_never_changes_a_pixel(
-        arch_idx in 0usize..5,
-        occupancy in 0.005f64..0.40,
-        seed in 0u64..100,
-        tile_size in 1u32..=8,
-        threads in 1usize..=4,
-        packet_size in 2usize..=16,
-        levels in 0usize..=4,
-    ) {
-        // Ray packets are a batching strategy, not a numeric change: for
-        // any corpus scene the packeted render must equal the one-ray-at-
-        // a-time render bitwise, including when composed with empty-space
-        // skipping (rays in one packet skip different amounts and finish
-        // at different times).
-        let spec = CorpusSpec::new(Archetype::ALL[arch_idx], 16, occupancy, seed);
-        let grid = generate(&spec);
-        let skippable = WithOccupancy::build(&grid);
-        let mlp = Mlp::random(5);
-        let cam = default_camera(9, 11, 4, 6);
-        let base = RenderConfig {
-            samples_per_ray: 20,
-            tile_size,
-            parallelism: threads,
-            skip_mode: SkipMode::Mip { levels },
-            ..Default::default()
-        };
-        let single = RenderConfig { packet_size: 1, ..base };
-        let packeted = RenderConfig { packet_size, ..base };
-        let one = render_view(&skippable, &mlp, &cam, &scene_aabb(), &single);
-        let many = render_view(&skippable, &mlp, &cam, &scene_aabb(), &packeted);
-        prop_assert!(
-            one == many,
-            "packet render diverged: {} tile={} threads={} packet={} levels={}",
-            spec.label(), tile_size, threads, packet_size, levels
-        );
-    }
-
-    #[test]
-    fn baked_render_is_invariant_to_threads_and_packets(
+    fn baked_render_is_invariant_to_threads_and_tiles(
         arch_idx in 0usize..5,
         occupancy in 0.01f64..0.40,
         seed in 0u64..100,
         tile_size in 1u32..=8,
         threads in 1usize..=6,
-        packet_size in 0usize..=12,
         levels in 0usize..=4,
     ) {
         // The bake-and-defer path accumulates a specular feature along each
         // ray and then shades once per pixel — both steps must carry the
         // same determinism guarantee as per-sample shading: for any corpus
-        // scene, the parallel/packeted/skipped baked render equals the
-        // serial packet-size-1 reference bitwise, pixels and stats alike
-        // (including `pixels_shaded`).
+        // scene, the parallel/tiled/skipped baked render equals the serial
+        // reference bitwise, pixels and stats alike (including
+        // `pixels_shaded`).
         let spec = CorpusSpec::new(Archetype::ALL[arch_idx], 16, occupancy, seed);
         let grid = generate(&spec);
         let baked = bake(&grid, &Mlp::random(5));
@@ -211,26 +167,20 @@ proptest! {
         let deferred = DeferredMlp::random(9);
         let shader = Shader::Deferred(&deferred);
         let cam = default_camera(10, 9, 2, 6);
-        let reference_cfg = RenderConfig {
-            samples_per_ray: 20,
-            packet_size: 1,
-            ..Default::default()
-        };
+        let reference_cfg = RenderConfig { samples_per_ray: 20, ..Default::default() };
         let varied_cfg = RenderConfig {
             tile_size,
             parallelism: threads,
-            packet_size,
             skip_mode: SkipMode::Mip { levels },
             ..reference_cfg
         };
         let (ref_img, ref_stats) =
-            render_view_serial_shaded(&baked, shader, &cam, &scene_aabb(), &reference_cfg);
-        let (img, stats) =
-            render_view_shaded(&skippable, shader, &cam, &scene_aabb(), &varied_cfg);
+            render_view_serial(&baked, shader, &cam, &scene_aabb(), &reference_cfg);
+        let (img, stats) = render_view(&skippable, shader, &cam, &scene_aabb(), &varied_cfg);
         prop_assert!(
             img == ref_img,
-            "baked render diverged: {} tile={} threads={} packet={} levels={}",
-            spec.label(), tile_size, threads, packet_size, levels
+            "baked render diverged: {} tile={} threads={} levels={}",
+            spec.label(), tile_size, threads, levels
         );
         prop_assert_eq!(stats.pixels_shaded, ref_stats.pixels_shaded, "{}", spec.label());
         prop_assert_eq!(stats.samples_shaded, ref_stats.samples_shaded, "{}", spec.label());

@@ -3,19 +3,19 @@
 //!
 //! * `ReuseMode::Off` is bitwise a loop of independent single-frame
 //!   renders, for every source kind including the bake-and-defer path;
-//! * warped frames are bitwise-deterministic across thread counts, tile
-//!   sizes, and packet sizes;
+//! * warped frames are bitwise-deterministic across thread counts and
+//!   tile sizes;
 //! * warp-then-validate never drifts from a full re-march by more than the
 //!   configured [`WarpConfig::tolerance`], on any pixel of any frame.
 
 use proptest::prelude::*;
 use spnerf_render::bake::bake;
 use spnerf_render::mlp::{DeferredMlp, Mlp};
-use spnerf_render::renderer::{render_view_shaded, RenderConfig, Shader};
+use spnerf_render::renderer::{render_view, RenderConfig, Shader};
 use spnerf_render::scene::scene_aabb;
 use spnerf_render::source::VoxelSource;
 use spnerf_render::temporal::{
-    render_trajectory_shaded, ReuseMode, TemporalFrame, TrajectorySpec, WarpConfig,
+    render_trajectory, ReuseMode, TemporalFrame, TrajectorySpec, WarpConfig,
 };
 use spnerf_testkit::corpus::{generate, Archetype, CorpusSpec};
 use spnerf_testkit::fixtures;
@@ -52,38 +52,17 @@ fn trajectory_over_source(
     let mlp = Mlp::random(fixtures::MLP_SEED);
     let cams = spec.cameras();
     match source_idx {
-        0 => render_trajectory_shaded(
-            &&grid,
-            Shader::PerSample(&mlp),
-            &cams,
-            &scene_aabb(),
-            cfg,
-            mode,
-        ),
+        0 => render_trajectory(&&grid, Shader::PerSample(&mlp), &cams, &scene_aabb(), cfg, mode),
         1 => {
             let cspec = CorpusSpec::archetype_default(Archetype::ALL[arch_idx], 16, 31);
             let (_g, _v, model) = fixtures::corpus_fixture(&cspec, 32, 8, 4096);
             let view = model.masked();
-            render_trajectory_shaded(
-                &view,
-                Shader::PerSample(&mlp),
-                &cams,
-                &scene_aabb(),
-                cfg,
-                mode,
-            )
+            render_trajectory(&view, Shader::PerSample(&mlp), &cams, &scene_aabb(), cfg, mode)
         }
         _ => {
             let baked = bake(&grid, &mlp);
             let deferred = DeferredMlp::random(fixtures::MLP_SEED);
-            render_trajectory_shaded(
-                &&baked,
-                Shader::Deferred(&deferred),
-                &cams,
-                &scene_aabb(),
-                cfg,
-                mode,
-            )
+            render_trajectory(&&baked, Shader::Deferred(&deferred), &cams, &scene_aabb(), cfg, mode)
         }
     }
 }
@@ -95,10 +74,7 @@ fn independent_frames<S: VoxelSource + Sync>(
     spec: &TrajectorySpec,
     cfg: &RenderConfig,
 ) -> Vec<(spnerf_render::image::ImageBuffer, spnerf_render::renderer::RenderStats)> {
-    spec.cameras()
-        .iter()
-        .map(|cam| render_view_shaded(source, shader, cam, &scene_aabb(), cfg))
-        .collect()
+    spec.cameras().iter().map(|cam| render_view(source, shader, cam, &scene_aabb(), cfg)).collect()
 }
 
 proptest! {
@@ -154,24 +130,18 @@ proptest! {
         threads_b in 1usize..=6,
         tile_a in 1u32..=8,
         tile_b in 1u32..=8,
-        packet_a in 0usize..=9,
-        packet_b in 0usize..=9,
     ) {
         let spec = spec_for(path_idx, frames, image);
-        let cfg_a = RenderConfig {
-            parallelism: threads_a, tile_size: tile_a, packet_size: packet_a, ..render_cfg()
-        };
-        let cfg_b = RenderConfig {
-            parallelism: threads_b, tile_size: tile_b, packet_size: packet_b, ..render_cfg()
-        };
+        let cfg_a = RenderConfig { parallelism: threads_a, tile_size: tile_a, ..render_cfg() };
+        let cfg_b = RenderConfig { parallelism: threads_b, tile_size: tile_b, ..render_cfg() };
         let a = trajectory_over_source(arch_idx, 1, &spec, &cfg_a, ReuseMode::warp());
         let b = trajectory_over_source(arch_idx, 1, &spec, &cfg_b, ReuseMode::warp());
         for (i, (fa, fb)) in a.iter().zip(&b).enumerate() {
             prop_assert!(
                 fa.image == fb.image,
                 "warped frame {} depends on the schedule (arch={} path={} \
-                 threads {}/{} tiles {}/{} packets {}/{})",
-                i, arch_idx, path_idx, threads_a, threads_b, tile_a, tile_b, packet_a, packet_b
+                 threads {}/{} tiles {}/{})",
+                i, arch_idx, path_idx, threads_a, threads_b, tile_a, tile_b
             );
             prop_assert_eq!(&fa.stats, &fb.stats, "stats diverged on frame {}", i);
         }

@@ -4,7 +4,6 @@
 //! cargo run --release -p spnerf-serve --bin spnerf_serve -- [--quick]
 //!     [--seed N] [--duration-ticks N] [--cache-bytes N] [--zipf-s S]
 //!     [--replay FILE] [--threads N] [--skip-mode off|mip|mip:N]
-//!     [--packet-size N]
 //! ```
 //!
 //! Stdout is **exactly one JSON document** (the schema-versioned report,
@@ -45,9 +44,6 @@ fn main() {
         cfg.render.parallelism = threads;
     }
     cfg.render.skip_mode = args.skip_mode;
-    if let Some(packet) = args.packet_size {
-        cfg.render.packet_size = packet;
-    }
     if let Some(bytes) = args.cache_bytes {
         cfg.cache_bytes = bytes;
     }

@@ -91,7 +91,7 @@ pub struct ServeConfig {
     pub queue: QueueConfig,
     /// Catalog fidelity.
     pub catalog: CatalogConfig,
-    /// Renderer configuration (parallelism, skipping, packets — none of
+    /// Renderer configuration (parallelism, tiles, skipping — none of
     /// which may change any serialized output).
     pub render: RenderConfig,
 }

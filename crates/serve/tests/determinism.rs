@@ -45,7 +45,7 @@ fn test_traffic() -> (Trace, RunMeta) {
 }
 
 #[test]
-fn worker_counts_and_packet_sizes_change_no_byte() {
+fn worker_counts_change_no_byte() {
     let (trace, meta) = test_traffic();
     let base = test_config();
 
@@ -53,15 +53,15 @@ fn worker_counts_and_packet_sizes_change_no_byte() {
     assert!(serial.report.served > 0, "the test trace must serve something");
     validate_report_json(&serial.report.to_json()).expect("report validates");
 
-    // Worker counts 1, 4, and auto (0 = all cores), plus a packet-size
+    // Worker counts 1, 4, and auto (0 = all cores), plus a tile-size
     // change: none of them may alter a single byte of the report or any
     // served response.
-    for (threads, packet) in [(1, 1), (4, 1), (0, 1), (1, 4), (4, 8)] {
+    for (threads, tile) in [(1, 32), (4, 32), (0, 32), (4, 3)] {
         let mut cfg = base;
         cfg.render.parallelism = threads;
-        cfg.render.packet_size = packet;
+        cfg.render.tile_size = tile;
         let out = run(&trace, &cfg, &meta);
-        assert_eq!(out, serial, "threads={threads} packet={packet} diverged from the serial run");
+        assert_eq!(out, serial, "threads={threads} tile={tile} diverged from the serial run");
         assert_eq!(out.report.to_json(), serial.report.to_json(), "serialized bytes must match");
         assert_eq!(out.report.responses_digest, responses_digest(&serial.responses));
     }

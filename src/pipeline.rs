@@ -71,9 +71,10 @@ use spnerf_render::camera::PinholeCamera;
 use spnerf_render::eval::PsnrStats;
 use spnerf_render::image::ImageBuffer;
 use spnerf_render::mlp::{DeferredMlp, Mlp};
-use spnerf_render::renderer::{render_view_shaded, RenderConfig, RenderStats, Shader, SkipMode};
+use spnerf_render::renderer::{RenderConfig, RenderStats, Shader, SkipMode};
 use spnerf_render::scene::{build_grid, scene_aabb, SceneId};
 use spnerf_render::source::{support_bitmap, VoxelSource, WithOccupancy};
+use spnerf_render::temporal::{advance_frame, ReuseMode, ReuseState, TemporalFrame};
 use spnerf_voxel::baked::BakedGrid;
 use spnerf_voxel::grid::DenseGrid;
 use spnerf_voxel::mip::OccupancyMip;
@@ -322,14 +323,6 @@ impl PipelineBuilder {
     /// configuration — the one-liner for "same pipeline, skipping on".
     pub fn skip_mode(mut self, mode: SkipMode) -> Self {
         self.render.skip_mode = mode;
-        self
-    }
-
-    /// Sets only the ray-packet size of the inherited render configuration
-    /// — the one-liner for "same pipeline, packeted marching". Outputs are
-    /// bitwise-identical at every packet size.
-    pub fn packet_size(mut self, packet_size: usize) -> Self {
-        self.render.packet_size = packet_size;
         self
     }
 
@@ -700,6 +693,18 @@ impl Scene {
         }
     }
 
+    /// The accelerator workload of rendered `stats` on this bundle: the
+    /// measured counters plus the selected sparse index's metadata traffic
+    /// — every marched sample pays one occupancy lookup, the
+    /// format-dependent stream the accelerator's DRAM column charges on
+    /// top of the model bytes. Stills and trajectory frames both derive
+    /// their [`FrameWorkload`] here.
+    pub(crate) fn workload(&self, stats: &RenderStats) -> FrameWorkload {
+        let lookup_bytes = self.sparse.access_cost().bytes_per_lookup;
+        FrameWorkload::from_render(&self.label, stats, &self.model)
+            .with_format_traffic(stats.samples_marched * lookup_bytes)
+    }
+
     /// The bundle's temporal reuse cache: per-source warp state a
     /// [`crate::trajectory::TrajectoryStream`] persists between frames.
     /// Shared across sessions and clones of this bundle; fresh (empty) on
@@ -828,12 +833,7 @@ impl RenderSession<'_> {
             }
         };
         let psnr = per_view_psnr.as_deref().map(PsnrStats::from_values);
-        // Every marched sample pays one occupancy lookup through the scene's
-        // selected sparse index — the format-dependent metadata stream the
-        // accelerator's DRAM column charges on top of the model bytes.
-        let lookup_bytes = self.scene.sparse.access_cost().bytes_per_lookup;
-        let workload = FrameWorkload::from_render(self.scene.label(), &stats, &self.scene.model)
-            .with_format_traffic(stats.samples_marched * lookup_bytes);
+        let workload = self.scene.workload(&stats);
         Ok(RenderResponse { source: request.source, images, stats, per_view_psnr, psnr, workload })
     }
 
@@ -845,44 +845,69 @@ impl RenderSession<'_> {
                 return hit.clone();
             }
         }
-        let scene = self.scene;
-        let per_sample = Shader::PerSample(&scene.mlp);
-        let (image, stats) = match source {
-            RenderSource::GroundTruth => {
-                self.render_source(source, scene.grid.as_ref(), per_sample, cam)
-            }
-            RenderSource::Vqrf => self.render_source(source, scene.vqrf.as_ref(), per_sample, cam),
-            RenderSource::SpNerf { mask } => {
-                self.render_source(source, scene.model.view(mask), per_sample, cam)
-            }
-            RenderSource::Baked => {
-                let baked = scene.baked_grid();
-                self.render_source(source, baked.as_ref(), Shader::Deferred(&scene.deferred), cam)
-            }
-        };
-        let entry = CachedRender { camera: *cam, image: Arc::new(image), stats };
+        // A still is one frame without reuse: `ReuseMode::Off` is bitwise
+        // per-frame rendering and keeps no state.
+        let frame = self.frame(source, cam, ReuseMode::Off, 0, &mut None);
+        let entry = CachedRender { camera: *cam, image: Arc::new(frame.image), stats: frame.stats };
         self.cache.borrow_mut().insert(key, entry.clone());
         entry
     }
 
-    /// Renders one source through its shader (per-sample color MLP, or the
-    /// deferred per-pixel network for [`RenderSource::Baked`]), attaching
-    /// its occupancy pyramid when the session runs with [`SkipMode::Mip`] —
-    /// the one place skipping meets the session's sources, so every request
-    /// benefits uniformly.
-    fn render_source<S: VoxelSource + Sync>(
+    /// Renders one frame of `source` — a still, or one step of a
+    /// trajectory — through [`advance_frame`]. This is the one place
+    /// sources meet the renderer: each source maps to its voxel data and
+    /// shader (the per-sample color MLP, or the deferred per-pixel network
+    /// for [`RenderSource::Baked`]), with its occupancy pyramid attached
+    /// when the session runs with [`SkipMode::Mip`], so stills and
+    /// trajectory frames dispatch identically.
+    pub(crate) fn frame(
+        &self,
+        source: RenderSource,
+        camera: &PinholeCamera,
+        mode: ReuseMode,
+        frame_idx: usize,
+        state: &mut Option<ReuseState>,
+    ) -> TemporalFrame {
+        let scene = self.scene;
+        let per_sample = Shader::PerSample(&scene.mlp);
+        match source {
+            RenderSource::GroundTruth => {
+                let grid = scene.grid.as_ref();
+                self.frame_on(source, grid, per_sample, camera, mode, frame_idx, state)
+            }
+            RenderSource::Vqrf => {
+                let vqrf = scene.vqrf.as_ref();
+                self.frame_on(source, vqrf, per_sample, camera, mode, frame_idx, state)
+            }
+            RenderSource::SpNerf { mask } => {
+                let view = scene.model.view(mask);
+                self.frame_on(source, view, per_sample, camera, mode, frame_idx, state)
+            }
+            RenderSource::Baked => {
+                let baked = scene.baked_grid();
+                let deferred = Shader::Deferred(&scene.deferred);
+                self.frame_on(source, baked.as_ref(), deferred, camera, mode, frame_idx, state)
+            }
+        }
+    }
+
+    #[allow(clippy::too_many_arguments)] // `frame`'s arguments plus the resolved data and shader
+    fn frame_on<S: VoxelSource + Sync>(
         &self,
         source: RenderSource,
         data: S,
         shader: Shader<'_>,
-        cam: &PinholeCamera,
-    ) -> (ImageBuffer, RenderStats) {
+        camera: &PinholeCamera,
+        mode: ReuseMode,
+        frame_idx: usize,
+        state: &mut Option<ReuseState>,
+    ) -> TemporalFrame {
         let aabb = scene_aabb();
         if self.cfg.skip_mode.is_on() {
-            let mip = self.scene.occupancy_mip(source);
-            render_view_shaded(&WithOccupancy::new(data, mip), shader, cam, &aabb, &self.cfg)
+            let data = WithOccupancy::new(data, self.scene.occupancy_mip(source));
+            advance_frame(&data, shader, camera, &aabb, &self.cfg, mode, frame_idx, state)
         } else {
-            render_view_shaded(&data, shader, cam, &aabb, &self.cfg)
+            advance_frame(&data, shader, camera, &aabb, &self.cfg, mode, frame_idx, state)
         }
     }
 }

@@ -25,7 +25,7 @@
 //! Trajectory rendering inherits every exactness rule of the render crate:
 //! [`ReuseMode::Off`] is bitwise-identical to a loop of independent
 //! per-frame renders, and warped frames are bitwise-reproducible across
-//! thread counts, tile sizes, and packet sizes. The one new piece of shared
+//! thread counts and tile sizes. The one new piece of shared
 //! state — the [`TemporalCache`] — is keyed per [`RenderSource`] and is
 //! **invalidated** (fresh, empty cache) by every scene respecialization
 //! ([`Scene::with_spnerf`](crate::pipeline::Scene::with_spnerf), [`Scene::with_sparse_format`](crate::pipeline::Scene::with_sparse_format)): a trajectory
@@ -64,12 +64,9 @@ use std::thread;
 use spnerf_accel::frame::FrameWorkload;
 use spnerf_accel::{assemble_path, simulate_frame, ArchConfig, FrameSimResult, PathSimResult};
 use spnerf_render::camera::PinholeCamera;
-use spnerf_render::renderer::{RenderStats, Shader};
-use spnerf_render::scene::scene_aabb;
-use spnerf_render::source::{VoxelSource, WithOccupancy};
-use spnerf_render::temporal::{advance_frame, ReuseState, TemporalFrame};
+use spnerf_render::renderer::RenderStats;
 pub use spnerf_render::temporal::{PathKind, ReuseMode, TrajectorySpec, WarpConfig};
-use spnerf_voxel::sparse::SparseFormat;
+use spnerf_render::temporal::{ReuseState, TemporalFrame};
 
 use crate::pipeline::{RenderSession, RenderSource};
 use crate::Error;
@@ -221,16 +218,9 @@ impl TrajectoryStream<'_, '_> {
     pub fn advance(&mut self, camera: &PinholeCamera) -> (TemporalFrame, FrameWorkload) {
         let cache = self.session.scene().temporal();
         let (mut state, frame_idx) = cache.take(self.source);
-        let frame = advance_scene_frame(
-            self.session,
-            self.source,
-            camera,
-            self.mode,
-            frame_idx,
-            &mut state,
-        );
+        let frame = self.session.frame(self.source, camera, self.mode, frame_idx, &mut state);
         cache.put(self.source, state, frame_idx + 1);
-        let workload = frame_workload(self.session, &frame);
+        let workload = self.session.scene().workload(&frame.stats);
         (frame, workload)
     }
 
@@ -238,77 +228,6 @@ impl TrajectoryStream<'_, '_> {
     /// renders frame 0 of a new path.
     pub fn reset(&self) {
         self.session.scene().temporal().forget(self.source);
-    }
-}
-
-/// Derives one frame's accelerator workload exactly the way
-/// [`RenderSession::render`] does for a still: measured stats plus the
-/// scene's per-lookup sparse-format metadata traffic.
-fn frame_workload(session: &RenderSession<'_>, frame: &TemporalFrame) -> FrameWorkload {
-    let scene = session.scene();
-    let lookup_bytes = scene.sparse_index().access_cost().bytes_per_lookup;
-    FrameWorkload::from_render(scene.label(), &frame.stats, scene.model())
-        .with_format_traffic(frame.stats.samples_marched * lookup_bytes)
-}
-
-/// Advances one temporal frame of `source`, mirroring the session's still
-/// dispatch: per-sample shading for grid/VQRF/SpNeRF, the deferred
-/// per-pixel shader for [`RenderSource::Baked`], and the source's occupancy
-/// pyramid attached whenever the session runs with skipping on.
-fn advance_scene_frame(
-    session: &RenderSession<'_>,
-    source: RenderSource,
-    camera: &PinholeCamera,
-    mode: ReuseMode,
-    frame_idx: usize,
-    state: &mut Option<ReuseState>,
-) -> TemporalFrame {
-    let scene = session.scene();
-    let per_sample = Shader::PerSample(scene.mlp());
-    match source {
-        RenderSource::GroundTruth => {
-            advance_on(session, source, scene.grid(), per_sample, camera, mode, frame_idx, state)
-        }
-        RenderSource::Vqrf => {
-            advance_on(session, source, scene.vqrf(), per_sample, camera, mode, frame_idx, state)
-        }
-        RenderSource::SpNerf { mask } => advance_on(
-            session,
-            source,
-            scene.model().view(mask),
-            per_sample,
-            camera,
-            mode,
-            frame_idx,
-            state,
-        ),
-        RenderSource::Baked => {
-            let baked = scene.baked_grid();
-            let deferred = Shader::Deferred(scene.deferred());
-            advance_on(session, source, baked.as_ref(), deferred, camera, mode, frame_idx, state)
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn advance_on<S: VoxelSource + Sync>(
-    session: &RenderSession<'_>,
-    source: RenderSource,
-    data: S,
-    shader: Shader<'_>,
-    camera: &PinholeCamera,
-    mode: ReuseMode,
-    frame_idx: usize,
-    state: &mut Option<ReuseState>,
-) -> TemporalFrame {
-    let aabb = scene_aabb();
-    let cfg = session.render_config();
-    if cfg.skip_mode.is_on() {
-        let mip = session.scene().occupancy_mip(source);
-        let data = WithOccupancy::new(data, mip);
-        advance_frame(&data, shader, camera, &aabb, &cfg, mode, frame_idx, state)
-    } else {
-        advance_frame(&data, shader, camera, &aabb, &cfg, mode, frame_idx, state)
     }
 }
 
@@ -330,14 +249,7 @@ impl<'a> RenderSession<'a> {
         let mut state = None;
         let mut frames = Vec::with_capacity(cameras.len());
         for (i, camera) in cameras.iter().enumerate() {
-            frames.push(advance_scene_frame(
-                self,
-                request.source,
-                camera,
-                request.mode,
-                i,
-                &mut state,
-            ));
+            frames.push(self.frame(request.source, camera, request.mode, i, &mut state));
         }
         Ok(assemble_response(self, request.source, frames))
     }
@@ -389,9 +301,8 @@ impl<'a> RenderSession<'a> {
             });
             let mut state = None;
             for (i, camera) in cameras.iter().enumerate() {
-                let frame =
-                    advance_scene_frame(self, request.source, camera, request.mode, i, &mut state);
-                let workload = frame_workload(self, &frame);
+                let frame = self.frame(request.source, camera, request.mode, i, &mut state);
+                let workload = self.scene().workload(&frame.stats);
                 tx.send((i, workload.clone())).expect("simulation thread outlives the render loop");
                 frames.push(frame);
                 workloads.push(workload);
@@ -433,7 +344,7 @@ fn assemble_response(
         .iter()
         .map(|f| {
             stats += f.stats;
-            frame_workload(session, f)
+            session.scene().workload(&f.stats)
         })
         .collect();
     TrajectoryResponse { source, frames, workloads, stats }

@@ -13,7 +13,7 @@ use spnerf::pipeline::{RenderRequest, RenderSource};
 use spnerf::render::bake::bake;
 use spnerf::render::camera::PinholeCamera;
 use spnerf::render::mlp::{DeferredMlp, Mlp};
-use spnerf::render::renderer::{render_view, render_view_shaded, RenderConfig, Shader};
+use spnerf::render::renderer::{render_view, RenderConfig, Shader};
 use spnerf::render::scene::{build_grid, default_camera, scene_aabb, SceneId};
 use spnerf::voxel::vqrf::{VqrfConfig, VqrfModel};
 use spnerf::Scene;
@@ -58,7 +58,7 @@ fn hand_wired(
         RenderSource::Baked => {
             let baked = bake(&grid, &mlp);
             let deferred = DeferredMlp::random(MLP_SEED);
-            render_view_shaded(&baked, Shader::Deferred(&deferred), cam, &scene_aabb(), &cfg)
+            render_view(&baked, Shader::Deferred(&deferred), cam, &scene_aabb(), &cfg)
         }
     }
 }
