@@ -21,7 +21,7 @@ use spnerf_dram::timing::DramTimings;
 use spnerf_dram::trace::{gather, sequential};
 use spnerf_render::composite::accumulate_weighted;
 use spnerf_render::fp16::{f16_bits_to_f32, f32_to_f16_bits};
-use spnerf_render::interp::{interpolate_cell_lanes, interpolate_cell_scalar, trilinear_cell};
+use spnerf_render::interp::{interpolate_cell, interpolate_cell_scalar, trilinear_cell};
 use spnerf_render::mlp::{Mlp, MlpF16, MlpScratch, MLP_INPUT_DIM};
 use spnerf_render::scene::{build_grid, SceneId};
 use spnerf_render::source::VoxelSource;
@@ -136,7 +136,7 @@ fn bench_trilinear(c: &mut Criterion) {
         b.iter(|| {
             let mut acc = 0.0f32;
             for cell in &cells {
-                acc += interpolate_cell_lanes(&grid, black_box(cell)).density;
+                acc += interpolate_cell(&grid, black_box(cell)).density;
             }
             acc
         })
@@ -203,17 +203,16 @@ fn bench_mlp(c: &mut Criterion) {
     let input = [0.3f32; MLP_INPUT_DIM];
     let mut g = c.benchmark_group("mlp");
     g.throughput(Throughput::Elements(1));
+    // The GEMV variants `bench_snapshot` records as `mlp_gemv.*`: the lane
+    // kernel every build runs (`mlp_gemv.lanes`), the scalar oracle, and
+    // fp16 weight storage with decode-on-load (models the weight-SRAM-bound
+    // datapath; slower in software, half the weight bytes).
     g.bench_function("forward_39_128_128_3", |b| b.iter(|| mlp.forward(black_box(&input))));
-    // The GEMV variants `bench_snapshot` records as `mlp_gemv.*`: explicit
-    // scalar reference, the lane-blocked rewrite, and fp16 weight storage
-    // with decode-on-load (models the weight-SRAM-bound datapath; slower in
-    // software, half the weight bytes).
     g.bench_function("forward_scalar", |b| b.iter(|| mlp.forward_scalar(black_box(&input))));
-    g.bench_function("forward_lanes", |b| b.iter(|| mlp.forward_lanes(black_box(&input))));
     g.bench_function("forward_fp16", |b| b.iter(|| mlp_f16.forward(black_box(&input))));
     let mut scratch = MlpScratch::new();
-    g.bench_function("forward_lanes_scratch_reuse", |b| {
-        b.iter(|| mlp.forward_lanes_with(black_box(&input), &mut scratch))
+    g.bench_function("forward_scratch_reuse", |b| {
+        b.iter(|| mlp.forward_with(black_box(&input), &mut scratch))
     });
     g.finish();
 }

@@ -27,7 +27,7 @@ use spnerf::render::bake::bake;
 use spnerf::render::composite::accumulate_weighted;
 use spnerf::render::fp16::{f16_bits_to_f32, f32_to_f16_bits};
 use spnerf::render::interp::{
-    interpolate_cell_lanes, interpolate_cell_scalar, trilinear_cell, TrilinearCell,
+    interpolate_cell, interpolate_cell_scalar, trilinear_cell, TrilinearCell,
 };
 use spnerf::render::lanes::LANE_WIDTH;
 use spnerf::render::mlp::{
@@ -103,9 +103,10 @@ pub struct KernelResult {
 /// snapshots apart without re-reading the code that made them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fingerprint {
-    /// Whether the binary was built with the `simd` feature (which
-    /// implementation the *dispatching* render path uses; the snapshot
-    /// itself always measures every variant explicitly).
+    /// Whether the render path runs the lane kernels. Always `true` since
+    /// they became the only hot-path kernels; snapshots recorded before
+    /// that carry `false` (the scalar build). The snapshot itself always
+    /// measures the scalar oracle and the lane kernel explicitly.
     pub simd_dispatch: bool,
     /// [`LANE_WIDTH`] of the lane kernels.
     pub lane_width: u64,
@@ -260,7 +261,7 @@ pub fn measure(label: &str, quick: bool) -> Snapshot {
         time_kernel("trilinear.lanes", cells.len() as u64, target, || {
             let mut acc = 0.0f32;
             for cell in &cells {
-                acc += interpolate_cell_lanes(&grid, black_box(cell)).density;
+                acc += interpolate_cell(&grid, black_box(cell)).density;
             }
             black_box(acc);
         }),
@@ -274,7 +275,7 @@ pub fn measure(label: &str, quick: bool) -> Snapshot {
         time_kernel("mlp_gemv.lanes", inputs.len() as u64, target, || {
             let mut acc = 0.0f32;
             for input in &inputs {
-                acc += mlp.forward_lanes(black_box(input))[0];
+                acc += mlp.forward(black_box(input))[0];
             }
             black_box(acc);
         }),
@@ -342,7 +343,7 @@ pub fn measure(label: &str, quick: bool) -> Snapshot {
         schema_version: SCHEMA_VERSION,
         label: label.to_string(),
         fingerprint: Fingerprint {
-            simd_dispatch: cfg!(feature = "simd"),
+            simd_dispatch: true,
             lane_width: LANE_WIDTH as u64,
             feature_dim: FEATURE_DIM as u64,
             mlp_dims: [
@@ -821,6 +822,7 @@ mod tests {
             ("BENCH_pr6.json", include_str!("../../../BENCH_pr6.json")),
             ("BENCH_pr7.json", include_str!("../../../BENCH_pr7.json")),
             ("BENCH_pr10.json", include_str!("../../../BENCH_pr10.json")),
+            ("BENCH_pr14.json", include_str!("../../../BENCH_pr14.json")),
         ] {
             if let Err(errs) = validate_snapshot_json(text) {
                 panic!("{name} fails the schema: {errs:?}");

@@ -17,9 +17,10 @@
 //!
 //! The pass is a pure function of `(source, mlp)`: single-threaded, no RNG,
 //! no ambient state. Baking twice yields byte-identical grids
-//! ([`BakedGrid::digest`] pins this), and because [`Mlp::forward_with`]'s
-//! scalar and lane paths are bitwise-equal, the bake output is also
-//! independent of the `simd` feature.
+//! ([`BakedGrid::digest`] pins this). [`Mlp::forward_with`] runs the lane
+//! GEMV, which is bitwise-equal to the scalar oracle
+//! [`Mlp::forward_scalar`], so the baked colors are exactly the reference
+//! network's outputs.
 
 use crate::mlp::{encode_direction, Mlp, MlpScratch, MLP_INPUT_DIM};
 use crate::source::VoxelSource;
@@ -111,6 +112,8 @@ mod tests {
 
     #[test]
     fn baked_payload_is_mlp_output_and_truncated_features() {
+        // The oracle, not the lane kernel the bake itself runs: comparing
+        // `bake` with `mlp.forward` would test the kernel against itself.
         let grid = build_grid(SceneId::Chair, 10);
         let mlp = Mlp::random(3);
         let baked = bake(&grid, &mlp);
@@ -120,7 +123,7 @@ mod tests {
         for c in grid.dims().iter() {
             let Some(data) = grid.fetch(c) else { continue };
             input[..FEATURE_DIM].copy_from_slice(&data.features);
-            let want = mlp.forward(&input);
+            let want = mlp.forward_scalar(&input);
             let got = baked.diffuse(c);
             for ch in 0..3 {
                 assert_eq!(got[ch].to_bits(), want[ch].to_bits(), "diffuse diverged at {c}");

@@ -125,28 +125,9 @@ pub fn interpolate<S: VoxelSource + ?Sized>(source: &S, g: Vec3) -> InterpSample
     interpolate_cell(source, &cell)
 }
 
-/// Interpolates `source` over an already-computed [`TrilinearCell`] — the
-/// arithmetic core of [`interpolate`], split out so callers that resolve
-/// the cell themselves (the empty-space-skipping ray marcher) don't compute
-/// it twice. Bitwise-identical to [`interpolate`] at the cell's position.
-///
-/// Dispatches to [`interpolate_cell_lanes`] under the `simd` feature and to
-/// [`interpolate_cell_scalar`] otherwise; the two are bitwise-identical, so
-/// the feature flag never changes a rendered pixel.
-pub fn interpolate_cell<S: VoxelSource + ?Sized>(source: &S, cell: &TrilinearCell) -> InterpSample {
-    #[cfg(feature = "simd")]
-    {
-        interpolate_cell_lanes(source, cell)
-    }
-    #[cfg(not(feature = "simd"))]
-    {
-        interpolate_cell_scalar(source, cell)
-    }
-}
-
 /// The scalar reference implementation of [`interpolate_cell`]: one corner
-/// at a time, one feature channel at a time. This is the conformance anchor
-/// the lane kernel is pinned against.
+/// at a time, one feature channel at a time. This is the test oracle the
+/// lane kernel is pinned against.
 pub fn interpolate_cell_scalar<S: VoxelSource + ?Sized>(
     source: &S,
     cell: &TrilinearCell,
@@ -168,21 +149,21 @@ pub fn interpolate_cell_scalar<S: VoxelSource + ?Sized>(
     out
 }
 
-/// The lane-batched implementation of [`interpolate_cell`], bitwise-equal
-/// to [`interpolate_cell_scalar`].
+/// Interpolates `source` over an already-computed [`TrilinearCell`] — the
+/// arithmetic core of [`interpolate`], split out so callers that resolve
+/// the cell themselves (the empty-space-skipping ray marcher) don't compute
+/// it twice. Bitwise-identical to [`interpolate`] at the cell's position,
+/// and to the scalar oracle [`interpolate_cell_scalar`].
 ///
 /// Structure follows the accelerator's Trilinear Interpolation Unit:
 /// *gather* the contributing corners first (the same `w == 0` and masked
-/// occupancy tests as the scalar path, in the same corner order), then
+/// occupancy tests as the scalar oracle, in the same corner order), then
 /// *blend* all [`FEATURE_DIM`] feature channels in lane form — two [`F32x8`]
 /// vectors (channels 0..8 and 8..12 zero-padded) scaled by the splatted
 /// corner weight. The lanes hold independent output channels and corners
 /// accumulate sequentially, so each channel's float-addition order is
 /// exactly the scalar one; see [`crate::lanes`] for the bitwise contract.
-pub fn interpolate_cell_lanes<S: VoxelSource + ?Sized>(
-    source: &S,
-    cell: &TrilinearCell,
-) -> InterpSample {
+pub fn interpolate_cell<S: VoxelSource + ?Sized>(source: &S, cell: &TrilinearCell) -> InterpSample {
     const EMPTY: VoxelData = VoxelData { density: 0.0, features: [0.0; FEATURE_DIM] };
     let corners = cell.base.cell_corners();
     // Gather phase: contributing corners in scalar order.
@@ -327,14 +308,12 @@ mod tests {
         ] {
             let cell = trilinear_cell(g.dims(), pos).unwrap();
             let s = interpolate_cell_scalar(&g, &cell);
-            let l = interpolate_cell_lanes(&g, &cell);
+            let l = interpolate_cell(&g, &cell);
             assert_eq!(s.density.to_bits(), l.density.to_bits(), "density at {pos:?}");
             for (a, b) in s.features.iter().zip(l.features) {
                 assert_eq!(a.to_bits(), b.to_bits(), "feature channel at {pos:?}");
             }
             assert_eq!(s.occupied_corners, l.occupied_corners);
-            // The dispatching entry point agrees with both.
-            assert_eq!(interpolate_cell(&g, &cell), s);
         }
     }
 

@@ -11,10 +11,12 @@
 //! reductions, no reassociation, and [`F32x8::mul_add`] is deliberately an
 //! unfused multiply-then-add. A kernel that accumulates lane-wise in the
 //! same per-element order as its scalar reference therefore produces
-//! bit-identical results — which is what lets the `simd` feature flag flip
-//! between [`crate::interp::interpolate_cell_scalar`] /
-//! [`crate::interp::interpolate_cell_lanes`] (and the MLP GEMV pair) without
-//! perturbing a single pixel of any golden render.
+//! bit-identical results. That is what lets every build run the lane
+//! kernels — [`crate::interp::interpolate_cell`] and the MLP GEMV behind
+//! [`crate::mlp::Mlp::forward`] — while the scalar oracles
+//! ([`crate::interp::interpolate_cell_scalar`],
+//! [`crate::mlp::Mlp::forward_scalar`]) pin every pixel of every golden
+//! render in the tests.
 //!
 //! The trick is choosing the lane axis: both vectorized kernels put
 //! *independent outputs* in the lanes (feature channels for interpolation,

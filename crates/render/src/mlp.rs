@@ -48,6 +48,10 @@ pub fn encode_direction(dir: Vec3) -> [f32; VIEW_ENC_DIM] {
     out
 }
 
+/// Outputs the lane GEMV accumulates per sweep over the inputs: four
+/// [`F32x8`] accumulators.
+const GEMV_GROUP: usize = 4 * LANE_WIDTH;
+
 /// Rounds `out_dim` up to the next [`LANE_WIDTH`] multiple — the padded
 /// output width of the lane-blocked weight layout.
 const fn pad_to_lanes(out_dim: usize) -> usize {
@@ -73,7 +77,7 @@ fn lane_transpose(weights: &[f32], in_dim: usize, out_dim: usize) -> Vec<f32> {
 struct Layer {
     in_dim: usize,
     out_dim: usize,
-    /// Row-major `out_dim × in_dim` (the scalar path's layout).
+    /// Row-major `out_dim × in_dim` (the scalar oracle's layout).
     weights: Vec<f32>,
     /// The same weights in lane-blocked in-major `in_dim × padded_out`
     /// layout ([`lane_transpose`]), streamed by the lane GEMV.
@@ -118,7 +122,8 @@ impl Layer {
         )
     }
 
-    /// The scalar reference GEMV: one output row at a time, inputs in
+    /// The scalar reference GEMV — the test oracle of
+    /// [`Layer::forward_into_lanes`]: one output row at a time, inputs in
     /// ascending `i` order.
     fn forward_into(&self, x: &[f32], out: &mut [f32]) {
         debug_assert_eq!(x.len(), self.in_dim);
@@ -133,22 +138,46 @@ impl Layer {
         }
     }
 
-    /// The lane-blocked GEMV, bitwise-equal to [`Layer::forward_into`].
+    /// The lane-blocked GEMV every forward pass runs, bitwise-equal to
+    /// [`Layer::forward_into`].
     ///
     /// Each [`F32x8`] lane holds 8 *independent* output neurons; inputs
-    /// stream in the same ascending `i` order as the scalar path with an
+    /// stream in the same ascending `i` order as the scalar oracle with an
     /// unfused multiply-then-add, so every output's float-addition order —
     /// and therefore its bits — is unchanged. The padded tail columns
     /// accumulate zeros and are never stored.
+    ///
+    /// One accumulator alone is latency-bound: each step waits for the
+    /// previous add. So each sweep over the inputs feeds four accumulators
+    /// ([`GEMV_GROUP`] outputs, 8 SSE registers) from one splat of `x[i]`,
+    /// giving four independent add chains. Blocks past the last full group
+    /// (layer 3's single padded block) take the one-accumulator loop.
     fn forward_into_lanes(&self, x: &[f32], out: &mut [f32]) {
         debug_assert_eq!(x.len(), self.in_dim);
         debug_assert_eq!(out.len(), self.out_dim);
         let padded = pad_to_lanes(self.out_dim);
-        for jb in (0..padded).step_by(LANE_WIDTH) {
-            let mut acc = F32x8::load_padded(&self.bias[jb.min(self.bias.len())..]);
-            for (i, xi) in x.iter().enumerate() {
-                let w = F32x8::load_padded(&self.weights_t[i * padded + jb..i * padded + jb + 8]);
-                acc = F32x8::splat(*xi).mul_add(w, acc);
+        let rows = self.weights_t.chunks_exact(padded);
+        let bias = |jb: usize| F32x8::load_padded(&self.bias[jb.min(self.bias.len())..]);
+        let grouped = padded / GEMV_GROUP * GEMV_GROUP;
+        for jb in (0..grouped).step_by(GEMV_GROUP) {
+            let [mut a0, mut a1, mut a2, mut a3] = [0, 1, 2, 3].map(|k| bias(jb + k * LANE_WIDTH));
+            for (xi, row) in x.iter().zip(rows.clone()) {
+                let w = &row[jb..jb + GEMV_GROUP];
+                let s = F32x8::splat(*xi);
+                a0 = s.mul_add(F32x8::load_padded(&w[..LANE_WIDTH]), a0);
+                a1 = s.mul_add(F32x8::load_padded(&w[LANE_WIDTH..2 * LANE_WIDTH]), a1);
+                a2 = s.mul_add(F32x8::load_padded(&w[2 * LANE_WIDTH..3 * LANE_WIDTH]), a2);
+                a3 = s.mul_add(F32x8::load_padded(&w[3 * LANE_WIDTH..]), a3);
+            }
+            for (k, acc) in [a0, a1, a2, a3].into_iter().enumerate() {
+                let j = jb + k * LANE_WIDTH;
+                acc.store_padded(&mut out[j..self.out_dim.min(j + LANE_WIDTH)]);
+            }
+        }
+        for jb in (grouped..padded).step_by(LANE_WIDTH) {
+            let mut acc = bias(jb);
+            for (xi, row) in x.iter().zip(rows.clone()) {
+                acc = F32x8::splat(*xi).mul_add(F32x8::load_padded(&row[jb..jb + LANE_WIDTH]), acc);
             }
             acc.store_padded(&mut out[jb..self.out_dim.min(jb + LANE_WIDTH)]);
         }
@@ -193,9 +222,8 @@ impl Mlp {
 
     /// Runs the network on one 39-element input, returning RGB in `[0, 1]`.
     ///
-    /// Dispatches to the lane GEMV under the `simd` feature and to the
-    /// scalar reference otherwise; the two are bitwise-identical (see
-    /// [`crate::lanes`]), so the feature flag never changes a pixel.
+    /// Runs the lane GEMV, which is bitwise-identical to the scalar oracle
+    /// [`Mlp::forward_scalar`] (see [`crate::lanes`]).
     pub fn forward(&self, input: &[f32; MLP_INPUT_DIM]) -> [f32; MLP_OUTPUT_DIM] {
         self.forward_with(input, &mut MlpScratch::new())
     }
@@ -208,18 +236,20 @@ impl Mlp {
         input: &[f32; MLP_INPUT_DIM],
         scratch: &mut MlpScratch,
     ) -> [f32; MLP_OUTPUT_DIM] {
-        #[cfg(feature = "simd")]
-        {
-            self.forward_lanes_with(input, scratch)
+        let mut out = [0.0f32; MLP_OUTPUT_DIM];
+        self.l1.forward_into_lanes(input, &mut scratch.h1);
+        relu(&mut scratch.h1);
+        self.l2.forward_into_lanes(&scratch.h1, &mut scratch.h2);
+        relu(&mut scratch.h2);
+        self.l3.forward_into_lanes(&scratch.h2, &mut out);
+        for o in &mut out {
+            *o = sigmoid(*o);
         }
-        #[cfg(not(feature = "simd"))]
-        {
-            self.forward_scalar_with(input, scratch)
-        }
+        out
     }
 
-    /// The scalar reference forward pass — the conformance anchor the lane
-    /// and fp16 variants are pinned against.
+    /// The scalar reference forward pass — the test oracle the lane and
+    /// fp16 kernels are pinned against.
     pub fn forward_scalar(&self, input: &[f32; MLP_INPUT_DIM]) -> [f32; MLP_OUTPUT_DIM] {
         self.forward_scalar_with(input, &mut MlpScratch::new())
     }
@@ -236,31 +266,6 @@ impl Mlp {
         self.l2.forward_into(&scratch.h1, &mut scratch.h2);
         relu(&mut scratch.h2);
         self.l3.forward_into(&scratch.h2, &mut out);
-        for o in &mut out {
-            *o = sigmoid(*o);
-        }
-        out
-    }
-
-    /// The lane-blocked forward pass, bitwise-equal to
-    /// [`Mlp::forward_scalar`]; always compiled so tests pin the
-    /// equivalence regardless of the `simd` feature.
-    pub fn forward_lanes(&self, input: &[f32; MLP_INPUT_DIM]) -> [f32; MLP_OUTPUT_DIM] {
-        self.forward_lanes_with(input, &mut MlpScratch::new())
-    }
-
-    /// [`Mlp::forward_lanes`] with caller-owned scratch.
-    pub fn forward_lanes_with(
-        &self,
-        input: &[f32; MLP_INPUT_DIM],
-        scratch: &mut MlpScratch,
-    ) -> [f32; MLP_OUTPUT_DIM] {
-        let mut out = [0.0f32; MLP_OUTPUT_DIM];
-        self.l1.forward_into_lanes(input, &mut scratch.h1);
-        relu(&mut scratch.h1);
-        self.l2.forward_into_lanes(&scratch.h1, &mut scratch.h2);
-        relu(&mut scratch.h2);
-        self.l3.forward_into_lanes(&scratch.h2, &mut out);
         for o in &mut out {
             *o = sigmoid(*o);
         }
@@ -546,8 +551,7 @@ pub const DEFERRED_HIDDEN_DIM: usize = 32;
 /// is squashed by a sigmoid like the main network.
 ///
 /// Like every hot-path kernel, the lane-blocked forward pass is
-/// bitwise-identical to the scalar reference, so the `simd` feature never
-/// changes a deferred pixel.
+/// bitwise-identical to its scalar oracle.
 ///
 /// # Examples
 ///
@@ -578,21 +582,8 @@ impl DeferredMlp {
         }
     }
 
-    /// Runs the network on one accumulated-feature ⊕ view-encoding input,
-    /// returning RGB in `[0, 1]`. Dispatches to the lane GEMV under the
-    /// `simd` feature; both implementations are bitwise-identical.
-    pub fn forward(&self, input: &[f32; DEFERRED_INPUT_DIM]) -> [f32; MLP_OUTPUT_DIM] {
-        #[cfg(feature = "simd")]
-        {
-            self.forward_lanes(input)
-        }
-        #[cfg(not(feature = "simd"))]
-        {
-            self.forward_scalar(input)
-        }
-    }
-
-    /// The scalar reference forward pass.
+    /// The scalar reference forward pass — the test oracle
+    /// [`DeferredMlp::forward`] is pinned against.
     pub fn forward_scalar(&self, input: &[f32; DEFERRED_INPUT_DIM]) -> [f32; MLP_OUTPUT_DIM] {
         let mut h1 = [0.0f32; DEFERRED_HIDDEN_DIM];
         let mut h2 = [0.0f32; DEFERRED_HIDDEN_DIM];
@@ -608,10 +599,10 @@ impl DeferredMlp {
         out
     }
 
-    /// The lane-blocked forward pass, bitwise-equal to
-    /// [`DeferredMlp::forward_scalar`]; always compiled so tests pin the
-    /// equivalence regardless of the `simd` feature.
-    pub fn forward_lanes(&self, input: &[f32; DEFERRED_INPUT_DIM]) -> [f32; MLP_OUTPUT_DIM] {
+    /// Runs the network on one accumulated-feature ⊕ view-encoding input,
+    /// returning RGB in `[0, 1]`. Runs the lane GEMV, bitwise-identical to
+    /// the scalar oracle [`DeferredMlp::forward_scalar`].
+    pub fn forward(&self, input: &[f32; DEFERRED_INPUT_DIM]) -> [f32; MLP_OUTPUT_DIM] {
         let mut h1 = [0.0f32; DEFERRED_HIDDEN_DIM];
         let mut h2 = [0.0f32; DEFERRED_HIDDEN_DIM];
         let mut out = [0.0f32; MLP_OUTPUT_DIM];
@@ -754,12 +745,10 @@ mod tests {
         let mlp = Mlp::random(9);
         for input in random_inputs(21, 32) {
             let s = mlp.forward_scalar(&input);
-            let l = mlp.forward_lanes(&input);
+            let l = mlp.forward(&input);
             for (a, b) in s.iter().zip(l) {
                 assert_eq!(a.to_bits(), b.to_bits(), "lane GEMV diverged from scalar");
             }
-            // The dispatching entry point agrees with both.
-            assert_eq!(mlp.forward(&input), s);
         }
     }
 
@@ -881,11 +870,10 @@ mod tests {
                 *x = rng.gen_range(-2.0..2.0);
             }
             let s = mlp.forward_scalar(&input);
-            let l = mlp.forward_lanes(&input);
+            let l = mlp.forward(&input);
             for (a, b) in s.iter().zip(l) {
                 assert_eq!(a.to_bits(), b.to_bits(), "deferred lane GEMV diverged from scalar");
             }
-            assert_eq!(mlp.forward(&input), s, "dispatch must agree with both");
             assert!(s.iter().all(|c| (0.0..=1.0).contains(c)), "rgb out of range: {s:?}");
         }
     }

@@ -104,7 +104,7 @@ impl SkipMode {
 /// through the accelerator model.
 ///
 /// Both variants are pure per-ray computations, so every determinism
-/// guarantee (threads, tiles, `simd` feature) holds for both.
+/// guarantee (threads, tiles, skip mode) holds for both.
 ///
 /// `&Mlp` converts into [`Shader::PerSample`], so the front doors accept
 /// a bare color MLP wherever they accept a shader.

@@ -1,22 +1,22 @@
-//! Property tests pinning the lane kernels to their scalar references.
+//! Property tests pinning the lane kernels to their scalar oracles.
 //!
-//! Equality — not tolerance — is the contract: `interpolate_cell_lanes`
-//! and `forward_lanes` must be **bitwise identical** to the scalar
-//! implementations for every input, so flipping the `simd` feature can
-//! never change a rendered pixel. These tests drive both implementations
-//! directly (they exist under every feature combination) over random
-//! cells, weights, and all five corpus archetypes; the fp16-storage MLP is
-//! pinned bitwise to its own scalar reference and to the quantized-f32
-//! twin, and only tolerance-checked against full precision (rounding
-//! weights through binary16 genuinely changes them). The bake-and-defer
-//! kernels carry the same contract: the deferred per-pixel MLP is pinned
-//! lane-vs-scalar bitwise too, and the compositing accumulator (scalar
-//! under either feature) is pinned to its per-channel formula.
+//! Equality — not tolerance — is the contract: the front doors every build
+//! runs (`interpolate_cell`, `Mlp::forward`/`forward_with`,
+//! `DeferredMlp::forward`) are lane kernels, and they must be **bitwise
+//! identical** to the scalar oracles (`interpolate_cell_scalar`,
+//! `forward_scalar`) for every input, so the lane kernels can never change
+//! a rendered pixel. These tests drive both directly over random cells,
+//! weights, all five corpus archetypes, and inputs the random draws never
+//! reach (signed zeros, subnormals, sigmoid-saturating magnitudes). The
+//! fp16-storage MLP is pinned bitwise to its own scalar reference and to
+//! the quantized-f32 twin, and only tolerance-checked against full
+//! precision (rounding weights through binary16 genuinely changes them).
+//! The compositing accumulator is pinned to its per-channel formula.
 
 use proptest::prelude::*;
 use spnerf_render::composite::accumulate_weighted;
 use spnerf_render::interp::{
-    interpolate_cell_lanes, interpolate_cell_scalar, trilinear_cell, TrilinearCell,
+    interpolate_cell, interpolate_cell_scalar, trilinear_cell, TrilinearCell,
 };
 use spnerf_render::mlp::{DeferredMlp, Mlp, MlpF16, MlpScratch, DEFERRED_INPUT_DIM, MLP_INPUT_DIM};
 use spnerf_render::scene::{build_grid, SceneId};
@@ -75,7 +75,7 @@ proptest! {
             return Ok(()); // fractional part of 1.0 can land outside
         };
         let scalar = interpolate_cell_scalar(&grid, &cell);
-        let lanes = interpolate_cell_lanes(&grid, &cell);
+        let lanes = interpolate_cell(&grid, &cell);
         assert_samples_bitwise(&scalar, &lanes, &format!("{} at {p:?}", spec.label()));
     }
 
@@ -104,7 +104,7 @@ proptest! {
             weights,
         };
         let scalar = interpolate_cell_scalar(&grid, &cell);
-        let lanes = interpolate_cell_lanes(&grid, &cell);
+        let lanes = interpolate_cell(&grid, &cell);
         assert_samples_bitwise(&scalar, &lanes, &format!("base={base} mask={zero_mask:08b}"));
     }
 
@@ -116,7 +116,7 @@ proptest! {
         let mlp = Mlp::random(mlp_seed);
         let input = mlp_input(input_seed);
         let scalar = mlp.forward_scalar(&input);
-        let lanes = mlp.forward_lanes(&input);
+        let lanes = mlp.forward(&input);
         for (k, (s, l)) in scalar.iter().zip(lanes.iter()).enumerate() {
             prop_assert_eq!(
                 s.to_bits(), l.to_bits(),
@@ -125,8 +125,8 @@ proptest! {
         }
         // A dirty scratch buffer must not leak between forwards.
         let mut scratch = MlpScratch::new();
-        let _ = mlp.forward_lanes_with(&mlp_input(input_seed ^ 0xFFFF), &mut scratch);
-        let reused = mlp.forward_lanes_with(&input, &mut scratch);
+        let _ = mlp.forward_with(&mlp_input(input_seed ^ 0xFFFF), &mut scratch);
+        let reused = mlp.forward_with(&input, &mut scratch);
         prop_assert_eq!(reused, lanes, "scratch reuse changed the result");
     }
 
@@ -165,9 +165,8 @@ proptest! {
 
     // The compositing accumulator equals the per-channel formula
     // `acc + value · w` bitwise for any channel count, any starting
-    // accumulator, any weight sign or magnitude — under either feature.
-    // This is the kernel every composited pixel and every accumulated
-    // specular feature runs through.
+    // accumulator, any weight sign or magnitude. This is the kernel every
+    // composited pixel and every accumulated specular feature runs through.
     #[test]
     fn composite_accumulate_is_bitwise_scalar(
         len in 0usize..33,
@@ -190,10 +189,10 @@ proptest! {
         }
     }
 
-    // The deferred per-pixel MLP carries the same lane/scalar contract as
-    // the big color MLP: bitwise equality for random networks and random
-    // specular-feature ⊕ view-encoding inputs, dispatch included — so the
-    // `simd` feature can never change a deferred-shaded pixel.
+    // The deferred per-pixel MLP carries the same kernel/oracle contract
+    // as the big color MLP: bitwise equality for random networks and
+    // random specular-feature ⊕ view-encoding inputs, so the lane GEMV can
+    // never change a deferred-shaded pixel.
     #[test]
     fn deferred_mlp_is_bitwise_scalar(mlp_seed in 0u64..50, input_seed in 0u64..10_000) {
         let mlp = DeferredMlp::random(mlp_seed);
@@ -201,28 +200,22 @@ proptest! {
         let mut input = [0.0f32; DEFERRED_INPUT_DIM];
         input.copy_from_slice(&raw[..DEFERRED_INPUT_DIM]);
         let scalar = mlp.forward_scalar(&input);
-        let lanes = mlp.forward_lanes(&input);
-        let dispatched = mlp.forward(&input);
+        let lanes = mlp.forward(&input);
         for (k, (s, l)) in scalar.iter().zip(lanes.iter()).enumerate() {
             prop_assert_eq!(
                 s.to_bits(), l.to_bits(),
                 "deferred output[{}] diverged: mlp_seed={} input_seed={}",
                 k, mlp_seed, input_seed
             );
-            prop_assert_eq!(
-                dispatched[k].to_bits(), s.to_bits(),
-                "deferred dispatch diverged at [{}]: mlp_seed={}", k, mlp_seed
-            );
         }
     }
 }
 
-/// Non-proptest pin: the dispatching entry points resolve to whichever
-/// implementation the `simd` feature selects, and both implementations
-/// agree on every scene of the standard corpus at grid side 16 — a cheap
-/// exhaustive-ish sweep that runs identically under either feature.
+/// Non-proptest pin: the front door `interpolate_cell` equals the scalar
+/// oracle on every scene of the standard corpus at grid side 16 — a cheap
+/// exhaustive-ish sweep over real occupancy patterns.
 #[test]
-fn dispatch_agrees_with_both_implementations_across_corpus() {
+fn front_door_matches_oracle_across_corpus() {
     for &arch in Archetype::ALL.iter() {
         let spec = CorpusSpec::new(arch, 16, 0.15, 42);
         let grid = generate(&spec);
@@ -235,10 +228,79 @@ fn dispatch_agrees_with_both_implementations_across_corpus() {
             );
             let cell = trilinear_cell(dims, p).unwrap();
             let scalar = interpolate_cell_scalar(&grid, &cell);
-            let lanes = interpolate_cell_lanes(&grid, &cell);
-            let dispatched = spnerf_render::interp::interpolate_cell(&grid, &cell);
+            let lanes = interpolate_cell(&grid, &cell);
             assert_samples_bitwise(&scalar, &lanes, &format!("{} probe {i}", spec.label()));
-            assert_samples_bitwise(&scalar, &dispatched, &format!("dispatch, probe {i}"));
         }
     }
+}
+
+/// MLP inputs the `[-4, 4)` draws of [`mlp_input`] never reach: signed
+/// zeros, subnormal magnitudes, and large finite magnitudes (about ±1e3)
+/// that push the output pre-activations far enough to saturate the sigmoid
+/// while every GEMV accumulator stays finite.
+fn edge_inputs() -> Vec<(&'static str, [f32; MLP_INPUT_DIM])> {
+    let sign = |seed: u64, i: usize| if mlp_input(seed)[i] < 0.0 { -1.0f32 } else { 1.0 };
+    let smallest_subnormal = f32::from_bits(1);
+    let largest_subnormal = f32::from_bits(0x007F_FFFF);
+    vec![
+        ("all +0.0", [0.0; MLP_INPUT_DIM]),
+        ("all -0.0", [-0.0; MLP_INPUT_DIM]),
+        ("alternating ±0.0", std::array::from_fn(|i| if i % 2 == 0 { 0.0 } else { -0.0 })),
+        ("smallest subnormal, signed", std::array::from_fn(|i| sign(1, i) * smallest_subnormal)),
+        ("largest subnormal, signed", std::array::from_fn(|i| sign(2, i) * largest_subnormal)),
+        ("subnormal ladder", std::array::from_fn(|i| sign(3, i) * f32::from_bits(1 << (i % 23)))),
+        ("+1e3", [1e3; MLP_INPUT_DIM]),
+        ("-1e3", [-1e3; MLP_INPUT_DIM]),
+        ("±1e3, signed", std::array::from_fn(|i| sign(4, i) * 1e3)),
+        (
+            "large, varied",
+            std::array::from_fn(|i| sign(5, i) * (500.0 + 250.0 * mlp_input(6)[i].abs())),
+        ),
+        (
+            "zeros, subnormals and large mixed",
+            std::array::from_fn(|i| match i % 3 {
+                0 => sign(7, i) * 0.0,
+                1 => sign(8, i) * largest_subnormal,
+                _ => sign(9, i) * 1e3,
+            }),
+        ),
+    ]
+}
+
+/// The front doors `Mlp::forward`, `Mlp::forward_with` (with a dirty
+/// scratch) and `DeferredMlp::forward` equal their scalar oracles bitwise
+/// on [`edge_inputs`], and the outputs stay finite (NaN payload bits are
+/// not part of the contract, so no case may produce one).
+#[test]
+fn front_doors_match_oracle_on_edge_inputs() {
+    let mut saturated = 0usize;
+    for mlp_seed in 0..8u64 {
+        let mlp = Mlp::random(mlp_seed);
+        let deferred = DeferredMlp::random(mlp_seed);
+        let mut scratch = MlpScratch::new();
+        for (label, input) in edge_inputs() {
+            let context = format!("{label}, mlp_seed={mlp_seed}");
+            let oracle = mlp.forward_scalar(&input);
+            assert!(oracle.iter().all(|c| c.is_finite()), "non-finite oracle output: {context}");
+            let fresh = mlp.forward(&input);
+            // Dirty the scratch with an unrelated input before reusing it.
+            let _ = mlp.forward_with(&mlp_input(mlp_seed), &mut scratch);
+            let reused = mlp.forward_with(&input, &mut scratch);
+            for (name, got) in [("forward", fresh), ("forward_with", reused)] {
+                for (k, (o, g)) in oracle.iter().zip(got).enumerate() {
+                    assert_eq!(o.to_bits(), g.to_bits(), "{name} output[{k}] diverged: {context}");
+                }
+            }
+            saturated += oracle.iter().filter(|&&c| c == 0.0 || c == 1.0).count();
+
+            let mut short = [0.0f32; DEFERRED_INPUT_DIM];
+            short.copy_from_slice(&input[..DEFERRED_INPUT_DIM]);
+            let oracle = deferred.forward_scalar(&short);
+            assert!(oracle.iter().all(|c| c.is_finite()), "non-finite deferred output: {context}");
+            for (k, (o, g)) in oracle.iter().zip(deferred.forward(&short)).enumerate() {
+                assert_eq!(o.to_bits(), g.to_bits(), "deferred output[{k}] diverged: {context}");
+            }
+        }
+    }
+    assert!(saturated > 0, "the large-magnitude inputs must saturate the sigmoid");
 }

@@ -1,9 +1,8 @@
 //! Property tests for the tile-parallel render engine's determinism
 //! guarantee: for random scenes, image sizes, tile sizes, and thread
 //! counts, the parallel image and stats are exactly equal to the serial
-//! reference. Under `--features simd` the same properties pin
-//! the lane kernels: a feature-flagged build must render the identical
-//! image (CI runs this file in both configurations).
+//! reference. Both renders run the lane kernels, which
+//! `lane_equivalence.rs` pins bitwise to their scalar oracles.
 
 use proptest::prelude::*;
 use spnerf_render::bake::bake;

@@ -10,7 +10,7 @@
 //! self-validated before printing); the human-readable summary goes to
 //! stderr. Byte-diffing two stdout captures is the supported way to check
 //! determinism — CI does exactly that across seeds, render worker counts
-//! and the `simd` feature.
+//! and replayed traces.
 //!
 //! `--replay FILE` serves a recorded trace (see
 //! `spnerf_serve::traffic::Trace::to_replay`) instead of synthesizing

@@ -3,7 +3,7 @@
 //! `spnerf_serve` prints exactly this document to stdout. The contract the
 //! CI `serve-smoke` job pins is **byte equality**: the same trace and serve
 //! configuration produce the same bytes at any render worker count and
-//! under both the scalar and `simd` kernels. That works because nothing
+//! skip mode. That works because nothing
 //! environment-dependent is ever serialized — no wall-clock times, no
 //! thread counts, no feature flags, no float formatting that could vary by
 //! platform (Rust's `{}` float formatting is deterministic shortest-repr).
