@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks of the kernels behind every figure:
 //! spatial hash (Eq. 1), hash-table lookup, bitmap masking, trilinear
 //! weights and the scalar/lane cell blend, FP16 conversion, the
-//! compositing accumulator, MLP forward in scalar/lane/fp16-storage form,
+//! compositing accumulator, MLP forward in scalar/lane form,
 //! block-circulant buffer I/O, systolic GEMM, online decode, and DRAM
 //! trace replay.
 //!
@@ -22,7 +22,7 @@ use spnerf_dram::trace::{gather, sequential};
 use spnerf_render::composite::accumulate_weighted;
 use spnerf_render::fp16::{f16_bits_to_f32, f32_to_f16_bits};
 use spnerf_render::interp::{interpolate_cell, interpolate_cell_scalar, trilinear_cell};
-use spnerf_render::mlp::{Mlp, MlpF16, MlpScratch, MLP_INPUT_DIM};
+use spnerf_render::mlp::{Mlp, MlpScratch, MLP_INPUT_DIM};
 use spnerf_render::scene::{build_grid, SceneId};
 use spnerf_render::source::VoxelSource;
 use spnerf_render::vec3::Vec3;
@@ -148,8 +148,8 @@ fn bench_trilinear(c: &mut Criterion) {
 /// There used to be a third `round_trip` row that re-ran encode+decode in
 /// a single loop — pure duplication of the other two (the round-trip cost
 /// is their sum), so it was folded away. The `bench_snapshot` binary still
-/// records `fp16.round_trip` because [`REQUIRED_KERNELS`] is frozen for
-/// historical `BENCH_*.json` compatibility; see `docs/benchmarking.md`.
+/// records `fp16.round_trip`, one of the [`REQUIRED_KERNELS`], for
+/// trajectory continuity; see `docs/benchmarking.md`.
 ///
 /// [`REQUIRED_KERNELS`]: spnerf_bench::snapshot::REQUIRED_KERNELS
 fn bench_fp16(c: &mut Criterion) {
@@ -199,17 +199,13 @@ fn bench_composite(c: &mut Criterion) {
 
 fn bench_mlp(c: &mut Criterion) {
     let mlp = Mlp::random(42);
-    let mlp_f16 = MlpF16::from_mlp(&mlp);
     let input = [0.3f32; MLP_INPUT_DIM];
     let mut g = c.benchmark_group("mlp");
     g.throughput(Throughput::Elements(1));
     // The GEMV variants `bench_snapshot` records as `mlp_gemv.*`: the lane
-    // kernel every build runs (`mlp_gemv.lanes`), the scalar oracle, and
-    // fp16 weight storage with decode-on-load (models the weight-SRAM-bound
-    // datapath; slower in software, half the weight bytes).
+    // kernel every build runs (`mlp_gemv.lanes`) and the scalar oracle.
     g.bench_function("forward_39_128_128_3", |b| b.iter(|| mlp.forward(black_box(&input))));
     g.bench_function("forward_scalar", |b| b.iter(|| mlp.forward_scalar(black_box(&input))));
-    g.bench_function("forward_fp16", |b| b.iter(|| mlp_f16.forward(black_box(&input))));
     let mut scratch = MlpScratch::new();
     g.bench_function("forward_scratch_reuse", |b| {
         b.iter(|| mlp.forward_with(black_box(&input), &mut scratch))

@@ -9,7 +9,8 @@
 //! ground-truth renders are built once per scene.
 //!
 //! ```text
-//! cargo run --release -p spnerf-bench --bin ablation_preprocess [--quick]
+//! cargo run --release -p spnerf-bench --bin ablation_preprocess [--quick] [--threads N]
+//!     [--skip-mode MODE]
 //! ```
 
 use spnerf::core::{InsertionOrder, PreprocessOptions};
@@ -17,10 +18,13 @@ use spnerf::pipeline::{RenderRequest, RenderSource};
 use spnerf::render::image::ImageBuffer;
 use spnerf::render::scene::SceneId;
 use spnerf::Scene;
+use spnerf_bench::cli::{self, Flag};
 use spnerf_bench::{build_scene, camera, mean, print_table, Fidelity};
 
+const FLAGS: &[Flag] = &[Flag::Quick, Flag::Threads, Flag::SkipMode];
+
 fn main() -> Result<(), spnerf::Error> {
-    let fid = Fidelity::from_args();
+    let fid = Fidelity::from_cli(&cli::parse_or_exit(FLAGS));
     println!("Ablation — preprocessing policies (insertion order, density merge)\n");
 
     let variants: [(&str, PreprocessOptions); 4] = [

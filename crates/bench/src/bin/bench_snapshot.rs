@@ -2,11 +2,10 @@
 //! (`BENCH_*.json`) described in `docs/benchmarking.md`.
 //!
 //! Measure mode times both hot-path kernels (trilinear interpolation and
-//! the MLP GEMV) in scalar, lane, and — for the GEMV — fp16-storage form,
-//! the fp16 conversions themselves, the bake-and-defer rows (bake pass,
-//! deferred per-pixel MLP, compositing accumulator), and
-//! the temporal-reuse rows (forward-warp splat, disocclusion test), and
-//! writes one snapshot file:
+//! the MLP GEMV) in scalar and lane form, the fp16 conversions, the
+//! bake-and-defer rows (bake pass, deferred per-pixel MLP, compositing
+//! accumulator), and the temporal-reuse rows (forward-warp splat,
+//! disocclusion test), and writes one snapshot file:
 //!
 //! ```text
 //! cargo run --release -p spnerf-bench --bin bench_snapshot -- [--quick] \

@@ -12,26 +12,22 @@
 //! how the runtime split shifts across the sparsity/structure space.
 //!
 //! ```text
-//! cargo run --release -p spnerf-bench --bin fig2_profiling [--quick] [--corpus]
+//! cargo run --release -p spnerf-bench --bin fig2_profiling [--quick] [--threads N] [--corpus]
+//!     [--skip-mode MODE] [--source MODE]
 //! ```
 
 use spnerf::platforms::roofline::estimate_frame;
 use spnerf::platforms::spec::PlatformSpec;
 use spnerf::platforms::vqrf_workload::VqrfGpuWorkload;
+use spnerf_bench::cli::{self, Flag};
 use spnerf_bench::{
-    build_sweep_scene, cli, evaluate_scene, mean, print_table, sweep_items, Fidelity, SourceMode,
+    build_sweep_scene, evaluate_scene, mean, print_table, sweep_items, Fidelity, SourceMode,
 };
 
+const FLAGS: &[Flag] = &[Flag::Quick, Flag::Threads, Flag::Corpus, Flag::SkipMode, Flag::Source];
+
 fn main() {
-    let args = cli::parse_or_exit();
-    if let Some(flag) = args.serve_flag() {
-        eprintln!("{flag}: this binary does not serve traffic (see spnerf_serve)");
-        std::process::exit(2);
-    }
-    if let Some(flag) = args.temporal_flag() {
-        eprintln!("{flag}: this binary does not render trajectories (see fig9_temporal)");
-        std::process::exit(2);
-    }
+    let args = cli::parse_or_exit(FLAGS);
     let fid = Fidelity::from_cli(&args);
     let sweep = if args.corpus { "corpus archetypes" } else { "Synthetic-NeRF scenes" };
     println!(

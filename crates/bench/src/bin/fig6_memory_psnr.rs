@@ -7,24 +7,18 @@
 //! masking gain can be read across the whole sparsity/structure space.
 //!
 //! ```text
-//! cargo run --release -p spnerf-bench --bin fig6_memory_psnr [--quick] [--corpus]
+//! cargo run --release -p spnerf-bench --bin fig6_memory_psnr [--quick] [--threads N] [--corpus]
+//!     [--skip-mode MODE]
 //! ```
 
 use spnerf::voxel::memory::format_bytes;
-use spnerf_bench::{
-    build_sweep_scene, cli, evaluate_scene, mean, print_table, sweep_items, Fidelity,
-};
+use spnerf_bench::cli::{self, Flag};
+use spnerf_bench::{build_sweep_scene, evaluate_scene, mean, print_table, sweep_items, Fidelity};
+
+const FLAGS: &[Flag] = &[Flag::Quick, Flag::Threads, Flag::Corpus, Flag::SkipMode];
 
 fn main() {
-    let args = cli::parse_or_exit();
-    if let Some(flag) = args.serve_flag() {
-        eprintln!("{flag}: this binary does not serve traffic (see spnerf_serve)");
-        std::process::exit(2);
-    }
-    if let Some(flag) = args.temporal_flag() {
-        eprintln!("{flag}: this binary does not render trajectories (see fig9_temporal)");
-        std::process::exit(2);
-    }
+    let args = cli::parse_or_exit(FLAGS);
     let fid = Fidelity::from_cli(&args);
     let sweep = if args.corpus { "corpus archetypes" } else { "Synthetic-NeRF scenes" };
     println!("Fig. 6 — memory size reduction and PSNR ({sweep})\n");

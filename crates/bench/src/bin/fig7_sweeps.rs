@@ -10,17 +10,20 @@
 //! per scene, not once per point.
 //!
 //! ```text
-//! cargo run --release -p spnerf-bench --bin fig7_sweeps [--quick]
+//! cargo run --release -p spnerf-bench --bin fig7_sweeps [--quick] [--threads N] [--skip-mode MODE]
 //! ```
 
 use spnerf::pipeline::{RenderRequest, RenderSource};
 use spnerf::render::image::ImageBuffer;
 use spnerf::render::scene::SceneId;
 use spnerf::Scene;
+use spnerf_bench::cli::{self, Flag};
 use spnerf_bench::{build_scene, camera, mean, print_table, Fidelity, SpNerfConfig};
 
+const FLAGS: &[Flag] = &[Flag::Quick, Flag::Threads, Flag::SkipMode];
+
 fn main() -> Result<(), spnerf::Error> {
-    let fid = Fidelity::from_args();
+    let fid = Fidelity::from_cli(&cli::parse_or_exit(FLAGS));
     let quick = fid.grid_side.is_some();
     println!("Fig. 7 — PSNR vs subgrid number and hash-table size\n");
 

@@ -12,7 +12,8 @@
 //! rank-select crossover is visible.
 //!
 //! ```text
-//! cargo run --release -p spnerf-bench --bin fig8_formats [--quick] [--corpus] [--sparse-format F]
+//! cargo run --release -p spnerf-bench --bin fig8_formats [--quick] [--threads N] [--corpus]
+//!     [--skip-mode MODE] [--sparse-format F]
 //! ```
 
 use spnerf::accel::sim::pipeline::{simulate_frame, ArchConfig};
@@ -21,18 +22,14 @@ use spnerf::voxel::memory::format_bytes;
 use spnerf::voxel::sparse::{
     predicted_index_bytes, select_format, FormatKind, OccupancyStats, SparseFormat, SparseIndex,
 };
-use spnerf_bench::{build_sweep_scene, camera, cli, print_table, sweep_items, Fidelity};
+use spnerf_bench::cli::{self, Flag};
+use spnerf_bench::{build_sweep_scene, camera, print_table, sweep_items, Fidelity};
+
+const FLAGS: &[Flag] =
+    &[Flag::Quick, Flag::Threads, Flag::Corpus, Flag::SkipMode, Flag::SparseFormat];
 
 fn main() {
-    let args = cli::parse_or_exit();
-    if let Some(flag) = args.serve_flag() {
-        eprintln!("{flag}: this binary does not serve traffic (see spnerf_serve)");
-        std::process::exit(2);
-    }
-    if let Some(flag) = args.temporal_flag() {
-        eprintln!("{flag}: this binary does not render trajectories (see fig9_temporal)");
-        std::process::exit(2);
-    }
+    let args = cli::parse_or_exit(FLAGS);
     let fid = Fidelity::from_cli(&args);
     let arch = ArchConfig::default();
     let sweep = if args.corpus { "corpus archetypes" } else { "Synthetic-NeRF scenes" };

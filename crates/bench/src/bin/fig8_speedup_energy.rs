@@ -7,7 +7,8 @@
 //! 346.4×–1030.9× (XNX, avg 625.6×) and 288.7×–937.2× (ONX, avg 529.1×).
 //!
 //! ```text
-//! cargo run --release -p spnerf-bench --bin fig8_speedup_energy [--quick]
+//! cargo run --release -p spnerf-bench --bin fig8_speedup_energy [--quick] [--threads N]
+//!     [--skip-mode MODE] [--source MODE] [--sparse-format F]
 //! ```
 
 use spnerf::accel::asic::EnergyParams;
@@ -16,10 +17,14 @@ use spnerf::platforms::roofline::estimate_frame;
 use spnerf::platforms::spec::PlatformSpec;
 use spnerf::platforms::vqrf_workload::VqrfGpuWorkload;
 use spnerf::render::scene::SceneId;
+use spnerf_bench::cli::{self, Flag};
 use spnerf_bench::{build_scene, evaluate_scene, mean, print_table, Fidelity};
 
+const FLAGS: &[Flag] =
+    &[Flag::Quick, Flag::Threads, Flag::SkipMode, Flag::Source, Flag::SparseFormat];
+
 fn main() {
-    let fid = Fidelity::from_args();
+    let fid = Fidelity::from_cli(&cli::parse_or_exit(FLAGS));
     let arch = ArchConfig::default();
     let energy = EnergyParams::default();
     let xnx = PlatformSpec::xnx();

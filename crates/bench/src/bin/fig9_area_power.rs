@@ -5,17 +5,22 @@
 //! and ≈3 W total with the systolic array dominant.
 //!
 //! ```text
-//! cargo run --release -p spnerf-bench --bin fig9_area_power [--quick]
+//! cargo run --release -p spnerf-bench --bin fig9_area_power [--quick] [--threads N]
+//!     [--skip-mode MODE] [--source MODE] [--sparse-format F]
 //! ```
 
 use spnerf::accel::asic::{sram_bytes, sram_inventory, AreaModel, EnergyParams, Module};
 use spnerf::accel::sim::pipeline::{simulate_frame, ArchConfig};
 use spnerf::render::scene::SceneId;
 use spnerf::voxel::memory::format_bytes;
+use spnerf_bench::cli::{self, Flag};
 use spnerf_bench::{build_scene, evaluate_scene, print_table, Fidelity};
 
+const FLAGS: &[Flag] =
+    &[Flag::Quick, Flag::Threads, Flag::SkipMode, Flag::Source, Flag::SparseFormat];
+
 fn main() {
-    let fid = Fidelity::from_args();
+    let fid = Fidelity::from_cli(&cli::parse_or_exit(FLAGS));
     let arch = ArchConfig::default();
 
     println!("Fig. 9 — area and power of SpNeRF\n");

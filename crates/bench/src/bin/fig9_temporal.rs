@@ -18,25 +18,33 @@
 //! assert the clusters archetype's ≥ 2× floor.
 //!
 //! ```text
-//! cargo run --release -p spnerf-bench --bin fig9_temporal [--quick] [--corpus]
+//! cargo run --release -p spnerf-bench --bin fig9_temporal [--quick] [--threads N] [--corpus]
+//!     [--skip-mode MODE] [--source MODE] [--sparse-format F]
 //!     [--trajectory orbit|dolly|jitter] [--reuse-mode off|warp]
 //! ```
 
 use spnerf::accel::sim::pipeline::{simulate_path, ArchConfig, PathSimResult};
 use spnerf::pipeline::RenderSource;
 use spnerf::trajectory::{ReuseMode, TrajectoryRequest, TrajectoryResponse};
-use spnerf_bench::cli::TrajectoryKind;
-use spnerf_bench::{build_sweep_scene, cli, print_table, sweep_items, Fidelity, SourceMode};
+use spnerf_bench::cli::{self, Flag, TrajectoryKind};
+use spnerf_bench::{build_sweep_scene, print_table, sweep_items, Fidelity, SourceMode};
 
 /// Frames per path — frame 0 pays a full render, frames 1.. amortize.
 const FRAMES: usize = 8;
 
+const FLAGS: &[Flag] = &[
+    Flag::Quick,
+    Flag::Threads,
+    Flag::Corpus,
+    Flag::SkipMode,
+    Flag::Source,
+    Flag::SparseFormat,
+    Flag::Trajectory,
+    Flag::ReuseMode,
+];
+
 fn main() {
-    let args = cli::parse_or_exit();
-    if let Some(flag) = args.serve_flag() {
-        eprintln!("{flag}: this binary does not serve traffic (see spnerf_serve)");
-        std::process::exit(2);
-    }
+    let args = cli::parse_or_exit(FLAGS);
     let fid = Fidelity::from_cli(&args);
     let arch = ArchConfig::default();
     let source = match fid.source {

@@ -1,16 +1,21 @@
 //! Regenerates **Table I**: a summary of the profiled computing platforms.
 //!
 //! ```text
-//! cargo run --release -p spnerf-bench --bin table1_platforms
+//! cargo run --release -p spnerf-bench --bin table1_platforms [--quick]
 //! ```
 
 use spnerf::platforms::spec::PlatformSpec;
-use spnerf_bench::{cli, print_table};
+use spnerf_bench::cli::{self, Flag};
+use spnerf_bench::print_table;
+
+/// Table I is static; `--quick` is accepted (and changes nothing) so every
+/// binary takes it.
+const FLAGS: &[Flag] = &[Flag::Quick];
 
 fn main() {
-    // Table I is static, but the strict shared CLI surface still applies:
-    // `--help` works and typos are rejected instead of ignored.
-    let _ = cli::parse_or_exit();
+    // The strict CLI still applies: `--help` works and anything else is
+    // rejected instead of ignored.
+    let _ = cli::parse_or_exit(FLAGS);
     println!("Table I: A summary of profiling computing platforms\n");
     let rows: Vec<Vec<String>> = PlatformSpec::all()
         .iter()

@@ -8,17 +8,22 @@
 //! (NeuRex); energy-efficiency gains 4× and 4.4×.
 //!
 //! ```text
-//! cargo run --release -p spnerf-bench --bin table2_comparison [--quick]
+//! cargo run --release -p spnerf-bench --bin table2_comparison [--quick] [--threads N]
+//!     [--skip-mode MODE] [--source MODE] [--sparse-format F]
 //! ```
 
 use spnerf::accel::asic::{summarize, AreaModel, EnergyParams};
 use spnerf::accel::sim::pipeline::{simulate_frame, ArchConfig};
 use spnerf::platforms::accelerators::AcceleratorSpec;
 use spnerf::render::scene::SceneId;
+use spnerf_bench::cli::{self, Flag};
 use spnerf_bench::{build_scene, evaluate_scene, print_table, Fidelity};
 
+const FLAGS: &[Flag] =
+    &[Flag::Quick, Flag::Threads, Flag::SkipMode, Flag::Source, Flag::SparseFormat];
+
 fn main() {
-    let fid = Fidelity::from_args();
+    let fid = Fidelity::from_cli(&cli::parse_or_exit(FLAGS));
     let arch = ArchConfig::default();
 
     // Simulate all scenes to get the average operating point.

@@ -1,19 +1,26 @@
-//! Strict shared CLI parsing for the figure/table binaries.
+//! Strict per-binary CLI parsing for the figure/table binaries and
+//! `spnerf_serve`.
 //!
-//! Every binary in `src/bin/` accepts the same surface — `--quick`,
-//! `--threads N` (or `--threads=N`), `--help`/`-h` — and **rejects anything
-//! else**. This matches the criterion shim's philosophy: a misspelled flag
-//! that is silently ignored makes a figure run at the wrong fidelity while
-//! looking successful, which is strictly worse than failing loudly.
+//! Each binary declares the [`Flag`]s it reads — a `const FLAGS: &[Flag]`
+//! next to its `main` — and passes them to [`parse_or_exit`]. It accepts
+//! exactly those flags plus `--help`/`-h`, and **rejects anything else**,
+//! including flags another binary declares, with exit 2 and usage text that
+//! lists only its own flags. This matches the criterion shim's philosophy: a
+//! flag that is silently ignored makes a figure report a configuration it
+//! never ran while looking successful, which is strictly worse than failing
+//! loudly.
 //!
 //! [`parse`] is the pure, testable core; [`parse_or_exit`] is the binary
-//! entry point that prints usage / errors and applies the `SPNERF_THREADS`
-//! environment fallback.
+//! entry point that prints usage / errors and, for binaries that declare
+//! [`Flag::Threads`], applies the `SPNERF_THREADS` environment fallback.
 
-use spnerf::render::engine::THREADS_ENV_VAR;
 use spnerf::render::renderer::SkipMode;
 use spnerf::render::temporal::{ReuseMode, TrajectorySpec};
 use spnerf::voxel::sparse::{FormatKind, FormatSelection};
+
+/// Environment variable [`parse_or_exit`] consults when a binary declares
+/// [`Flag::Threads`] and no `--threads` flag is given.
+const THREADS_ENV_VAR: &str = "SPNERF_THREADS";
 
 /// Which primary data path a harness run measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -74,7 +81,8 @@ impl TrajectoryKind {
     }
 }
 
-/// Parsed harness arguments.
+/// Parsed harness arguments. A field keeps its default unless the binary
+/// declares the flag that sets it.
 ///
 /// Not `Copy`/`Eq`: the serve surface carries a replay path (`String`) and
 /// a Zipf exponent (`f64`).
@@ -85,8 +93,7 @@ pub struct HarnessArgs {
     /// `--threads N` / `--threads=N`: render worker count (`0` = all cores).
     pub threads: Option<usize>,
     /// `--corpus`: sweep the testkit's five procedural archetypes instead
-    /// of the eight Synthetic-NeRF scenes (supported by the bins that sweep
-    /// scenes; the others reject the flag).
+    /// of the eight Synthetic-NeRF scenes.
     pub corpus: bool,
     /// `--skip-mode off|mip|mip:N`: empty-space skipping policy. Images are
     /// bitwise-identical in every mode; `mip` drops marched samples (and
@@ -102,8 +109,7 @@ pub struct HarnessArgs {
     /// selector). Images are bitwise-identical in every format; the choice
     /// moves per-lookup metadata traffic and resident bytes.
     pub sparse_format: FormatSelection,
-    /// `--seed N` / `--seed=N`: traffic-generator seed (`spnerf_serve`;
-    /// other binaries reject it via [`HarnessArgs::serve_flag`]).
+    /// `--seed N`: traffic-generator seed of a synthetic serve trace.
     pub seed: Option<u64>,
     /// `--duration-ticks N`: virtual-clock horizon of a serve run — arrivals
     /// after tick `N` are not generated.
@@ -111,57 +117,126 @@ pub struct HarnessArgs {
     /// `--cache-bytes N`: byte budget of the serve scene cache.
     pub cache_bytes: Option<usize>,
     /// `--replay FILE`: serve a recorded traffic trace instead of
-    /// synthesizing one (the seed then only matters for trace synthesis,
-    /// not service).
+    /// synthesizing one.
     pub replay: Option<String>,
     /// `--zipf-s S`: Zipf popularity exponent of the synthetic traffic
     /// (`0` = uniform; larger skews toward the head scenes).
     pub zipf_s: Option<f64>,
-    /// `--trajectory orbit|dolly|jitter`: restrict `fig9_temporal` to one
-    /// deterministic camera path (default: sweep all three). Other binaries
-    /// reject it via [`HarnessArgs::temporal_flag`].
+    /// `--trajectory orbit|dolly|jitter`: restrict the sweep to one
+    /// deterministic camera path (default: sweep all three).
     pub trajectory: Option<TrajectoryKind>,
-    /// `--reuse-mode off|warp`: restrict `fig9_temporal` to one
-    /// frame-to-frame reuse policy (default: measure both and report the
-    /// amortization ratio). Other binaries reject it via
-    /// [`HarnessArgs::temporal_flag`].
+    /// `--reuse-mode off|warp`: restrict the sweep to one frame-to-frame
+    /// reuse policy (default: measure both and report the amortization
+    /// ratio).
     pub reuse_mode: Option<ReuseMode>,
     /// `--help` / `-h` was requested.
     pub help: bool,
 }
 
-impl HarnessArgs {
-    /// The first serve-only flag present, if any — binaries outside
-    /// `spnerf_serve` call this to reject the serve surface with exit 2,
-    /// exactly as [`crate::Fidelity::from_args`] rejects `--corpus` on
-    /// binaries that do not sweep scenes.
-    pub fn serve_flag(&self) -> Option<&'static str> {
-        if self.seed.is_some() {
-            Some("--seed")
-        } else if self.duration_ticks.is_some() {
-            Some("--duration-ticks")
-        } else if self.cache_bytes.is_some() {
-            Some("--cache-bytes")
-        } else if self.replay.is_some() {
-            Some("--replay")
-        } else if self.zipf_s.is_some() {
-            Some("--zipf-s")
-        } else {
-            None
-        }
+/// One flag a binary can declare. The binary's `FLAGS` set decides which
+/// of these its command line accepts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flag {
+    /// `--quick`: the reduced-fidelity preset.
+    Quick,
+    /// `--threads N`: render worker threads.
+    Threads,
+    /// `--corpus`: sweep the procedural archetypes.
+    Corpus,
+    /// `--skip-mode MODE`: empty-space skipping policy.
+    SkipMode,
+    /// `--source MODE`: primary data path.
+    Source,
+    /// `--sparse-format F`: occupancy-index encoding.
+    SparseFormat,
+    /// `--seed N`: traffic-generator seed.
+    Seed,
+    /// `--duration-ticks N`: serve-run horizon.
+    DurationTicks,
+    /// `--cache-bytes N`: serve scene-cache budget.
+    CacheBytes,
+    /// `--replay FILE`: recorded traffic trace.
+    Replay,
+    /// `--zipf-s S`: Zipf popularity exponent.
+    ZipfS,
+    /// `--trajectory PATH`: one camera path.
+    Trajectory,
+    /// `--reuse-mode MODE`: one frame-to-frame reuse policy.
+    ReuseMode,
+}
+
+impl Flag {
+    /// The command-line token, e.g. `--skip-mode`.
+    pub fn name(self) -> &'static str {
+        self.spec().0
     }
 
-    /// The first temporal-only flag present, if any — binaries other than
-    /// `fig9_temporal` call this to reject the trajectory surface with
-    /// exit 2, exactly as [`HarnessArgs::serve_flag`] fences the serve
-    /// surface.
-    pub fn temporal_flag(&self) -> Option<&'static str> {
-        if self.trajectory.is_some() {
-            Some("--trajectory")
-        } else if self.reuse_mode.is_some() {
-            Some("--reuse-mode")
-        } else {
-            None
+    /// The value placeholder usage prints (`N`, `MODE`, …); `None` for a
+    /// switch, which takes no value.
+    fn metavar(self) -> Option<&'static str> {
+        self.spec().1
+    }
+
+    /// `(name, metavar, help)`: the one table [`parse`] and [`usage`] read.
+    /// A `\n` in the help text continues it on the next usage line.
+    fn spec(self) -> (&'static str, Option<&'static str>, &'static str) {
+        match self {
+            Flag::Quick => {
+                ("--quick", None, "run the reduced-fidelity preset (seconds instead of minutes)")
+            }
+            Flag::Threads => (
+                "--threads",
+                Some("N"),
+                "render worker threads; 0 = all cores (also: SPNERF_THREADS env var)",
+            ),
+            Flag::Corpus => (
+                "--corpus",
+                None,
+                "sweep the 5 procedural testkit archetypes instead of the 8 scenes",
+            ),
+            Flag::SkipMode => (
+                "--skip-mode",
+                Some("MODE"),
+                "empty-space skipping: off (default), mip, or mip:N to cap the\n\
+                 coarsest pyramid level at N; images are identical in every mode",
+            ),
+            Flag::Source => (
+                "--source",
+                Some("MODE"),
+                "primary data path: spnerf (default) or baked — the bake-and-defer\n\
+                 path whose small view MLP runs once per pixel, not per sample",
+            ),
+            Flag::SparseFormat => (
+                "--sparse-format",
+                Some("F"),
+                "sparse occupancy-index encoding: auto (default), bitmap, coo,\n\
+                 csr, csc, rank, or block; images are identical in every format",
+            ),
+            Flag::Seed => ("--seed", Some("N"), "traffic-generator seed"),
+            Flag::DurationTicks => {
+                ("--duration-ticks", Some("N"), "virtual-clock horizon of the serve run")
+            }
+            Flag::CacheBytes => {
+                ("--cache-bytes", Some("N"), "byte budget of the serve scene cache")
+            }
+            Flag::Replay => (
+                "--replay",
+                Some("FILE"),
+                "serve a recorded traffic trace instead of synthesizing one; the\n\
+                 trace fixes its own seed, Zipf exponent and horizon",
+            ),
+            Flag::ZipfS => ("--zipf-s", Some("S"), "Zipf scene-popularity exponent, 0 = uniform"),
+            Flag::Trajectory => (
+                "--trajectory",
+                Some("PATH"),
+                "camera path to sweep: orbit, dolly, or jitter (default sweeps all three)",
+            ),
+            Flag::ReuseMode => (
+                "--reuse-mode",
+                Some("MODE"),
+                "frame-to-frame reuse: off or warp (default measures both and\n\
+                 reports the amortization ratio)",
+            ),
         }
     }
 }
@@ -169,12 +244,13 @@ impl HarnessArgs {
 /// A rejected command line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ArgError {
-    /// A `-`/`--` token no binary accepts.
+    /// A `-`/`--` token the binary does not declare (or a switch given a
+    /// value).
     UnknownFlag(String),
     /// A bare positional argument (the harnesses take none).
     UnexpectedPositional(String),
     /// A value-taking flag (`--threads`, `--skip-mode`, `--source`, …)
-    /// without a value.
+    /// without a value, or with an empty `--flag=` value.
     MissingValue(&'static str),
     /// A flag value that failed to parse.
     BadValue {
@@ -200,250 +276,157 @@ impl std::fmt::Display for ArgError {
 
 impl std::error::Error for ArgError {}
 
-/// The usage text every harness binary prints for `--help` and on errors.
-pub fn usage(bin: &str) -> String {
-    format!(
-        "usage: {bin} [--quick] [--threads N] [--corpus] [--skip-mode MODE] [--source MODE]\n\
-         \x20          [--sparse-format F] [--seed N] [--duration-ticks N] [--cache-bytes N] [--replay FILE]\n\
-         \x20          [--zipf-s S] [--trajectory PATH] [--reuse-mode MODE] [--help]\n\
-         \n\
-         options:\n\
-         \x20 --quick            run the reduced-fidelity preset (seconds instead of minutes)\n\
-         \x20 --threads N        render worker threads; 0 = all cores (also: {THREADS_ENV_VAR} env var)\n\
-         \x20 --corpus           sweep the 5 procedural testkit archetypes instead of the 8 scenes\n\
-         \x20                    (scene-sweeping binaries only)\n\
-         \x20 --skip-mode MODE   empty-space skipping: off (default), mip, or mip:N to cap the\n\
-         \x20                    coarsest pyramid level at N; images are identical in every mode\n\
-         \x20 --source MODE      primary data path: spnerf (default) or baked — the bake-and-defer\n\
-         \x20                    path whose small view MLP runs once per pixel, not per sample\n\
-         \x20 --sparse-format F  sparse occupancy-index encoding: auto (default), bitmap, coo,\n\
-         \x20                    csr, csc, rank, or block; images are identical in every format\n\
-         \x20 --seed N           traffic-generator seed (spnerf_serve only)\n\
-         \x20 --duration-ticks N virtual-clock horizon of the serve run (spnerf_serve only)\n\
-         \x20 --cache-bytes N    byte budget of the serve scene cache (spnerf_serve only)\n\
-         \x20 --replay FILE      serve a recorded traffic trace instead of synthesizing one\n\
-         \x20                    (spnerf_serve only)\n\
-         \x20 --zipf-s S         Zipf scene-popularity exponent, 0 = uniform (spnerf_serve only)\n\
-         \x20 --trajectory PATH  camera path to sweep: orbit, dolly, or jitter\n\
-         \x20                    (fig9_temporal only; default sweeps all three)\n\
-         \x20 --reuse-mode MODE  frame-to-frame reuse: off or warp (fig9_temporal only;\n\
-         \x20                    default measures both and reports the amortization ratio)\n\
-         \x20 -h, --help         print this help\n\
-         \n\
-         Outputs are bitwise-identical at every thread count and skip mode."
-    )
+/// The usage text a binary that declares `flags` prints for `--help` and on
+/// errors: one entry per declared flag, then `-h, --help`.
+pub fn usage(bin: &str, flags: &[Flag]) -> String {
+    let mut text = format!("usage: {bin} [options]\n\noptions:\n");
+    for &flag in flags {
+        let (name, metavar, help) = flag.spec();
+        let head = metavar.map_or_else(|| name.to_string(), |m| format!("{name} {m}"));
+        let help = help.replace('\n', &format!("\n{:21}", ""));
+        text.push_str(&format!("  {head:<18} {help}\n"));
+    }
+    text.push_str("  -h, --help         print this help");
+    if flags.contains(&Flag::Threads) {
+        text.push_str("\n\nOutputs are bitwise-identical at every thread count and skip mode.");
+    }
+    text
 }
 
-/// Parses harness arguments (without the leading program name), rejecting
-/// anything outside the shared surface. Pure: never consults the
-/// environment or exits.
+/// Parses harness arguments (without the leading program name) against the
+/// binary's declared `flags`, rejecting anything else. Pure: never consults
+/// the environment or exits.
+///
+/// Each token is split once, at its first `=`, and its name looked up in
+/// `flags`. A value flag takes the inline value or the next token; a switch
+/// takes none.
 ///
 /// # Errors
 ///
-/// Returns [`ArgError`] for unknown flags, positionals, and missing or
-/// malformed `--threads` values.
-pub fn parse(args: &[String]) -> Result<HarnessArgs, ArgError> {
-    let parse_threads = |v: &str| {
-        v.parse::<usize>()
-            .map_err(|_| ArgError::BadValue { flag: "--threads", value: v.to_string() })
-    };
-    let parse_source = |v: &str| match v {
-        "spnerf" => Ok(SourceMode::SpNerf),
-        "baked" => Ok(SourceMode::Baked),
-        _ => Err(ArgError::BadValue { flag: "--source", value: v.to_string() }),
-    };
-    let parse_sparse = |v: &str| match v {
-        "auto" => Ok(FormatSelection::Auto),
-        _ => FormatKind::from_name(v)
-            .map(FormatSelection::Fixed)
-            .ok_or(ArgError::BadValue { flag: "--sparse-format", value: v.to_string() }),
-    };
-    let parse_seed = |v: &str| {
-        v.parse::<u64>().map_err(|_| ArgError::BadValue { flag: "--seed", value: v.to_string() })
-    };
-    let parse_ticks = |v: &str| {
-        // A zero-tick run would emit a report over an empty sample set;
-        // reject it at the surface instead of panicking in a percentile.
-        match v.parse::<u64>() {
-            Ok(n) if n >= 1 => Ok(n),
-            _ => Err(ArgError::BadValue { flag: "--duration-ticks", value: v.to_string() }),
-        }
-    };
-    let parse_cache = |v: &str| {
-        v.parse::<usize>()
-            .map_err(|_| ArgError::BadValue { flag: "--cache-bytes", value: v.to_string() })
-    };
-    let parse_zipf = |v: &str| match v.parse::<f64>() {
-        Ok(s) if s.is_finite() && s >= 0.0 => Ok(s),
-        _ => Err(ArgError::BadValue { flag: "--zipf-s", value: v.to_string() }),
-    };
-    let parse_trajectory = |v: &str| {
-        TrajectoryKind::ALL
-            .into_iter()
-            .find(|k| k.name() == v)
-            .ok_or(ArgError::BadValue { flag: "--trajectory", value: v.to_string() })
-    };
-    let parse_reuse = |v: &str| match v {
-        "off" => Ok(ReuseMode::Off),
-        "warp" => Ok(ReuseMode::warp()),
-        _ => Err(ArgError::BadValue { flag: "--reuse-mode", value: v.to_string() }),
-    };
-    let parse_skip = |v: &str| match v {
-        "off" => Ok(SkipMode::Off),
-        "mip" => Ok(SkipMode::mip()),
-        _ => v
-            .strip_prefix("mip:")
-            .and_then(|n| n.parse::<usize>().ok())
-            .map(|levels| SkipMode::Mip { levels })
-            .ok_or(ArgError::BadValue { flag: "--skip-mode", value: v.to_string() }),
-    };
-    // The `--threads N` / `--threads=N` token forms mirror
-    // `spnerf::render::engine::take_threads_args` (the lenient parser the
-    // positional examples use); `threads_flag_forms_match_the_engine_parser`
-    // below pins the two surfaces together.
+/// Returns [`ArgError`] for undeclared flags, positionals, and missing or
+/// malformed values.
+pub fn parse(args: &[String], flags: &[Flag]) -> Result<HarnessArgs, ArgError> {
     let mut out = HarnessArgs::default();
-    let mut i = 0;
-    while i < args.len() {
-        let a = args[i].as_str();
-        match a {
-            "--quick" => out.quick = true,
-            "--corpus" => out.corpus = true,
-            "--help" | "-h" => out.help = true,
-            "--threads" => {
-                let v = args.get(i + 1).ok_or(ArgError::MissingValue("--threads"))?;
-                out.threads = Some(parse_threads(v)?);
-                i += 1;
-            }
-            _ if a.starts_with("--threads=") => {
-                out.threads = Some(parse_threads(&a["--threads=".len()..])?);
-            }
-            "--skip-mode" => {
-                let v = args.get(i + 1).ok_or(ArgError::MissingValue("--skip-mode"))?;
-                out.skip_mode = parse_skip(v)?;
-                i += 1;
-            }
-            _ if a.starts_with("--skip-mode=") => {
-                out.skip_mode = parse_skip(&a["--skip-mode=".len()..])?;
-            }
-            "--source" => {
-                let v = args.get(i + 1).ok_or(ArgError::MissingValue("--source"))?;
-                out.source = parse_source(v)?;
-                i += 1;
-            }
-            _ if a.starts_with("--source=") => {
-                out.source = parse_source(&a["--source=".len()..])?;
-            }
-            "--sparse-format" => {
-                let v = args.get(i + 1).ok_or(ArgError::MissingValue("--sparse-format"))?;
-                out.sparse_format = parse_sparse(v)?;
-                i += 1;
-            }
-            _ if a.starts_with("--sparse-format=") => {
-                out.sparse_format = parse_sparse(&a["--sparse-format=".len()..])?;
-            }
-            "--seed" => {
-                let v = args.get(i + 1).ok_or(ArgError::MissingValue("--seed"))?;
-                out.seed = Some(parse_seed(v)?);
-                i += 1;
-            }
-            _ if a.starts_with("--seed=") => {
-                out.seed = Some(parse_seed(&a["--seed=".len()..])?);
-            }
-            "--duration-ticks" => {
-                let v = args.get(i + 1).ok_or(ArgError::MissingValue("--duration-ticks"))?;
-                out.duration_ticks = Some(parse_ticks(v)?);
-                i += 1;
-            }
-            _ if a.starts_with("--duration-ticks=") => {
-                out.duration_ticks = Some(parse_ticks(&a["--duration-ticks=".len()..])?);
-            }
-            "--cache-bytes" => {
-                let v = args.get(i + 1).ok_or(ArgError::MissingValue("--cache-bytes"))?;
-                out.cache_bytes = Some(parse_cache(v)?);
-                i += 1;
-            }
-            _ if a.starts_with("--cache-bytes=") => {
-                out.cache_bytes = Some(parse_cache(&a["--cache-bytes=".len()..])?);
-            }
-            "--replay" => {
-                let v = args.get(i + 1).ok_or(ArgError::MissingValue("--replay"))?;
-                out.replay = Some(v.clone());
-                i += 1;
-            }
-            _ if a.starts_with("--replay=") => {
-                let v = &a["--replay=".len()..];
-                if v.is_empty() {
-                    return Err(ArgError::MissingValue("--replay"));
-                }
-                out.replay = Some(v.to_string());
-            }
-            "--zipf-s" => {
-                let v = args.get(i + 1).ok_or(ArgError::MissingValue("--zipf-s"))?;
-                out.zipf_s = Some(parse_zipf(v)?);
-                i += 1;
-            }
-            _ if a.starts_with("--zipf-s=") => {
-                out.zipf_s = Some(parse_zipf(&a["--zipf-s=".len()..])?);
-            }
-            "--trajectory" => {
-                let v = args.get(i + 1).ok_or(ArgError::MissingValue("--trajectory"))?;
-                out.trajectory = Some(parse_trajectory(v)?);
-                i += 1;
-            }
-            _ if a.starts_with("--trajectory=") => {
-                out.trajectory = Some(parse_trajectory(&a["--trajectory=".len()..])?);
-            }
-            "--reuse-mode" => {
-                let v = args.get(i + 1).ok_or(ArgError::MissingValue("--reuse-mode"))?;
-                out.reuse_mode = Some(parse_reuse(v)?);
-                i += 1;
-            }
-            _ if a.starts_with("--reuse-mode=") => {
-                out.reuse_mode = Some(parse_reuse(&a["--reuse-mode=".len()..])?);
-            }
-            _ if a.starts_with('-') => return Err(ArgError::UnknownFlag(a.to_string())),
-            _ => return Err(ArgError::UnexpectedPositional(a.to_string())),
+    let mut tokens = args.iter();
+    while let Some(token) = tokens.next() {
+        if token == "-h" || token == "--help" {
+            out.help = true;
+            continue;
         }
-        i += 1;
+        let (name, inline) = match token.split_once('=') {
+            Some((name, value)) => (name, Some(value)),
+            None => (token.as_str(), None),
+        };
+        let Some(&flag) = flags.iter().find(|f| f.name() == name) else {
+            return Err(if token.starts_with('-') {
+                ArgError::UnknownFlag(token.clone())
+            } else {
+                ArgError::UnexpectedPositional(token.clone())
+            });
+        };
+        let value = match (flag.metavar(), inline) {
+            (None, None) => "",
+            (None, Some(_)) => return Err(ArgError::UnknownFlag(token.clone())),
+            (Some(_), Some("")) => return Err(ArgError::MissingValue(flag.name())),
+            (Some(_), Some(value)) => value,
+            (Some(_), None) => tokens.next().ok_or(ArgError::MissingValue(flag.name()))?,
+        };
+        let bad = || ArgError::BadValue { flag: flag.name(), value: value.to_string() };
+        match flag {
+            Flag::Quick => out.quick = true,
+            Flag::Corpus => out.corpus = true,
+            Flag::Threads => out.threads = Some(value.parse().map_err(|_| bad())?),
+            Flag::SkipMode => {
+                out.skip_mode = match value {
+                    "off" => SkipMode::Off,
+                    "mip" => SkipMode::mip(),
+                    _ => value
+                        .strip_prefix("mip:")
+                        .and_then(|n| n.parse().ok())
+                        .map(|levels| SkipMode::Mip { levels })
+                        .ok_or_else(bad)?,
+                }
+            }
+            Flag::Source => {
+                out.source = match value {
+                    "spnerf" => SourceMode::SpNerf,
+                    "baked" => SourceMode::Baked,
+                    _ => return Err(bad()),
+                }
+            }
+            Flag::SparseFormat => {
+                out.sparse_format = match value {
+                    "auto" => FormatSelection::Auto,
+                    _ => FormatSelection::Fixed(FormatKind::from_name(value).ok_or_else(bad)?),
+                }
+            }
+            Flag::Seed => out.seed = Some(value.parse().map_err(|_| bad())?),
+            // A zero-tick run would emit a report over an empty sample set;
+            // reject it at the surface instead of panicking in a percentile.
+            Flag::DurationTicks => {
+                out.duration_ticks =
+                    Some(value.parse::<u64>().ok().filter(|&n| n >= 1).ok_or_else(bad)?)
+            }
+            Flag::CacheBytes => out.cache_bytes = Some(value.parse().map_err(|_| bad())?),
+            Flag::Replay => out.replay = Some(value.to_string()),
+            Flag::ZipfS => {
+                out.zipf_s = Some(
+                    value
+                        .parse::<f64>()
+                        .ok()
+                        .filter(|s| s.is_finite() && *s >= 0.0)
+                        .ok_or_else(bad)?,
+                )
+            }
+            Flag::Trajectory => {
+                out.trajectory = Some(
+                    TrajectoryKind::ALL.into_iter().find(|k| k.name() == value).ok_or_else(bad)?,
+                )
+            }
+            Flag::ReuseMode => {
+                out.reuse_mode = Some(match value {
+                    "off" => ReuseMode::Off,
+                    "warp" => ReuseMode::warp(),
+                    _ => return Err(bad()),
+                })
+            }
+        }
     }
     Ok(out)
 }
 
-/// Parses the process arguments strictly. `--help` prints usage and exits 0;
-/// a parse error prints the error plus usage to stderr and exits 2. When no
-/// `--threads` flag is given, falls back to the `SPNERF_THREADS` environment
-/// variable.
-pub fn parse_or_exit() -> HarnessArgs {
+/// Prints `message` and the usage text to stderr and exits 2.
+fn exit_with_usage(bin: &str, flags: &[Flag], message: &str) -> ! {
+    eprintln!("{bin}: {message}\n\n{}", usage(bin, flags));
+    std::process::exit(2);
+}
+
+/// Parses the process arguments strictly against the binary's declared
+/// `flags`. `--help` prints usage and exits 0; a parse error prints the
+/// error plus usage to stderr and exits 2. When `flags` declares
+/// [`Flag::Threads`] and no `--threads` flag is given, falls back to the
+/// `SPNERF_THREADS` environment variable.
+pub fn parse_or_exit(flags: &[Flag]) -> HarnessArgs {
     let argv: Vec<String> = std::env::args().collect();
     let bin = argv
         .first()
         .map(|p| p.rsplit(['/', '\\']).next().unwrap_or(p).to_string())
         .unwrap_or_else(|| "harness".to_string());
-    let mut parsed = match parse(&argv[1..]) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{bin}: {e}\n\n{}", usage(&bin));
-            std::process::exit(2);
-        }
-    };
+    let mut parsed =
+        parse(&argv[1..], flags).unwrap_or_else(|e| exit_with_usage(&bin, flags, &e.to_string()));
     if parsed.help {
-        println!("{}", usage(&bin));
+        println!("{}", usage(&bin, flags));
         std::process::exit(0);
     }
-    if parsed.threads.is_none() {
+    if parsed.threads.is_none() && flags.contains(&Flag::Threads) {
         if let Ok(v) = std::env::var(THREADS_ENV_VAR) {
-            match v.parse::<usize>() {
-                Ok(n) => parsed.threads = Some(n),
-                Err(_) => {
-                    // Same strict contract as the flags: a malformed env
-                    // var exits 2 with usage, never a panic.
-                    eprintln!(
-                        "{bin}: {THREADS_ENV_VAR}: expected a thread count, got `{v}`\n\n{}",
-                        usage(&bin)
-                    );
-                    std::process::exit(2);
-                }
-            }
+            // Same strict contract as the flags: a malformed env var exits 2
+            // with usage, never a panic.
+            let threads = v.parse().unwrap_or_else(|_| {
+                let message = format!("{THREADS_ENV_VAR}: expected a thread count, got `{v}`");
+                exit_with_usage(&bin, flags, &message)
+            });
+            parsed.threads = Some(threads);
         }
     }
     parsed
@@ -453,50 +436,135 @@ pub fn parse_or_exit() -> HarnessArgs {
 mod tests {
     use super::*;
 
+    /// Every flag: the value rules below do not depend on which binary
+    /// declares a flag, only that one does.
+    const EVERY: &[Flag] = &[
+        Flag::Quick,
+        Flag::Threads,
+        Flag::Corpus,
+        Flag::SkipMode,
+        Flag::Source,
+        Flag::SparseFormat,
+        Flag::Seed,
+        Flag::DurationTicks,
+        Flag::CacheBytes,
+        Flag::Replay,
+        Flag::ZipfS,
+        Flag::Trajectory,
+        Flag::ReuseMode,
+    ];
+    /// `fig6_memory_psnr`'s declared set.
+    const FIG6: &[Flag] = &[Flag::Quick, Flag::Threads, Flag::Corpus, Flag::SkipMode];
+    /// `spnerf_serve`'s declared set.
+    const SERVE: &[Flag] = &[
+        Flag::Quick,
+        Flag::Threads,
+        Flag::SkipMode,
+        Flag::Seed,
+        Flag::DurationTicks,
+        Flag::CacheBytes,
+        Flag::Replay,
+        Flag::ZipfS,
+    ];
+
     fn args(s: &[&str]) -> Vec<String> {
         s.iter().map(|a| a.to_string()).collect()
     }
 
+    /// Parses against [`EVERY`].
+    fn parse_any(s: &[&str]) -> Result<HarnessArgs, ArgError> {
+        parse(&args(s), EVERY)
+    }
+
     #[test]
     fn accepts_the_shared_surface() {
-        assert_eq!(parse(&args(&[])), Ok(HarnessArgs::default()));
+        let p = |s: &[&str]| parse(&args(s), FIG6);
+        assert_eq!(p(&[]), Ok(HarnessArgs::default()));
+        assert_eq!(p(&["--quick"]), Ok(HarnessArgs { quick: true, ..Default::default() }));
         assert_eq!(
-            parse(&args(&["--quick"])),
-            Ok(HarnessArgs { quick: true, ..Default::default() })
-        );
-        assert_eq!(
-            parse(&args(&["--quick", "--threads", "4"])),
+            p(&["--quick", "--threads", "4"]),
             Ok(HarnessArgs { quick: true, threads: Some(4), ..Default::default() })
         );
         assert_eq!(
-            parse(&args(&["--corpus", "--quick"])),
+            p(&["--corpus", "--quick"]),
             Ok(HarnessArgs { quick: true, corpus: true, ..Default::default() })
         );
+        assert_eq!(p(&["--threads=0"]), Ok(HarnessArgs { threads: Some(0), ..Default::default() }));
+        assert_eq!(p(&["-h"]), Ok(HarnessArgs { help: true, ..Default::default() }));
         assert_eq!(
-            parse(&args(&["--threads=0"])),
-            Ok(HarnessArgs { threads: Some(0), ..Default::default() })
+            parse(&args(&["--help"]), &[]),
+            Ok(HarnessArgs { help: true, ..Default::default() })
         );
-        assert_eq!(parse(&args(&["-h"])), Ok(HarnessArgs { help: true, ..Default::default() }));
+    }
+
+    #[test]
+    fn undeclared_flags_are_unknown() {
+        // Each flag exists, but not in the binary's declared set.
+        assert_eq!(
+            parse(&args(&["--seed", "7"]), FIG6),
+            Err(ArgError::UnknownFlag("--seed".to_string()))
+        );
+        assert_eq!(
+            parse(&args(&["--source=baked"]), FIG6),
+            Err(ArgError::UnknownFlag("--source=baked".to_string()))
+        );
+        assert_eq!(
+            parse(&args(&["--quick", "--sparse-format", "coo"]), SERVE),
+            Err(ArgError::UnknownFlag("--sparse-format".to_string()))
+        );
+        assert_eq!(
+            parse(&args(&["--corpus"]), &[Flag::Quick]),
+            Err(ArgError::UnknownFlag("--corpus".to_string()))
+        );
+    }
+
+    #[test]
+    fn every_value_flag_takes_both_forms() {
+        let table = [
+            (Flag::Threads, "4"),
+            (Flag::SkipMode, "mip:2"),
+            (Flag::Source, "baked"),
+            (Flag::SparseFormat, "coo"),
+            (Flag::Seed, "9"),
+            (Flag::DurationTicks, "4000"),
+            (Flag::CacheBytes, "0"),
+            (Flag::Replay, "a/b.txt"),
+            (Flag::ZipfS, "1.1"),
+            (Flag::Trajectory, "dolly"),
+            (Flag::ReuseMode, "warp"),
+        ];
+        assert_eq!(table.len(), EVERY.iter().filter(|f| f.metavar().is_some()).count());
+        for (flag, value) in table {
+            let name = flag.name();
+            let spaced = parse_any(&[name, value]);
+            assert!(spaced.is_ok(), "`{name} {value}` must parse: {spaced:?}");
+            assert_eq!(parse_any(&[&format!("{name}={value}")]), spaced, "{name}: forms agree");
+            assert_eq!(parse_any(&[name]), Err(ArgError::MissingValue(name)));
+            assert_eq!(parse_any(&[&format!("{name}=")]), Err(ArgError::MissingValue(name)));
+        }
+        // A switch takes no value in either form.
+        assert_eq!(parse_any(&["--quick=1"]), Err(ArgError::UnknownFlag("--quick=1".to_string())));
+        assert_eq!(parse_any(&["--corpus="]), Err(ArgError::UnknownFlag("--corpus=".to_string())));
     }
 
     #[test]
     fn skip_mode_flag_forms() {
-        assert_eq!(parse(&args(&[])).unwrap().skip_mode, SkipMode::Off);
-        assert_eq!(parse(&args(&["--skip-mode", "off"])).unwrap().skip_mode, SkipMode::Off);
-        assert_eq!(parse(&args(&["--skip-mode", "mip"])).unwrap().skip_mode, SkipMode::mip());
-        assert_eq!(parse(&args(&["--skip-mode=mip"])).unwrap().skip_mode, SkipMode::mip());
+        assert_eq!(parse_any(&[]).unwrap().skip_mode, SkipMode::Off);
+        assert_eq!(parse_any(&["--skip-mode", "off"]).unwrap().skip_mode, SkipMode::Off);
+        assert_eq!(parse_any(&["--skip-mode", "mip"]).unwrap().skip_mode, SkipMode::mip());
+        assert_eq!(parse_any(&["--skip-mode=mip"]).unwrap().skip_mode, SkipMode::mip());
         assert_eq!(
-            parse(&args(&["--skip-mode", "mip:2"])).unwrap().skip_mode,
+            parse_any(&["--skip-mode", "mip:2"]).unwrap().skip_mode,
             SkipMode::Mip { levels: 2 }
         );
         assert_eq!(
-            parse(&args(&["--skip-mode=mip:0"])).unwrap().skip_mode,
+            parse_any(&["--skip-mode=mip:0"]).unwrap().skip_mode,
             SkipMode::Mip { levels: 0 }
         );
-        assert_eq!(parse(&args(&["--skip-mode"])), Err(ArgError::MissingValue("--skip-mode")));
+        assert_eq!(parse_any(&["--skip-mode"]), Err(ArgError::MissingValue("--skip-mode")));
         for bad in ["mips", "on", "mip:", "mip:x", ""] {
             assert_eq!(
-                parse(&args(&["--skip-mode", bad])),
+                parse_any(&["--skip-mode", bad]),
                 Err(ArgError::BadValue { flag: "--skip-mode", value: bad.to_string() }),
                 "`{bad}` must be rejected"
             );
@@ -505,14 +573,14 @@ mod tests {
 
     #[test]
     fn source_flag_forms() {
-        assert_eq!(parse(&args(&[])).unwrap().source, SourceMode::SpNerf);
-        assert_eq!(parse(&args(&["--source", "spnerf"])).unwrap().source, SourceMode::SpNerf);
-        assert_eq!(parse(&args(&["--source", "baked"])).unwrap().source, SourceMode::Baked);
-        assert_eq!(parse(&args(&["--source=baked"])).unwrap().source, SourceMode::Baked);
-        assert_eq!(parse(&args(&["--source"])), Err(ArgError::MissingValue("--source")));
+        assert_eq!(parse_any(&[]).unwrap().source, SourceMode::SpNerf);
+        assert_eq!(parse_any(&["--source", "spnerf"]).unwrap().source, SourceMode::SpNerf);
+        assert_eq!(parse_any(&["--source", "baked"]).unwrap().source, SourceMode::Baked);
+        assert_eq!(parse_any(&["--source=baked"]).unwrap().source, SourceMode::Baked);
+        assert_eq!(parse_any(&["--source"]), Err(ArgError::MissingValue("--source")));
         for bad in ["bake", "deferred", "BAKED", ""] {
             assert_eq!(
-                parse(&args(&["--source", bad])),
+                parse_any(&["--source", bad]),
                 Err(ArgError::BadValue { flag: "--source", value: bad.to_string() }),
                 "`{bad}` must be rejected"
             );
@@ -523,31 +591,28 @@ mod tests {
 
     #[test]
     fn sparse_format_flag_forms() {
-        assert_eq!(parse(&args(&[])).unwrap().sparse_format, FormatSelection::Auto);
+        assert_eq!(parse_any(&[]).unwrap().sparse_format, FormatSelection::Auto);
         assert_eq!(
-            parse(&args(&["--sparse-format", "auto"])).unwrap().sparse_format,
+            parse_any(&["--sparse-format", "auto"]).unwrap().sparse_format,
             FormatSelection::Auto
         );
         for kind in FormatKind::ALL {
             assert_eq!(
-                parse(&args(&["--sparse-format", kind.name()])).unwrap().sparse_format,
+                parse_any(&["--sparse-format", kind.name()]).unwrap().sparse_format,
                 FormatSelection::Fixed(kind),
                 "space form for {kind}"
             );
             let eq_form = format!("--sparse-format={}", kind.name());
             assert_eq!(
-                parse(&args(&[&eq_form])).unwrap().sparse_format,
+                parse_any(&[&eq_form]).unwrap().sparse_format,
                 FormatSelection::Fixed(kind),
                 "= form for {kind}"
             );
         }
-        assert_eq!(
-            parse(&args(&["--sparse-format"])),
-            Err(ArgError::MissingValue("--sparse-format"))
-        );
+        assert_eq!(parse_any(&["--sparse-format"]), Err(ArgError::MissingValue("--sparse-format")));
         for bad in ["dense", "COO", "rank-select", ""] {
             assert_eq!(
-                parse(&args(&["--sparse-format", bad])),
+                parse_any(&["--sparse-format", bad]),
                 Err(ArgError::BadValue { flag: "--sparse-format", value: bad.to_string() }),
                 "`{bad}` must be rejected"
             );
@@ -556,49 +621,38 @@ mod tests {
 
     #[test]
     fn serve_flag_forms() {
-        let none = parse(&args(&["--quick"])).unwrap();
-        assert_eq!(none.serve_flag(), None);
-
-        let all = parse(&args(&[
-            "--seed",
-            "7",
-            "--duration-ticks=4000",
-            "--cache-bytes",
-            "1500000",
-            "--replay",
-            "trace.txt",
-            "--zipf-s=1.1",
-        ]))
+        let all = parse(
+            &args(&[
+                "--seed",
+                "7",
+                "--duration-ticks=4000",
+                "--cache-bytes",
+                "1500000",
+                "--replay",
+                "trace.txt",
+                "--zipf-s=1.1",
+            ]),
+            SERVE,
+        )
         .unwrap();
         assert_eq!(all.seed, Some(7));
         assert_eq!(all.duration_ticks, Some(4000));
         assert_eq!(all.cache_bytes, Some(1_500_000));
         assert_eq!(all.replay.as_deref(), Some("trace.txt"));
         assert_eq!(all.zipf_s, Some(1.1));
-        assert_eq!(all.serve_flag(), Some("--seed"), "first serve flag wins");
-
-        // Both token forms agree, like every other flag on the surface.
-        assert_eq!(parse(&args(&["--seed=9"])).unwrap().seed, Some(9));
-        assert_eq!(parse(&args(&["--cache-bytes=0"])).unwrap().cache_bytes, Some(0));
-        assert_eq!(parse(&args(&["--replay=a/b.txt"])).unwrap().replay.as_deref(), Some("a/b.txt"));
-        assert_eq!(parse(&args(&["--zipf-s", "0"])).unwrap().zipf_s, Some(0.0));
-        assert_eq!(
-            parse(&args(&["--zipf-s", "0"])).unwrap().serve_flag(),
-            Some("--zipf-s"),
-            "a uniform exponent is still the serve surface"
-        );
+        assert_eq!(parse(&args(&["--zipf-s", "0"]), SERVE).unwrap().zipf_s, Some(0.0));
     }
 
     #[test]
     fn serve_flags_reject_missing_and_malformed_values() {
         for flag in ["--seed", "--duration-ticks", "--cache-bytes", "--replay", "--zipf-s"] {
             assert_eq!(
-                parse(&args(&[flag])),
+                parse(&args(&[flag]), SERVE),
                 Err(ArgError::MissingValue(flag)),
                 "`{flag}` without a value must be rejected"
             );
         }
-        assert_eq!(parse(&args(&["--replay="])), Err(ArgError::MissingValue("--replay")));
+        assert_eq!(parse(&args(&["--replay="]), SERVE), Err(ArgError::MissingValue("--replay")));
         for (flag, bad) in [
             ("--seed", "x"),
             ("--seed", "-1"),
@@ -610,7 +664,7 @@ mod tests {
             ("--zipf-s", "NaN"),
         ] {
             assert_eq!(
-                parse(&args(&[flag, bad])),
+                parse(&args(&[flag, bad]), SERVE),
                 Err(ArgError::BadValue { flag, value: bad.to_string() }),
                 "`{flag} {bad}` must be rejected"
             );
@@ -619,26 +673,26 @@ mod tests {
 
     #[test]
     fn trajectory_flag_forms() {
-        assert_eq!(parse(&args(&[])).unwrap().trajectory, None);
+        assert_eq!(parse_any(&[]).unwrap().trajectory, None);
         for kind in TrajectoryKind::ALL {
             assert_eq!(
-                parse(&args(&["--trajectory", kind.name()])).unwrap().trajectory,
+                parse_any(&["--trajectory", kind.name()]).unwrap().trajectory,
                 Some(kind),
                 "space form for {}",
                 kind.name()
             );
             let eq_form = format!("--trajectory={}", kind.name());
             assert_eq!(
-                parse(&args(&[&eq_form])).unwrap().trajectory,
+                parse_any(&[&eq_form]).unwrap().trajectory,
                 Some(kind),
                 "= form for {}",
                 kind.name()
             );
         }
-        assert_eq!(parse(&args(&["--trajectory"])), Err(ArgError::MissingValue("--trajectory")));
+        assert_eq!(parse_any(&["--trajectory"]), Err(ArgError::MissingValue("--trajectory")));
         for bad in ["spiral", "ORBIT", "orbit8", ""] {
             assert_eq!(
-                parse(&args(&["--trajectory", bad])),
+                parse_any(&["--trajectory", bad]),
                 Err(ArgError::BadValue { flag: "--trajectory", value: bad.to_string() }),
                 "`{bad}` must be rejected"
             );
@@ -652,87 +706,64 @@ mod tests {
 
     #[test]
     fn reuse_mode_flag_forms() {
-        assert_eq!(parse(&args(&[])).unwrap().reuse_mode, None);
+        assert_eq!(parse_any(&[]).unwrap().reuse_mode, None);
+        assert_eq!(parse_any(&["--reuse-mode", "off"]).unwrap().reuse_mode, Some(ReuseMode::Off));
         assert_eq!(
-            parse(&args(&["--reuse-mode", "off"])).unwrap().reuse_mode,
-            Some(ReuseMode::Off)
-        );
-        assert_eq!(
-            parse(&args(&["--reuse-mode", "warp"])).unwrap().reuse_mode,
+            parse_any(&["--reuse-mode", "warp"]).unwrap().reuse_mode,
             Some(ReuseMode::warp())
         );
-        assert_eq!(
-            parse(&args(&["--reuse-mode=warp"])).unwrap().reuse_mode,
-            Some(ReuseMode::warp())
-        );
-        assert_eq!(parse(&args(&["--reuse-mode"])), Err(ArgError::MissingValue("--reuse-mode")));
+        assert_eq!(parse_any(&["--reuse-mode=warp"]).unwrap().reuse_mode, Some(ReuseMode::warp()));
+        assert_eq!(parse_any(&["--reuse-mode"]), Err(ArgError::MissingValue("--reuse-mode")));
         for bad in ["on", "WARP", "warp:2", ""] {
             assert_eq!(
-                parse(&args(&["--reuse-mode", bad])),
+                parse_any(&["--reuse-mode", bad]),
                 Err(ArgError::BadValue { flag: "--reuse-mode", value: bad.to_string() }),
                 "`{bad}` must be rejected"
             );
         }
-
-        // The fence the non-temporal binaries use, mirroring `serve_flag`.
-        assert_eq!(parse(&args(&["--quick"])).unwrap().temporal_flag(), None);
-        assert_eq!(
-            parse(&args(&["--trajectory", "dolly", "--reuse-mode", "warp"]))
-                .unwrap()
-                .temporal_flag(),
-            Some("--trajectory"),
-            "first temporal flag wins"
-        );
-        assert_eq!(
-            parse(&args(&["--reuse-mode", "off"])).unwrap().temporal_flag(),
-            Some("--reuse-mode"),
-            "an explicit `off` is still the temporal surface"
-        );
     }
 
     #[test]
     fn rejects_unknown_flags_and_positionals() {
-        assert_eq!(parse(&args(&["--quik"])), Err(ArgError::UnknownFlag("--quik".to_string())));
+        assert_eq!(parse_any(&["--quik"]), Err(ArgError::UnknownFlag("--quik".to_string())));
+        assert_eq!(parse_any(&["lego"]), Err(ArgError::UnexpectedPositional("lego".to_string())));
         assert_eq!(
-            parse(&args(&["lego"])),
-            Err(ArgError::UnexpectedPositional("lego".to_string()))
+            parse_any(&["seed=3"]),
+            Err(ArgError::UnexpectedPositional("seed=3".to_string()))
         );
-        assert_eq!(parse(&args(&["--threads"])), Err(ArgError::MissingValue("--threads")));
+        assert_eq!(parse_any(&["--threads"]), Err(ArgError::MissingValue("--threads")));
         assert_eq!(
-            parse(&args(&["--threads", "many"])),
+            parse_any(&["--threads", "many"]),
             Err(ArgError::BadValue { flag: "--threads", value: "many".to_string() })
         );
         assert_eq!(
-            parse(&args(&["--threads=x"])),
+            parse_any(&["--threads=x"]),
             Err(ArgError::BadValue { flag: "--threads", value: "x".to_string() })
         );
     }
 
     #[test]
-    fn threads_flag_forms_match_the_engine_parser() {
-        // Both `--threads` surfaces must accept the same well-formed token
-        // shapes and agree on the value, so the strict bins and the lenient
-        // positional examples can never drift apart.
-        for toks in [&["--threads", "4"][..], &["--threads=7"][..]] {
-            let strict = parse(&args(toks)).expect("cli parser accepts").threads;
-            let lenient = spnerf::render::engine::threads_from_args_or_env(&args(toks));
-            assert_eq!(strict, lenient, "token forms {toks:?} must agree");
-        }
-    }
-
-    #[test]
     fn errors_and_usage_render() {
-        let u = usage("fig6_memory_psnr");
-        assert!(u.contains("--quick") && u.contains("--threads") && u.contains(THREADS_ENV_VAR));
-        assert!(u.contains("--corpus"));
-        assert!(u.contains("--skip-mode") && u.contains("mip:N"));
-        assert!(u.contains("--source") && u.contains("baked"));
-        assert!(u.contains("--sparse-format") && u.contains("rank"));
-        for serve in ["--seed", "--duration-ticks", "--cache-bytes", "--replay", "--zipf-s"] {
-            assert!(u.contains(serve), "usage must document {serve}");
+        // Usage names exactly the declared flags, in declaration order.
+        for set in [FIG6, SERVE, &[Flag::Quick][..], EVERY] {
+            let u = usage("bin", set);
+            let named: Vec<&str> = u
+                .lines()
+                .filter_map(|l| l.strip_prefix("  "))
+                .filter(|l| l.starts_with('-'))
+                .filter_map(|l| l.split_whitespace().next())
+                .collect();
+            let mut declared: Vec<&str> = set.iter().map(|f| f.name()).collect();
+            declared.push("-h,");
+            assert_eq!(named, declared);
+            for flag in EVERY {
+                assert_eq!(u.contains(flag.name()), set.contains(flag), "{}", flag.name());
+            }
+            assert_eq!(u.contains(THREADS_ENV_VAR), set.contains(&Flag::Threads));
         }
-        assert!(u.contains("--trajectory") && u.contains("dolly"));
-        assert!(u.contains("--reuse-mode") && u.contains("warp"));
+        let u = usage("bin", EVERY);
+        assert!(u.contains("mip:N") && u.contains("baked") && u.contains("rank"));
+        assert!(u.contains("dolly") && u.contains("warp"));
         assert!(ArgError::UnknownFlag("--x".into()).to_string().contains("--x"));
         assert!(ArgError::MissingValue("--threads").to_string().contains("--threads"));
     }

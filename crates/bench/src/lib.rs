@@ -11,15 +11,20 @@
 //! | `fig6_memory_psnr` | Fig. 6(a) memory reduction + Fig. 6(b) PSNR |
 //! | `fig7_sweeps` | Fig. 7(a) PSNR vs subgrids + Fig. 7(b) vs table size |
 //! | `fig8_speedup_energy` | Fig. 8(a) speedup + Fig. 8(b) energy efficiency |
+//! | `fig8_formats` | sparse-format index sizes and metadata traffic (fig8-style) |
 //! | `fig9_area_power` | Fig. 9(a) area + Fig. 9(b) power breakdowns |
+//! | `fig9_temporal` | trajectory reuse: amortized per-frame cost (fig9-style) |
 //! | `table2_comparison` | Table II (accelerator comparison) |
+//! | `ablation_preprocess` | preprocessing-policy ablation (not a paper figure) |
 //!
-//! Every binary shares the strict [`cli`] surface: `--quick` runs a
-//! reduced-fidelity preset (small grids, small codebook, small renders)
-//! that exercises the identical code path in seconds, `--threads N` (or the
-//! `SPNERF_THREADS` environment variable; `0` = all cores) renders through
-//! the tile-parallel engine — outputs are bitwise-identical at every thread
-//! count — and anything else is rejected with usage text.
+//! Each binary declares the [`cli::Flag`]s it reads and accepts only
+//! those; `--help` lists them, and any other flag exits 2 with usage text.
+//! Every binary accepts `--quick`, which runs a reduced-fidelity preset
+//! (small grids, small codebook, small renders) that exercises the
+//! identical code path in seconds. Every binary that renders accepts
+//! `--threads N` (or the `SPNERF_THREADS` environment variable; `0` = all
+//! cores), which renders through the tile-parallel engine — outputs are
+//! bitwise-identical at every thread count.
 //!
 //! Scene construction and rendering go through the `spnerf`
 //! [`pipeline`](spnerf::pipeline) layer: a [`Fidelity`] preset maps onto a
@@ -128,36 +133,11 @@ impl Fidelity {
         }
     }
 
-    /// Chooses the preset from the process arguments through the strict
-    /// shared parser ([`cli::parse_or_exit`]): `--quick` selects the reduced
-    /// preset, `--threads N` (falling back to `SPNERF_THREADS`) sets the
-    /// render worker count, and unknown arguments abort with usage text.
-    ///
-    /// For binaries that do not sweep scenes `--corpus` is meaningless, so
-    /// this entry point rejects it (exit 2); scene-sweeping binaries parse
-    /// the arguments themselves and pass [`cli::HarnessArgs::corpus`] to
-    /// [`sweep_items`]. The serve-only flags (`--seed`, `--duration-ticks`,
-    /// `--cache-bytes`, `--replay`, `--zipf-s`) are rejected the same way —
-    /// they only mean something to `spnerf_serve`.
-    pub fn from_args() -> Self {
-        let args = cli::parse_or_exit();
-        if args.corpus {
-            eprintln!("--corpus: this binary does not sweep scenes (see fig2/fig6)");
-            std::process::exit(2);
-        }
-        if let Some(flag) = args.serve_flag() {
-            eprintln!("{flag}: this binary does not serve traffic (see spnerf_serve)");
-            std::process::exit(2);
-        }
-        if let Some(flag) = args.temporal_flag() {
-            eprintln!("{flag}: this binary does not render trajectories (see fig9_temporal)");
-            std::process::exit(2);
-        }
-        Self::from_cli(&args)
-    }
-
-    /// Builds the preset a parsed argument set selects (the pure core of
-    /// [`Fidelity::from_args`]).
+    /// Builds the preset a parsed argument set selects: `--quick` selects
+    /// the reduced preset, and `--threads`, `--skip-mode`, `--source` and
+    /// `--sparse-format` override its knobs. Binaries call it as
+    /// `Fidelity::from_cli(&cli::parse_or_exit(FLAGS))`; a flag the binary
+    /// does not declare keeps its default here.
     pub fn from_cli(args: &cli::HarnessArgs) -> Self {
         let mut fid = if args.quick { Self::quick() } else { Self::paper() };
         if let Some(threads) = args.threads {

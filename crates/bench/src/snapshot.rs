@@ -31,7 +31,7 @@ use spnerf::render::interp::{
 };
 use spnerf::render::lanes::LANE_WIDTH;
 use spnerf::render::mlp::{
-    DeferredMlp, Mlp, MlpF16, DEFERRED_INPUT_DIM, MLP_HIDDEN_DIM, MLP_INPUT_DIM, MLP_OUTPUT_DIM,
+    DeferredMlp, Mlp, DEFERRED_INPUT_DIM, MLP_HIDDEN_DIM, MLP_INPUT_DIM, MLP_OUTPUT_DIM,
 };
 use spnerf::render::renderer::{RenderConfig, Shader};
 use spnerf::render::scene::{build_grid, scene_aabb, SceneId};
@@ -55,17 +55,17 @@ pub const SCHEMA_VERSION: u64 = 1;
 pub const SNAPSHOT_PREFIX: &str = "BENCH_";
 
 /// Kernel names every valid snapshot must report: both hot-path kernels in
-/// scalar + lane form, the fp16 GEMV variant, and the fp16 conversions.
+/// scalar + lane form, and the fp16 conversions.
 ///
-/// Snapshots may report *more* kernels than these — PR 7 added the
-/// bake-and-defer rows ([`EXTRA_KERNELS`]) — but the required set is frozen
-/// so every historical `BENCH_*.json` keeps validating.
-pub const REQUIRED_KERNELS: [&str; 8] = [
+/// Snapshots may report *more* kernels than these — the [`EXTRA_KERNELS`]
+/// rows, and in older snapshots an `mlp_gemv.fp16` row timed on a
+/// since-deleted fp16-storage MLP — but only this set is enforced, so every
+/// historical `BENCH_*.json` keeps validating.
+pub const REQUIRED_KERNELS: [&str; 7] = [
     "trilinear.scalar",
     "trilinear.lanes",
     "mlp_gemv.scalar",
     "mlp_gemv.lanes",
-    "mlp_gemv.fp16",
     "fp16.encode",
     "fp16.decode",
     "fp16.round_trip",
@@ -196,7 +196,6 @@ pub fn measure(label: &str, quick: bool) -> Snapshot {
     let grid = build_grid(SceneId::Lego, grid_side);
     let cells = probe_cells(&grid, 1024);
     let mlp = Mlp::random(MLP_SEED);
-    let mlp_f16 = MlpF16::from_mlp(&mlp);
     let inputs: Vec<[f32; MLP_INPUT_DIM]> = (0..64)
         .map(|i| {
             let mut x = [0.0f32; MLP_INPUT_DIM];
@@ -279,13 +278,6 @@ pub fn measure(label: &str, quick: bool) -> Snapshot {
             }
             black_box(acc);
         }),
-        time_kernel("mlp_gemv.fp16", inputs.len() as u64, target, || {
-            let mut acc = 0.0f32;
-            for input in &inputs {
-                acc += mlp_f16.forward(black_box(input))[0];
-            }
-            black_box(acc);
-        }),
         time_kernel("fp16.encode", values.len() as u64, target, || {
             let mut acc = 0u16;
             for v in &values {
@@ -363,7 +355,9 @@ pub fn measure(label: &str, quick: bool) -> Snapshot {
 // JSON emission
 // ---------------------------------------------------------------------------
 
-fn json_escape(s: &str) -> String {
+/// Escapes `s` for a JSON string literal (quotes, backslashes and control
+/// characters).
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -379,8 +373,10 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-fn json_f64(x: f64) -> String {
-    // JSON has no NaN/Infinity; a non-finite timing is a harness bug.
+/// Formats a finite `f64` as a JSON number that always reads as a float.
+pub fn json_f64(x: f64) -> String {
+    // JSON has no NaN/Infinity; a non-finite timing or statistic is a
+    // harness bug.
     assert!(x.is_finite(), "non-finite value cannot be serialized to JSON");
     let s = format!("{x}");
     // `1e9 / ns` can print integral (e.g. `250`); keep a decimal point so
@@ -834,6 +830,7 @@ mod tests {
     fn emitted_floats_are_json_safe() {
         assert_eq!(json_f64(2.0), "2.0");
         assert_eq!(json_f64(0.5), "0.5");
+        assert_eq!(json_f64(0.0025), "0.0025");
         assert!(json_f64(1e9).contains(['e', '.']));
         assert_eq!(json_escape("a\"b\\c\n"), "a\\\"b\\\\c\\n");
     }

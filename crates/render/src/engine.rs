@@ -40,10 +40,6 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Environment variable consulted by [`threads_from_args_or_env`] when no
-/// `--threads` flag is given.
-pub const THREADS_ENV_VAR: &str = "SPNERF_THREADS";
-
 /// A rectangular region of the output image (pixel coordinates, inclusive
 /// origin, exclusive extent).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,43 +141,6 @@ pub fn resolve_parallelism(parallelism: usize) -> usize {
     } else {
         parallelism
     }
-}
-
-/// Extracts a thread count from CLI arguments (`--threads N` or
-/// `--threads=N`), falling back to the `SPNERF_THREADS` environment
-/// variable. Returns `None` when neither is present; malformed values
-/// panic with a usage message rather than being silently ignored.
-pub fn threads_from_args_or_env(args: &[String]) -> Option<usize> {
-    let mut scratch = args.to_vec();
-    take_threads_args(&mut scratch)
-}
-
-/// Like [`threads_from_args_or_env`], but also removes the flag (and its
-/// value) from `args`, so callers with positional arguments can parse the
-/// remainder undisturbed. The first occurrence wins.
-pub fn take_threads_args(args: &mut Vec<String>) -> Option<usize> {
-    let parse = |v: &str, origin: &str| -> usize {
-        v.parse().unwrap_or_else(|_| panic!("{origin}: expected a thread count, got '{v}'"))
-    };
-    let mut found = None;
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == "--threads" {
-            let v = args.get(i + 1).unwrap_or_else(|| panic!("--threads requires a value"));
-            if found.is_none() {
-                found = Some(parse(v, "--threads"));
-            }
-            args.drain(i..i + 2);
-        } else if let Some(v) = args[i].strip_prefix("--threads=") {
-            if found.is_none() {
-                found = Some(parse(v, "--threads"));
-            }
-            args.remove(i);
-        } else {
-            i += 1;
-        }
-    }
-    found.or_else(|| std::env::var(THREADS_ENV_VAR).ok().map(|v| parse(&v, THREADS_ENV_VAR)))
 }
 
 /// The ordered worker pool: runs `job(0) .. job(jobs - 1)` on up to
@@ -316,27 +275,6 @@ mod tests {
     fn resolve_parallelism_handles_auto() {
         assert_eq!(resolve_parallelism(3), 3);
         assert!(resolve_parallelism(0) >= 1);
-    }
-
-    #[test]
-    fn threads_flag_parsing() {
-        let args = |s: &[&str]| s.iter().map(|a| a.to_string()).collect::<Vec<_>>();
-        assert_eq!(threads_from_args_or_env(&args(&["--quick", "--threads", "4"])), Some(4));
-        assert_eq!(threads_from_args_or_env(&args(&["--threads=2"])), Some(2));
-        // First occurrence wins.
-        assert_eq!(threads_from_args_or_env(&args(&["--threads", "3", "--threads=9"])), Some(3));
-        // The env fallback is deliberately not asserted here: it depends on
-        // the ambient SPNERF_THREADS, which the CI smoke jobs exercise.
-    }
-
-    #[test]
-    fn take_threads_args_strips_flag_tokens() {
-        let mut args: Vec<String> = ["prog", "lego", "--threads", "4", "48", "--threads=7", "64"]
-            .iter()
-            .map(|a| a.to_string())
-            .collect();
-        assert_eq!(take_threads_args(&mut args), Some(4));
-        assert_eq!(args, vec!["prog", "lego", "48", "64"]);
     }
 
     #[test]

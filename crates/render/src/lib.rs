@@ -86,11 +86,11 @@ pub mod vec3;
 
 pub use bake::bake;
 pub use camera::PinholeCamera;
-pub use engine::{resolve_parallelism, threads_from_args_or_env, Tile, TileScheduler};
+pub use engine::{resolve_parallelism, Tile, TileScheduler};
 pub use fp16::F16;
 pub use image::ImageBuffer;
 pub use lanes::F32x8;
-pub use mlp::{DeferredMlp, Mlp, MlpF16, MlpScratch};
+pub use mlp::{DeferredMlp, Mlp, MlpScratch};
 pub use ray::{Aabb, Ray};
 pub use renderer::{
     render_view, render_view_serial, trace_ray, RenderConfig, RenderStats, Shader, SkipCache,

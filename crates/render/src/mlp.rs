@@ -10,7 +10,6 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::fp16::{f16_bits_to_f32, f32_to_f16_bits};
 use crate::lanes::{F32x8, LANE_WIDTH};
 use crate::vec3::Vec3;
 use spnerf_voxel::baked::SPEC_DIM;
@@ -108,18 +107,6 @@ impl Layer {
         let weights = (0..in_dim * out_dim).map(|_| rng.gen_range(-bound..bound)).collect();
         let bias = (0..out_dim).map(|_| rng.gen_range(-0.1..0.1f32)).collect();
         Self::from_parts(in_dim, out_dim, weights, bias)
-    }
-
-    /// This layer with every weight and bias rounded through IEEE binary16
-    /// (round-to-nearest-even) — the f32 twin of a [`LayerF16`].
-    fn rounded_f16(&self) -> Self {
-        let round = |v: &f32| f16_bits_to_f32(f32_to_f16_bits(*v));
-        Self::from_parts(
-            self.in_dim,
-            self.out_dim,
-            self.weights.iter().map(round).collect(),
-            self.bias.iter().map(round).collect(),
-        )
     }
 
     /// The scalar reference GEMV — the test oracle of
@@ -248,8 +235,8 @@ impl Mlp {
         out
     }
 
-    /// The scalar reference forward pass — the test oracle the lane and
-    /// fp16 kernels are pinned against.
+    /// The scalar reference forward pass — the test oracle the lane kernel
+    /// is pinned against.
     pub fn forward_scalar(&self, input: &[f32; MLP_INPUT_DIM]) -> [f32; MLP_OUTPUT_DIM] {
         self.forward_scalar_with(input, &mut MlpScratch::new())
     }
@@ -270,14 +257,6 @@ impl Mlp {
             *o = sigmoid(*o);
         }
         out
-    }
-
-    /// This network with every weight and bias rounded through IEEE
-    /// binary16 — the f32 twin of [`MlpF16::from_mlp`], used to pin the
-    /// fp16 GEMV bitwise (decode-then-multiply equals rounding the weights
-    /// first).
-    pub fn quantized_f16(&self) -> Mlp {
-        Mlp { l1: self.l1.rounded_f16(), l2: self.l2.rounded_f16(), l3: self.l3.rounded_f16() }
     }
 
     /// Multiply-accumulate operations per forward pass — the quantity the
@@ -357,8 +336,7 @@ impl Mlp {
     }
 }
 
-/// Reusable hidden-activation buffers for [`Mlp::forward_with`] and
-/// [`MlpF16::forward_with`].
+/// Reusable hidden-activation buffers for [`Mlp::forward_with`].
 ///
 /// One scratch per render job (a tile or a chunk of re-marched pixels)
 /// replaces two 128-element stack zeroings per sample with buffer reuse;
@@ -380,156 +358,6 @@ impl MlpScratch {
 impl Default for MlpScratch {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// One dense layer with fp16-storage weights (decoded to f32 on load).
-#[derive(Debug, Clone, PartialEq)]
-struct LayerF16 {
-    in_dim: usize,
-    out_dim: usize,
-    /// Lane-blocked in-major `in_dim × padded_out` weights as binary16 bit
-    /// patterns — the layout the accelerator's weight SRAM streams.
-    weights_t: Vec<u16>,
-    /// Row-major `out_dim × in_dim` weights as binary16 bit patterns (the
-    /// scalar path's layout).
-    weights: Vec<u16>,
-    bias: Vec<u16>,
-}
-
-impl LayerF16 {
-    fn from_layer(l: &Layer) -> Self {
-        Self {
-            in_dim: l.in_dim,
-            out_dim: l.out_dim,
-            weights_t: l.weights_t.iter().map(|w| f32_to_f16_bits(*w)).collect(),
-            weights: l.weights.iter().map(|w| f32_to_f16_bits(*w)).collect(),
-            bias: l.bias.iter().map(|b| f32_to_f16_bits(*b)).collect(),
-        }
-    }
-
-    /// Scalar GEMV decoding each weight on load; the fp16 conformance
-    /// reference.
-    fn forward_into(&self, x: &[f32], out: &mut [f32]) {
-        debug_assert_eq!(x.len(), self.in_dim);
-        debug_assert_eq!(out.len(), self.out_dim);
-        for (o, slot) in out.iter_mut().enumerate() {
-            let row = &self.weights[o * self.in_dim..(o + 1) * self.in_dim];
-            let mut acc = f16_bits_to_f32(self.bias[o]);
-            for (w, xi) in row.iter().zip(x) {
-                acc += f16_bits_to_f32(*w) * xi;
-            }
-            *slot = acc;
-        }
-    }
-
-    /// Lane-blocked GEMV over decoded fp16 weights, bitwise-equal to
-    /// [`LayerF16::forward_into`].
-    fn forward_into_lanes(&self, x: &[f32], out: &mut [f32]) {
-        debug_assert_eq!(x.len(), self.in_dim);
-        debug_assert_eq!(out.len(), self.out_dim);
-        let padded = pad_to_lanes(self.out_dim);
-        for jb in (0..padded).step_by(LANE_WIDTH) {
-            let mut bias = [0.0f32; LANE_WIDTH];
-            for (slot, b) in bias.iter_mut().zip(&self.bias[jb.min(self.bias.len())..]) {
-                *slot = f16_bits_to_f32(*b);
-            }
-            let mut acc = F32x8::from_array(bias);
-            for (i, xi) in x.iter().enumerate() {
-                let mut w = [0.0f32; LANE_WIDTH];
-                for (slot, bits) in w.iter_mut().zip(&self.weights_t[i * padded + jb..]) {
-                    *slot = f16_bits_to_f32(*bits);
-                }
-                acc = F32x8::splat(*xi).mul_add(F32x8::from_array(w), acc);
-            }
-            acc.store_padded(&mut out[jb..self.out_dim.min(jb + LANE_WIDTH)]);
-        }
-    }
-}
-
-/// The color MLP with weights stored as IEEE binary16 bit patterns — the
-/// accelerator's on-chip weight format ([`Mlp::weight_bytes_f16`] is its
-/// SRAM footprint), wired through [`crate::fp16`]'s software conversions.
-///
-/// Activations stay f32: weights are decoded on load (one
-/// [`f16_bits_to_f32`] per MAC), which models a weight-SRAM-bound datapath
-/// rather than an fp16 ALU. Output is therefore bitwise-equal to an f32
-/// [`Mlp`] whose weights were rounded through binary16
-/// ([`Mlp::quantized_f16`]) — pinned by tests — and only tolerance-close to
-/// the full-precision network.
-///
-/// # Examples
-///
-/// ```
-/// use spnerf_render::mlp::{Mlp, MlpF16, MLP_INPUT_DIM};
-///
-/// let mlp = Mlp::random(42);
-/// let f16 = MlpF16::from_mlp(&mlp);
-/// let input = [0.1f32; MLP_INPUT_DIM];
-/// let (full, quant) = (mlp.forward(&input), f16.forward(&input));
-/// assert!(full.iter().zip(quant).all(|(a, b)| (a - b).abs() < 0.05));
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct MlpF16 {
-    l1: LayerF16,
-    l2: LayerF16,
-    l3: LayerF16,
-}
-
-impl MlpF16 {
-    /// Rounds an f32 network's weights and biases into fp16 storage
-    /// (round-to-nearest-even, via [`f32_to_f16_bits`]).
-    pub fn from_mlp(mlp: &Mlp) -> Self {
-        Self {
-            l1: LayerF16::from_layer(&mlp.l1),
-            l2: LayerF16::from_layer(&mlp.l2),
-            l3: LayerF16::from_layer(&mlp.l3),
-        }
-    }
-
-    /// Runs the network (lane-blocked GEMV), returning RGB in `[0, 1]`.
-    pub fn forward(&self, input: &[f32; MLP_INPUT_DIM]) -> [f32; MLP_OUTPUT_DIM] {
-        self.forward_with(input, &mut MlpScratch::new())
-    }
-
-    /// [`MlpF16::forward`] with caller-owned scratch.
-    pub fn forward_with(
-        &self,
-        input: &[f32; MLP_INPUT_DIM],
-        scratch: &mut MlpScratch,
-    ) -> [f32; MLP_OUTPUT_DIM] {
-        let mut out = [0.0f32; MLP_OUTPUT_DIM];
-        self.l1.forward_into_lanes(input, &mut scratch.h1);
-        relu(&mut scratch.h1);
-        self.l2.forward_into_lanes(&scratch.h1, &mut scratch.h2);
-        relu(&mut scratch.h2);
-        self.l3.forward_into_lanes(&scratch.h2, &mut out);
-        for o in &mut out {
-            *o = sigmoid(*o);
-        }
-        out
-    }
-
-    /// The scalar (decode-on-load) forward pass, bitwise-equal to
-    /// [`MlpF16::forward`]; the fp16 conformance reference.
-    pub fn forward_scalar(&self, input: &[f32; MLP_INPUT_DIM]) -> [f32; MLP_OUTPUT_DIM] {
-        let mut scratch = MlpScratch::new();
-        let mut out = [0.0f32; MLP_OUTPUT_DIM];
-        self.l1.forward_into(input, &mut scratch.h1);
-        relu(&mut scratch.h1);
-        self.l2.forward_into(&scratch.h1, &mut scratch.h2);
-        relu(&mut scratch.h2);
-        self.l3.forward_into(&scratch.h2, &mut out);
-        for o in &mut out {
-            *o = sigmoid(*o);
-        }
-        out
-    }
-
-    /// Bytes of fp16 weight + bias storage actually held (excludes the
-    /// lane-padding columns, matching [`Mlp::weight_bytes_f16`]).
-    pub fn weight_bytes(&self) -> usize {
-        [&self.l1, &self.l2, &self.l3].iter().map(|l| (l.weights.len() + l.bias.len()) * 2).sum()
     }
 }
 
@@ -759,55 +587,6 @@ mod tests {
         for input in random_inputs(5, 16) {
             assert_eq!(mlp.forward_with(&input, &mut scratch), mlp.forward(&input));
         }
-    }
-
-    #[test]
-    fn fp16_lane_gemv_is_bitwise_its_scalar_reference() {
-        let mlp = MlpF16::from_mlp(&Mlp::random(13));
-        for input in random_inputs(31, 32) {
-            let s = mlp.forward_scalar(&input);
-            let l = mlp.forward(&input);
-            for (a, b) in s.iter().zip(l) {
-                assert_eq!(a.to_bits(), b.to_bits(), "fp16 lane GEMV diverged from scalar");
-            }
-        }
-    }
-
-    #[test]
-    fn fp16_mlp_equals_quantized_f32_twin_bitwise() {
-        // Decoding fp16 weights on load must equal rounding the f32 weights
-        // through binary16 up front: the storage format is the only change.
-        let mlp = Mlp::random(17);
-        let f16 = MlpF16::from_mlp(&mlp);
-        let twin = mlp.quantized_f16();
-        for input in random_inputs(3, 16) {
-            let a = f16.forward_scalar(&input);
-            let b = twin.forward_scalar(&input);
-            for (x, y) in a.iter().zip(b) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn fp16_mlp_is_close_to_full_precision() {
-        // vs the unrounded network only a tolerance holds (binary16 keeps
-        // ~3 decimal digits; sigmoid keeps outputs in [0,1]).
-        let mlp = Mlp::random(29);
-        let f16 = MlpF16::from_mlp(&mlp);
-        for input in random_inputs(7, 32) {
-            let full = mlp.forward(&input);
-            let quant = f16.forward(&input);
-            for (a, b) in full.iter().zip(quant) {
-                assert!((a - b).abs() < 0.05, "fp16 drift too large: {a} vs {b}");
-            }
-        }
-    }
-
-    #[test]
-    fn fp16_weight_bytes_match_budget() {
-        let mlp = Mlp::random(0);
-        assert_eq!(MlpF16::from_mlp(&mlp).weight_bytes(), mlp.weight_bytes_f16());
     }
 
     #[test]

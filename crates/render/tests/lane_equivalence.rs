@@ -8,17 +8,14 @@
 //! a rendered pixel. These tests drive both directly over random cells,
 //! weights, all five corpus archetypes, and inputs the random draws never
 //! reach (signed zeros, subnormals, sigmoid-saturating magnitudes). The
-//! fp16-storage MLP is pinned bitwise to its own scalar reference and to
-//! the quantized-f32 twin, and only tolerance-checked against full
-//! precision (rounding weights through binary16 genuinely changes them).
-//! The compositing accumulator is pinned to its per-channel formula.
+//! compositing accumulator is pinned to its per-channel formula.
 
 use proptest::prelude::*;
 use spnerf_render::composite::accumulate_weighted;
 use spnerf_render::interp::{
     interpolate_cell, interpolate_cell_scalar, trilinear_cell, TrilinearCell,
 };
-use spnerf_render::mlp::{DeferredMlp, Mlp, MlpF16, MlpScratch, DEFERRED_INPUT_DIM, MLP_INPUT_DIM};
+use spnerf_render::mlp::{DeferredMlp, Mlp, MlpScratch, DEFERRED_INPUT_DIM, MLP_INPUT_DIM};
 use spnerf_render::scene::{build_grid, SceneId};
 use spnerf_render::source::VoxelSource;
 use spnerf_render::vec3::Vec3;
@@ -128,39 +125,6 @@ proptest! {
         let _ = mlp.forward_with(&mlp_input(input_seed ^ 0xFFFF), &mut scratch);
         let reused = mlp.forward_with(&input, &mut scratch);
         prop_assert_eq!(reused, lanes, "scratch reuse changed the result");
-    }
-
-    // The fp16-storage MLP is pinned two ways: its lane path equals its
-    // own scalar reference bitwise, and both equal the f32 network whose
-    // weights were rounded through binary16 up front.
-    #[test]
-    fn fp16_gemv_is_bitwise_its_references(mlp_seed in 0u64..50, input_seed in 0u64..10_000) {
-        let mlp = Mlp::random(mlp_seed);
-        let f16 = MlpF16::from_mlp(&mlp);
-        let twin = mlp.quantized_f16();
-        let input = mlp_input(input_seed);
-        let lanes = f16.forward(&input);
-        let scalar = f16.forward_scalar(&input);
-        let twin_out = twin.forward_scalar(&input);
-        for k in 0..lanes.len() {
-            prop_assert_eq!(
-                lanes[k].to_bits(), scalar[k].to_bits(),
-                "fp16 lane/scalar diverged at [{}]: mlp_seed={}", k, mlp_seed
-            );
-            prop_assert_eq!(
-                scalar[k].to_bits(), twin_out[k].to_bits(),
-                "fp16 storage disagrees with quantized twin at [{}]: mlp_seed={}", k, mlp_seed
-            );
-        }
-        // Against full precision only closeness holds — binary16 rounding
-        // really does move the weights.
-        let full = mlp.forward_scalar(&input);
-        for k in 0..full.len() {
-            prop_assert!(
-                (full[k] - lanes[k]).abs() < 0.05,
-                "fp16 output [{}] drifted {} from full precision", k, (full[k] - lanes[k]).abs()
-            );
-        }
     }
 
     // The compositing accumulator equals the per-channel formula

@@ -1,9 +1,9 @@
 //! Runs the deterministic serve simulation and prints its report.
 //!
 //! ```text
-//! cargo run --release -p spnerf-serve --bin spnerf_serve -- [--quick]
-//!     [--seed N] [--duration-ticks N] [--cache-bytes N] [--zipf-s S]
-//!     [--replay FILE] [--threads N] [--skip-mode off|mip|mip:N]
+//! cargo run --release -p spnerf-serve --bin spnerf_serve -- [--quick] [--threads N]
+//!     [--skip-mode off|mip|mip:N] [--seed N] [--duration-ticks N] [--cache-bytes N]
+//!     [--replay FILE] [--zipf-s S]
 //! ```
 //!
 //! Stdout is **exactly one JSON document** (the schema-versioned report,
@@ -14,30 +14,29 @@
 //!
 //! `--replay FILE` serves a recorded trace (see
 //! `spnerf_serve::traffic::Trace::to_replay`) instead of synthesizing
-//! traffic; `--seed`/`--zipf-s`/`--duration-ticks` shape the synthetic
-//! trace and are rejected-by-irrelevance only informally (they are echoed
-//! into the report but do not alter a replay).
+//! traffic. The trace fixes its own traffic, so `--seed`, `--zipf-s` and
+//! `--duration-ticks` — which only shape a synthetic trace — exit 2 when
+//! given with `--replay`; `--quick`, `--cache-bytes`, `--threads` and
+//! `--skip-mode` apply to replays too.
 
-use spnerf_bench::cli;
-use spnerf_bench::SourceMode;
+use spnerf_bench::cli::{self, Flag};
 use spnerf_serve::report::validate_report_json;
 use spnerf_serve::server::{run, RunMeta, ServeConfig};
 use spnerf_serve::traffic::{Trace, TrafficConfig};
 
+const FLAGS: &[Flag] = &[
+    Flag::Quick,
+    Flag::Threads,
+    Flag::SkipMode,
+    Flag::Seed,
+    Flag::DurationTicks,
+    Flag::CacheBytes,
+    Flag::Replay,
+    Flag::ZipfS,
+];
+
 fn main() {
-    let args = cli::parse_or_exit();
-    if args.corpus {
-        eprintln!("--corpus: the serve catalog is always the procedural corpus");
-        std::process::exit(2);
-    }
-    if args.source != SourceMode::SpNerf {
-        eprintln!("--source: spnerf_serve always renders both paths (by view parity)");
-        std::process::exit(2);
-    }
-    if let Some(flag) = args.temporal_flag() {
-        eprintln!("{flag}: serve traffic schedules its own trajectory requests (see traffic.rs)");
-        std::process::exit(2);
-    }
+    let args = cli::parse_or_exit(FLAGS);
 
     let mut cfg = if args.quick { ServeConfig::quick() } else { ServeConfig::standard() };
     if let Some(threads) = args.threads {
@@ -48,14 +47,20 @@ fn main() {
         cfg.cache_bytes = bytes;
     }
 
-    let defaults = TrafficConfig::default();
-    let seed = args.seed.unwrap_or(defaults.seed);
-    let zipf_s = args.zipf_s.unwrap_or(defaults.zipf_s);
-    let duration =
-        args.duration_ticks.unwrap_or(if args.quick { 2000 } else { defaults.duration_ticks });
-
     let (trace, meta) = match &args.replay {
         Some(path) => {
+            let synthesis = [
+                (Flag::Seed, args.seed.is_some()),
+                (Flag::ZipfS, args.zipf_s.is_some()),
+                (Flag::DurationTicks, args.duration_ticks.is_some()),
+            ];
+            if let Some((flag, _)) = synthesis.iter().find(|(_, given)| *given) {
+                eprintln!(
+                    "{}: the --replay trace fixes its own traffic; drop one of the two",
+                    flag.name()
+                );
+                std::process::exit(2);
+            }
             let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
                 eprintln!("--replay {path}: {e}");
                 std::process::exit(2);
@@ -77,6 +82,11 @@ fn main() {
             (trace, meta)
         }
         None => {
+            let defaults = TrafficConfig::default();
+            let seed = args.seed.unwrap_or(defaults.seed);
+            let zipf_s = args.zipf_s.unwrap_or(defaults.zipf_s);
+            let default_ticks = if args.quick { 2000 } else { defaults.duration_ticks };
+            let duration = args.duration_ticks.unwrap_or(default_ticks);
             let tc = TrafficConfig { seed, duration_ticks: duration, zipf_s, ..defaults };
             let meta = RunMeta {
                 trace_source: "synthetic".to_string(),

@@ -8,13 +8,13 @@
 //! thread counts, no feature flags, no float formatting that could vary by
 //! platform (Rust's `{}` float formatting is deterministic shortest-repr).
 //!
-//! Emission follows the same hand-rolled discipline as
-//! `spnerf_bench::snapshot`: stable key order, fixed two-space indent, and
+//! Emission uses `spnerf_bench::snapshot`'s hand-rolled JSON helpers and
+//! its discipline: stable key order, fixed two-space indent, and
 //! [`validate_report_json`] re-parses with the bench crate's strict JSON
 //! parser so every emitted report is checked against its own schema before
 //! the process exits 0.
 
-use spnerf_bench::snapshot::{parse_json, Json};
+use spnerf_bench::snapshot::{json_escape, json_f64, parse_json, Json};
 
 /// Schema version emitted in `schema_version`.
 pub const REPORT_SCHEMA_VERSION: u64 = 1;
@@ -81,7 +81,8 @@ pub struct TenantReport {
 pub struct Report {
     /// `"synthetic"` or `"replay"`.
     pub trace_source: String,
-    /// Traffic seed (the synthesis seed; echoed as given for replays).
+    /// Traffic seed of a synthetic trace (0 for replays, which fix their
+    /// own traffic).
     pub seed: u64,
     /// Zipf exponent the traffic was drawn with (0 for replays unless the
     /// caller knows better — informational).
@@ -108,33 +109,6 @@ pub struct Report {
     /// FNV-1a digest over every response in completion order (hex,
     /// `0x` + 16 digits) — the bitwise-determinism witness.
     pub responses_digest: String,
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_f64(x: f64) -> String {
-    // JSON has no NaN/Infinity; a non-finite statistic is a harness bug.
-    assert!(x.is_finite(), "non-finite value cannot be serialized to JSON");
-    let s = format!("{x}");
-    if s.contains('.') || s.contains('e') || s.contains('E') {
-        s
-    } else {
-        format!("{s}.0")
-    }
 }
 
 impl Report {
@@ -454,13 +428,5 @@ mod tests {
             .unwrap_err()
             .iter()
             .any(|e| e.contains("schema_version")));
-    }
-
-    #[test]
-    fn escaping_handles_hostile_strings() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_f64(2.0), "2.0");
-        assert_eq!(json_f64(0.5), "0.5");
-        assert_eq!(json_f64(0.0025), "0.0025");
     }
 }

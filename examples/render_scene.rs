@@ -2,13 +2,12 @@
 //! VQRF gold decode, SpNeRF online decode) and writes PPM images.
 //!
 //! ```text
-//! cargo run --release --example render_scene [scene] [side] [image] [--threads N]
-//! cargo run --release --example render_scene ship 96 128 --threads 4
+//! cargo run --release --example render_scene [scene] [side] [image] [threads]
+//! cargo run --release --example render_scene ship 96 128 4
 //! ```
 //!
-//! `--threads N` (or the `SPNERF_THREADS` environment variable; `0` = all
-//! cores) renders through the tile-parallel engine — the images are
-//! bitwise-identical at every thread count.
+//! `threads` (default 1; `0` = all cores) renders through the tile-parallel
+//! engine — the images are bitwise-identical at every thread count.
 //!
 //! Output files: `target/render_<scene>_{gt,vqrf,spnerf,unmasked}.ppm`.
 
@@ -17,20 +16,17 @@ use std::io::BufWriter;
 
 use spnerf::core::SpNerfConfig;
 use spnerf::pipeline::{scene_by_name, PipelineBuilder, RenderRequest, RenderSource};
-use spnerf::render::engine::take_threads_args;
 use spnerf::render::image::ImageBuffer;
 use spnerf::render::renderer::RenderConfig;
 use spnerf::render::scene::{default_camera, SceneId};
 use spnerf::voxel::vqrf::VqrfConfig;
 
 fn main() -> Result<(), spnerf::Error> {
-    let mut args: Vec<String> = std::env::args().collect();
-    // Strips the flag (and its value), so positional parsing below is
-    // unaffected by where `--threads` appears.
-    let threads = take_threads_args(&mut args).unwrap_or(1);
+    let args: Vec<String> = std::env::args().collect();
     let scene_id = args.get(1).map(|s| scene_by_name(s)).transpose()?.unwrap_or(SceneId::Lego);
     let side: u32 = args.get(2).map(|s| s.parse()).transpose()?.unwrap_or(72);
     let image: u32 = args.get(3).map(|s| s.parse()).transpose()?.unwrap_or(96);
+    let threads: usize = args.get(4).map(|s| s.parse()).transpose()?.unwrap_or(1);
 
     println!("rendering '{scene_id}' at grid {side}³, image {image}×{image}, {threads} thread(s)…");
     let scene = PipelineBuilder::new(scene_id)
