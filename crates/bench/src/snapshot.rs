@@ -23,6 +23,7 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
+use spnerf::core::MaskMode;
 use spnerf::render::bake::bake;
 use spnerf::render::composite::accumulate_weighted;
 use spnerf::render::fp16::{f16_bits_to_f32, f32_to_f16_bits};
@@ -33,15 +34,18 @@ use spnerf::render::lanes::LANE_WIDTH;
 use spnerf::render::mlp::{
     DeferredMlp, Mlp, DEFERRED_INPUT_DIM, MLP_HIDDEN_DIM, MLP_INPUT_DIM, MLP_OUTPUT_DIM,
 };
-use spnerf::render::renderer::{RenderConfig, Shader};
-use spnerf::render::scene::{build_grid, scene_aabb, SceneId};
+use spnerf::render::ray::UniformSampler;
+use spnerf::render::renderer::{RenderConfig, RenderFrame, Shader};
+use spnerf::render::scene::{build_grid, default_camera, scene_aabb, SceneId};
 use spnerf::render::temporal::{
     advance_frame, disocclusion_mask, warp_splat, ReuseMode, TrajectorySpec, WarpConfig,
 };
 use spnerf::render::vec3::Vec3;
 use spnerf::voxel::baked::SPEC_DIM;
+use spnerf::voxel::coord::GridDims;
 use spnerf::voxel::grid::DenseGrid;
 use spnerf::voxel::FEATURE_DIM;
+use spnerf_testkit::fixtures::dataset_fixture;
 
 use crate::MLP_SEED;
 
@@ -75,13 +79,22 @@ pub const REQUIRED_KERNELS: [&str; 7] = [
 /// bake pass (one color-MLP forward per occupied vertex), the deferred
 /// per-pixel view MLP, the compositing accumulator, and — since PR 10 —
 /// the temporal-reuse hot path (the forward-warp splat and the
-/// disocclusion test, one op per pixel each).
+/// disocclusion test, one op per pixel each) — and the masked online
+/// decode (`decode.masked_cell`: one [`interpolate_cell`] on a masked
+/// SpNeRF view per marched sample of a still, its per-cell bitmap probe
+/// included).
 ///
 /// Older snapshots also carry a `composite.lanes` row (a since-deleted
 /// lane-blocked twin of the accumulator); extra rows still validate — only
 /// [`REQUIRED_KERNELS`] is enforced.
-pub const EXTRA_KERNELS: [&str; 5] =
-    ["bake.pass", "deferred_mlp.pixel", "composite.scalar", "warp.splat", "disocclusion.test"];
+pub const EXTRA_KERNELS: [&str; 6] = [
+    "bake.pass",
+    "deferred_mlp.pixel",
+    "composite.scalar",
+    "warp.splat",
+    "disocclusion.test",
+    "decode.masked_cell",
+];
 
 /// Timing of one kernel variant.
 #[derive(Debug, Clone, PartialEq)]
@@ -184,6 +197,24 @@ fn probe_cells(grid: &DenseGrid, n: usize) -> Vec<TrilinearCell> {
         .collect()
 }
 
+/// The interpolation cell of every sample a `side`×`side` view from
+/// [`default_camera`] marches with skipping off, in ray order: the cell
+/// stream a still frame feeds the decoder, mostly empty space.
+fn view_cells(dims: GridDims, side: u32) -> Vec<TrilinearCell> {
+    let frame = RenderFrame::new(dims, &scene_aabb(), &RenderConfig::default());
+    let camera = default_camera(side, side, 0, 1);
+    let mut cells = Vec::new();
+    for py in 0..side {
+        for px in 0..side {
+            let ray = camera.ray_for_pixel(px, py);
+            for (_, pos) in UniformSampler::new(ray, frame.aabb(), frame.step()) {
+                cells.extend(trilinear_cell(dims, frame.grid().world_to_grid(pos)));
+            }
+        }
+    }
+    cells
+}
+
 /// Times every kernel variant and assembles the snapshot.
 ///
 /// `quick` shrinks the per-kernel time budget (and the interpolation grid)
@@ -248,6 +279,12 @@ pub fn measure(label: &str, quick: bool) -> Snapshot {
     let warp_prev = warp_state.expect("frame 0 records reuse state");
     let warp_pixels = warp_side as u64 * warp_side as u64;
     let (warped_colors, warped_depths) = warp_splat(&warp_prev, &warp_cams[1], &warp_cfg);
+
+    // Masked online decode: the paper's `mic` scene at the interpolation
+    // grid's side, probed along every sample of a 32×32 view.
+    let (_, _, decode_model) = dataset_fixture(SceneId::Mic, grid_side, 64, 8, 8192);
+    let masked = decode_model.view(MaskMode::Masked);
+    let decode_cells = view_cells(decode_model.dims(), 32);
 
     let kernels = vec![
         time_kernel("trilinear.scalar", cells.len() as u64, target, || {
@@ -328,6 +365,13 @@ pub fn measure(label: &str, quick: bool) -> Snapshot {
                 &warp_cfg,
                 1,
             ));
+        }),
+        time_kernel("decode.masked_cell", decode_cells.len() as u64, target, || {
+            let mut acc = 0.0f32;
+            for cell in &decode_cells {
+                acc += interpolate_cell(&masked, black_box(cell)).density;
+            }
+            black_box(acc);
         }),
     ];
 
@@ -819,6 +863,7 @@ mod tests {
             ("BENCH_pr7.json", include_str!("../../../BENCH_pr7.json")),
             ("BENCH_pr10.json", include_str!("../../../BENCH_pr10.json")),
             ("BENCH_pr14.json", include_str!("../../../BENCH_pr14.json")),
+            ("BENCH_pr16.json", include_str!("../../../BENCH_pr16.json")),
         ] {
             if let Err(errs) = validate_snapshot_json(text) {
                 panic!("{name} fails the schema: {errs:?}");

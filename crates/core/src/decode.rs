@@ -12,6 +12,13 @@
 //!
 //! [`MaskMode::Unmasked`] disables step 3, reproducing the paper's
 //! "SpNeRF before bitmap masking" ablation of Fig. 6(b).
+//!
+//! The masked view also answers the renderer's per-cell probe
+//! ([`VoxelSource::cell_maybe_occupied`]) from the same bitmap, as the
+//! SGPU's Bitmap Lookup Unit does before its Hash Mapping Unit: a sample
+//! whose 8 corners are all unset skips steps 1–3 for every corner. The
+//! probe reads only the bitmap the model already holds, so it adds no
+//! resident bytes.
 
 use spnerf_render::source::{VoxelData, VoxelSource};
 use spnerf_voxel::coord::{GridCoord, GridDims};
@@ -117,6 +124,16 @@ impl VoxelSource for SpNerfView<'_> {
             _ => None,
         }
     }
+
+    /// Masked: one bitmap probe of the cell's 8 corners, sound because the
+    /// masked decode support is a subset of the bitmap. Unmasked: always
+    /// "maybe", because hash collisions decode at empty voxels.
+    fn cell_maybe_occupied(&self, base: GridCoord) -> bool {
+        match self.mode {
+            MaskMode::Masked => self.model.bitmap().any_in_cell(base),
+            MaskMode::Unmasked => true,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -199,6 +216,82 @@ mod tests {
         for c in model.dims().iter() {
             if vqrf.lookup(c).is_none() {
                 assert!(masked.fetch(c).is_none());
+            }
+        }
+    }
+
+    /// Every cell base of the grid, the far faces and one past them
+    /// included.
+    fn all_bases(dims: GridDims) -> impl Iterator<Item = GridCoord> {
+        (0..=dims.nx).flat_map(move |x| {
+            (0..=dims.ny).flat_map(move |y| (0..=dims.nz).map(move |z| GridCoord::new(x, y, z)))
+        })
+    }
+
+    #[test]
+    fn cell_probe_is_sound_under_both_views() {
+        // The collision-heavy fixture: unmasked decode has false positives.
+        let (_, model) = fixture(14, 0.05, 3, 2, 256);
+        let masked = model.view(MaskMode::Masked);
+        let unmasked = model.view(MaskMode::Unmasked);
+        let mut ruled_out = 0;
+        for base in all_bases(model.dims()) {
+            let maybe = masked.cell_maybe_occupied(base);
+            assert_eq!(maybe, model.bitmap().any_in_cell(base), "cell {base}");
+            if !maybe {
+                ruled_out += 1;
+                for corner in base.cell_corners() {
+                    assert!(masked.fetch(corner).is_none(), "cell {base} fetches {corner}");
+                }
+            }
+            assert!(unmasked.cell_maybe_occupied(base), "unmasked must answer maybe at {base}");
+        }
+        assert!(ruled_out > 0, "the fixture has empty cells to rule out");
+    }
+
+    #[test]
+    fn probed_kernel_is_bitwise_the_scalar_oracle() {
+        use spnerf_render::interp::{
+            interpolate_cell, interpolate_cell_scalar, trilinear_cell, TrilinearCell,
+        };
+        use spnerf_render::vec3::Vec3;
+        let (_, model) = fixture(14, 0.05, 3, 2, 256);
+        // One set of interior weights, every corner weighted, applied at
+        // every base (far-face bases included, which `trilinear_cell`
+        // would clamp away).
+        let weights = trilinear_cell(model.dims(), Vec3::new(0.3, 0.6, 0.45)).unwrap().weights;
+        for mode in [MaskMode::Masked, MaskMode::Unmasked] {
+            let view = model.view(mode);
+            for base in all_bases(model.dims()) {
+                let cell = TrilinearCell { base, weights };
+                let (lanes, scalar) =
+                    (interpolate_cell(&view, &cell), interpolate_cell_scalar(&view, &cell));
+                assert_eq!(lanes.density.to_bits(), scalar.density.to_bits(), "{mode:?} {base}");
+                for (l, s) in lanes.features.iter().zip(scalar.features) {
+                    assert_eq!(l.to_bits(), s.to_bits(), "{mode:?} {base}");
+                }
+                assert_eq!(lanes.occupied_corners, scalar.occupied_corners, "{mode:?} {base}");
+            }
+        }
+    }
+
+    #[test]
+    fn wrappers_forward_the_cell_probe() {
+        // If a wrapper fell back to the trait default, the fast path would
+        // switch itself off behind `&` or an attached pyramid.
+        use spnerf_render::source::WithOccupancy;
+        use spnerf_voxel::mip::OccupancyMip;
+        use std::sync::Arc;
+        let (_, model) = fixture(14, 0.05, 3, 2, 256);
+        for mode in [MaskMode::Masked, MaskMode::Unmasked] {
+            let view = model.view(mode);
+            let mip = Arc::new(OccupancyMip::build(view.support_bitmap()));
+            let wrapped = WithOccupancy::new(view, mip);
+            let by_ref = &view;
+            for base in all_bases(model.dims()) {
+                let want = view.cell_maybe_occupied(base);
+                assert_eq!(VoxelSource::cell_maybe_occupied(&by_ref, base), want, "&view {base}");
+                assert_eq!(wrapped.cell_maybe_occupied(base), want, "WithOccupancy {base}");
             }
         }
     }

@@ -77,9 +77,12 @@ pub fn trilinear_cell(dims: GridDims, g: Vec3) -> Option<TrilinearCell> {
     if g.x > max.x + 0.5 || g.y > max.y + 0.5 || g.z > max.z + 0.5 {
         return None;
     }
-    let gx = g.x.clamp(0.0, max.x - 1e-4);
-    let gy = g.y.clamp(0.0, max.y - 1e-4);
-    let gz = g.z.clamp(0.0, max.z - 1e-4);
+    // The upper clamp keeps the base one vertex below the far face; on a
+    // 1-thick axis (max = 0) there is no such vertex, and the base stays on
+    // the one plane with all weight on it.
+    let gx = g.x.clamp(0.0, (max.x - 1e-4).max(0.0));
+    let gy = g.y.clamp(0.0, (max.y - 1e-4).max(0.0));
+    let gz = g.z.clamp(0.0, (max.z - 1e-4).max(0.0));
     let bx = gx.floor();
     let by = gy.floor();
     let bz = gz.floor();
@@ -155,16 +158,23 @@ pub fn interpolate_cell_scalar<S: VoxelSource + ?Sized>(
 /// it twice. Bitwise-identical to [`interpolate`] at the cell's position,
 /// and to the scalar oracle [`interpolate_cell_scalar`].
 ///
-/// Structure follows the accelerator's Trilinear Interpolation Unit:
-/// *gather* the contributing corners first (the same `w == 0` and masked
+/// Structure follows the accelerator's SGPU: *probe* the cell once
+/// ([`VoxelSource::cell_maybe_occupied`], the BLU check before any hash),
+/// then *gather* the contributing corners (the same `w == 0` and masked
 /// occupancy tests as the scalar oracle, in the same corner order), then
 /// *blend* all [`FEATURE_DIM`] feature channels in lane form — two [`F32x8`]
 /// vectors (channels 0..8 and 8..12 zero-padded) scaled by the splatted
 /// corner weight. The lanes hold independent output channels and corners
 /// accumulate sequentially, so each channel's float-addition order is
 /// exactly the scalar one; see [`crate::lanes`] for the bitwise contract.
+/// The oracle never probes, which is what pins the probe as sound.
 pub fn interpolate_cell<S: VoxelSource + ?Sized>(source: &S, cell: &TrilinearCell) -> InterpSample {
     const EMPTY: VoxelData = VoxelData { density: 0.0, features: [0.0; FEATURE_DIM] };
+    // Probe phase: a ruled-out cell has no corner to gather, and the blend
+    // of zero corners is exactly the empty sample.
+    if !source.cell_maybe_occupied(cell.base) {
+        return InterpSample::empty();
+    }
     let corners = cell.base.cell_corners();
     // Gather phase: contributing corners in scalar order.
     let mut weights = [0.0f32; 8];
@@ -253,6 +263,28 @@ mod tests {
         // Half a voxel outside clamps onto the face.
         let cell = trilinear_cell(dims, Vec3::new(3.4, 1.0, 1.0)).unwrap();
         assert_eq!(cell.base.x, 2); // base clamped so the cell stays in bounds
+    }
+
+    #[test]
+    fn one_thick_axis_interpolates_on_its_plane() {
+        // A side of 1 has no vertex below the far face to clamp the base
+        // to, so the base and all the weight stay on the one plane.
+        let dims = GridDims::new(1, 8, 8);
+        for x in [-0.5, 0.0, 0.3, 0.5] {
+            let cell = trilinear_cell(dims, Vec3::new(x, 2.25, 7.5)).unwrap();
+            assert_eq!(cell.base, GridCoord::new(0, 2, 6));
+            // All weight sits on the x = 0 corners (even indices).
+            for (i, w) in cell.weights.iter().enumerate() {
+                assert!(i % 2 == 0 || *w == 0.0, "x+1 corner {i} weighted {w}");
+            }
+            let sum: f32 = cell.weights.iter().sum();
+            assert!((sum - 1.0).abs() < 1e-5);
+        }
+        assert!(trilinear_cell(dims, Vec3::new(0.6, 2.0, 2.0)).is_none());
+        let mut g = DenseGrid::zeros(dims);
+        g.set_density(GridCoord::new(0, 2, 6), 2.0);
+        let s = interpolate(&g, Vec3::new(0.2, 2.0, 6.0));
+        assert_eq!((s.density, s.occupied_corners), (2.0, 1));
     }
 
     #[test]

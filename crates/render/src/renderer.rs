@@ -709,6 +709,31 @@ mod tests {
     }
 
     #[test]
+    fn one_thick_grids_render() {
+        // A side of 1 is a valid `GridDims`, and `PipelineBuilder::from_grid`
+        // passes such a grid through, so it must render.
+        let mlp = Mlp::random(0);
+        let cam = default_camera(9, 7, 1, 4);
+        for dims in [GridDims::new(1, 8, 8), GridDims::new(8, 8, 1)] {
+            let mut grid = DenseGrid::zeros(dims);
+            for c in dims.iter() {
+                grid.set_density(c, 4.0);
+                grid.set_features(c, &[(c.x + c.y + c.z) as f32 * 0.05; FEATURE_DIM]);
+            }
+            let serial = render_view_serial(&grid, &mlp, &cam, &scene_aabb(), &tiny_cfg());
+            let cfg = RenderConfig { parallelism: 2, tile_size: 4, ..tiny_cfg() };
+            let parallel = render_view(&grid, &mlp, &cam, &scene_aabb(), &cfg);
+            assert_eq!(parallel, serial, "{dims}");
+            let (img, stats) = serial;
+            assert!(stats.samples_shaded > 0, "{dims}: the plane must be hit");
+            assert!(img
+                .pixels()
+                .iter()
+                .all(|p| p.x.is_finite() && p.y.is_finite() && p.z.is_finite()));
+        }
+    }
+
+    #[test]
     fn stats_relationships_hold() {
         let grid = build_grid(SceneId::Chair, 28);
         let mlp = Mlp::random(0);

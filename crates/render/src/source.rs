@@ -6,6 +6,19 @@
 //! SpNeRF's online decoder (with or without bitmap masking, implemented in
 //! `spnerf-core`). PSNR differences between variants are then attributable
 //! purely to the data path, mirroring the paper's Fig. 6(b) methodology.
+//!
+//! Two optional queries let a source tell the renderer where it is empty,
+//! and both default to "no information":
+//!
+//! * [`VoxelSource::occupancy_mip`], a pyramid the ray marcher skips whole
+//!   empty macro-blocks with (under [`crate::renderer::SkipMode::Mip`]);
+//! * [`VoxelSource::cell_maybe_occupied`], a per-cell probe
+//!   [`crate::interp::interpolate_cell`] asks before it gathers a cell's 8
+//!   corners — the masked SpNeRF view answers it from its bitmap, as the
+//!   accelerator's BLU does before the HMU hashes.
+//!
+//! Each may over-approximate the source's support, which only costs work,
+//! but never under-approximate it, which would change pixels.
 
 use std::sync::Arc;
 
@@ -45,6 +58,21 @@ pub trait VoxelSource {
     /// constructs the exact support and therefore always satisfies it.
     fn occupancy_mip(&self) -> Option<&OccupancyMip> {
         None
+    }
+
+    /// Whether the interpolation cell with lower corner `base` may touch a
+    /// vertex this source fetches.
+    ///
+    /// [`crate::interp::interpolate_cell`] asks this once per sample before
+    /// it gathers the cell's corners; a cell ruled out here is the empty
+    /// sample, at the cost of one query instead of eight
+    /// [`VoxelSource::fetch`] calls. **Contract:** `false` promises that
+    /// `fetch` returns `None` for all 8 vertices `[base, base+1]³`; `true`
+    /// (the default) promises nothing. Like [`VoxelSource::occupancy_mip`],
+    /// a wrong `true` only costs a gather, and a wrong `false` changes
+    /// pixels.
+    fn cell_maybe_occupied(&self, _base: GridCoord) -> bool {
+        true
     }
 }
 
@@ -124,6 +152,10 @@ impl<T: VoxelSource + ?Sized> VoxelSource for &T {
     fn occupancy_mip(&self) -> Option<&OccupancyMip> {
         (**self).occupancy_mip()
     }
+
+    fn cell_maybe_occupied(&self, base: GridCoord) -> bool {
+        (**self).cell_maybe_occupied(base)
+    }
 }
 
 /// A [`VoxelSource`] with an occupancy pyramid attached, enabling
@@ -195,6 +227,10 @@ impl<S: VoxelSource> VoxelSource for WithOccupancy<S> {
 
     fn occupancy_mip(&self) -> Option<&OccupancyMip> {
         Some(&self.mip)
+    }
+
+    fn cell_maybe_occupied(&self, base: GridCoord) -> bool {
+        self.source.cell_maybe_occupied(base)
     }
 }
 

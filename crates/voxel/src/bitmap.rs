@@ -75,6 +75,45 @@ impl Bitmap {
         }
     }
 
+    /// Whether any of the 8 vertices `[base, base+1]³` of the interpolation
+    /// cell with lower corner `base` is set. Vertices outside the grid read
+    /// as unset, as in [`Self::get_clamped`].
+    ///
+    /// This is the codebase's one definition of "a cell touches a set
+    /// vertex": the masked decoder's per-cell probe and
+    /// [`crate::mip::OccupancyMip::cell_empty`] both answer with it. Since z
+    /// is the fastest axis, the cell is at most four rows of two adjacent
+    /// bits, so the query reads four rows (one word each, two where the
+    /// pair straddles a word) and allocates nothing.
+    pub fn any_in_cell(&self, base: GridCoord) -> bool {
+        let d = self.dims;
+        // Every corner is `>= base` per axis, so a base outside the grid
+        // has no corner inside it. Checking first also keeps each `+ 1`
+        // below `u32::MAX`.
+        if !d.contains(base) {
+            return false;
+        }
+        let nz = d.nz as usize;
+        let i = d.linear_index_unchecked(base);
+        // On a far face the +1 row is outside the grid; re-reading the base
+        // row in its place leaves the OR unchanged.
+        let dy = if base.y + 1 < d.ny { nz } else { 0 };
+        let dx = if base.x + 1 < d.nx { d.ny as usize * nz } else { 0 };
+        let pair = base.z + 1 < d.nz;
+        self.row_any(i, pair)
+            || self.row_any(i + dy, pair)
+            || self.row_any(i + dx, pair)
+            || self.row_any(i + dx + dy, pair)
+    }
+
+    /// Whether bit `i`, or with `pair` also bit `i + 1`, is set. The caller
+    /// guarantees both indices are in bounds; the pair may straddle a word.
+    fn row_any(&self, i: usize, pair: bool) -> bool {
+        let (w, b) = (i / 64, i % 64);
+        let mask = if pair { 0b11 } else { 0b01 };
+        (self.words[w] >> b) & mask != 0 || (pair && b == 63 && self.words[w + 1] & 1 != 0)
+    }
+
     /// Sets the bit at coordinate `c`.
     ///
     /// # Panics
@@ -199,6 +238,48 @@ mod tests {
         b.set_index(129, true);
         assert!(b.get_index(63) && b.get_index(64) && b.get_index(129));
         assert_eq!(b.count_ones(), 3);
+    }
+
+    #[test]
+    fn any_in_cell_is_the_or_of_eight_clamped_reads() {
+        // The 130-long z axis puts vertex pairs across u64 word boundaries.
+        // Each grid is checked with every single-bit bitmap (so each
+        // straddling pair is seen with only its high half set) and one
+        // random fill, at every base up to one past the far face.
+        for dims in [GridDims::new(5, 7, 9), GridDims::new(2, 3, 130), GridDims::new(1, 1, 130)] {
+            let mut random = Bitmap::zeros(dims);
+            let mut state = 0x9e37_79b9_7f4a_7c15u64;
+            for i in 0..random.len() {
+                state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                random.set_index(i, state >> 61 == 0);
+            }
+            let singles = (0..dims.len()).map(|i| {
+                let mut b = Bitmap::zeros(dims);
+                b.set_index(i, true);
+                b
+            });
+            for b in singles.chain([random]) {
+                for x in 0..=dims.nx {
+                    for y in 0..=dims.ny {
+                        for z in 0..=dims.nz {
+                            let base = GridCoord::new(x, y, z);
+                            let expect = base.cell_corners().iter().any(|&c| b.get_clamped(c));
+                            assert_eq!(b.any_in_cell(base), expect, "cell {base} in {dims}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn any_in_cell_rejects_far_bases_without_overflow() {
+        let mut b = Bitmap::zeros(GridDims::new(2, 2, 2));
+        b.set(GridCoord::new(1, 1, 1), true);
+        assert!(b.any_in_cell(GridCoord::new(0, 0, 0)));
+        assert!(b.any_in_cell(GridCoord::new(1, 1, 1)));
+        assert!(!b.any_in_cell(GridCoord::new(u32::MAX, 0, 0)));
+        assert!(!b.any_in_cell(GridCoord::new(0, u32::MAX, u32::MAX)));
     }
 
     #[test]

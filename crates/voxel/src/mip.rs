@@ -163,12 +163,7 @@ impl OccupancyMip {
     /// empty: all 8 corners `[base, base+1]³` are unoccupied (corners
     /// outside the grid count as empty).
     pub fn cell_empty(&self, base: GridCoord) -> bool {
-        for corner in base.cell_corners() {
-            if self.levels[0].get_clamped(corner) {
-                return false;
-            }
-        }
-        true
+        !self.levels[0].any_in_cell(base)
     }
 
     /// The largest provably-empty region of cell bases containing `base`,
