@@ -44,6 +44,7 @@ use spnerf::render::vec3::Vec3;
 use spnerf::voxel::baked::SPEC_DIM;
 use spnerf::voxel::coord::GridDims;
 use spnerf::voxel::grid::DenseGrid;
+use spnerf::voxel::kmeans::Codebook;
 use spnerf::voxel::FEATURE_DIM;
 use spnerf_testkit::fixtures::dataset_fixture;
 
@@ -82,18 +83,23 @@ pub const REQUIRED_KERNELS: [&str; 7] = [
 /// disocclusion test, one op per pixel each) — and the masked online
 /// decode (`decode.masked_cell`: one [`interpolate_cell`] on a masked
 /// SpNeRF view per marched sample of a still, its per-cell bitmap probe
-/// included).
+/// included) — and the k-means row assignment behind VQRF
+/// (`kmeans.assign.scalar` / `kmeans.assign.lanes`: one
+/// [`Codebook::assign_scalar`] or [`Codebook::assign`] of a 12-dim row
+/// against a 4096-entry codebook, 1024 under `--quick`).
 ///
 /// Older snapshots also carry a `composite.lanes` row (a since-deleted
 /// lane-blocked twin of the accumulator); extra rows still validate — only
 /// [`REQUIRED_KERNELS`] is enforced.
-pub const EXTRA_KERNELS: [&str; 6] = [
+pub const EXTRA_KERNELS: [&str; 8] = [
     "bake.pass",
     "deferred_mlp.pixel",
     "composite.scalar",
     "warp.splat",
     "disocclusion.test",
     "decode.masked_cell",
+    "kmeans.assign.scalar",
+    "kmeans.assign.lanes",
 ];
 
 /// Timing of one kernel variant.
@@ -286,6 +292,16 @@ pub fn measure(label: &str, quick: bool) -> Snapshot {
     let masked = decode_model.view(MaskMode::Masked);
     let decode_cells = view_cells(decode_model.dims(), 32);
 
+    // k-means assignment: 12-dim rows against the paper's 4096-entry VQRF
+    // codebook shape, one op per row.
+    let codewords = if quick { 1024 } else { 4096 };
+    let codebook = Codebook::from_centroids(
+        (0..codewords * FEATURE_DIM).map(|i| (i as f32 * 0.37).sin()).collect(),
+        FEATURE_DIM,
+    );
+    let queries: Vec<[f32; FEATURE_DIM]> =
+        (0..16).map(|r| std::array::from_fn(|c| ((r * 13 + c * 5) as f32 * 0.07).cos())).collect();
+
     let kernels = vec![
         time_kernel("trilinear.scalar", cells.len() as u64, target, || {
             let mut acc = 0.0f32;
@@ -370,6 +386,20 @@ pub fn measure(label: &str, quick: bool) -> Snapshot {
             let mut acc = 0.0f32;
             for cell in &decode_cells {
                 acc += interpolate_cell(&masked, black_box(cell)).density;
+            }
+            black_box(acc);
+        }),
+        time_kernel("kmeans.assign.scalar", queries.len() as u64, target, || {
+            let mut acc = 0usize;
+            for q in &queries {
+                acc += codebook.assign_scalar(black_box(q));
+            }
+            black_box(acc);
+        }),
+        time_kernel("kmeans.assign.lanes", queries.len() as u64, target, || {
+            let mut acc = 0usize;
+            for q in &queries {
+                acc += codebook.assign(black_box(q));
             }
             black_box(acc);
         }),
@@ -864,6 +894,7 @@ mod tests {
             ("BENCH_pr10.json", include_str!("../../../BENCH_pr10.json")),
             ("BENCH_pr14.json", include_str!("../../../BENCH_pr14.json")),
             ("BENCH_pr16.json", include_str!("../../../BENCH_pr16.json")),
+            ("BENCH_pr17.json", include_str!("../../../BENCH_pr17.json")),
         ] {
             if let Err(errs) = validate_snapshot_json(text) {
                 panic!("{name} fails the schema: {errs:?}");

@@ -1,6 +1,7 @@
 //! Tile-parallel render engine: a [`TileScheduler`] that partitions the
-//! image into rectangular tiles and one ordered scoped worker pool that
-//! runs render jobs concurrently.
+//! image into rectangular tiles, run concurrently on the workspace's one
+//! ordered scoped worker pool (`spnerf_voxel::pool::run_ordered`, which the
+//! k-means trainer shares).
 //!
 //! This mirrors how the accelerator literature scales the workload —
 //! Potamoi streams rays through independently scheduled chunks and RT-NeRF
@@ -38,7 +39,8 @@
 //! assert_eq!(parallel, serial);
 //! ```
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+pub use spnerf_voxel::pool::resolve_parallelism;
+pub(crate) use spnerf_voxel::pool::run_ordered;
 
 /// A rectangular region of the output image (pixel coordinates, inclusive
 /// origin, exclusive extent).
@@ -132,103 +134,12 @@ impl TileScheduler {
     }
 }
 
-/// Resolves a [`crate::renderer::RenderConfig::parallelism`] value to a
-/// concrete worker count: `0` maps to the host's available parallelism (at
-/// least 1), any other value is taken as-is.
-pub fn resolve_parallelism(parallelism: usize) -> usize {
-    if parallelism == 0 {
-        std::thread::available_parallelism().map(usize::from).unwrap_or(1)
-    } else {
-        parallelism
-    }
-}
-
-/// The ordered worker pool: runs `job(0) .. job(jobs - 1)` on up to
-/// [`resolve_parallelism`]`(parallelism)` scoped threads and returns the
-/// results in job-index order.
-///
-/// Workers take jobs from an atomic cursor (dynamic load balancing, so a
-/// slow job never stalls the rest), and the results are put back in job
-/// order on the calling thread — so the output never depends on which
-/// worker ran which job. With one worker (or at most one job) the jobs run
-/// inline on the calling thread.
-///
-/// # Panics
-///
-/// Panics if a job panics.
-pub(crate) fn run_ordered<T: Send>(
-    parallelism: usize,
-    jobs: usize,
-    job: impl Fn(usize) -> T + Sync,
-) -> Vec<T> {
-    let workers = resolve_parallelism(parallelism).min(jobs);
-    if workers <= 1 {
-        return (0..jobs).map(job).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let done = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut done = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= jobs {
-                            break done;
-                        }
-                        done.push((i, job(i)));
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("render worker panicked"))
-            .collect::<Vec<_>>()
-    });
-    let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(jobs).collect();
-    for (i, out) in done {
-        slots[i] = Some(out);
-    }
-    slots.into_iter().map(|out| out.expect("every job ran exactly once")).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mlp::Mlp;
     use crate::renderer::{render_view, render_view_serial, RenderConfig};
     use crate::scene::{build_grid, default_camera, scene_aabb, SceneId};
-
-    #[test]
-    fn pool_returns_results_in_job_order() {
-        let square = |i: usize| i * i;
-        // More jobs than workers, more workers than jobs, all cores, one
-        // worker (inline), and zero jobs (an empty re-march list).
-        for (parallelism, jobs) in [(3usize, 17usize), (8, 3), (0, 23), (1, 9), (4, 0), (0, 0)] {
-            let expected: Vec<usize> = (0..jobs).map(square).collect();
-            assert_eq!(
-                run_ordered(parallelism, jobs, square),
-                expected,
-                "parallelism={parallelism} jobs={jobs}"
-            );
-        }
-        // Force out-of-order completion: job 0 holds its worker until the
-        // other worker has finished every other job, so job 0 completes
-        // last. The results must still come back in job order.
-        let jobs = 37;
-        let finished = AtomicUsize::new(0);
-        let out = run_ordered(2, jobs, |i| {
-            if i == 0 {
-                while finished.load(Ordering::SeqCst) < jobs - 1 {
-                    std::thread::yield_now();
-                }
-            }
-            finished.fetch_add(1, Ordering::SeqCst);
-            square(i)
-        });
-        assert_eq!(out, (0..jobs).map(square).collect::<Vec<_>>());
-    }
 
     #[test]
     fn scheduler_covers_image_exactly_once() {

@@ -75,7 +75,6 @@ pub mod eval;
 pub mod fp16;
 pub mod image;
 pub mod interp;
-pub mod lanes;
 pub mod mlp;
 pub mod ray;
 pub mod renderer;
@@ -83,6 +82,10 @@ pub mod scene;
 pub mod source;
 pub mod temporal;
 pub mod vec3;
+
+/// The workspace's one lane type, [`F32x8`], defined in
+/// [`spnerf_voxel::lanes`] next to the k-means kernel that shares it.
+pub use spnerf_voxel::lanes;
 
 pub use bake::bake;
 pub use camera::PinholeCamera;

@@ -5,9 +5,38 @@
 //! their nearest codeword. This module provides a deterministic, seedable
 //! k-means (k-means++ initialization + Lloyd iterations, optionally on a
 //! training subsample for speed).
+//!
+//! # Lane kernels, scalar results
+//!
+//! Every distance sweep runs eight distances per [`F32x8`] and is bitwise
+//! equal to the scalar loop it replaced, so a codebook never depends on
+//! the kernel, the worker count or the host:
+//!
+//! * [`Codebook::assign`] sweeps a transposed copy of the codebook, eight
+//!   codewords per lane vector, accumulating `(x − c)²` channel by channel
+//!   in scalar order and keeping a strict-`<` running minimum per lane;
+//!   the eight lane minima are then reduced by (distance, lowest index).
+//!   [`Codebook::assign_scalar`] is the oracle the tests pin it to.
+//! * The k-means++ seeding lowers each training row's squared distance to
+//!   the nearest chosen centroid eight rows per lane vector, over a
+//!   transposed copy of the subsample. The `f64` total and the pick scan
+//!   stay sequential in row order, because they steer the RNG's choice.
+//! * Lloyd labels and (in [`crate::vqrf`]) the classification of coded
+//!   points run as contiguous row jobs on the ordered pool
+//!   ([`crate::pool::run_ordered`]); labels come back in row order and
+//!   the Lloyd sums still accumulate sequentially.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+use crate::lanes::{F32x8, LANE_WIDTH};
+use crate::pool::run_ordered;
+
+/// Distance evaluations (rows × codewords) per job of the ordered pool:
+/// large enough that a job outweighs its scheduling, and that a small pass
+/// — 32 codewords over up to 8192 rows, or 128 over up to 2048 — is one job
+/// and runs inline without spawning a thread.
+const JOB_DISTANCE_EVALS: usize = 1 << 18;
 
 /// Configuration for [`Codebook::train`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -16,8 +45,8 @@ pub struct KMeansConfig {
     pub k: usize,
     /// Lloyd iterations after initialization.
     pub max_iters: usize,
-    /// Train on at most this many vectors (sampled deterministically).
-    /// `usize::MAX` trains on everything.
+    /// Train on at most this many vectors (sampled deterministically;
+    /// non-zero). `usize::MAX` trains on everything.
     pub train_subsample: usize,
     /// RNG seed: same seed + same data ⇒ identical codebook.
     pub seed: u64,
@@ -48,21 +77,39 @@ pub struct Codebook {
     dim: usize,
     /// `k * dim`, centroid `i` at `i * dim ..`.
     centroids: Vec<f32>,
+    /// The centroids transposed for [`Codebook::assign`] (see
+    /// [`transpose`]), padded with `+∞` lanes: a padding lane's distance is
+    /// `+∞` or NaN, never below the running minimum, so it never wins.
+    blocks: Vec<F32x8>,
 }
 
 impl Codebook {
     /// Trains a codebook on `data` (flat `n × dim`, row-major).
     ///
     /// If fewer distinct vectors than `cfg.k` exist, the surplus centroids
-    /// duplicate existing ones; assignment remains well defined.
+    /// duplicate existing ones; assignment remains well defined. The
+    /// assignment passes use every core the host grants the process; the
+    /// codebook is the same at any worker count.
     ///
     /// # Panics
     ///
-    /// Panics if `dim == 0`, `cfg.k == 0`, `data.len()` is not a multiple of
-    /// `dim`, or `data` is empty.
+    /// Panics if `dim == 0`, `cfg.k == 0`, `cfg.train_subsample == 0`,
+    /// `data.len()` is not a multiple of `dim`, or `data` is empty.
     pub fn train(data: &[f32], dim: usize, cfg: &KMeansConfig) -> Self {
+        Self::train_with_workers(data, dim, cfg, 0)
+    }
+
+    /// [`Codebook::train`] on `workers` pool workers (`0` = the host's
+    /// parallelism); the result is bitwise the same for every value.
+    pub(crate) fn train_with_workers(
+        data: &[f32],
+        dim: usize,
+        cfg: &KMeansConfig,
+        workers: usize,
+    ) -> Self {
         assert!(dim > 0, "dimension must be non-zero");
         assert!(cfg.k > 0, "k must be non-zero");
+        assert!(cfg.train_subsample > 0, "training subsample must be non-zero");
         assert!(!data.is_empty(), "cannot train a codebook on empty data");
         assert_eq!(data.len() % dim, 0, "data length must be a multiple of dim");
         let n = data.len() / dim;
@@ -82,20 +129,30 @@ impl Codebook {
             rows.truncate(cfg.train_subsample);
             rows
         };
-        let row = |r: usize| &data[r * dim..(r + 1) * dim];
+        let n_train = train_rows.len();
+        let train: Vec<f32> =
+            train_rows.iter().flat_map(|r| &data[r * dim..(r + 1) * dim]).copied().collect();
+        let row = |i: usize| &train[i * dim..(i + 1) * dim];
 
-        // k-means++ initialization over the training rows.
-        let k = cfg.k.min(train_rows.len()).max(1);
+        // k-means++ initialization over the training rows. `min_d2` is
+        // padded to whole lane blocks; only its first `n_train` entries are
+        // read.
+        let rows_t = transpose(&train, dim, 0.0);
+        let k = cfg.k.min(n_train).max(1);
         let mut centroids: Vec<f32> = Vec::with_capacity(cfg.k * dim);
-        let first = train_rows[rng.gen_range(0..train_rows.len())];
-        centroids.extend_from_slice(row(first));
-        let mut min_d2: Vec<f32> = train_rows.iter().map(|r| dist2(row(*r), row(first))).collect();
+        let first = row(rng.gen_range(0..n_train));
+        centroids.extend_from_slice(first);
+        let mut min_d2: Vec<f32> = rows_t
+            .chunks_exact(dim)
+            .flat_map(|block| block_dist2(block, first).to_array())
+            .collect();
         while centroids.len() / dim < k {
-            let total: f64 = min_d2.iter().map(|d| *d as f64).sum();
+            let live = &min_d2[..n_train];
+            let total: f64 = live.iter().map(|d| *d as f64).sum();
             let pick = if total > 0.0 {
                 let mut target = rng.gen::<f64>() * total;
-                let mut chosen = train_rows.len() - 1;
-                for (i, d) in min_d2.iter().enumerate() {
+                let mut chosen = n_train - 1;
+                for (i, d) in live.iter().enumerate() {
                     target -= *d as f64;
                     if target <= 0.0 {
                         chosen = i;
@@ -104,16 +161,11 @@ impl Codebook {
                 }
                 chosen
             } else {
-                rng.gen_range(0..train_rows.len())
+                rng.gen_range(0..n_train)
             };
-            let c = row(train_rows[pick]);
+            let c = row(pick);
             centroids.extend_from_slice(c);
-            for (i, r) in train_rows.iter().enumerate() {
-                let d = dist2(row(*r), c);
-                if d < min_d2[i] {
-                    min_d2[i] = d;
-                }
-            }
+            lower_min_d2(&rows_t, dim, c, &mut min_d2);
         }
         // Pad duplicates if k was clamped (fewer rows than requested k).
         while centroids.len() / dim < cfg.k {
@@ -122,18 +174,18 @@ impl Codebook {
             centroids.extend_from_slice(&dup);
         }
 
-        let mut cb = Self { dim, centroids };
+        let mut cb = Self::from_centroids(centroids, dim);
 
-        // Lloyd iterations on the training rows.
+        // Lloyd iterations on the training rows: labels in parallel, sums
+        // and counts sequentially in row order.
         let kk = cfg.k;
         for _ in 0..cfg.max_iters {
+            let labels = cb.assign_rows(n_train, row, workers);
             let mut sums = vec![0.0f64; kk * dim];
             let mut counts = vec![0usize; kk];
-            for r in &train_rows {
-                let v = row(*r);
-                let a = cb.assign(v);
+            for (i, &a) in labels.iter().enumerate() {
                 counts[a] += 1;
-                for (d, x) in v.iter().enumerate() {
+                for (d, x) in row(i).iter().enumerate() {
                     sums[a * dim + d] += *x as f64;
                 }
             }
@@ -150,6 +202,7 @@ impl Codebook {
                     cb.centroids[c * dim + d] = newv;
                 }
             }
+            cb.blocks = transpose(&cb.centroids, dim, f32::INFINITY);
             if !moved {
                 break;
             }
@@ -165,7 +218,8 @@ impl Codebook {
     pub fn from_centroids(centroids: Vec<f32>, dim: usize) -> Self {
         assert!(dim > 0, "dimension must be non-zero");
         assert_eq!(centroids.len() % dim, 0, "centroid data must be a multiple of dim");
-        Self { dim, centroids }
+        let blocks = transpose(&centroids, dim, f32::INFINITY);
+        Self { dim, centroids, blocks }
     }
 
     /// Number of codewords.
@@ -197,12 +251,53 @@ impl Codebook {
         &self.centroids
     }
 
-    /// Index of the nearest centroid to `v` (squared Euclidean distance).
+    /// Index of the nearest centroid to `v` (squared Euclidean distance);
+    /// ties go to the lowest index, and a row with no finite distance
+    /// (NaN or infinite entries) answers 0.
+    ///
+    /// The lane kernel: eight codewords per [`F32x8`] sweep, bitwise the
+    /// same answer as [`Codebook::assign_scalar`].
     ///
     /// # Panics
     ///
     /// Panics if `v.len() != dim`.
     pub fn assign(&self, v: &[f32]) -> usize {
+        assert_eq!(v.len(), self.dim, "query dimension mismatch");
+        // Per lane `l`: the smallest distance over codewords l, l + 8, …
+        // (strict `<`, so the first of equals), and the block it came from.
+        // Block numbers ride in f32 lanes, exact below 2^24 blocks.
+        let mut best_d = F32x8::splat(f32::INFINITY);
+        let mut best_block = F32x8::ZERO;
+        for (b, block) in self.blocks.chunks_exact(self.dim).enumerate() {
+            let mut acc = F32x8::ZERO;
+            for (x, c) in v.iter().zip(block) {
+                let diff = F32x8::splat(*x) - *c;
+                acc += diff * diff;
+            }
+            best_block = acc.select_lt(best_d, F32x8::splat(b as f32), best_block);
+            best_d = acc.select_lt(best_d, acc, best_d);
+        }
+        // Reduce the lanes by (distance, lowest index). A lane that never
+        // saw a finite distance holds (+∞, l) and cannot win, so with no
+        // finite distance anywhere the answer is 0, as in the scalar loop.
+        let (dists, blocks) = (best_d.to_array(), best_block.to_array());
+        let mut best = (f32::INFINITY, 0);
+        for (l, (d, b)) in dists.into_iter().zip(blocks).enumerate() {
+            let i = b as usize * LANE_WIDTH + l;
+            if d < best.0 || (d == best.0 && i < best.1) {
+                best = (d, i);
+            }
+        }
+        best.1
+    }
+
+    /// The scalar oracle of [`Codebook::assign`]: one codeword at a time,
+    /// keeping the first strict minimum.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v.len() != dim`.
+    pub fn assign_scalar(&self, v: &[f32]) -> usize {
         assert_eq!(v.len(), self.dim, "query dimension mismatch");
         let mut best = 0;
         let mut best_d = f32::INFINITY;
@@ -214,6 +309,24 @@ impl Codebook {
             }
         }
         best
+    }
+
+    /// [`Codebook::assign`] of rows `row(0) .. row(n - 1)`, in row order,
+    /// run as contiguous jobs of about [`JOB_DISTANCE_EVALS`] distance
+    /// evaluations each on up to `workers` pool workers (`0` = the host's
+    /// parallelism). One job runs inline.
+    pub(crate) fn assign_rows<'a>(
+        &self,
+        n: usize,
+        row: impl Fn(usize) -> &'a [f32] + Sync,
+        workers: usize,
+    ) -> Vec<usize> {
+        let rows_per_job = (JOB_DISTANCE_EVALS / self.len().max(1)).max(1);
+        run_ordered(workers, n.div_ceil(rows_per_job), |j| {
+            let rows = j * rows_per_job..n.min((j + 1) * rows_per_job);
+            rows.map(|i| self.assign(row(i))).collect::<Vec<_>>()
+        })
+        .concat()
     }
 
     /// Mean squared quantization error of `data` under this codebook.
@@ -234,6 +347,49 @@ impl Codebook {
 
 fn dist2(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
+}
+
+/// Transposes `rows` (flat `n × dim`) into `n.div_ceil(8)` blocks of `dim`
+/// lane vectors: lane `l` of vector `d` in block `b` is channel `d` of row
+/// `8b + l`. Lanes past the last row hold `pad`.
+fn transpose(rows: &[f32], dim: usize, pad: f32) -> Vec<F32x8> {
+    let n = rows.len() / dim;
+    let mut out = Vec::with_capacity(n.div_ceil(LANE_WIDTH) * dim);
+    for b in 0..n.div_ceil(LANE_WIDTH) {
+        for d in 0..dim {
+            out.push(F32x8::from_array(std::array::from_fn(|l| {
+                let r = b * LANE_WIDTH + l;
+                if r < n {
+                    rows[r * dim + d]
+                } else {
+                    pad
+                }
+            })));
+        }
+    }
+    out
+}
+
+/// Squared distances from the eight rows of one transposed block to `c`,
+/// each summed over channels in [`dist2`]'s order.
+fn block_dist2(block: &[F32x8], c: &[f32]) -> F32x8 {
+    let mut acc = F32x8::ZERO;
+    for (x, y) in block.iter().zip(c) {
+        let diff = *x - F32x8::splat(*y);
+        acc += diff * diff;
+    }
+    acc
+}
+
+/// The k-means++ update after picking centroid `c`: lowers each training
+/// row's entry of `min_d2` (padded to whole blocks of `rows_t`, the
+/// transposed rows) to its distance to `c` where that is strictly smaller.
+fn lower_min_d2(rows_t: &[F32x8], dim: usize, c: &[f32], min_d2: &mut [f32]) {
+    for (block, out) in rows_t.chunks_exact(dim).zip(min_d2.chunks_exact_mut(LANE_WIDTH)) {
+        let d = block_dist2(block, c);
+        let cur = F32x8::load_padded(out);
+        d.select_lt(cur, d, cur).store_padded(out);
+    }
 }
 
 #[cfg(test)]
@@ -318,5 +474,72 @@ mod tests {
     #[should_panic(expected = "empty data")]
     fn empty_data_panics() {
         let _ = Codebook::train(&[], 2, &KMeansConfig::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "subsample must be non-zero")]
+    fn zero_subsample_panics() {
+        let cfg = KMeansConfig { train_subsample: 0, ..Default::default() };
+        let _ = Codebook::train(&[1.0, 2.0], 2, &cfg);
+    }
+
+    /// Deterministic pseudo-random rows (flat `n × dim`) in [-1, 1).
+    fn random_rows(n: usize, dim: usize, seed: u64) -> Vec<f32> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n * dim).map(|_| rng.gen::<f32>() * 2.0 - 1.0).collect()
+    }
+
+    /// [`random_rows`] with every 37th entry replaced by a non-finite or
+    /// signed-zero value.
+    fn rows_with_specials(n: usize, dim: usize, seed: u64) -> Vec<f32> {
+        let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0];
+        let mut rows = random_rows(n, dim, seed);
+        for (i, v) in rows.iter_mut().enumerate().skip(36).step_by(37) {
+            *v = specials[i / 37 % 4];
+        }
+        rows
+    }
+
+    #[test]
+    fn lane_min_d2_update_is_bitwise_scalar() {
+        // Ragged row counts leave a partly padded last block.
+        for (n, dim) in [(1usize, 12usize), (8, 3), (13, 12), (64, 5), (101, 1)] {
+            let rows = rows_with_specials(n, dim, n as u64);
+            let rows_t = transpose(&rows, dim, 0.0);
+            let centroids = rows_with_specials(6, dim, 99);
+            // The first centroid sets the distances, the rest lower them.
+            let mut scalar: Vec<f32> =
+                rows.chunks_exact(dim).map(|r| dist2(r, &centroids[..dim])).collect();
+            let mut lanes: Vec<f32> = rows_t
+                .chunks_exact(dim)
+                .flat_map(|block| block_dist2(block, &centroids[..dim]).to_array())
+                .collect();
+            for c in centroids.chunks_exact(dim) {
+                for (r, slot) in rows.chunks_exact(dim).zip(scalar.iter_mut()) {
+                    let d = dist2(r, c);
+                    if d < *slot {
+                        *slot = d;
+                    }
+                }
+                lower_min_d2(&rows_t, dim, c, &mut lanes);
+                let bits = |v: &[f32]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&lanes[..n]), bits(&scalar), "n={n} dim={dim}");
+            }
+        }
+    }
+
+    #[test]
+    fn training_is_bitwise_equal_at_every_worker_count() {
+        // 800 rows against 1024 codewords (seeded from the 800 rows, then
+        // padded with duplicates): 256 rows per pool job, so each Lloyd
+        // pass splits into four jobs.
+        let data = random_rows(800, 12, 5);
+        let cfg = KMeansConfig { k: 1024, max_iters: 2, train_subsample: 800, seed: 11 };
+        let bits = |cb: &Codebook| cb.centroids_raw().iter().map(|v| v.to_bits()).collect();
+        let reference: Vec<u32> = bits(&Codebook::train_with_workers(&data, 12, &cfg, 1));
+        for workers in [2, 3, 8] {
+            let cb = Codebook::train_with_workers(&data, 12, &cfg, workers);
+            assert_eq!(bits(&cb), reference, "workers={workers}");
+        }
     }
 }

@@ -1,9 +1,14 @@
 //! Explicit-width lane arithmetic for the hot-path kernels.
 //!
 //! Stable Rust has no `std::simd`, so this module hand-rolls the one lane
-//! type the renderer needs: [`F32x8`], eight `f32` elements — one 256-bit
+//! type the workspace needs: [`F32x8`], eight `f32` elements — one 256-bit
 //! vector register's worth — stored as a plain array so the autovectorizer
-//! can map every element-wise operation onto packed instructions.
+//! can map every element-wise operation onto packed instructions. It lives
+//! here, in the lowest crate, so the k-means trainer
+//! ([`crate::kmeans`]) and the renderer (`spnerf-render` re-exports this
+//! module as `spnerf_render::lanes`) share one lane type. Every operation
+//! is `#[inline]`, so the renderer's kernels inline them across the crate
+//! boundary as if the type were local.
 //!
 //! # The bitwise contract
 //!
@@ -12,18 +17,19 @@
 //! unfused multiply-then-add. A kernel that accumulates lane-wise in the
 //! same per-element order as its scalar reference therefore produces
 //! bit-identical results. That is what lets every build run the lane
-//! kernels — [`crate::interp::interpolate_cell`] and the MLP GEMV behind
-//! [`crate::mlp::Mlp::forward`] — while the scalar oracles
-//! ([`crate::interp::interpolate_cell_scalar`],
-//! [`crate::mlp::Mlp::forward_scalar`]) pin every pixel of every golden
-//! render in the tests.
+//! kernels — the renderer's `interpolate_cell` and MLP GEMV, and
+//! [`crate::kmeans::Codebook::assign`] — while the scalar oracles
+//! (`interpolate_cell_scalar`, `Mlp::forward_scalar`,
+//! [`crate::kmeans::Codebook::assign_scalar`]) pin every result in the
+//! tests.
 //!
-//! The trick is choosing the lane axis: both vectorized kernels put
+//! The trick is choosing the lane axis: the vectorized kernels put
 //! *independent outputs* in the lanes (feature channels for interpolation,
-//! output neurons for the GEMV) and keep the reduction axis sequential, so
-//! each output's float-addition order is exactly the scalar one.
+//! output neurons for the GEMV, codewords or training rows for k-means) and
+//! keep the reduction axis sequential, so each output's float-addition
+//! order is exactly the scalar one.
 
-use std::ops::{Add, AddAssign, Mul};
+use std::ops::{Add, AddAssign, Mul, Sub};
 
 /// Number of `f32` elements per [`F32x8`] lane vector.
 pub const LANE_WIDTH: usize = 8;
@@ -33,7 +39,7 @@ pub const LANE_WIDTH: usize = 8;
 /// # Examples
 ///
 /// ```
-/// use spnerf_render::lanes::F32x8;
+/// use spnerf_voxel::lanes::F32x8;
 ///
 /// let acc = F32x8::splat(1.0);
 /// let w = F32x8::from_array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]);
@@ -49,16 +55,19 @@ impl F32x8 {
     pub const ZERO: F32x8 = F32x8([0.0; LANE_WIDTH]);
 
     /// Broadcasts one value into every lane.
+    #[inline]
     pub const fn splat(v: f32) -> Self {
         Self([v; LANE_WIDTH])
     }
 
     /// Wraps an element array.
+    #[inline]
     pub const fn from_array(a: [f32; LANE_WIDTH]) -> Self {
         Self(a)
     }
 
     /// The element array.
+    #[inline]
     pub const fn to_array(self) -> [f32; LANE_WIDTH] {
         self.0
     }
@@ -66,6 +75,7 @@ impl F32x8 {
     /// Loads up to [`LANE_WIDTH`] elements from the front of `s`,
     /// zero-filling the tail — the padded load used at ragged edges
     /// (e.g. feature channels 8..12, or an output block past `out_dim`).
+    #[inline]
     pub fn load_padded(s: &[f32]) -> Self {
         let mut a = [0.0f32; LANE_WIDTH];
         let n = s.len().min(LANE_WIDTH);
@@ -75,6 +85,7 @@ impl F32x8 {
 
     /// Stores the first `out.len().min(LANE_WIDTH)` elements into `out` —
     /// the padded store matching [`F32x8::load_padded`].
+    #[inline]
     pub fn store_padded(self, out: &mut [f32]) {
         let n = out.len().min(LANE_WIDTH);
         out[..n].copy_from_slice(&self.0[..n]);
@@ -85,10 +96,26 @@ impl F32x8 {
     /// Two IEEE 754 rounding steps, exactly like the scalar
     /// `acc += w * x` it replaces — **not** a fused `mul_add`, which would
     /// round once and break bitwise equality with the scalar reference.
+    #[inline]
     pub fn mul_add(self, m: F32x8, acc: F32x8) -> F32x8 {
         let mut out = [0.0f32; LANE_WIDTH];
         for ((o, (a, b)), c) in out.iter_mut().zip(self.0.iter().zip(m.0)).zip(acc.0) {
             *o = c + a * b;
+        }
+        Self(out)
+    }
+
+    /// Per lane, `if self < bound { then } else { otherwise }` — the
+    /// branch-free select behind a running argmin.
+    ///
+    /// The comparison is IEEE `<`: a NaN on either side is "not less", so
+    /// that lane keeps `otherwise`, exactly like the scalar
+    /// `if d < best { .. }` it replaces.
+    #[inline]
+    pub fn select_lt(self, bound: F32x8, then: F32x8, otherwise: F32x8) -> F32x8 {
+        let mut out = [0.0f32; LANE_WIDTH];
+        for (l, o) in out.iter_mut().enumerate() {
+            *o = if self.0[l] < bound.0[l] { then.0[l] } else { otherwise.0[l] };
         }
         Self(out)
     }
@@ -97,6 +124,7 @@ impl F32x8 {
 impl Add for F32x8 {
     type Output = F32x8;
 
+    #[inline]
     fn add(self, rhs: F32x8) -> F32x8 {
         let mut out = [0.0f32; LANE_WIDTH];
         for (o, (a, b)) in out.iter_mut().zip(self.0.iter().zip(rhs.0)) {
@@ -107,14 +135,29 @@ impl Add for F32x8 {
 }
 
 impl AddAssign for F32x8 {
+    #[inline]
     fn add_assign(&mut self, rhs: F32x8) {
         *self = *self + rhs;
+    }
+}
+
+impl Sub for F32x8 {
+    type Output = F32x8;
+
+    #[inline]
+    fn sub(self, rhs: F32x8) -> F32x8 {
+        let mut out = [0.0f32; LANE_WIDTH];
+        for (o, (a, b)) in out.iter_mut().zip(self.0.iter().zip(rhs.0)) {
+            *o = a - b;
+        }
+        Self(out)
     }
 }
 
 impl Mul for F32x8 {
     type Output = F32x8;
 
+    #[inline]
     fn mul(self, rhs: F32x8) -> F32x8 {
         let mut out = [0.0f32; LANE_WIDTH];
         for (o, (a, b)) in out.iter_mut().zip(self.0.iter().zip(rhs.0)) {
@@ -162,9 +205,19 @@ mod tests {
         let b = F32x8::splat(0.5);
         assert_eq!((a + b).to_array()[2], 3.5);
         assert_eq!((a * b).to_array()[5], 3.0);
+        assert_eq!((a - b).to_array()[0], 0.5);
         let mut c = a;
         c += b;
         assert_eq!(c, a + b);
+    }
+
+    #[test]
+    fn select_lt_is_a_strict_ieee_less_than() {
+        let x = F32x8::from_array([1.0, 2.0, 3.0, f32::NAN, 5.0, -0.0, f32::INFINITY, 0.5]);
+        let bound = F32x8::from_array([2.0, 2.0, 1.0, 9.0, f32::NAN, 0.0, f32::INFINITY, 1.0]);
+        let got = x.select_lt(bound, F32x8::splat(1.0), F32x8::splat(0.0)).to_array();
+        // Ties, NaN on either side and -0.0 < +0.0 are all "not less".
+        assert_eq!(got, [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]);
     }
 
     #[test]

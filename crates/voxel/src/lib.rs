@@ -21,6 +21,10 @@
 //!   the FlexNeRFer-style occupancy-driven format selector,
 //! * [`quant`] — symmetric INT8 quantization with FP scale,
 //! * [`kmeans`] — the vector-quantization codebook trainer,
+//! * [`lanes`] — [`lanes::F32x8`], the workspace's one explicit-width lane
+//!   type, shared by the k-means kernel and the renderer's hot paths,
+//! * [`pool`] — the one ordered worker pool ([`pool::run_ordered`]),
+//!   shared by k-means, VQRF classification and the renderer,
 //! * [`vqrf`] — the VQRF compressed model incl. the full-grid `restore()`
 //!   step that SpNeRF eliminates,
 //! * [`memory`] — itemized memory accounting shared by all representations.
@@ -54,8 +58,10 @@ pub mod coord;
 pub mod formats;
 pub mod grid;
 pub mod kmeans;
+pub mod lanes;
 pub mod memory;
 pub mod mip;
+pub mod pool;
 pub mod quant;
 pub mod sparse;
 pub mod vqrf;

@@ -34,7 +34,7 @@ pub struct VqrfConfig {
     pub prune_fraction: f64,
     /// Lloyd iterations for codebook training.
     pub kmeans_iters: usize,
-    /// Training subsample size for codebook training.
+    /// Training subsample size for codebook training (non-zero).
     pub kmeans_subsample: usize,
     /// RNG seed for codebook training.
     pub seed: u64,
@@ -62,11 +62,14 @@ impl VqrfConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`VqrfConfigError`] when the codebook is empty or a fraction
-    /// lies outside `[0, 1]`.
+    /// Returns [`VqrfConfigError`] when the codebook or the k-means
+    /// subsample is empty or a fraction lies outside `[0, 1]`.
     pub fn validate(&self) -> Result<(), VqrfConfigError> {
         if self.codebook_size == 0 {
             return Err(VqrfConfigError::ZeroCodebook);
+        }
+        if self.kmeans_subsample == 0 {
+            return Err(VqrfConfigError::ZeroSubsample);
         }
         if !(0.0..=1.0).contains(&self.keep_fraction) {
             return Err(VqrfConfigError::FractionOutOfRange {
@@ -89,6 +92,8 @@ impl VqrfConfig {
 pub enum VqrfConfigError {
     /// `codebook_size` is zero.
     ZeroCodebook,
+    /// `kmeans_subsample` is zero, leaving k-means nothing to train on.
+    ZeroSubsample,
     /// A fraction field lies outside `[0, 1]`.
     FractionOutOfRange {
         /// Which field (`keep_fraction` / `prune_fraction`).
@@ -102,6 +107,7 @@ impl std::fmt::Display for VqrfConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             VqrfConfigError::ZeroCodebook => write!(f, "codebook size must be non-zero"),
+            VqrfConfigError::ZeroSubsample => write!(f, "kmeans_subsample must be non-zero"),
             VqrfConfigError::FractionOutOfRange { field, value } => {
                 write!(f, "{field} must be in [0, 1], got {value}")
             }
@@ -157,12 +163,23 @@ pub struct VqrfModel {
 impl VqrfModel {
     /// Builds a VQRF model from a dense grid.
     ///
+    /// Codebook training and the classification of coded points use every
+    /// core the host grants the process; the model is the same at any
+    /// worker count.
+    ///
     /// # Panics
     ///
-    /// Panics if `cfg.codebook_size == 0`, fractions are outside `[0, 1]`,
-    /// or the grid has no occupied voxel.
+    /// Panics if `cfg.codebook_size == 0`, `cfg.kmeans_subsample == 0`,
+    /// fractions are outside `[0, 1]`, or the grid has no occupied voxel.
     pub fn build(grid: &DenseGrid, cfg: &VqrfConfig) -> Self {
+        Self::build_with_workers(grid, cfg, 0)
+    }
+
+    /// [`VqrfModel::build`] on `workers` pool workers (`0` = the host's
+    /// parallelism); the model is bitwise the same for every value.
+    pub(crate) fn build_with_workers(grid: &DenseGrid, cfg: &VqrfConfig, workers: usize) -> Self {
         assert!(cfg.codebook_size > 0, "codebook size must be non-zero");
+        assert!(cfg.kmeans_subsample > 0, "kmeans_subsample must be non-zero");
         assert!((0.0..=1.0).contains(&cfg.keep_fraction), "keep_fraction must be in [0,1]");
         assert!((0.0..=1.0).contains(&cfg.prune_fraction), "prune_fraction must be in [0,1]");
         let mut points = grid.extract_nonzero();
@@ -211,9 +228,13 @@ impl VqrfModel {
             train_subsample: cfg.kmeans_subsample,
             seed: cfg.seed,
         };
-        let codebook = Codebook::train(&train, FEATURE_DIM, &km);
+        let codebook = Codebook::train_with_workers(&train, FEATURE_DIM, &km, workers);
 
-        // Classify every point and gather kept features / densities.
+        // Classify every point and gather kept features / densities. The
+        // coded points' codewords come from the pool, in point order.
+        let coded: Vec<usize> = (0..n).filter(|i| !is_kept[*i]).collect();
+        let mut codewords =
+            codebook.assign_rows(coded.len(), |j| &points[coded[j]].features, workers).into_iter();
         let mut classes = Vec::with_capacity(n);
         let mut kept_flat: Vec<f32> = Vec::with_capacity(n_keep * FEATURE_DIM);
         let mut dens: Vec<f32> = Vec::with_capacity(n);
@@ -223,7 +244,8 @@ impl VqrfModel {
                 kept_flat.extend_from_slice(&p.features);
                 classes.push(PointClass::Kept(row));
             } else {
-                classes.push(PointClass::Codeword(codebook.assign(&p.features) as u32));
+                let c = codewords.next().expect("one codeword per coded point");
+                classes.push(PointClass::Codeword(c as u32));
             }
             dens.push(p.density);
         }
@@ -369,6 +391,8 @@ mod tests {
         assert_eq!(VqrfConfig::default().validate(), Ok(()));
         let zero = VqrfConfig { codebook_size: 0, ..Default::default() };
         assert_eq!(zero.validate(), Err(VqrfConfigError::ZeroCodebook));
+        let no_subsample = VqrfConfig { kmeans_subsample: 0, ..Default::default() };
+        assert_eq!(no_subsample.validate(), Err(VqrfConfigError::ZeroSubsample));
         let keep = VqrfConfig { keep_fraction: 1.5, ..Default::default() };
         assert!(matches!(
             keep.validate(),
@@ -492,6 +516,34 @@ mod tests {
         let empty = g.dims().iter().find(|c| !g.is_occupied(*c)).unwrap();
         assert_eq!(m.lookup(empty), None);
         assert!(m.decode_at(empty).is_none());
+    }
+
+    #[test]
+    fn build_is_bitwise_equal_at_every_worker_count() {
+        // About 1100 coded points against 512 codewords: the Lloyd pass and
+        // the classification pass each split into three pool jobs.
+        let g = random_grid(16, 0.28, 8);
+        let cfg = VqrfConfig { codebook_size: 512, kmeans_iters: 1, ..small_cfg() };
+        let fingerprint = |m: &VqrfModel| {
+            let centroids: Vec<u32> =
+                m.codebook().centroids_raw().iter().map(|v| v.to_bits()).collect();
+            let classes: Vec<PointClass> = (0..m.nnz()).map(|i| m.class_of(i)).collect();
+            (centroids, classes)
+        };
+        let reference = fingerprint(&VqrfModel::build_with_workers(&g, &cfg, 1));
+        assert!(reference.1.iter().filter(|c| matches!(c, PointClass::Codeword(_))).count() > 1024);
+        for workers in [2, 3, 8] {
+            let m = VqrfModel::build_with_workers(&g, &cfg, workers);
+            assert!(fingerprint(&m) == reference, "workers={workers}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "kmeans_subsample must be non-zero")]
+    fn zero_subsample_panics() {
+        let g = random_grid(8, 0.2, 9);
+        let cfg = VqrfConfig { kmeans_subsample: 0, ..small_cfg() };
+        let _ = VqrfModel::build(&g, &cfg);
     }
 
     #[test]

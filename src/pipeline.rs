@@ -916,6 +916,7 @@ impl RenderSession<'_> {
 mod tests {
     use super::*;
     use spnerf_render::scene::default_camera;
+    use spnerf_voxel::vqrf::VqrfConfigError;
 
     fn tiny_scene() -> Scene {
         PipelineBuilder::new(SceneId::Mic)
@@ -934,6 +935,14 @@ mod tests {
             .vqrf_config(VqrfConfig { codebook_size: 0, ..Default::default() })
             .build();
         assert!(matches!(bad_vqrf, Err(Error::Vqrf(_))));
+
+        // A zero k-means subsample leaves nothing to train on; it is a
+        // typed error, not a panic inside the codebook trainer.
+        let no_subsample = PipelineBuilder::new(SceneId::Lego)
+            .grid_side(16)
+            .vqrf_config(VqrfConfig { kmeans_subsample: 0, ..Default::default() })
+            .build();
+        assert!(matches!(no_subsample, Err(Error::Vqrf(VqrfConfigError::ZeroSubsample))));
 
         let bad_spnerf = PipelineBuilder::new(SceneId::Mic)
             .grid_side(12)
