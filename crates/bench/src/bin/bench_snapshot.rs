@@ -1,11 +1,9 @@
 //! Records or validates the schema-versioned kernel benchmark snapshots
 //! (`BENCH_*.json`) described in `docs/benchmarking.md`.
 //!
-//! Measure mode times both hot-path kernels (trilinear interpolation and
-//! the MLP GEMV) in scalar and lane form, the fp16 conversions, the
-//! bake-and-defer rows (bake pass, deferred per-pixel MLP, compositing
-//! accumulator), and the temporal-reuse rows (forward-warp splat,
-//! disocclusion test), and writes one snapshot file:
+//! Measure mode times every kernel row, the
+//! [`snapshot::REQUIRED_KERNELS`] and then the [`snapshot::EXTRA_KERNELS`],
+//! and writes one snapshot file:
 //!
 //! ```text
 //! cargo run --release -p spnerf-bench --bin bench_snapshot -- [--quick] \
@@ -201,8 +199,9 @@ fn main() -> ExitCode {
         if quick { "quick" } else { "full" }
     );
     let snap = snapshot::measure(&label, quick);
+    let width = snap.kernels.iter().map(|k| k.name.len()).max().unwrap_or(0);
     for k in &snap.kernels {
-        eprintln!("  {:<18} {:>10.2} ns/op  {:>14.0} ops/s", k.name, k.ns_per_op, k.ops_per_s);
+        eprintln!("  {:<width$} {:>10.2} ns/op  {:>14.0} ops/s", k.name, k.ns_per_op, k.ops_per_s);
     }
     let json = snap.to_json();
     snapshot::validate_snapshot_json(&json).expect("freshly measured snapshot validates");

@@ -98,7 +98,7 @@ fn main() {
     );
     println!(
         "Note: the paper's 6.36 FPS/mm2 is inconsistent with 67.56/7.7 = 8.77; we report\n\
-         the straight quotient (see EXPERIMENTS.md)."
+         the straight quotient."
     );
 }
 

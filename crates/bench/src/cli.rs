@@ -5,10 +5,9 @@
 //! next to its `main` — and passes them to [`parse_or_exit`]. It accepts
 //! exactly those flags plus `--help`/`-h`, and **rejects anything else**,
 //! including flags another binary declares, with exit 2 and usage text that
-//! lists only its own flags. This matches the criterion shim's philosophy: a
-//! flag that is silently ignored makes a figure report a configuration it
-//! never ran while looking successful, which is strictly worse than failing
-//! loudly.
+//! lists only its own flags. A flag that is silently ignored makes a figure
+//! report a configuration it never ran while looking successful, which is
+//! strictly worse than failing loudly.
 //!
 //! [`parse`] is the pure, testable core; [`parse_or_exit`] is the binary
 //! entry point that prints usage / errors and, for binaries that declare

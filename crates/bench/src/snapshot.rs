@@ -1,9 +1,9 @@
 //! Schema-versioned kernel benchmark snapshots — the `BENCH_*.json` perf
 //! trajectory.
 //!
-//! The criterion shim prints timings but cannot export them, so the
-//! `bench_snapshot` binary times the hot-path kernels itself (same
-//! `Instant`-based calibration idea) and serializes a [`Snapshot`]: one
+//! perfbench (`perfbench/`) times the workspace end to end; the
+//! `bench_snapshot` binary times its kernels in isolation, each with one
+//! calibrated `Instant` loop, and serializes a [`Snapshot`]: one
 //! [`KernelResult`] per kernel variant plus a [`Fingerprint`] of the
 //! configuration that produced it. One snapshot per PR is checked into the
 //! repo root (`BENCH_pr6.json`, `BENCH_pr7.json`, …) so the performance
@@ -23,7 +23,14 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
+use spnerf::accel::sim::block_circulant::BlockCirculantBuffer;
+use spnerf::accel::sim::systolic::SystolicArray;
+use spnerf::core::hash::spatial_hash;
+use spnerf::core::table::HashTable;
 use spnerf::core::MaskMode;
+use spnerf::dram::controller::MemoryController;
+use spnerf::dram::timing::DramTimings;
+use spnerf::dram::trace::{gather, sequential};
 use spnerf::render::bake::bake;
 use spnerf::render::composite::accumulate_weighted;
 use spnerf::render::fp16::{f16_bits_to_f32, f32_to_f16_bits};
@@ -42,7 +49,7 @@ use spnerf::render::temporal::{
 };
 use spnerf::render::vec3::Vec3;
 use spnerf::voxel::baked::SPEC_DIM;
-use spnerf::voxel::coord::GridDims;
+use spnerf::voxel::coord::{GridCoord, GridDims};
 use spnerf::voxel::grid::DenseGrid;
 use spnerf::voxel::kmeans::Codebook;
 use spnerf::voxel::FEATURE_DIM;
@@ -76,22 +83,32 @@ pub const REQUIRED_KERNELS: [&str; 7] = [
     "fp16.round_trip",
 ];
 
-/// Kernel rows recorded since PR 7, on top of [`REQUIRED_KERNELS`]: the
-/// bake pass (one color-MLP forward per occupied vertex), the deferred
-/// per-pixel view MLP, the compositing accumulator, and — since PR 10 —
-/// the temporal-reuse hot path (the forward-warp splat and the
-/// disocclusion test, one op per pixel each) — and the masked online
-/// decode (`decode.masked_cell`: one [`interpolate_cell`] on a masked
-/// SpNeRF view per marched sample of a still, its per-cell bitmap probe
-/// included) — and the k-means row assignment behind VQRF
-/// (`kmeans.assign.scalar` / `kmeans.assign.lanes`: one
-/// [`Codebook::assign_scalar`] or [`Codebook::assign`] of a 12-dim row
-/// against a 4096-entry codebook, 1024 under `--quick`).
+/// Kernel rows measured on top of [`REQUIRED_KERNELS`], each with the
+/// elementary operation its `ns_per_op` counts:
+///
+/// * `bake.pass`: one color-MLP forward per occupied vertex of a bake pass.
+/// * `deferred_mlp.pixel`: one deferred per-pixel view-MLP forward.
+/// * `composite.scalar`: one [`accumulate_weighted`] of a 9-channel sample.
+/// * `warp.splat`: one pixel of a forward-warp splat into the next camera.
+/// * `disocclusion.test`: one pixel of the disocclusion test.
+/// * `decode.masked_cell`: one [`interpolate_cell`] on a masked SpNeRF view
+///   per sample a 32×32 still marches, its per-cell bitmap probe included.
+/// * `kmeans.assign.scalar` / `kmeans.assign.lanes`: one
+///   [`Codebook::assign_scalar`] or [`Codebook::assign`] of a 12-dim row
+///   against a 4096-entry codebook (1024 under `--quick`).
+/// * `hash.spatial_eq1`: one Eq. 1 [`spatial_hash`] of a grid coordinate.
+/// * `table.keyless_lookup`: one keyless [`HashTable::lookup`].
+/// * `block_circulant.write_read`: one 39-wide vector written to and read
+///   back from a [`BlockCirculantBuffer`].
+/// * `systolic.gemm`: one multiply-accumulate of a 64×39×128
+///   [`SystolicArray::gemm`] on a 16×16 array.
+/// * `dram.stream` / `dram.gather`: one DRAM request of a 1 MiB sequential
+///   stream or a 4096-read gather replayed by [`MemoryController::run_trace`].
 ///
 /// Older snapshots also carry a `composite.lanes` row (a since-deleted
-/// lane-blocked twin of the accumulator); extra rows still validate — only
-/// [`REQUIRED_KERNELS`] is enforced.
-pub const EXTRA_KERNELS: [&str; 8] = [
+/// lane-blocked twin of the accumulator) and lack the newer rows; only
+/// [`REQUIRED_KERNELS`] is enforced, so they still validate.
+pub const EXTRA_KERNELS: [&str; 14] = [
     "bake.pass",
     "deferred_mlp.pixel",
     "composite.scalar",
@@ -100,6 +117,12 @@ pub const EXTRA_KERNELS: [&str; 8] = [
     "decode.masked_cell",
     "kmeans.assign.scalar",
     "kmeans.assign.lanes",
+    "hash.spatial_eq1",
+    "table.keyless_lookup",
+    "block_circulant.write_read",
+    "systolic.gemm",
+    "dram.stream",
+    "dram.gather",
 ];
 
 /// Timing of one kernel variant.
@@ -302,6 +325,27 @@ pub fn measure(label: &str, quick: bool) -> Snapshot {
     let queries: Vec<[f32; FEATURE_DIM]> =
         (0..16).map(|r| std::array::from_fn(|c| ((r * 13 + c * 5) as f32 * 0.07).cos())).collect();
 
+    // Accelerator kernels: the HMU's Eq. 1 hash and keyless table lookup
+    // (2000 entries in a 32k-slot table), the block-circulant buffer that
+    // feeds the systolic array, one tiled GEMM of an MLP layer's shape, and
+    // DRAM replay of a streamed subgrid slice and of VQRF's vertex gather.
+    let table_size = 32 * 1024;
+    let hash_coords: Vec<GridCoord> = (0..1024).map(|i| GridCoord::new(i, i * 7, i * 13)).collect();
+    let mut table = HashTable::new(table_size);
+    for i in 0..2000u32 {
+        table.insert(GridCoord::new(i, i * 3, i * 5), i % 4096, 1);
+    }
+    let lookups: Vec<GridCoord> = (0..1024).map(|i| GridCoord::new(i, i * 3, i * 5)).collect();
+    let vector: Vec<f32> = (0..39).map(|i| i as f32).collect();
+    let batch = 64;
+    let systolic = SystolicArray::new(16, 16);
+    let (m, k, n) = (64, 39, 128);
+    let gemm_a: Vec<f32> = (0..m * k).map(|i| (i as f32 * 0.01).sin()).collect();
+    let gemm_b: Vec<f32> = (0..k * n).map(|i| (i as f32 * 0.02).cos()).collect();
+    let timings = DramTimings::lpddr4_3200();
+    let stream = sequential(0, 1 << 20, 256);
+    let scattered = gather(4096, 1 << 28, 64, 7);
+
     let kernels = vec![
         time_kernel("trilinear.scalar", cells.len() as u64, target, || {
             let mut acc = 0.0f32;
@@ -402,6 +446,40 @@ pub fn measure(label: &str, quick: bool) -> Snapshot {
                 acc += codebook.assign(black_box(q));
             }
             black_box(acc);
+        }),
+        time_kernel("hash.spatial_eq1", hash_coords.len() as u64, target, || {
+            let mut acc = 0usize;
+            for c in &hash_coords {
+                acc ^= spatial_hash(black_box(*c), table_size);
+            }
+            black_box(acc);
+        }),
+        time_kernel("table.keyless_lookup", lookups.len() as u64, target, || {
+            let mut hits = 0usize;
+            for c in &lookups {
+                hits += usize::from(table.lookup(black_box(*c)).is_some());
+            }
+            black_box(hits);
+        }),
+        time_kernel("block_circulant.write_read", batch as u64, target, || {
+            let mut buf = BlockCirculantBuffer::new(batch);
+            for _ in 0..batch {
+                buf.write_vector(black_box(&vector)).expect("the batch fits the buffer");
+            }
+            let mut acc = 0.0f32;
+            for i in 0..batch {
+                acc += buf.read_vector(i)[0];
+            }
+            black_box(acc);
+        }),
+        time_kernel("systolic.gemm", (m * k * n) as u64, target, || {
+            black_box(systolic.gemm(black_box(&gemm_a), black_box(&gemm_b), m, k, n));
+        }),
+        time_kernel("dram.stream", stream.len() as u64, target, || {
+            black_box(MemoryController::new(timings).run_trace(black_box(&stream)).cycles);
+        }),
+        time_kernel("dram.gather", scattered.len() as u64, target, || {
+            black_box(MemoryController::new(timings).run_trace(black_box(&scattered)).cycles);
         }),
     ];
 
@@ -565,8 +643,15 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`parse_json`] accepts. The parser
+/// recurses once per level, so the bound keeps hostile input from
+/// overflowing the stack; every document this workspace emits is a few
+/// levels deep.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
+    /// Byte offset of the next unread character (always a char boundary).
     pos: usize,
 }
 
@@ -576,26 +661,38 @@ impl<'a> Parser<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
+    }
+
+    /// Consumes `b` if it is next.
+    fn eat(&mut self, b: u8) -> bool {
+        let hit = self.peek() == Some(b);
+        self.pos += usize::from(hit);
+        hit
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
+        if self.eat(b) {
             Ok(())
         } else {
             Err(self.err(&format!("expected `{}`", b as char)))
         }
     }
 
+    fn next_char(&mut self) -> Option<char> {
+        let c = self.src[self.pos..].chars().next()?;
+        self.pos += c.len_utf8();
+        Some(c)
+    }
+
     fn lit(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.src[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -607,72 +704,94 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            let Some(b) = self.peek() else { return Err(self.err("unterminated string")) };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(e) = self.peek() else { return Err(self.err("bad escape")) };
-                    self.pos += 1;
-                    match e {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            out.push(
-                                char::from_u32(hex)
-                                    .ok_or_else(|| self.err("\\u escape is not a scalar"))?,
-                            );
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                _ => {
-                    // Re-decode from the byte position to keep UTF-8 intact.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos - 1..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8() - 1;
-                }
+            match self.next_char() {
+                None => return Err(self.err("unterminated string")),
+                Some('"') => return Ok(out),
+                Some('\\') => out.push(self.escape()?),
+                Some(c) if c < ' ' => return Err(self.err("unescaped control character")),
+                Some(c) => out.push(c),
             }
         }
     }
 
+    /// The character a backslash escape stands for; a `\u` high surrogate
+    /// must be followed by a `\u` low surrogate, and the pair is one char.
+    fn escape(&mut self) -> Result<char, String> {
+        Ok(match self.next_char() {
+            Some('"') => '"',
+            Some('\\') => '\\',
+            Some('/') => '/',
+            Some('n') => '\n',
+            Some('t') => '\t',
+            Some('r') => '\r',
+            Some('b') => '\u{8}',
+            Some('f') => '\u{c}',
+            Some('u') => {
+                let unit = self.hex4()?;
+                if (0xD800..0xDC00).contains(&unit) {
+                    let low = if self.eat(b'\\') && self.eat(b'u') { self.hex4()? } else { 0 };
+                    if !(0xDC00..0xE000).contains(&low) {
+                        return Err(self.err("high surrogate without a low surrogate"));
+                    }
+                    let c = 0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00);
+                    char::from_u32(c).expect("a surrogate pair encodes a scalar value")
+                } else {
+                    char::from_u32(unit).ok_or_else(|| self.err("lone low surrogate"))?
+                }
+            }
+            _ => return Err(self.err("unknown escape")),
+        })
+    }
+
+    fn hex4(&mut self) -> Result<u32, String> {
+        let hex = self
+            .src
+            .get(self.pos..self.pos + 4)
+            .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
+            .ok_or_else(|| self.err("bad \\u escape"))?;
+        self.pos += 4;
+        Ok(u32::from_str_radix(hex, 16).expect("four hex digits"))
+    }
+
+    /// Consumes a run of ASCII digits; `false` if there was none.
+    fn digits(&mut self) -> bool {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos > start
+    }
+
+    /// RFC 8259: `-? (0 | [1-9][0-9]*) (.[0-9]+)? ([eE][+-]?[0-9]+)?`.
     fn number(&mut self) -> Result<Json, String> {
         let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
+        self.eat(b'-');
+        let int = self.eat(b'0') || (matches!(self.peek(), Some(b'1'..=b'9')) && self.digits());
+        if !int || (self.eat(b'.') && !self.digits()) {
+            return Err(self.err("malformed number"));
+        }
+        if self.eat(b'e') || self.eat(b'E') {
+            if !self.eat(b'+') {
+                self.eat(b'-');
+            }
+            if !self.digits() {
+                return Err(self.err("malformed number"));
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        text.parse::<f64>().map(Json::Num).map_err(|_| self.err("malformed number"))
+        self.src[start..self.pos].parse().map(Json::Num).map_err(|_| self.err("malformed number"))
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    fn value(&mut self, depth: usize) -> Result<Json, String> {
         self.skip_ws();
         match self.peek() {
+            Some(b'{' | b'[') if depth == MAX_DEPTH => {
+                Err(self.err(&format!("nested deeper than {MAX_DEPTH} levels")))
+            }
             Some(b'{') => {
                 self.pos += 1;
                 let mut members = Vec::new();
                 self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
+                if self.eat(b'}') {
                     return Ok(Json::Obj(members));
                 }
                 loop {
@@ -680,15 +799,13 @@ impl<'a> Parser<'a> {
                     let key = self.string()?;
                     self.skip_ws();
                     self.expect(b':')?;
-                    members.push((key, self.value()?));
+                    members.push((key, self.value(depth + 1)?));
                     self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Json::Obj(members));
-                        }
-                        _ => return Err(self.err("expected `,` or `}`")),
+                    if self.eat(b'}') {
+                        return Ok(Json::Obj(members));
+                    }
+                    if !self.eat(b',') {
+                        return Err(self.err("expected `,` or `}`"));
                     }
                 }
             }
@@ -696,20 +813,17 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
                 let mut items = Vec::new();
                 self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
+                if self.eat(b']') {
                     return Ok(Json::Arr(items));
                 }
                 loop {
-                    items.push(self.value()?);
+                    items.push(self.value(depth + 1)?);
                     self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Json::Arr(items));
-                        }
-                        _ => return Err(self.err("expected `,` or `]`")),
+                    if self.eat(b']') {
+                        return Ok(Json::Arr(items));
+                    }
+                    if !self.eat(b',') {
+                        return Err(self.err("expected `,` or `]`"));
                     }
                 }
             }
@@ -723,16 +837,17 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Parses one JSON document, rejecting trailing garbage.
+/// Parses one RFC 8259 JSON document, rejecting trailing garbage and
+/// nesting deeper than 128 levels.
 ///
 /// # Errors
 ///
 /// Returns a byte-positioned message on any syntax error.
 pub fn parse_json(s: &str) -> Result<Json, String> {
-    let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
-    let v = p.value()?;
+    let mut p = Parser { src: s, pos: 0 };
+    let v = p.value(0)?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != s.len() {
         return Err(p.err("trailing characters after document"));
     }
     Ok(v)
@@ -856,13 +971,55 @@ mod tests {
         assert_eq!(obj.get("a").and_then(Json::as_f64), Some(1.0));
         assert_eq!(obj.get("b").and_then(Json::as_array).map(<[Json]>::len), Some(2));
         assert_eq!(obj.get("missing"), None);
+        for (text, num) in [("0", 0.0), ("-0.25", -0.25), ("1E+2", 100.0), ("12e-1", 1.2)] {
+            assert_eq!(parse_json(text), Ok(Json::Num(num)), "`{text}`");
+        }
+        // A UTF-16 surrogate pair is one char; raw UTF-8 passes through.
+        assert_eq!(parse_json("\"\\ud83d\\ude00\""), Ok(Json::Str("\u{1f600}".to_string())));
+        assert_eq!(parse_json("\"é\u{1f600}\""), Ok(Json::Str("é\u{1f600}".to_string())));
     }
 
     #[test]
     fn parser_rejects_malformed_documents() {
-        for bad in ["", "{", "[1,]", "{\"a\" 1}", "tru", "1 2", "\"unterminated", "{1: 2}"] {
+        for bad in [
+            "",
+            "{",
+            "[1,]",
+            "{\"a\" 1}",
+            "tru",
+            "1 2",
+            "\"unterminated",
+            "{1: 2}",
+            // Numbers outside the RFC 8259 grammar.
+            "+1",
+            ".5",
+            "1.",
+            "01",
+            "-",
+            "1e",
+            "0x10",
+            // Raw control characters, lone surrogates and bad escapes.
+            "\"a\nb\"",
+            "\"\\ud83d\"",
+            "\"\\ude00\"",
+            "\"\\ud83d\\u0041\"",
+            "\"\\u+041\"",
+            "\"\\x\"",
+            // Form feed is not JSON whitespace.
+            "\u{c}1",
+        ] {
             assert!(parse_json(bad).is_err(), "`{bad}` must be rejected");
         }
+    }
+
+    #[test]
+    fn parser_bounds_nesting_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse_json(&nested(MAX_DEPTH)).is_ok());
+        let err = parse_json(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nested deeper"), "{err}");
+        // A megabyte of `[` is an error, not a stack overflow.
+        assert!(parse_json(&"[".repeat(1 << 20)).is_err());
     }
 
     #[test]
@@ -895,6 +1052,7 @@ mod tests {
             ("BENCH_pr14.json", include_str!("../../../BENCH_pr14.json")),
             ("BENCH_pr16.json", include_str!("../../../BENCH_pr16.json")),
             ("BENCH_pr17.json", include_str!("../../../BENCH_pr17.json")),
+            ("BENCH_pr18.json", include_str!("../../../BENCH_pr18.json")),
         ] {
             if let Err(errs) = validate_snapshot_json(text) {
                 panic!("{name} fails the schema: {errs:?}");

@@ -5,7 +5,7 @@
 //! parameters the roofline model needs (bandwidth efficiency, compute
 //! utilization, cache-reuse factors). The calibration values are chosen so
 //! the modeled VQRF runtime split reproduces Fig. 2(a) and the modeled edge
-//! FPS sits in the Fig. 8 speedup bands; see EXPERIMENTS.md.
+//! FPS sits in the Fig. 8 speedup bands.
 
 use spnerf_dram::timing::DramTimings;
 

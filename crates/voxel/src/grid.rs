@@ -165,6 +165,31 @@ impl DenseGrid {
     }
 }
 
+/// `f32`s in a 4 KiB page.
+const PAGE_F32S: usize = 1024;
+
+/// Shrinks both planes to a page before they are freed.
+///
+/// A grid is mostly zeros. A fresh page mapping leaves zero pages unbacked,
+/// so a grid's resident size is the pages its voxels touch. glibc, however,
+/// raises its mmap threshold to the size of any mapped buffer of up to
+/// 32 MiB that is freed. After that, later grids of the same size come from
+/// the brk heap instead. There `calloc` clears reused memory page by page,
+/// and one small live chunk above a freed grid keeps that memory resident,
+/// so the peak RSS would follow the heap's layout from run to run. A plane
+/// shrunk first is freed as a page-sized buffer, which leaves the threshold
+/// where it was. The stub is a page rather than one element: a plane in
+/// the heap would leave a one-element stub in the allocator's thread cache,
+/// where it splits the space the plane frees.
+impl Drop for DenseGrid {
+    fn drop(&mut self) {
+        for plane in [&mut self.density, &mut self.features] {
+            plane.clear();
+            plane.shrink_to(PAGE_F32S);
+        }
+    }
+}
+
 /// One non-zero voxel vertex extracted from a [`DenseGrid`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SparsePoint {

@@ -13,8 +13,15 @@
 //! job index order** on the calling thread. A caller whose jobs are pure
 //! and who merges their results in that order gets bitwise-identical
 //! output at every worker count, including one (the jobs then run inline).
+//!
+//! What the calling thread allocates does not depend on timing either.
+//! Each result goes into its own slot, allocated before the workers start.
+//! Per-worker result lists would be sized by the job split, so the caller's
+//! heap layout would change from run to run, and with it how much memory
+//! the process hands back to the OS.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Resolves a parallelism setting to a concrete worker count: `0` maps to
 /// the host's available parallelism (at least 1), any other value is taken
@@ -36,10 +43,10 @@ pub fn resolve_parallelism(parallelism: usize) -> usize {
 /// results in job-index order.
 ///
 /// Workers take jobs from an atomic cursor (dynamic load balancing, so a
-/// slow job never stalls the rest), and the results are put back in job
-/// order on the calling thread — so the output never depends on which
-/// worker ran which job. With one worker (or at most one job) the jobs run
-/// inline on the calling thread and no thread is spawned.
+/// slow job never stalls the rest) and put each result in that job's slot,
+/// so the output never depends on which worker ran which job. With one
+/// worker (or at most one job) the jobs run inline on the calling thread
+/// and no thread is spawned.
 ///
 /// # Examples
 ///
@@ -63,31 +70,31 @@ pub fn run_ordered<T: Send>(
         return (0..jobs).map(job).collect();
     }
     let next = AtomicUsize::new(0);
-    let done = std::thread::scope(|s| {
+    let slots: Vec<Mutex<Option<T>>> = (0..jobs).map(|_| Mutex::new(None)).collect();
+    std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
-                s.spawn(|| {
-                    let mut done = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= jobs {
-                            break done;
-                        }
-                        done.push((i, job(i)));
+                s.spawn(|| loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= jobs {
+                        break;
                     }
+                    let out = job(i);
+                    *slots[i].lock().expect("a slot is only locked to store") = Some(out);
                 })
             })
             .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("pool worker panicked"))
-            .collect::<Vec<_>>()
+        for handle in handles {
+            handle.join().expect("pool worker panicked");
+        }
     });
-    let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(jobs).collect();
-    for (i, out) in done {
-        slots[i] = Some(out);
-    }
-    slots.into_iter().map(|out| out.expect("every job ran exactly once")).collect()
+    slots
+        .into_iter()
+        .map(|slot| {
+            let out = slot.into_inner().expect("a slot is only locked to store");
+            out.expect("every job ran exactly once")
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -122,5 +129,16 @@ mod tests {
             square(i)
         });
         assert_eq!(out, (0..jobs).map(square).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_job_panic_reaches_the_caller() {
+        let result = std::panic::catch_unwind(|| {
+            run_ordered(2, 16, |i| {
+                assert_ne!(i, 5, "job 5 fails");
+                i
+            })
+        });
+        assert!(result.is_err());
     }
 }

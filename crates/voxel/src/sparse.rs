@@ -15,7 +15,7 @@
 //!   (its implicit payload rank costs a linear word scan — the degenerate
 //!   baseline),
 //! * byte-exact [`predicted_index_bytes`] and the occupancy-statistics
-//!   selector [`select_format`] (with the [`select_per_subgrid`] hook),
+//!   selector [`select_format`],
 //! * [`SparseIndex`], an enum dispatcher the pipeline layer stores.
 //!
 //! The format never sits in the rendering fetch path — it changes *lookup
@@ -264,15 +264,6 @@ pub fn select_format(stats: &OccupancyStats) -> FormatKind {
         }
     }
     best
-}
-
-/// Per-subgrid selection hook: resolves one format per subgrid's own
-/// statistics, so heterogeneous scenes (a dense object in mostly-empty
-/// space) can mix encodings the way FlexNeRFer's tiles do. The facade
-/// currently selects per scene; this is the extension point for the
-/// subgrid-partitioned accelerator layers.
-pub fn select_per_subgrid(stats: &[OccupancyStats]) -> Vec<FormatKind> {
-    stats.iter().map(select_format).collect()
 }
 
 /// One lookup/footprint/access-cost surface over every sparse encoding.
@@ -868,12 +859,6 @@ mod tests {
         let dense_pts = g.extract_nonzero();
         let dense_stats = OccupancyStats::from_points(dims, &dense_pts);
         assert_eq!(select_format(&dense_stats), FormatKind::Rank);
-
-        // The per-subgrid hook maps the same rule over each subgrid.
-        assert_eq!(
-            select_per_subgrid(&[sparse_stats, dense_stats]),
-            vec![FormatKind::Coo, FormatKind::Rank]
-        );
     }
 
     #[test]
