@@ -86,7 +86,10 @@ pub const REQUIRED_KERNELS: [&str; 7] = [
 /// Kernel rows measured on top of [`REQUIRED_KERNELS`], each with the
 /// elementary operation its `ns_per_op` counts:
 ///
-/// * `bake.pass`: one color-MLP forward per occupied vertex of a bake pass.
+/// * `mlp_batch.lanes`: one sample (lane) of [`Mlp::forward_batch`], over
+///   the same 64 inputs as `mlp_gemv.lanes`, eight per pass.
+/// * `bake.pass`: one color-MLP forward per occupied vertex of a bake pass,
+///   which runs eight vertices per [`Mlp::forward_batch`].
 /// * `deferred_mlp.pixel`: one deferred per-pixel view-MLP forward.
 /// * `composite.scalar`: one [`accumulate_weighted`] of a 9-channel sample.
 /// * `warp.splat`: one pixel of a forward-warp splat into the next camera.
@@ -108,7 +111,8 @@ pub const REQUIRED_KERNELS: [&str; 7] = [
 /// Older snapshots also carry a `composite.lanes` row (a since-deleted
 /// lane-blocked twin of the accumulator) and lack the newer rows; only
 /// [`REQUIRED_KERNELS`] is enforced, so they still validate.
-pub const EXTRA_KERNELS: [&str; 14] = [
+pub const EXTRA_KERNELS: [&str; 15] = [
+    "mlp_batch.lanes",
     "bake.pass",
     "deferred_mlp.pixel",
     "composite.scalar",
@@ -265,6 +269,11 @@ pub fn measure(label: &str, quick: bool) -> Snapshot {
             x
         })
         .collect();
+    // The same inputs as eight batches, one sample per lane.
+    let batches: Vec<[[f32; LANE_WIDTH]; MLP_INPUT_DIM]> = inputs
+        .chunks(LANE_WIDTH)
+        .map(|group| std::array::from_fn(|i| std::array::from_fn(|l| group[l][i])))
+        .collect();
     let values: Vec<f32> = (0..4096).map(|i| i as f32 * 0.037 - 70.0).collect();
     let bits: Vec<u16> = values.iter().map(|v| f32_to_f16_bits(*v)).collect();
 
@@ -393,6 +402,13 @@ pub fn measure(label: &str, quick: bool) -> Snapshot {
             let mut acc = 0.0f32;
             for v in &values {
                 acc += f16_bits_to_f32(f32_to_f16_bits(black_box(*v)));
+            }
+            black_box(acc);
+        }),
+        time_kernel("mlp_batch.lanes", inputs.len() as u64, target, || {
+            let mut acc = 0.0f32;
+            for batch in &batches {
+                acc += mlp.forward_batch(black_box(batch))[0][0];
             }
             black_box(acc);
         }),
@@ -1053,6 +1069,7 @@ mod tests {
             ("BENCH_pr16.json", include_str!("../../../BENCH_pr16.json")),
             ("BENCH_pr17.json", include_str!("../../../BENCH_pr17.json")),
             ("BENCH_pr18.json", include_str!("../../../BENCH_pr18.json")),
+            ("BENCH_pr19.json", include_str!("../../../BENCH_pr19.json")),
         ] {
             if let Err(errs) = validate_snapshot_json(text) {
                 panic!("{name} fails the schema: {errs:?}");

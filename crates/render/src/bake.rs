@@ -17,15 +17,17 @@
 //!
 //! The pass is a pure function of `(source, mlp)`: single-threaded, no RNG,
 //! no ambient state. Baking twice yields byte-identical grids
-//! ([`BakedGrid::digest`] pins this). [`Mlp::forward_with`] runs the lane
-//! GEMV, which is bitwise-equal to the scalar oracle
-//! [`Mlp::forward_scalar`], so the baked colors are exactly the reference
-//! network's outputs.
+//! ([`BakedGrid::digest`] pins this). Occupied vertices run through
+//! [`Mlp::forward_batch`] eight at a time, in the same x-major order; each
+//! lane is bitwise-equal to the scalar oracle [`Mlp::forward_scalar`], so
+//! the baked colors are exactly the reference network's outputs.
 
-use crate::mlp::{encode_direction, Mlp, MlpScratch, MLP_INPUT_DIM};
+use crate::lanes::LANE_WIDTH;
+use crate::mlp::{encode_direction, Mlp, MLP_INPUT_DIM};
 use crate::source::VoxelSource;
 use crate::vec3::Vec3;
 use spnerf_voxel::baked::{BakedGrid, SPEC_DIM};
+use spnerf_voxel::coord::GridCoord;
 use spnerf_voxel::FEATURE_DIM;
 
 /// The fixed view direction diffuse colors are baked at (towards −z, the
@@ -38,8 +40,9 @@ pub fn canonical_view_dir() -> Vec3 {
 /// Bakes `source` through `mlp` into a [`BakedGrid`].
 ///
 /// See the module docs for what is precomputed and the determinism
-/// contract. Cost is one MLP forward per occupied vertex — paid once,
-/// then amortized over every subsequent deferred render.
+/// contract. Cost is one MLP forward per occupied vertex, eight vertices
+/// per [`Mlp::forward_batch`] pass — paid once, then amortized over every
+/// subsequent deferred render.
 ///
 /// # Examples
 ///
@@ -56,21 +59,52 @@ pub fn canonical_view_dir() -> Vec3 {
 pub fn bake<S: VoxelSource + ?Sized>(source: &S, mlp: &Mlp) -> BakedGrid {
     let dims = source.dims();
     let mut baked = BakedGrid::zeros(dims);
-    let mut input = [0.0f32; MLP_INPUT_DIM];
-    input[FEATURE_DIM..].copy_from_slice(&encode_direction(canonical_view_dir()));
-    let mut scratch = MlpScratch::new();
+    // One sample per lane: every lane shares the canonical view encoding,
+    // and each queued vertex writes its features into its own lane.
+    let mut batch = [[0.0f32; LANE_WIDTH]; MLP_INPUT_DIM];
+    for (row, e) in batch[FEATURE_DIM..].iter_mut().zip(encode_direction(canonical_view_dir())) {
+        *row = [e; LANE_WIDTH];
+    }
+    let mut group: Vec<Queued> = Vec::with_capacity(LANE_WIDTH);
     for c in dims.iter() {
         let Some(data) = source.fetch(c) else { continue };
         if data.density <= 0.0 {
             continue;
         }
-        input[..FEATURE_DIM].copy_from_slice(&data.features);
-        let diffuse = mlp.forward_with(&input, &mut scratch);
+        let lane = group.len();
+        for (row, f) in batch.iter_mut().zip(data.features) {
+            row[lane] = f;
+        }
         let mut spec = [0.0f32; SPEC_DIM];
         spec.copy_from_slice(&data.features[..SPEC_DIM]);
-        baked.set_voxel(c, data.density, diffuse, spec);
+        group.push((c, data.density, spec));
+        if group.len() == LANE_WIDTH {
+            store_group(&mut baked, mlp, &batch, &mut group);
+        }
+    }
+    if !group.is_empty() {
+        store_group(&mut baked, mlp, &batch, &mut group);
     }
     baked
+}
+
+/// An occupied vertex waiting for its lane of the batch: coordinate,
+/// density and specular feature.
+type Queued = (GridCoord, f32, [f32; SPEC_DIM]);
+
+/// Shades the queued group and stores it in queue order, emptying the
+/// queue. The spare lanes of a short last group still hold an earlier
+/// vertex's features; their outputs are never stored.
+fn store_group(
+    baked: &mut BakedGrid,
+    mlp: &Mlp,
+    batch: &[[f32; LANE_WIDTH]; MLP_INPUT_DIM],
+    group: &mut Vec<Queued>,
+) {
+    let rgb = mlp.forward_batch(batch);
+    for (lane, (c, density, spec)) in group.drain(..).enumerate() {
+        baked.set_voxel(c, density, rgb.map(|ch| ch[lane]), spec);
+    }
 }
 
 #[cfg(test)]

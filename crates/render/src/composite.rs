@@ -74,7 +74,19 @@ impl RayAccumulator {
         let mut ch = [self.color.x, self.color.y, self.color.z];
         accumulate_weighted(&mut ch, &[rgb.x, rgb.y, rgb.z], self.transmittance * a);
         self.color = Vec3::new(ch[0], ch[1], ch[2]);
-        self.transmittance *= 1.0 - a;
+        self.attenuate(alpha);
+    }
+
+    /// Attenuates the transmittance by one sample of opacity `alpha`
+    /// without adding color: [`RayAccumulator::add_sample`]'s own
+    /// `T *= 1 − clamp(α, 0, 1)`.
+    ///
+    /// The ray kernel's march phase runs this per shaded sample, so the
+    /// transmittance, early termination and depth of a ray are settled
+    /// before its colors exist; the composite phase then replays the same
+    /// alphas through `add_sample` and reaches the same `T` bit for bit.
+    pub fn attenuate(&mut self, alpha: f32) {
+        self.transmittance *= 1.0 - alpha.clamp(0.0, 1.0);
     }
 
     /// Remaining transmittance `T`.
@@ -192,6 +204,18 @@ mod tests {
     fn accumulate_weighted_rejects_length_mismatch() {
         let mut acc = [0.0f32; 3];
         accumulate_weighted(&mut acc, &[0.0; 4], 1.0);
+    }
+
+    #[test]
+    fn attenuate_is_add_samples_transmittance_update() {
+        let mut colored = RayAccumulator::new();
+        let mut dark = RayAccumulator::new();
+        for alpha in [0.3f32, 0.0, 0.77, 1e-8, 0.5, 2.0, -1.0] {
+            colored.add_sample(alpha, Vec3::new(0.9, 0.2, 0.4));
+            dark.attenuate(alpha);
+            assert_eq!(dark.transmittance().to_bits(), colored.transmittance().to_bits());
+        }
+        assert_eq!(dark.finalize(Vec3::ZERO), Vec3::ZERO, "attenuate adds no color");
     }
 
     #[test]

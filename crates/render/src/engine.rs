@@ -14,8 +14,9 @@
 //!
 //! # Determinism guarantee
 //!
-//! Primary rays are independent and [`crate::renderer::trace_ray`] is pure,
-//! so parallelism cannot change any pixel. Workers pull jobs from an
+//! Every ray's result from [`crate::renderer::trace_rays`] depends on that
+//! ray alone — not on the job it shares or the thread that runs it — so
+//! neither the job split nor parallelism can change any pixel. Workers pull jobs from an
 //! atomic counter (dynamic load balancing), but results are handed back
 //! **in job index order** on the calling thread, where pixels are written
 //! and [`crate::renderer::RenderStats`] merged; the produced image and

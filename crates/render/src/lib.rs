@@ -35,14 +35,18 @@
 //!
 //! # Render engine architecture
 //!
-//! Rendering is layered: [`renderer::trace_ray`] is the one pure per-ray
+//! Rendering is layered: [`renderer::trace_rays`] is the one pure job
 //! kernel (march → decode → interpolate → MLP → composite) over a
-//! read-only [`renderer::RenderFrame`], for either [`renderer::Shader`];
-//! the [`engine`]'s ordered worker pool fans rays out across threads tile
-//! by tile; [`renderer::render_view`] is the front door that honors
+//! read-only [`renderer::RenderFrame`], for either [`renderer::Shader`].
+//! Like the accelerator's MLP Unit, it shades in batches: a job marches
+//! all its rays, runs the queued samples through
+//! [`mlp::Mlp::forward_batch`] eight at a time, then composites. The
+//! [`engine`]'s ordered worker pool fans jobs out across threads tile by
+//! tile; [`renderer::render_view`] is the front door that honors
 //! [`renderer::RenderConfig::parallelism`] (`0` = all cores) and
-//! [`renderer::RenderConfig::tile_size`]. Because rays are independent and
-//! tile results are merged back in deterministic tile order, the engine's
+//! [`renderer::RenderConfig::tile_size`]. Because every ray's result depends
+//! on that ray alone and tile results are merged back in deterministic tile
+//! order, the engine's
 //! images and stats are **bitwise-identical** to the serial reference
 //! ([`renderer::render_view_serial`]) at every thread count and tile size.
 //!
@@ -93,10 +97,10 @@ pub use engine::{resolve_parallelism, Tile, TileScheduler};
 pub use fp16::F16;
 pub use image::ImageBuffer;
 pub use lanes::F32x8;
-pub use mlp::{DeferredMlp, Mlp, MlpScratch};
+pub use mlp::{DeferredMlp, Mlp};
 pub use ray::{Aabb, Ray};
 pub use renderer::{
-    render_view, render_view_serial, trace_ray, RenderConfig, RenderStats, Shader, SkipCache,
+    render_view, render_view_serial, trace_rays, RenderConfig, RenderStats, Shader, SkipCache,
     SkipMode, TracedRay,
 };
 pub use scene::SceneId;

@@ -51,6 +51,10 @@ pub fn encode_direction(dir: Vec3) -> [f32; VIEW_ENC_DIM] {
 /// [`F32x8`] accumulators.
 const GEMV_GROUP: usize = 4 * LANE_WIDTH;
 
+/// Outputs the batched lane kernel accumulates per sweep over the inputs:
+/// one [`F32x8`] accumulator of [`LANE_WIDTH`] samples each.
+const BATCH_GROUP: usize = 4;
+
 /// Rounds `out_dim` up to the next [`LANE_WIDTH`] multiple — the padded
 /// output width of the lane-blocked weight layout.
 const fn pad_to_lanes(out_dim: usize) -> usize {
@@ -71,6 +75,10 @@ fn lane_transpose(weights: &[f32], in_dim: usize, out_dim: usize) -> Vec<f32> {
     t
 }
 
+/// Widest layer input [`Layer::forward_batch_into`] accepts: the color
+/// MLP's hidden width, its widest layer input.
+const MAX_BATCH_IN: usize = MLP_HIDDEN_DIM;
+
 /// One dense layer: `out = act(W x + b)`.
 #[derive(Debug, Clone, PartialEq)]
 struct Layer {
@@ -82,6 +90,18 @@ struct Layer {
     /// layout ([`lane_transpose`]), streamed by the lane GEMV.
     weights_t: Vec<f32>,
     bias: Vec<f32>,
+    /// Whether a zero input leaves every accumulator's bits unchanged, so
+    /// the batched kernel may skip an input that is `±0.0` in all lanes.
+    ///
+    /// With a finite weight `w`, a zero input adds the product `w·(±0.0)
+    /// = ±0.0`, and `acc + ±0.0 == acc` bit for bit unless `acc` is
+    /// `−0.0` and the product `+0.0`. An accumulator starts at its bias
+    /// and only sums to `−0.0` from `−0.0 + −0.0` (a sum of non-zero
+    /// values never rounds to a zero, and exact cancellation gives
+    /// `+0.0`), so it can only be `−0.0` if its bias is. Hence: true when
+    /// every weight is finite and no bias is `−0.0`, which holds for
+    /// every randomly initialized layer.
+    zero_inputs_add_nothing: bool,
 }
 
 impl Layer {
@@ -96,7 +116,9 @@ impl Layer {
         debug_assert_eq!(weights.len(), in_dim * out_dim);
         debug_assert_eq!(bias.len(), out_dim);
         let weights_t = lane_transpose(&weights, in_dim, out_dim);
-        Self { in_dim, out_dim, weights, weights_t, bias }
+        let zero_inputs_add_nothing = weights.iter().all(|w| w.is_finite())
+            && bias.iter().all(|b| b.to_bits() != (-0.0f32).to_bits());
+        Self { in_dim, out_dim, weights, weights_t, bias, zero_inputs_add_nothing }
     }
 
     fn random(in_dim: usize, out_dim: usize, gain: f32, rng: &mut StdRng) -> Self {
@@ -110,8 +132,8 @@ impl Layer {
     }
 
     /// The scalar reference GEMV — the test oracle of
-    /// [`Layer::forward_into_lanes`]: one output row at a time, inputs in
-    /// ascending `i` order.
+    /// [`Layer::forward_into_lanes`] and [`Layer::forward_batch_into`]: one
+    /// output row at a time, inputs in ascending `i` order.
     fn forward_into(&self, x: &[f32], out: &mut [f32]) {
         debug_assert_eq!(x.len(), self.in_dim);
         debug_assert_eq!(out.len(), self.out_dim);
@@ -169,6 +191,76 @@ impl Layer {
             acc.store_padded(&mut out[jb..self.out_dim.min(jb + LANE_WIDTH)]);
         }
     }
+
+    /// The batched lane kernel: the same layer over [`LANE_WIDTH`] samples
+    /// at once, bitwise-equal per sample to [`Layer::forward_into`].
+    ///
+    /// `x[i]` holds input `i` of the eight samples, one sample per lane, and
+    /// `out[o]` receives output `o` the same way. Each lane runs the scalar
+    /// oracle's order — bias first, then `w[o][i] · x[i]` for ascending `i`,
+    /// unfused — so each sample's bits are those of a lone GEMV. Inputs
+    /// that are zero in every lane are left out of the sweep
+    /// ([`Layer::active_inputs`]); adding their zero products would not
+    /// change a bit ([`Layer::zero_inputs_add_nothing`]).
+    ///
+    /// The GEMV reloads every weight per sample and is bound by those
+    /// loads; here one splat of `w[o][i]` serves eight samples. Each sweep
+    /// over the inputs feeds four outputs ([`BATCH_GROUP`] accumulators, 8
+    /// SSE registers) from one load of `x[i]`, straight from the row-major
+    /// `weights`. Outputs past the last full group (all of layer 3's three)
+    /// take the one-accumulator loop.
+    fn forward_batch_into(&self, x: &[[f32; LANE_WIDTH]], out: &mut [[f32; LANE_WIDTH]]) {
+        debug_assert_eq!(x.len(), self.in_dim);
+        debug_assert_eq!(out.len(), self.out_dim);
+        let mut active = [0usize; MAX_BATCH_IN];
+        let active = self.active_inputs(x, &mut active);
+        let row = |o: usize| &self.weights[o * self.in_dim..(o + 1) * self.in_dim];
+        let grouped = self.out_dim / BATCH_GROUP * BATCH_GROUP;
+        for o in (0..grouped).step_by(BATCH_GROUP) {
+            let [mut a0, mut a1, mut a2, mut a3] =
+                [0, 1, 2, 3].map(|k| F32x8::splat(self.bias[o + k]));
+            let (r0, r1, r2, r3) = (row(o), row(o + 1), row(o + 2), row(o + 3));
+            for &i in active {
+                let xi = F32x8::from_array(x[i]);
+                a0 = F32x8::splat(r0[i]).mul_add(xi, a0);
+                a1 = F32x8::splat(r1[i]).mul_add(xi, a1);
+                a2 = F32x8::splat(r2[i]).mul_add(xi, a2);
+                a3 = F32x8::splat(r3[i]).mul_add(xi, a3);
+            }
+            for (k, acc) in [a0, a1, a2, a3].into_iter().enumerate() {
+                out[o + k] = acc.to_array();
+            }
+        }
+        for (o, slot) in out.iter_mut().enumerate().skip(grouped) {
+            let r = row(o);
+            let mut acc = F32x8::splat(self.bias[o]);
+            for &i in active {
+                acc = F32x8::splat(r[i]).mul_add(F32x8::from_array(x[i]), acc);
+            }
+            *slot = acc.to_array();
+        }
+    }
+
+    /// The inputs [`Layer::forward_batch_into`] sweeps, in ascending order,
+    /// written to the front of `buf`: every input, less those that are
+    /// `±0.0` in all eight lanes when [`Layer::zero_inputs_add_nothing`].
+    ///
+    /// After a ReLU the eight samples of a batch — neighbours along a ray,
+    /// or along an x-row of a bake — tend to switch off the same hidden
+    /// units, so about half of layers 2 and 3's inputs are zero in every
+    /// lane of a render batch.
+    fn active_inputs<'b>(
+        &self,
+        x: &[[f32; LANE_WIDTH]],
+        buf: &'b mut [usize; MAX_BATCH_IN],
+    ) -> &'b [usize] {
+        let mut n = 0;
+        for (i, xi) in x.iter().enumerate() {
+            buf[n] = i;
+            n += usize::from(!self.zero_inputs_add_nothing || *xi != [0.0; LANE_WIDTH]);
+        }
+        &buf[..n]
+    }
 }
 
 /// The 3-layer color MLP (39 → 128 → 128 → 3).
@@ -212,47 +304,61 @@ impl Mlp {
     /// Runs the lane GEMV, which is bitwise-identical to the scalar oracle
     /// [`Mlp::forward_scalar`] (see [`crate::lanes`]).
     pub fn forward(&self, input: &[f32; MLP_INPUT_DIM]) -> [f32; MLP_OUTPUT_DIM] {
-        self.forward_with(input, &mut MlpScratch::new())
-    }
-
-    /// [`Mlp::forward`] reusing caller-owned hidden-activation buffers, so
-    /// the ray kernel ([`crate::renderer::trace_ray`]) amortizes the scratch
-    /// across every sample of a tile.
-    pub fn forward_with(
-        &self,
-        input: &[f32; MLP_INPUT_DIM],
-        scratch: &mut MlpScratch,
-    ) -> [f32; MLP_OUTPUT_DIM] {
+        let mut h1 = [0.0f32; MLP_HIDDEN_DIM];
+        let mut h2 = [0.0f32; MLP_HIDDEN_DIM];
         let mut out = [0.0f32; MLP_OUTPUT_DIM];
-        self.l1.forward_into_lanes(input, &mut scratch.h1);
-        relu(&mut scratch.h1);
-        self.l2.forward_into_lanes(&scratch.h1, &mut scratch.h2);
-        relu(&mut scratch.h2);
-        self.l3.forward_into_lanes(&scratch.h2, &mut out);
+        self.l1.forward_into_lanes(input, &mut h1);
+        relu(&mut h1);
+        self.l2.forward_into_lanes(&h1, &mut h2);
+        relu(&mut h2);
+        self.l3.forward_into_lanes(&h2, &mut out);
         for o in &mut out {
             *o = sigmoid(*o);
         }
         out
     }
 
-    /// The scalar reference forward pass — the test oracle the lane kernel
-    /// is pinned against.
-    pub fn forward_scalar(&self, input: &[f32; MLP_INPUT_DIM]) -> [f32; MLP_OUTPUT_DIM] {
-        self.forward_scalar_with(input, &mut MlpScratch::new())
+    /// Runs the network on [`LANE_WIDTH`] samples at once, one sample per
+    /// lane: `x[i][l]` is input `i` of sample `l`, and RGB channel `c` of
+    /// sample `l` comes back in `[c][l]`.
+    ///
+    /// This is the MLP Unit's batched dataflow (Fig. 4): the renderer
+    /// queues a render job's shaded samples and runs them through here
+    /// eight at a time, and [`crate::bake::bake`] does the same with
+    /// occupied vertices. Lanes never mix — the one decision all lanes
+    /// share, leaving out an input that is zero in every lane, changes no
+    /// bit — so every sample's output is bitwise the scalar oracle
+    /// [`Mlp::forward_scalar`] of its own input, whatever the other lanes
+    /// hold, NaN and ±∞ included.
+    pub fn forward_batch(
+        &self,
+        x: &[[f32; LANE_WIDTH]; MLP_INPUT_DIM],
+    ) -> [[f32; LANE_WIDTH]; MLP_OUTPUT_DIM] {
+        let mut h1 = [[0.0f32; LANE_WIDTH]; MLP_HIDDEN_DIM];
+        let mut h2 = [[0.0f32; LANE_WIDTH]; MLP_HIDDEN_DIM];
+        let mut out = [[0.0f32; LANE_WIDTH]; MLP_OUTPUT_DIM];
+        self.l1.forward_batch_into(x, &mut h1);
+        h1.iter_mut().for_each(|h| relu(h));
+        self.l2.forward_batch_into(&h1, &mut h2);
+        h2.iter_mut().for_each(|h| relu(h));
+        self.l3.forward_batch_into(&h2, &mut out);
+        for o in out.iter_mut().flatten() {
+            *o = sigmoid(*o);
+        }
+        out
     }
 
-    /// [`Mlp::forward_scalar`] with caller-owned scratch.
-    pub fn forward_scalar_with(
-        &self,
-        input: &[f32; MLP_INPUT_DIM],
-        scratch: &mut MlpScratch,
-    ) -> [f32; MLP_OUTPUT_DIM] {
+    /// The scalar reference forward pass — the test oracle the lane
+    /// kernels are pinned against.
+    pub fn forward_scalar(&self, input: &[f32; MLP_INPUT_DIM]) -> [f32; MLP_OUTPUT_DIM] {
+        let mut h1 = [0.0f32; MLP_HIDDEN_DIM];
+        let mut h2 = [0.0f32; MLP_HIDDEN_DIM];
         let mut out = [0.0f32; MLP_OUTPUT_DIM];
-        self.l1.forward_into(input, &mut scratch.h1);
-        relu(&mut scratch.h1);
-        self.l2.forward_into(&scratch.h1, &mut scratch.h2);
-        relu(&mut scratch.h2);
-        self.l3.forward_into(&scratch.h2, &mut out);
+        self.l1.forward_into(input, &mut h1);
+        relu(&mut h1);
+        self.l2.forward_into(&h1, &mut h2);
+        relu(&mut h2);
+        self.l3.forward_into(&h2, &mut out);
         for o in &mut out {
             *o = sigmoid(*o);
         }
@@ -333,31 +439,6 @@ impl Mlp {
             2 => &self.l3,
             _ => panic!("layer index {li} out of range (MLP has 3 layers)"),
         }
-    }
-}
-
-/// Reusable hidden-activation buffers for [`Mlp::forward_with`].
-///
-/// One scratch per render job (a tile or a chunk of re-marched pixels)
-/// replaces two 128-element stack zeroings per sample with buffer reuse;
-/// contents are fully overwritten by each forward pass, so reuse never
-/// changes results.
-#[derive(Debug, Clone)]
-pub struct MlpScratch {
-    h1: [f32; MLP_HIDDEN_DIM],
-    h2: [f32; MLP_HIDDEN_DIM],
-}
-
-impl MlpScratch {
-    /// Fresh zeroed scratch.
-    pub fn new() -> Self {
-        Self { h1: [0.0; MLP_HIDDEN_DIM], h2: [0.0; MLP_HIDDEN_DIM] }
-    }
-}
-
-impl Default for MlpScratch {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -582,10 +663,45 @@ mod tests {
 
     #[test]
     fn scratch_reuse_changes_nothing() {
+        // One batch buffer refilled group after group, as a render job and
+        // the bake reuse theirs: the spare lanes of the short last group
+        // still hold the previous group's inputs, and no lane leaks into
+        // another.
         let mlp = Mlp::random(4);
-        let mut scratch = MlpScratch::default();
-        for input in random_inputs(5, 16) {
-            assert_eq!(mlp.forward_with(&input, &mut scratch), mlp.forward(&input));
+        let inputs = random_inputs(5, 2 * LANE_WIDTH + 3);
+        let mut batch = [[0.0f32; LANE_WIDTH]; MLP_INPUT_DIM];
+        for group in inputs.chunks(LANE_WIDTH) {
+            for (l, input) in group.iter().enumerate() {
+                for (row, x) in batch.iter_mut().zip(input) {
+                    row[l] = *x;
+                }
+            }
+            let rgb = mlp.forward_batch(&batch);
+            for (l, input) in group.iter().enumerate() {
+                assert_eq!(rgb.map(|c| c[l]), mlp.forward(input), "lane {l}");
+            }
+        }
+    }
+
+    #[test]
+    fn zero_inputs_are_skipped_only_when_that_is_exact() {
+        let mlp = Mlp::random(6);
+        assert!([&mlp.l1, &mlp.l2, &mlp.l3].iter().all(|l| l.zero_inputs_add_nothing));
+        // A −0.0 bias plus the zero product of a positive weight is +0.0,
+        // and a NaN weight times zero is NaN: either way, skipping the zero
+        // input would change the output's bits, so such layers sweep
+        // every input.
+        let zeros = [[0.0f32; LANE_WIDTH]; 2];
+        for (weights, bias) in [(vec![1.0, 1.0], vec![-0.0]), (vec![f32::NAN, 1.0], vec![0.5])] {
+            let layer = Layer::from_parts(2, 1, weights, bias);
+            assert!(!layer.zero_inputs_add_nothing);
+            let mut want = [0.0f32];
+            layer.forward_into(&[0.0, 0.0], &mut want);
+            let mut got = [[0.0f32; LANE_WIDTH]];
+            layer.forward_batch_into(&zeros, &mut got);
+            for lane in got[0] {
+                assert_eq!(lane.to_bits(), want[0].to_bits());
+            }
         }
     }
 

@@ -14,24 +14,30 @@
 //!
 //! The renderer is split into three layers:
 //!
-//! 1. [`trace_ray`] — the one pure per-ray kernel: march, decode, shade,
-//!    composite one primary ray against a shared read-only [`RenderFrame`];
+//! 1. [`trace_rays`] — the one pure job kernel: march, decode, shade and
+//!    composite a list of primary rays against a shared read-only
+//!    [`RenderFrame`]. Like the accelerator's MLP Unit (Fig. 4), it shades
+//!    in batches: every ray of the job is marched first, then the queued
+//!    samples run through [`Mlp::forward_batch`] eight at a time, then each
+//!    ray composites its own samples in march order;
 //! 2. [`crate::engine`] — the tile scheduler and the ordered worker pool
 //!    that fans jobs out over threads and returns results in job order;
 //! 3. [`render_view`] — the front door: renders one view honoring
 //!    [`RenderConfig::parallelism`] / [`RenderConfig::tile_size`].
 //!
 //! [`render_view_serial`] is the single-threaded row-major reference the
-//! parallel engine is tested against: for every scene and thread count the
-//! engine's image and stats are bitwise-identical to it.
+//! parallel engine is tested against: it traces the whole view as one job,
+//! and for every scene and thread count the engine's image and stats are
+//! bitwise-identical to it.
 
 use crate::camera::PinholeCamera;
 use crate::composite::{accumulate_weighted, alpha_from_density, RayAccumulator};
 use crate::engine::{run_ordered, TileScheduler};
 use crate::image::ImageBuffer;
 use crate::interp::{interpolate_cell, trilinear_cell, GridFrame, InterpSample, TrilinearCell};
+use crate::lanes::LANE_WIDTH;
 use crate::mlp::{
-    encode_direction, DeferredMlp, Mlp, MlpScratch, DEFERRED_INPUT_DIM, MLP_INPUT_DIM,
+    encode_direction, DeferredMlp, Mlp, DEFERRED_INPUT_DIM, MLP_INPUT_DIM, VIEW_ENC_DIM,
 };
 use crate::ray::{Aabb, Ray, UniformSampler};
 use crate::source::VoxelSource;
@@ -103,8 +109,9 @@ impl SkipMode {
 /// evaluations, the workload change [`RayStats::pixels_shaded`] charges
 /// through the accelerator model.
 ///
-/// Both variants are pure per-ray computations, so every determinism
-/// guarantee (threads, tiles, skip mode) holds for both.
+/// Both variants give every ray a result that depends on that ray alone,
+/// so every determinism guarantee (threads, tiles, job split, skip mode)
+/// holds for both.
 ///
 /// `&Mlp` converts into [`Shader::PerSample`], so the front doors accept
 /// a bare color MLP wherever they accept a shader.
@@ -307,9 +314,9 @@ impl SkipCache {
     }
 }
 
-/// Everything [`trace_ray`] learns about one primary ray: the composited
+/// Everything [`trace_rays`] learns about one primary ray: the composited
 /// color, the opacity-weighted mean march depth (world-space distance
-/// along the ray; `+∞` for rays that shaded nothing), the per-ray workload
+/// along the ray; `+∞` for rays with no opacity), the per-ray workload
 /// statistics, and the final empty-space cache handle for cross-frame
 /// carry.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -317,8 +324,9 @@ pub struct TracedRay {
     /// Composited pixel color.
     pub color: Vec3,
     /// Opacity-weighted mean depth of the shaded samples along the ray,
-    /// in world units from the ray origin; `f32::INFINITY` when no sample
-    /// shaded (pure background). This is the depth the temporal
+    /// in world units from the ray origin; `f32::INFINITY` when the ray
+    /// gathered no opacity — no sample shaded (pure background), or every
+    /// shaded sample's alpha rounded to 0. This is the depth the temporal
     /// forward-warp reprojects radiance at.
     pub depth: f32,
     /// Per-ray workload statistics.
@@ -442,46 +450,49 @@ impl<'a> EmptySkipper<'a> {
     }
 }
 
-/// Traces one primary ray: march the AABB, decode and interpolate each
-/// sample, shade positive-density samples, and composite — the one per-ray
-/// kernel behind still frames, the serial oracle, and the temporal warp
-/// pass.
+/// What the march phase settles about one ray before any color exists.
+struct Marched {
+    /// Under [`Shader::Deferred`] the composited diffuse color and the
+    /// transmittance; under [`Shader::PerSample`] the transmittance only
+    /// ([`RayAccumulator::attenuate`]).
+    acc: RayAccumulator,
+    stats: RayStats,
+    /// `Σ T·α·t` over the shaded samples, the numerator of the depth.
+    depth_sum: f32,
+    skip_cache: SkipCache,
+}
+
+impl Marched {
+    /// The ray's result with its composited `color`. The depth is the
+    /// opacity-weighted mean over the shaded samples; a ray that gathered
+    /// no opacity has no surface and reports +∞. That covers rays that
+    /// shaded nothing, and rays whose every shaded sample had a density
+    /// so small that `1 − exp(−σδ)` rounded to an alpha of 0.
+    fn finish(self, color: Vec3) -> TracedRay {
+        let opacity = self.acc.opacity();
+        let depth = if opacity == 0.0 { f32::INFINITY } else { self.depth_sum / opacity };
+        TracedRay { color, depth, stats: self.stats, skip_cache: self.skip_cache }
+    }
+}
+
+/// The one march loop behind both shaders: walks the ray's samples, skips
+/// what the occupancy pyramid proves empty, decodes and interpolates the
+/// rest, and hands each positive-density sample to `shade` with its alpha
+/// and front-to-back weight `T·α` (taken before the sample updates `T`).
 ///
-/// Pure in its inputs — no shared mutable state — which is what lets the
-/// tile engine run it from many threads with bitwise-reproducible output.
-/// `scratch` only lends the MLP its hidden-activation buffers, which every
-/// evaluation fully overwrites.
-///
-/// * [`Shader::PerSample`] runs the color MLP on every shaded sample.
-///   [`Shader::Deferred`] composites baked diffuse color, accumulates the
-///   baked specular feature, and pays one [`DeferredMlp`] evaluation in the
-///   epilogue ([`RayStats::pixels_shaded`]).
-/// * Under [`SkipMode::Mip`] (and a source carrying an occupancy pyramid)
-///   samples in provably-empty macro-blocks are skipped: they are counted
-///   in [`RayStats::samples_skipped`] instead of
-///   [`RayStats::samples_marched`], and the color is bitwise-identical to
-///   [`SkipMode::Off`].
-/// * `seed` pre-loads the skipper with an empty region carried from a
-///   previous frame ([`SkipCache::EMPTY`] for none). A seed only changes
-///   *how* a provably-empty sample is proven empty (cached range vs
-///   pyramid descent), never whether it is skipped, so color and stats are
-///   bitwise-identical for every seed.
-/// * The depth is a pure side accumulation next to the color, so tracking
-///   it never changes a composited pixel.
-pub fn trace_ray<S: VoxelSource + ?Sized>(
+/// `shade` must update the accumulator's transmittance exactly once
+/// ([`RayAccumulator::add_sample`] or [`RayAccumulator::attenuate`]). The
+/// loop stops the ray once it is opaque, so where a ray stops depends on
+/// densities alone, never on color.
+fn march_ray<S: VoxelSource + ?Sized>(
     source: &S,
-    shader: Shader<'_>,
     frame: &RenderFrame,
     ray: Ray,
-    cfg: &RenderConfig,
-    scratch: &mut MlpScratch,
     seed: SkipCache,
-) -> TracedRay {
+    cfg: &RenderConfig,
+    mut shade: impl FnMut(&mut RayAccumulator, f32, f32, &InterpSample),
+) -> Marched {
     let dims = source.dims();
-    // The MLP input carries the view-direction encoding pre-written;
-    // features are overwritten per shaded sample.
-    let mut input = [0.0f32; MLP_INPUT_DIM];
-    input[FEATURE_DIM..].copy_from_slice(&encode_direction(ray.dir));
     let mut skipper = match cfg.skip_mode {
         SkipMode::Off => None,
         SkipMode::Mip { levels } => {
@@ -490,11 +501,7 @@ pub fn trace_ray<S: VoxelSource + ?Sized>(
     };
     let mut acc = RayAccumulator::new();
     let mut stats = RayStats::default();
-    // Alpha-weighted specular feature (the deferred analogue of the color
-    // accumulator; all zeros under `PerSample`) and `Σ T·α·t`, the
-    // numerator of the reported depth.
-    let mut spec = [0.0f32; SPEC_DIM];
-    let mut depth = 0.0f32;
+    let mut depth_sum = 0.0f32;
     for (t, pos) in UniformSampler::new(ray, &frame.aabb, frame.step) {
         let g = frame.grid.world_to_grid(pos);
         let cell = match &mut skipper {
@@ -517,51 +524,168 @@ pub fn trace_ray<S: VoxelSource + ?Sized>(
         }
         stats.samples_shaded += 1;
         let alpha = alpha_from_density(sample.density * cfg.density_scale, frame.step);
-        // The front-to-back weight `T·α` the color accumulator applies,
-        // captured *before* `add_sample` updates the transmittance.
         let w = acc.transmittance() * alpha.clamp(0.0, 1.0);
-        depth += w * t;
-        match shader {
-            Shader::PerSample(mlp) => {
-                input[..FEATURE_DIM].copy_from_slice(&sample.features);
-                let rgb = mlp.forward_with(&input, scratch);
-                acc.add_sample(alpha, Vec3::new(rgb[0], rgb[1], rgb[2]));
-            }
-            Shader::Deferred(_) => {
-                // No per-sample MLP: the baked payload already carries the
-                // diffuse color (channels 0..3) and the specular feature
-                // (channels 3..12).
-                accumulate_weighted(&mut spec, &sample.features[DIFFUSE_DIM..], w);
-                let diffuse = Vec3::new(sample.features[0], sample.features[1], sample.features[2]);
-                acc.add_sample(alpha, diffuse);
-            }
-        }
+        depth_sum += w * t;
+        shade(&mut acc, alpha, w, &sample);
         if acc.is_opaque(cfg.early_stop) {
             stats.terminated_early = true;
             break;
         }
     }
+    Marched { acc, stats, depth_sum, skip_cache: SkipCache(skipper.and_then(|s| s.cached)) }
+}
 
-    let mut color = acc.finalize(cfg.background);
-    if let Shader::Deferred(deferred) = shader {
-        if stats.samples_shaded > 0 {
-            // The one deferred-MLP evaluation this pixel pays: view
-            // dependence from the accumulated specular feature and the
-            // ray's (pre-encoded) view direction, scaled by the ray's
-            // opacity so empty pixels stay pure background.
-            stats.pixels_shaded += 1;
-            let mut deferred_input = [0.0f32; DEFERRED_INPUT_DIM];
-            deferred_input[..SPEC_DIM].copy_from_slice(&spec);
-            deferred_input[SPEC_DIM..].copy_from_slice(&input[FEATURE_DIM..]);
-            let rgb = deferred.forward(&deferred_input);
-            color = color + Vec3::new(rgb[0], rgb[1], rgb[2]) * acc.opacity();
-        }
+/// Traces one render job — a list of primary rays, each with the
+/// [`SkipCache`] its skipper starts from — and returns one [`TracedRay`]
+/// per ray, in order. This is the one kernel behind still tiles, the
+/// serial oracle (one whole-view job) and the temporal re-march chunks.
+///
+/// Every ray's result depends on that ray alone — never on the job it
+/// shares or its place in it — which is what lets the engine split a view
+/// into any jobs on any threads with bitwise-reproducible output.
+///
+/// * [`Shader::PerSample`] runs in three phases, the MLP Unit's batched
+///   dataflow (Fig. 4):
+///   1. march every ray, queueing each shaded sample's alpha and features
+///      and updating only the transmittance. Transmittance, early
+///      termination, depth and every counter depend on density alone, so
+///      each ray stops exactly where a lone ray would;
+///   2. shade the queue through [`Mlp::forward_batch`], [`LANE_WIDTH`]
+///      samples per pass. Each lane is bitwise the scalar oracle;
+///   3. composite each ray's samples in march order.
+/// * [`Shader::Deferred`] composites baked diffuse color, accumulates the
+///   baked specular feature, and pays one [`DeferredMlp`] evaluation per
+///   ray ([`RayStats::pixels_shaded`]), ray by ray.
+/// * Under [`SkipMode::Mip`] (and a source carrying an occupancy pyramid)
+///   samples in provably-empty macro-blocks are skipped: they are counted
+///   in [`RayStats::samples_skipped`] instead of
+///   [`RayStats::samples_marched`], and the color is bitwise-identical to
+///   [`SkipMode::Off`].
+/// * A seed other than [`SkipCache::EMPTY`] pre-loads the skipper with an
+///   empty region carried from a previous frame. A seed only changes *how*
+///   a provably-empty sample is proven empty (cached range vs pyramid
+///   descent), never whether it is skipped, so color and stats are
+///   bitwise-identical for every seed.
+/// * The depth is a pure side accumulation next to the color, so tracking
+///   it never changes a composited pixel.
+pub fn trace_rays<S: VoxelSource + ?Sized>(
+    source: &S,
+    shader: Shader<'_>,
+    frame: &RenderFrame,
+    rays: &[(Ray, SkipCache)],
+    cfg: &RenderConfig,
+) -> Vec<TracedRay> {
+    match shader {
+        Shader::PerSample(mlp) => trace_per_sample(source, mlp, frame, rays, cfg),
+        Shader::Deferred(deferred) => rays
+            .iter()
+            .map(|&(ray, seed)| trace_deferred(source, deferred, frame, ray, seed, cfg))
+            .collect(),
     }
-    // Normalizing by the accumulated opacity makes the depth a mean over
-    // the shaded samples (shaded ⇒ α > 0 ⇒ opacity > 0); rays that shaded
-    // nothing have no surface and report +∞.
-    let depth = if stats.samples_shaded > 0 { depth / acc.opacity() } else { f32::INFINITY };
-    TracedRay { color, depth, stats, skip_cache: SkipCache(skipper.and_then(|s| s.cached)) }
+}
+
+/// A shaded sample the march phase queues for the shade phase.
+struct Queued {
+    /// Index of the ray's view encoding in the job's encoding list.
+    view: usize,
+    alpha: f32,
+    features: [f32; FEATURE_DIM],
+}
+
+/// [`trace_rays`] under [`Shader::PerSample`]: march, shade, composite.
+fn trace_per_sample<S: VoxelSource + ?Sized>(
+    source: &S,
+    mlp: &Mlp,
+    frame: &RenderFrame,
+    rays: &[(Ray, SkipCache)],
+    cfg: &RenderConfig,
+) -> Vec<TracedRay> {
+    // March: every ray, its shaded samples queued in march order. Only
+    // rays that shaded something pay for a view encoding.
+    let mut queue: Vec<Queued> = Vec::new();
+    let mut views: Vec<[f32; VIEW_ENC_DIM]> = Vec::new();
+    let marched: Vec<Marched> = rays
+        .iter()
+        .map(|&(ray, seed)| {
+            let view = views.len();
+            let marched = march_ray(source, frame, ray, seed, cfg, |acc, alpha, _, sample| {
+                queue.push(Queued { view, alpha, features: sample.features });
+                acc.attenuate(alpha);
+            });
+            if marched.stats.samples_shaded > 0 {
+                views.push(encode_direction(ray.dir));
+            }
+            marched
+        })
+        .collect();
+
+    // Shade: one sample per lane. The spare lanes of a short last group
+    // still hold an earlier sample's input; their outputs are dropped.
+    let mut rgb: Vec<Vec3> = Vec::with_capacity(queue.len());
+    let mut batch = [[0.0f32; LANE_WIDTH]; MLP_INPUT_DIM];
+    for group in queue.chunks(LANE_WIDTH) {
+        for (lane, q) in group.iter().enumerate() {
+            let (features, view) = batch.split_at_mut(FEATURE_DIM);
+            for (row, f) in features.iter_mut().zip(q.features) {
+                row[lane] = f;
+            }
+            for (row, e) in view.iter_mut().zip(views[q.view]) {
+                row[lane] = e;
+            }
+        }
+        let out = mlp.forward_batch(&batch);
+        rgb.extend((0..group.len()).map(|l| Vec3::new(out[0][l], out[1][l], out[2][l])));
+    }
+
+    // Composite: each ray replays its alphas with their colors, reaching
+    // the march phase's transmittance bit for bit.
+    let mut next = 0;
+    marched
+        .into_iter()
+        .map(|marched| {
+            let shaded = next..next + marched.stats.samples_shaded;
+            next = shaded.end;
+            let mut acc = RayAccumulator::new();
+            for (q, c) in queue[shaded.clone()].iter().zip(&rgb[shaded]) {
+                acc.add_sample(q.alpha, *c);
+            }
+            marched.finish(acc.finalize(cfg.background))
+        })
+        .collect()
+}
+
+/// [`trace_rays`] for one ray under [`Shader::Deferred`].
+fn trace_deferred<S: VoxelSource + ?Sized>(
+    source: &S,
+    deferred: &DeferredMlp,
+    frame: &RenderFrame,
+    ray: Ray,
+    seed: SkipCache,
+    cfg: &RenderConfig,
+) -> TracedRay {
+    // The alpha-weighted specular feature, accumulated next to the color.
+    let mut spec = [0.0f32; SPEC_DIM];
+    let mut marched = march_ray(source, frame, ray, seed, cfg, |acc, alpha, w, sample| {
+        // No per-sample MLP: the baked payload already carries the diffuse
+        // color (channels 0..3) and the specular feature (channels 3..12).
+        accumulate_weighted(&mut spec, &sample.features[DIFFUSE_DIM..], w);
+        let diffuse = Vec3::new(sample.features[0], sample.features[1], sample.features[2]);
+        acc.add_sample(alpha, diffuse);
+    });
+    let mut color = marched.acc.finalize(cfg.background);
+    if marched.stats.samples_shaded > 0 {
+        // The one deferred-MLP evaluation this pixel pays: view dependence
+        // from the accumulated specular feature and the ray's view
+        // direction, scaled by the ray's opacity so empty pixels stay pure
+        // background.
+        marched.stats.pixels_shaded += 1;
+        let mut input = [0.0f32; DEFERRED_INPUT_DIM];
+        input[..SPEC_DIM].copy_from_slice(&spec);
+        input[SPEC_DIM..].copy_from_slice(&encode_direction(ray.dir));
+        let rgb = deferred.forward(&input);
+        color = color + Vec3::new(rgb[0], rgb[1], rgb[2]) * marched.acc.opacity();
+    }
+    marched.finish(color)
 }
 
 /// Renders one view of `source` through `camera`, returning the image and
@@ -589,16 +713,16 @@ pub fn render_view<'a, S: VoxelSource + Sync>(
     let sched = TileScheduler::new(camera.width, camera.height, cfg.tile_size);
     let frame = RenderFrame::new(source.dims(), aabb, cfg);
     let tiles = run_ordered(cfg.parallelism, sched.tile_count(), |i| {
-        // One MLP scratch per tile, shared by the tile's rays.
-        let mut scratch = MlpScratch::new();
-        let mut stats = RenderStats::default();
-        let colors: Vec<Vec3> = sched
+        // One job per tile.
+        let rays: Vec<(Ray, SkipCache)> = sched
             .tile(i)
             .pixels()
-            .map(|(px, py)| {
-                let ray = camera.ray_for_pixel(px, py);
-                let traced =
-                    trace_ray(source, shader, &frame, ray, cfg, &mut scratch, SkipCache::EMPTY);
+            .map(|(px, py)| (camera.ray_for_pixel(px, py), SkipCache::EMPTY))
+            .collect();
+        let mut stats = RenderStats::default();
+        let colors: Vec<Vec3> = trace_rays(source, shader, &frame, &rays, cfg)
+            .iter()
+            .map(|traced| {
                 stats.record_ray(&traced.stats);
                 traced.color
             })
@@ -619,9 +743,9 @@ pub fn render_view<'a, S: VoxelSource + Sync>(
 /// The single-threaded row-major reference renderer.
 ///
 /// This is the determinism oracle: [`render_view`]'s output must equal it
-/// bitwise. It ignores `cfg.parallelism` / `cfg.tile_size` (rays march one
-/// at a time in row-major order) and does not require `Sync`, so it also
-/// serves trait-object sources.
+/// bitwise. It ignores `cfg.parallelism` / `cfg.tile_size` (the whole view
+/// is one row-major [`trace_rays`] job) and does not require `Sync`, so it
+/// also serves trait-object sources.
 ///
 /// # Panics
 ///
@@ -637,15 +761,12 @@ pub fn render_view_serial<'a, S: VoxelSource + ?Sized>(
     let frame = RenderFrame::new(source.dims(), aabb, cfg);
     let mut stats = RenderStats::default();
     let mut img = ImageBuffer::new(camera.width, camera.height);
-    let mut scratch = MlpScratch::new();
-    for py in 0..camera.height {
-        for px in 0..camera.width {
-            let ray = camera.ray_for_pixel(px, py);
-            let traced =
-                trace_ray(source, shader, &frame, ray, cfg, &mut scratch, SkipCache::EMPTY);
-            stats.record_ray(&traced.stats);
-            img.set(px, py, traced.color);
-        }
+    let pixels = || (0..camera.height).flat_map(|py| (0..camera.width).map(move |px| (px, py)));
+    let rays: Vec<(Ray, SkipCache)> =
+        pixels().map(|(px, py)| (camera.ray_for_pixel(px, py), SkipCache::EMPTY)).collect();
+    for ((px, py), traced) in pixels().zip(trace_rays(source, shader, &frame, &rays, cfg)) {
+        stats.record_ray(&traced.stats);
+        img.set(px, py, traced.color);
     }
     (img, stats)
 }
@@ -951,21 +1072,14 @@ mod tests {
         let cfg = tiny_cfg();
         let (img, view_stats) = render_view_serial(&grid, &mlp, &cam, &scene_aabb(), &cfg);
         let frame = RenderFrame::new(grid.dims(), &scene_aabb(), &cfg);
-        let mut scratch = MlpScratch::new();
         let mut stats = RenderStats::default();
         let mut hits = 0;
         for py in 0..10 {
             for px in 0..10 {
+                // Each pixel as a job of its own.
                 let ray = cam.ray_for_pixel(px, py);
-                let traced = trace_ray(
-                    &grid,
-                    (&mlp).into(),
-                    &frame,
-                    ray,
-                    &cfg,
-                    &mut scratch,
-                    SkipCache::EMPTY,
-                );
+                let traced =
+                    trace_rays(&grid, (&mlp).into(), &frame, &[(ray, SkipCache::EMPTY)], &cfg)[0];
                 assert_eq!(traced.color, img.get(px, py), "kernel color must be the view's pixel");
                 stats.record_ray(&traced.stats);
                 if traced.stats.samples_shaded > 0 {
@@ -987,6 +1101,35 @@ mod tests {
     }
 
     #[test]
+    fn rays_without_opacity_report_infinite_depth() {
+        // A density small enough that `1 − exp(−σδ)` rounds to 0: the rays
+        // through the block shade samples yet gather no opacity, and must
+        // report +∞ rather than 0/0.
+        let mut grid = DenseGrid::zeros(GridDims::cube(8));
+        for c in GridDims::cube(4).iter() {
+            let c = GridCoord::new(c.x + 2, c.y + 2, c.z + 2);
+            grid.set_density(c, 1e-12);
+            grid.set_features(c, &[0.5; FEATURE_DIM]);
+        }
+        let mlp = Mlp::random(0);
+        let cam = default_camera(8, 8, 0, 4);
+        let cfg = tiny_cfg();
+        let frame = RenderFrame::new(grid.dims(), &scene_aabb(), &cfg);
+        let rays: Vec<(Ray, SkipCache)> = (0..8)
+            .flat_map(|py| (0..8).map(move |px| (px, py)))
+            .map(|(px, py)| (cam.ray_for_pixel(px, py), SkipCache::EMPTY))
+            .collect();
+        let traced = trace_rays(&grid, (&mlp).into(), &frame, &rays, &cfg);
+        let shaded: Vec<&TracedRay> =
+            traced.iter().filter(|t| t.stats.samples_shaded > 0).collect();
+        assert_eq!(shaded.len(), 34, "the block must be hit");
+        for t in shaded {
+            assert_eq!(t.depth, f32::INFINITY, "a ray with no opacity has no surface");
+            assert_eq!(t.color, Vec3::ONE, "and stays pure background");
+        }
+    }
+
+    #[test]
     fn skip_cache_seed_is_exactness_preserving() {
         use crate::source::WithOccupancy;
         let grid = build_grid(SceneId::Mic, 28);
@@ -995,8 +1138,8 @@ mod tests {
         let cfg = RenderConfig { skip_mode: SkipMode::mip(), ..tiny_cfg() };
         let skippable = WithOccupancy::build(&grid);
         let frame = RenderFrame::new(skippable.dims(), &scene_aabb(), &cfg);
-        let mut scratch = MlpScratch::new();
         let shader = Shader::PerSample(&mlp);
+        let trace = |ray, seed| trace_rays(&skippable, shader, &frame, &[(ray, seed)], &cfg)[0];
         // March column-adjacent rays, seeding each from its upper neighbor
         // (the temporal carry pattern): colors, stats, and the final cache
         // must match the unseeded march bit for bit.
@@ -1005,16 +1148,8 @@ mod tests {
             let mut seed = SkipCache::EMPTY;
             for py in 0..12 {
                 let ray = cam.ray_for_pixel(px, py);
-                let fresh = trace_ray(
-                    &skippable,
-                    shader,
-                    &frame,
-                    ray,
-                    &cfg,
-                    &mut scratch,
-                    SkipCache::EMPTY,
-                );
-                let seeded = trace_ray(&skippable, shader, &frame, ray, &cfg, &mut scratch, seed);
+                let fresh = trace(ray, SkipCache::EMPTY);
+                let seeded = trace(ray, seed);
                 assert_eq!(seeded.color, fresh.color, "seed must never change a pixel");
                 assert_eq!(seeded.stats, fresh.stats, "seed must never change the accounting");
                 assert_eq!(seeded.depth.to_bits(), fresh.depth.to_bits());

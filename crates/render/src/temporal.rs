@@ -30,7 +30,7 @@
 //!   row-major order with a strict nearest-depth-wins test, so conflicts
 //!   resolve identically on every run;
 //! * re-marched rays go through the same pure
-//!   [`crate::renderer::trace_ray`] kernel and the same ordered worker
+//!   [`crate::renderer::trace_rays`] job kernel and the same ordered worker
 //!   pool as still frames, and the per-frame merge is in pixel order — so
 //!   a temporal frame is bitwise-identical across thread counts and tile
 //!   sizes (the warp pass schedules pixel chunks itself and ignores the
@@ -53,10 +53,9 @@ use rand::{Rng, SeedableRng};
 use crate::camera::{PinholeCamera, Pose};
 use crate::engine::run_ordered;
 use crate::image::ImageBuffer;
-use crate::mlp::MlpScratch;
-use crate::ray::Aabb;
+use crate::ray::{Aabb, Ray};
 use crate::renderer::{
-    render_view, trace_ray, RenderConfig, RenderFrame, RenderStats, Shader, SkipCache, TracedRay,
+    render_view, trace_rays, RenderConfig, RenderFrame, RenderStats, Shader, SkipCache, TracedRay,
 };
 use crate::source::VoxelSource;
 use crate::vec3::Vec3;
@@ -466,7 +465,7 @@ pub struct TemporalFrame {
 ///   is bitwise-identical to an independent still render and `state` is
 ///   cleared.
 /// * [`ReuseMode::Warp`] — with no usable state (first frame, or a camera
-///   shape change) renders every ray through [`trace_ray`] (the image
+///   shape change) renders every ray through [`trace_rays`] (the image
 ///   is still bitwise-identical to a still render) and records reuse
 ///   state; otherwise forward-warps the previous frame and re-marches
 ///   only the rays that need it.
@@ -600,11 +599,11 @@ const REMARCH_CHUNK: usize = 128;
 /// Traces the listed pixels (each with its own [`SkipCache`] seed),
 /// returning results in job order.
 ///
-/// The pixels are cut into [`REMARCH_CHUNK`]-sized jobs for the engine's
-/// ordered worker pool, which hands the chunks back in job order. Since
-/// every ray is a pure per-ray computation and the per-frame statistics
-/// are sums of naturals, the output is bitwise-identical at every worker
-/// count.
+/// The pixels are cut into [`REMARCH_CHUNK`]-sized [`trace_rays`] jobs
+/// for the engine's ordered worker pool, which hands the chunks back in
+/// job order. Since every ray's result depends on that ray alone and the
+/// per-frame statistics are sums of naturals, the output is
+/// bitwise-identical at every worker count.
 fn trace_pixels<S: VoxelSource + Sync>(
     source: &S,
     shader: Shader<'_>,
@@ -615,14 +614,13 @@ fn trace_pixels<S: VoxelSource + Sync>(
 ) -> Vec<TracedRay> {
     let chunks: Vec<&[(usize, SkipCache)]> = jobs.chunks(REMARCH_CHUNK).collect();
     let traced = run_ordered(cfg.parallelism, chunks.len(), |ci| {
-        let mut scratch = MlpScratch::new();
-        chunks[ci]
+        let rays: Vec<(Ray, SkipCache)> = chunks[ci]
             .iter()
             .map(|&(j, seed)| {
-                let ray = camera.ray_for_pixel(j as u32 % camera.width, j as u32 / camera.width);
-                trace_ray(source, shader, frame, ray, cfg, &mut scratch, seed)
+                (camera.ray_for_pixel(j as u32 % camera.width, j as u32 / camera.width), seed)
             })
-            .collect::<Vec<_>>()
+            .collect();
+        trace_rays(source, shader, frame, &rays, cfg)
     });
     traced.into_iter().flatten().collect()
 }

@@ -1,25 +1,71 @@
 //! Property tests pinning the lane kernels to their scalar oracles.
 //!
 //! Equality — not tolerance — is the contract: the front doors every build
-//! runs (`interpolate_cell`, `Mlp::forward`/`forward_with`,
+//! runs (`interpolate_cell`, `Mlp::forward`/`forward_batch`,
 //! `DeferredMlp::forward`) are lane kernels, and they must be **bitwise
 //! identical** to the scalar oracles (`interpolate_cell_scalar`,
 //! `forward_scalar`) for every input, so the lane kernels can never change
 //! a rendered pixel. These tests drive both directly over random cells,
 //! weights, all five corpus archetypes, and inputs the random draws never
 //! reach (signed zeros, subnormals, sigmoid-saturating magnitudes). The
-//! compositing accumulator is pinned to its per-channel formula.
+//! batched MLP is checked lane by lane, including lanes next to stale,
+//! NaN and ±∞ neighbours. The compositing accumulator is pinned to its
+//! per-channel formula.
 
 use proptest::prelude::*;
 use spnerf_render::composite::accumulate_weighted;
 use spnerf_render::interp::{
     interpolate_cell, interpolate_cell_scalar, trilinear_cell, TrilinearCell,
 };
-use spnerf_render::mlp::{DeferredMlp, Mlp, MlpScratch, DEFERRED_INPUT_DIM, MLP_INPUT_DIM};
+use spnerf_render::lanes::LANE_WIDTH;
+use spnerf_render::mlp::{
+    encode_direction, DeferredMlp, Mlp, DEFERRED_INPUT_DIM, MLP_INPUT_DIM, MLP_OUTPUT_DIM,
+};
 use spnerf_render::scene::{build_grid, SceneId};
 use spnerf_render::source::VoxelSource;
 use spnerf_render::vec3::Vec3;
 use spnerf_testkit::corpus::{generate, Archetype, CorpusSpec};
+use spnerf_voxel::FEATURE_DIM;
+
+/// One input per lane: `batch[i][l]` is input `i` of sample `l`.
+type Batch = [[f32; LANE_WIDTH]; MLP_INPUT_DIM];
+
+/// Writes `input` into lane `lane` of `batch`, leaving the other lanes as
+/// they are.
+fn set_lane(batch: &mut Batch, lane: usize, input: &[f32; MLP_INPUT_DIM]) {
+    for (row, x) in batch.iter_mut().zip(input) {
+        row[lane] = *x;
+    }
+}
+
+/// Lane `lane` of a batched MLP output.
+fn lane_of(out: &[[f32; LANE_WIDTH]; MLP_OUTPUT_DIM], lane: usize) -> [f32; MLP_OUTPUT_DIM] {
+    out.map(|ch| ch[lane])
+}
+
+/// Runs `inputs` through `Mlp::forward_batch` in groups of eight on one
+/// reused batch, so every group after the first starts dirty and a short
+/// last group keeps stale spare lanes, and asserts that every lane is
+/// bitwise the scalar oracle of its own input.
+fn assert_batches_match_oracle(mlp: &Mlp, inputs: &[[f32; MLP_INPUT_DIM]], context: &str) {
+    let mut batch: Batch = [[0.0; LANE_WIDTH]; MLP_INPUT_DIM];
+    for (n, group) in inputs.chunks(LANE_WIDTH).enumerate() {
+        for (lane, input) in group.iter().enumerate() {
+            set_lane(&mut batch, lane, input);
+        }
+        let out = mlp.forward_batch(&batch);
+        for (lane, input) in group.iter().enumerate() {
+            let oracle = mlp.forward_scalar(input);
+            for (k, (o, got)) in oracle.iter().zip(lane_of(&out, lane)).enumerate() {
+                assert_eq!(
+                    o.to_bits(),
+                    got.to_bits(),
+                    "forward_batch output[{k}] diverged in group {n} lane {lane}: {context}"
+                );
+            }
+        }
+    }
+}
 
 /// Bitwise comparison of two interpolation results with a labelled panic.
 fn assert_samples_bitwise(
@@ -105,9 +151,10 @@ proptest! {
         assert_samples_bitwise(&scalar, &lanes, &format!("base={base} mask={zero_mask:08b}"));
     }
 
-    // The lane-blocked GEMV equals the scalar forward pass bitwise for
-    // random networks and random inputs, with and without a reused
-    // scratch buffer.
+    // The lane-blocked GEMV and the batched kernel equal the scalar
+    // forward pass bitwise for random networks and random inputs; in the
+    // batch, the input sits in any lane of a dirty batch whose other lanes
+    // hold unrelated samples.
     #[test]
     fn lane_gemv_is_bitwise_scalar(mlp_seed in 0u64..50, input_seed in 0u64..10_000) {
         let mlp = Mlp::random(mlp_seed);
@@ -120,11 +167,51 @@ proptest! {
                 "output[{}] diverged: mlp_seed={} input_seed={}", k, mlp_seed, input_seed
             );
         }
-        // A dirty scratch buffer must not leak between forwards.
-        let mut scratch = MlpScratch::new();
-        let _ = mlp.forward_with(&mlp_input(input_seed ^ 0xFFFF), &mut scratch);
-        let reused = mlp.forward_with(&input, &mut scratch);
-        prop_assert_eq!(reused, lanes, "scratch reuse changed the result");
+        let mut batch: Batch = [[0.0; LANE_WIDTH]; MLP_INPUT_DIM];
+        for lane in 0..LANE_WIDTH {
+            set_lane(&mut batch, lane, &mlp_input(input_seed ^ (0xFFFF + lane as u64)));
+        }
+        let _ = mlp.forward_batch(&batch);
+        let lane = input_seed as usize % LANE_WIDTH;
+        set_lane(&mut batch, lane, &input);
+        let batched = lane_of(&mlp.forward_batch(&batch), lane);
+        for (k, (s, b)) in scalar.iter().zip(batched.iter()).enumerate() {
+            prop_assert_eq!(
+                s.to_bits(), b.to_bits(),
+                "batched output[{}] diverged in lane {}: mlp_seed={} input_seed={}",
+                k, lane, mlp_seed, input_seed
+            );
+        }
+    }
+
+    // Every lane of the batched kernel equals the scalar oracle bitwise on
+    // the inputs a render actually feeds it: corpus voxel features of
+    // every archetype, each with its own view-direction encoding.
+    #[test]
+    fn batch_lanes_are_bitwise_scalar_on_corpus(
+        arch_idx in 0usize..5,
+        occupancy in 0.005f64..0.60,
+        seed in 0u64..1000,
+        mlp_seed in 0u64..50,
+    ) {
+        let spec = CorpusSpec::new(Archetype::ALL[arch_idx], 12, occupancy, seed);
+        let grid = generate(&spec);
+        let inputs: Vec<[f32; MLP_INPUT_DIM]> = VoxelSource::dims(&grid)
+            .iter()
+            .filter_map(|c| grid.fetch(c))
+            .take(8 * LANE_WIDTH + 5)
+            .enumerate()
+            .map(|(n, data)| {
+                let a = n as f32 * 0.37;
+                let dir = Vec3::new(a.cos(), 0.3, a.sin()).normalized();
+                let mut input = [0.0f32; MLP_INPUT_DIM];
+                input[..FEATURE_DIM].copy_from_slice(&data.features);
+                input[FEATURE_DIM..].copy_from_slice(&encode_direction(dir));
+                input
+            })
+            .collect();
+        prop_assert!(!inputs.is_empty(), "{} has no occupied vertex", spec.label());
+        assert_batches_match_oracle(&Mlp::random(mlp_seed), &inputs, &spec.label());
     }
 
     // The compositing accumulator equals the per-channel formula
@@ -231,29 +318,24 @@ fn edge_inputs() -> Vec<(&'static str, [f32; MLP_INPUT_DIM])> {
     ]
 }
 
-/// The front doors `Mlp::forward`, `Mlp::forward_with` (with a dirty
-/// scratch) and `DeferredMlp::forward` equal their scalar oracles bitwise
-/// on [`edge_inputs`], and the outputs stay finite (NaN payload bits are
-/// not part of the contract, so no case may produce one).
+/// The front doors `Mlp::forward`, `Mlp::forward_batch` (groups of eight
+/// on one dirty batch) and `DeferredMlp::forward` equal their scalar
+/// oracles bitwise on [`edge_inputs`], and the outputs stay finite (NaN
+/// payload bits are not part of the contract, so no case may produce
+/// one).
 #[test]
 fn front_doors_match_oracle_on_edge_inputs() {
     let mut saturated = 0usize;
     for mlp_seed in 0..8u64 {
         let mlp = Mlp::random(mlp_seed);
         let deferred = DeferredMlp::random(mlp_seed);
-        let mut scratch = MlpScratch::new();
-        for (label, input) in edge_inputs() {
+        let edges = edge_inputs();
+        for (label, input) in &edges {
             let context = format!("{label}, mlp_seed={mlp_seed}");
-            let oracle = mlp.forward_scalar(&input);
+            let oracle = mlp.forward_scalar(input);
             assert!(oracle.iter().all(|c| c.is_finite()), "non-finite oracle output: {context}");
-            let fresh = mlp.forward(&input);
-            // Dirty the scratch with an unrelated input before reusing it.
-            let _ = mlp.forward_with(&mlp_input(mlp_seed), &mut scratch);
-            let reused = mlp.forward_with(&input, &mut scratch);
-            for (name, got) in [("forward", fresh), ("forward_with", reused)] {
-                for (k, (o, g)) in oracle.iter().zip(got).enumerate() {
-                    assert_eq!(o.to_bits(), g.to_bits(), "{name} output[{k}] diverged: {context}");
-                }
+            for (k, (o, g)) in oracle.iter().zip(mlp.forward(input)).enumerate() {
+                assert_eq!(o.to_bits(), g.to_bits(), "forward output[{k}] diverged: {context}");
             }
             saturated += oracle.iter().filter(|&&c| c == 0.0 || c == 1.0).count();
 
@@ -265,6 +347,45 @@ fn front_doors_match_oracle_on_edge_inputs() {
                 assert_eq!(o.to_bits(), g.to_bits(), "deferred output[{k}] diverged: {context}");
             }
         }
+        // Random inputs first, so the edge groups land on a dirty batch.
+        let inputs: Vec<[f32; MLP_INPUT_DIM]> = (0..LANE_WIDTH as u64)
+            .map(mlp_input)
+            .chain(edges.iter().map(|(_, input)| *input))
+            .collect();
+        assert_batches_match_oracle(&mlp, &inputs, &format!("edge inputs, mlp_seed={mlp_seed}"));
     }
     assert!(saturated > 0, "the large-magnitude inputs must saturate the sigmoid");
+}
+
+/// In a partly filled batch, spare lanes holding NaN, +∞, −∞ or a mix of
+/// the three never leak into the filled lanes: every filled lane stays
+/// bitwise the oracle, at every fill level.
+#[test]
+fn batch_spare_lanes_never_leak() {
+    let mlp = Mlp::random(13);
+    let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+    for filled in 1..LANE_WIDTH {
+        for kind in 0..=specials.len() {
+            // Kind 3 mixes the specials: input `i` of lane `l` cycles them.
+            let mut batch: Batch = std::array::from_fn(|i| {
+                std::array::from_fn(|l| specials[if kind < 3 { kind } else { (i + l) % 3 }])
+            });
+            let inputs: Vec<[f32; MLP_INPUT_DIM]> =
+                (0..filled).map(|l| mlp_input(100 * filled as u64 + l as u64)).collect();
+            for (lane, input) in inputs.iter().enumerate() {
+                set_lane(&mut batch, lane, input);
+            }
+            let out = mlp.forward_batch(&batch);
+            for (lane, input) in inputs.iter().enumerate() {
+                let oracle = mlp.forward_scalar(input);
+                for (k, (o, g)) in oracle.iter().zip(lane_of(&out, lane)).enumerate() {
+                    assert_eq!(
+                        o.to_bits(),
+                        g.to_bits(),
+                        "output[{k}] of lane {lane} diverged: {filled} filled, spare kind {kind}"
+                    );
+                }
+            }
+        }
+    }
 }

@@ -1,16 +1,39 @@
 //! Property tests for the tile-parallel render engine's determinism
 //! guarantee: for random scenes, image sizes, tile sizes, and thread
 //! counts, the parallel image and stats are exactly equal to the serial
-//! reference. Both renders run the lane kernels, which
-//! `lane_equivalence.rs` pins bitwise to their scalar oracles.
+//! reference, and a ray's result does not depend on the job it is traced
+//! in. Both renders run the lane kernels, which `lane_equivalence.rs` pins
+//! bitwise to their scalar oracles.
 
 use proptest::prelude::*;
 use spnerf_render::bake::bake;
 use spnerf_render::mlp::{DeferredMlp, Mlp};
-use spnerf_render::renderer::{render_view, render_view_serial, RenderConfig, Shader, SkipMode};
+use spnerf_render::ray::Ray;
+use spnerf_render::renderer::{
+    render_view, render_view_serial, trace_rays, RayStats, RenderConfig, RenderFrame, Shader,
+    SkipCache, SkipMode, TracedRay,
+};
 use spnerf_render::scene::{build_grid, default_camera, scene_aabb, SceneId};
-use spnerf_render::source::WithOccupancy;
+use spnerf_render::source::{VoxelSource, WithOccupancy};
 use spnerf_testkit::corpus::{generate, Archetype, CorpusSpec};
+
+/// A traced ray with its floats as bits, so equality is bitwise.
+type RayBits = ([u32; 3], u32, RayStats, SkipCache);
+
+fn ray_bits(traced: &[TracedRay]) -> Vec<RayBits> {
+    traced
+        .iter()
+        .map(|t| {
+            let c = t.color;
+            (
+                [c.x.to_bits(), c.y.to_bits(), c.z.to_bits()],
+                t.depth.to_bits(),
+                t.stats,
+                t.skip_cache,
+            )
+        })
+        .collect()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
@@ -190,4 +213,76 @@ proptest! {
             spec.label()
         );
     }
+
+    #[test]
+    fn job_split_never_changes_a_ray(
+        arch_idx in 0usize..5,
+        occupancy in 0.01f64..0.40,
+        seed in 0u64..100,
+        skip in 0usize..2,
+        seeded in 0usize..2,
+    ) {
+        // The job kernel marches a whole job before it shades, so every
+        // ray shares its queue with the others. The same pixels traced as
+        // jobs of 1, 7, 8, 9 and 64 rays (short, exact and ragged groups of
+        // eight) and as one whole-frame job must agree bit for bit: color,
+        // depth, stats and the final skip cache, under both shaders, both
+        // skip modes, and with skip caches carried from another view.
+        let spec = CorpusSpec::new(Archetype::ALL[arch_idx], 16, occupancy, seed);
+        let grid = generate(&spec);
+        let mlp = Mlp::random(5);
+        let baked = bake(&grid, &mlp);
+        let deferred = DeferredMlp::random(9);
+        let skip_mode = if skip == 1 { SkipMode::mip() } else { SkipMode::Off };
+        let per_sample =
+            job_split_mismatch(&WithOccupancy::build(&grid), (&mlp).into(), skip_mode, seeded == 1);
+        prop_assert_eq!(per_sample, None, "per-sample: {}", spec.label());
+        let deferred = job_split_mismatch(
+            &WithOccupancy::build(&baked),
+            Shader::Deferred(&deferred),
+            skip_mode,
+            seeded == 1,
+        );
+        prop_assert_eq!(deferred, None, "deferred: {}", spec.label());
+    }
+}
+
+/// Traces a 10×9 view as one job and as jobs of 1, 7, 8, 9 and 64 rays,
+/// and returns the first job size whose rays differ from the one-job
+/// trace in any bit. With `seeded`, each pixel starts from the final skip
+/// cache of the same pixel in a neighbouring view, marched with skipping
+/// on so the caches are real.
+fn job_split_mismatch<S: VoxelSource + ?Sized>(
+    source: &S,
+    shader: Shader<'_>,
+    skip_mode: SkipMode,
+    seeded: bool,
+) -> Option<usize> {
+    let cfg = RenderConfig { samples_per_ray: 20, skip_mode, ..Default::default() };
+    let frame = RenderFrame::new(source.dims(), &scene_aabb(), &cfg);
+    let view = |pose: usize| -> Vec<Ray> {
+        let cam = default_camera(10, 9, pose, 6);
+        (0..cam.height)
+            .flat_map(|py| (0..cam.width).map(move |px| (px, py)))
+            .map(|(px, py)| cam.ray_for_pixel(px, py))
+            .collect()
+    };
+    let seeds: Vec<SkipCache> = if seeded {
+        let mip = RenderConfig { skip_mode: SkipMode::mip(), ..cfg };
+        let prev: Vec<(Ray, SkipCache)> =
+            view(1).into_iter().map(|ray| (ray, SkipCache::EMPTY)).collect();
+        trace_rays(source, shader, &frame, &prev, &mip).iter().map(|t| t.skip_cache).collect()
+    } else {
+        vec![SkipCache::EMPTY; 90]
+    };
+    let rays: Vec<(Ray, SkipCache)> = view(2).into_iter().zip(seeds).collect();
+    let whole = ray_bits(&trace_rays(source, shader, &frame, &rays, &cfg));
+    assert_eq!(whole.len(), rays.len(), "one result per ray");
+    [1usize, 7, 8, 9, 64].into_iter().find(|&job| {
+        let split: Vec<TracedRay> = rays
+            .chunks(job)
+            .flat_map(|chunk| trace_rays(source, shader, &frame, chunk, &cfg))
+            .collect();
+        ray_bits(&split) != whole
+    })
 }

@@ -17,7 +17,7 @@
 //! unfused multiply-then-add. A kernel that accumulates lane-wise in the
 //! same per-element order as its scalar reference therefore produces
 //! bit-identical results. That is what lets every build run the lane
-//! kernels — the renderer's `interpolate_cell` and MLP GEMV, and
+//! kernels — the renderer's `interpolate_cell` and MLP kernels, and
 //! [`crate::kmeans::Codebook::assign`] — while the scalar oracles
 //! (`interpolate_cell_scalar`, `Mlp::forward_scalar`,
 //! [`crate::kmeans::Codebook::assign_scalar`]) pin every result in the
@@ -25,9 +25,10 @@
 //!
 //! The trick is choosing the lane axis: the vectorized kernels put
 //! *independent outputs* in the lanes (feature channels for interpolation,
-//! output neurons for the GEMV, codewords or training rows for k-means) and
-//! keep the reduction axis sequential, so each output's float-addition
-//! order is exactly the scalar one.
+//! output neurons for the GEMV, the eight samples of a batched MLP pass,
+//! codewords or training rows for k-means) and keep the reduction axis
+//! sequential, so each output's float-addition order is exactly the scalar
+//! one.
 
 use std::ops::{Add, AddAssign, Mul, Sub};
 
