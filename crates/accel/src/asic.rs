@@ -230,21 +230,21 @@ mod tests {
     use crate::frame::FrameWorkload;
     use crate::sim::pipeline::simulate_frame;
     use spnerf_render::mlp::Mlp;
+    use spnerf_render::renderer::RenderStats;
+
+    /// An 800×800 per-sample frame streaming a 7 MiB model.
+    fn workload(scene: &str, marched: usize, shaded: usize) -> FrameWorkload {
+        let stats = RenderStats {
+            rays: 640_000,
+            samples_marched: marched,
+            samples_shaded: shaded,
+            ..Default::default()
+        };
+        FrameWorkload { scene: scene.into(), stats, model_bytes: 7 << 20, format_bytes: 0 }
+    }
 
     fn paper_like_result() -> FrameSimResult {
-        let w = FrameWorkload {
-            scene: "avg".into(),
-            rays: 640_000,
-            samples_marched: 26_000_000,
-            samples_shaded: 1_250_000,
-            samples_skipped: 0,
-            pixels_shaded: 0,
-            rays_warped: 0,
-            rays_remarched: 0,
-            model_bytes: 7 << 20,
-            format_bytes: 0,
-        };
-        simulate_frame(&w, &ArchConfig::default())
+        simulate_frame(&workload("avg", 26_000_000, 1_250_000), &ArchConfig::default())
     }
 
     #[test]
@@ -308,30 +308,8 @@ mod tests {
     #[test]
     fn power_scales_with_activity() {
         let arch = ArchConfig::default();
-        let light = FrameWorkload {
-            scene: "light".into(),
-            rays: 640_000,
-            samples_marched: 5_000_000,
-            samples_shaded: 200_000,
-            samples_skipped: 0,
-            pixels_shaded: 0,
-            rays_warped: 0,
-            rays_remarched: 0,
-            model_bytes: 7 << 20,
-            format_bytes: 0,
-        };
-        let heavy = FrameWorkload {
-            scene: "heavy".into(),
-            rays: 640_000,
-            samples_marched: 40_000_000,
-            samples_shaded: 2_500_000,
-            samples_skipped: 0,
-            pixels_shaded: 0,
-            rays_warped: 0,
-            rays_remarched: 0,
-            model_bytes: 7 << 20,
-            format_bytes: 0,
-        };
+        let light = workload("light", 5_000_000, 200_000);
+        let heavy = workload("heavy", 40_000_000, 2_500_000);
         let p_light = EnergyParams::default().power(&simulate_frame(&light, &arch), &arch).total_w;
         let p_heavy = EnergyParams::default().power(&simulate_frame(&heavy, &arch), &arch).total_w;
         // Dynamic power per frame grows, but power (energy/time) stays in a

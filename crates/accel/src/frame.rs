@@ -15,42 +15,19 @@ pub const PAPER_WIDTH: u32 = 800;
 /// See [`PAPER_WIDTH`].
 pub const PAPER_HEIGHT: u32 = 800;
 
-/// Workload of rendering one frame.
+/// Workload of rendering one frame: the renderer's measured counters plus
+/// the bytes the frame streams from DRAM.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FrameWorkload {
     /// Scene label.
     pub scene: String,
-    /// Primary rays in the frame.
-    pub rays: usize,
-    /// Sample positions marched (one SGPU decode each: 8 vertex lookups).
-    pub samples_marched: usize,
-    /// Samples with positive density (one MLP evaluation each).
-    pub samples_shaded: usize,
-    /// Sample positions the renderer's occupancy pyramid proved empty and
-    /// skipped. Skipped samples are charged **no** GID/HMU/TIU/MLP cycles —
-    /// the same accounting the paper applies to pruned voxels: removed
-    /// work, identical output. `samples_marched` already excludes them, so
-    /// [`crate::sim::pipeline::simulate_frame`] needs no special casing.
-    pub samples_skipped: usize,
-    /// Per-pixel deferred-MLP evaluations (bake-and-defer rendering). `0`
-    /// means classical per-sample shading: the full color MLP runs once per
-    /// shaded sample and the simulator's charging is exactly the historical
-    /// model. Non-zero switches the MLP column to the small deferred
-    /// network, evaluated `pixels_shaded` times per frame instead of
-    /// `samples_shaded` — the fig2-style MLP-work collapse.
-    pub pixels_shaded: usize,
-    /// Rays satisfied by forward-warping the previous frame of a temporal
-    /// trajectory ([`spnerf_render::temporal`]) instead of marching. `0` on
-    /// still frames and with `ReuseMode::Off`. Warped rays contribute no
-    /// SGPU/MLP work — their samples simply never appear in
-    /// `samples_marched`/`samples_shaded` — so the historical cycle model
-    /// needs no special casing; the column exists so per-path reports can
-    /// show the amortization.
-    pub rays_warped: usize,
-    /// Rays of a temporal frame that were re-marched (disocclusions, depth
-    /// edges, validation rays). `rays_warped + rays_remarched == rays` on
-    /// warped frames; both are `0` otherwise.
-    pub rays_remarched: usize,
+    /// The frame's render counters. The simulator charges one SGPU decode
+    /// per marched sample and one MLP evaluation per shaded sample, or per
+    /// shaded pixel when [`RenderStats::is_deferred`] (the small deferred
+    /// network of bake-and-defer rendering). Skipped samples and warped
+    /// rays never appear in the marched or shaded counts, so they cost
+    /// nothing: the same accounting the paper applies to pruned voxels.
+    pub stats: RenderStats,
     /// SpNeRF model bytes streamed from DRAM per frame (hash tables, bitmap,
     /// codebook, true voxel grid).
     pub model_bytes: usize,
@@ -68,13 +45,7 @@ impl FrameWorkload {
     pub fn from_render(scene: impl Into<String>, stats: &RenderStats, model: &SpNerfModel) -> Self {
         Self {
             scene: scene.into(),
-            rays: stats.rays,
-            samples_marched: stats.samples_marched,
-            samples_shaded: stats.samples_shaded,
-            samples_skipped: stats.samples_skipped,
-            pixels_shaded: stats.pixels_shaded,
-            rays_warped: stats.rays_warped,
-            rays_remarched: stats.rays_remarched,
+            stats: *stats,
             model_bytes: model.footprint().total_bytes(),
             format_bytes: 0,
         }
@@ -87,69 +58,35 @@ impl FrameWorkload {
         self
     }
 
-    /// Rescales per-ray statistics to a different resolution (ray count),
-    /// keeping samples-per-ray constant. Used to extrapolate a low-res
+    /// Rescales every counter to a different resolution (ray count),
+    /// keeping per-ray rates constant. Used to extrapolate a low-res
     /// measurement to the paper's 800×800 frames.
     pub fn scaled_to(&self, width: u32, height: u32) -> Self {
         let target_rays = width as usize * height as usize;
-        let f = target_rays as f64 / self.rays.max(1) as f64;
+        let f = target_rays as f64 / self.stats.rays.max(1) as f64;
+        let scale = |n: usize| (n as f64 * f).round() as usize;
+        let s = &self.stats;
         Self {
             scene: self.scene.clone(),
-            rays: target_rays,
-            samples_marched: (self.samples_marched as f64 * f).round() as usize,
-            samples_shaded: (self.samples_shaded as f64 * f).round() as usize,
-            samples_skipped: (self.samples_skipped as f64 * f).round() as usize,
-            pixels_shaded: (self.pixels_shaded as f64 * f).round() as usize,
-            rays_warped: (self.rays_warped as f64 * f).round() as usize,
-            rays_remarched: (self.rays_remarched as f64 * f).round() as usize,
+            stats: RenderStats {
+                rays: target_rays,
+                samples_marched: scale(s.samples_marched),
+                samples_shaded: scale(s.samples_shaded),
+                rays_terminated_early: scale(s.rays_terminated_early),
+                samples_skipped: scale(s.samples_skipped),
+                pixels_shaded: scale(s.pixels_shaded),
+                rays_warped: scale(s.rays_warped),
+                rays_remarched: scale(s.rays_remarched),
+            },
             model_bytes: self.model_bytes,
             // Metadata traffic is per-lookup, so it scales with the samples.
-            format_bytes: (self.format_bytes as f64 * f).round() as usize,
+            format_bytes: scale(self.format_bytes),
         }
     }
 
     /// Convenience: rescale to the paper's 800×800 frames.
     pub fn at_paper_resolution(&self) -> Self {
         self.scaled_to(PAPER_WIDTH, PAPER_HEIGHT)
-    }
-
-    /// Average marched samples per ray.
-    pub fn marched_per_ray(&self) -> f64 {
-        self.samples_marched as f64 / self.rays.max(1) as f64
-    }
-
-    /// Average shaded samples per ray.
-    pub fn shaded_per_ray(&self) -> f64 {
-        self.samples_shaded as f64 / self.rays.max(1) as f64
-    }
-
-    /// Whether this frame was rendered bake-and-defer (the MLP column is
-    /// per-pixel, not per-sample).
-    pub fn is_deferred(&self) -> bool {
-        self.pixels_shaded > 0
-    }
-
-    /// MLP-work collapse factor of a deferred frame: per-sample evaluations
-    /// avoided per deferred evaluation paid
-    /// (`samples_shaded / pixels_shaded`). `0` for per-sample frames.
-    pub fn mlp_collapse(&self) -> f64 {
-        if self.pixels_shaded == 0 {
-            0.0
-        } else {
-            self.samples_shaded as f64 / self.pixels_shaded as f64
-        }
-    }
-
-    /// Whether the frame reused any rays from its predecessor (it came from
-    /// a warped temporal trajectory).
-    pub fn is_warped(&self) -> bool {
-        self.rays_warped > 0
-    }
-
-    /// Fraction of rays the warp satisfied without marching (`0.0` for
-    /// still frames).
-    pub fn warp_fraction(&self) -> f64 {
-        self.rays_warped as f64 / self.rays.max(1) as f64
     }
 }
 
@@ -173,13 +110,7 @@ mod tests {
     fn workload() -> FrameWorkload {
         FrameWorkload {
             scene: "test".into(),
-            rays: 1024,
-            samples_marched: 30_000,
-            samples_shaded: 2_000,
-            samples_skipped: 0,
-            pixels_shaded: 0,
-            rays_warped: 0,
-            rays_remarched: 0,
+            stats: stats(),
             model_bytes: 7 << 20,
             format_bytes: 0,
         }
@@ -187,18 +118,34 @@ mod tests {
 
     #[test]
     fn scaling_preserves_per_ray_ratios() {
+        // 1024 → 640 000 rays is exactly 625×, so every counter scales
+        // without rounding.
         let w = workload();
         let scaled = w.scaled_to(800, 800);
-        assert_eq!(scaled.rays, 640_000);
-        assert!((scaled.marched_per_ray() - w.marched_per_ray()).abs() < 0.01);
-        assert!((scaled.shaded_per_ray() - w.shaded_per_ray()).abs() < 0.01);
+        assert_eq!(
+            scaled.stats,
+            RenderStats {
+                rays: 640_000,
+                samples_marched: 18_750_000,
+                samples_shaded: 1_250_000,
+                rays_terminated_early: 62_500,
+                samples_skipped: 312_500,
+                pixels_shaded: 250_000,
+                rays_warped: 480_000,
+                rays_remarched: 160_000,
+            }
+        );
+        assert_eq!(scaled.stats.avg_marched_per_ray(), w.stats.avg_marched_per_ray());
+        assert_eq!(scaled.stats.avg_shaded_per_ray(), w.stats.avg_shaded_per_ray());
+        assert_eq!(scaled.stats.mlp_collapse(), w.stats.mlp_collapse());
+        assert_eq!(scaled.stats.warp_fraction(), w.stats.warp_fraction());
         assert_eq!(scaled.model_bytes, w.model_bytes); // model size is per scene
     }
 
     #[test]
     fn paper_resolution_is_640k_rays() {
         let s = workload().at_paper_resolution();
-        assert_eq!(s.rays, PAPER_WIDTH as usize * PAPER_HEIGHT as usize);
+        assert_eq!(s.stats.rays, PAPER_WIDTH as usize * PAPER_HEIGHT as usize);
     }
 
     #[test]
@@ -215,12 +162,8 @@ mod tests {
         let cfg = SpNerfConfig { subgrid_count: 2, table_size: 256, codebook_size: 4 };
         let model = SpNerfModel::build(&vqrf, &cfg).unwrap();
         let w = FrameWorkload::from_render("chair", &stats(), &model);
-        assert_eq!(w.rays, 1024);
-        assert_eq!(w.samples_marched, 30_000);
-        assert_eq!(w.samples_skipped, 500);
-        assert_eq!(w.pixels_shaded, 400);
-        assert_eq!(w.rays_warped, 768);
-        assert_eq!(w.rays_remarched, 256);
+        assert_eq!(w.scene, "chair");
+        assert_eq!(w.stats, stats());
         assert_eq!(w.model_bytes, model.footprint().total_bytes());
         assert_eq!(w.format_bytes, 0, "format traffic is attached explicitly");
         assert_eq!(w.with_format_traffic(1234).format_bytes, 1234);
@@ -230,44 +173,8 @@ mod tests {
     fn format_traffic_scales_like_lookups() {
         let w = workload().with_format_traffic(64_000);
         let scaled = w.scaled_to(800, 800);
-        let f = scaled.rays as f64 / w.rays as f64;
+        let f = scaled.stats.rays as f64 / w.stats.rays as f64;
         assert_eq!(scaled.format_bytes, (64_000.0 * f).round() as usize);
         assert_eq!(scaled.model_bytes, w.model_bytes, "model bytes stay per scene");
-    }
-
-    #[test]
-    fn scaling_covers_skipped_samples() {
-        let w = FrameWorkload { samples_skipped: 10_000, ..workload() };
-        let scaled = w.scaled_to(800, 800);
-        let f = scaled.rays as f64 / w.rays as f64;
-        assert_eq!(scaled.samples_skipped, (10_000.0 * f).round() as usize);
-    }
-
-    #[test]
-    fn warped_frames_scale_and_report_the_fraction() {
-        let w = FrameWorkload { rays_warped: 768, rays_remarched: 256, ..workload() };
-        assert!(w.is_warped());
-        assert!(!workload().is_warped());
-        assert_eq!(w.warp_fraction(), 768.0 / 1024.0);
-        assert_eq!(workload().warp_fraction(), 0.0);
-        let scaled = w.scaled_to(800, 800);
-        let f = scaled.rays as f64 / w.rays as f64;
-        assert_eq!(scaled.rays_warped, (768.0 * f).round() as usize);
-        assert_eq!(scaled.rays_remarched, (256.0 * f).round() as usize);
-        assert!((scaled.warp_fraction() - w.warp_fraction()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn deferred_frames_scale_and_report_the_collapse() {
-        let w = FrameWorkload { pixels_shaded: 400, ..workload() };
-        assert!(w.is_deferred());
-        assert!(!workload().is_deferred());
-        assert_eq!(w.mlp_collapse(), 2_000.0 / 400.0);
-        assert_eq!(workload().mlp_collapse(), 0.0);
-        let scaled = w.scaled_to(800, 800);
-        let f = scaled.rays as f64 / w.rays as f64;
-        assert_eq!(scaled.pixels_shaded, (400.0 * f).round() as usize);
-        // The collapse ratio is scale-invariant.
-        assert!((scaled.mlp_collapse() - w.mlp_collapse()).abs() < 1e-9);
     }
 }

@@ -19,19 +19,16 @@
 //! ```
 //! use spnerf_accel::frame::FrameWorkload;
 //! use spnerf_accel::sim::pipeline::{simulate_frame, ArchConfig};
+//! use spnerf_render::renderer::RenderStats;
 //!
-//! let workload = FrameWorkload {
-//!     scene: "lego".into(),
+//! let stats = RenderStats {
 //!     rays: 640_000,
 //!     samples_marched: 25_000_000,
 //!     samples_shaded: 1_200_000,
-//!     samples_skipped: 0,
-//!     pixels_shaded: 0,
-//!     rays_warped: 0,
-//!     rays_remarched: 0,
-//!     model_bytes: 7 << 20,
-//!     format_bytes: 0,
+//!     ..Default::default()
 //! };
+//! let workload =
+//!     FrameWorkload { scene: "lego".into(), stats, model_bytes: 7 << 20, format_bytes: 0 };
 //! let result = simulate_frame(&workload, &ArchConfig::default());
 //! assert!(result.fps > 10.0);
 //! ```
@@ -46,7 +43,6 @@ pub mod sim;
 pub use asic::{AreaModel, AsicSummary, EnergyParams};
 pub use frame::FrameWorkload;
 pub use sim::pipeline::{
-    assemble_path, simulate_frame, simulate_path, ArchConfig, Bottleneck, FrameSimResult,
-    PathSimResult, SgpuModel,
+    simulate_frame, simulate_path, ArchConfig, Bottleneck, FrameSimResult, PathSimResult, SgpuModel,
 };
 pub use sim::systolic::SystolicArray;

@@ -216,20 +216,23 @@ pub struct FrameSimResult {
 /// Analytic frame performance model (fully pipelined + double buffering ⇒
 /// engines overlap; the slowest stream dominates).
 ///
-/// Frames with [`FrameWorkload::pixels_shaded`]` > 0` were rendered
-/// bake-and-defer: the MLP column charges the small deferred
+/// Frames with `stats.pixels_shaded > 0` were rendered bake-and-defer
+/// ([`RenderStats::is_deferred`]): the MLP column charges the small deferred
 /// view-dependence network once per shaded *pixel* instead of the full
 /// color MLP once per shaded *sample* (cycles, MACs, and SRAM weight/IO
 /// traffic alike). Frames with `pixels_shaded == 0` simulate exactly as
 /// before, bit for bit.
+///
+/// [`RenderStats::is_deferred`]: spnerf_render::renderer::RenderStats::is_deferred
 pub fn simulate_frame(w: &FrameWorkload, arch: &ArchConfig) -> FrameSimResult {
     assert!(arch.sgpu_lanes > 0, "need at least one SGPU lane");
-    let deferred = w.is_deferred();
-    let sgpu_cycles = (w.samples_marched as u64).div_ceil(arch.sgpu_lanes as u64);
+    let s = &w.stats;
+    let deferred = s.is_deferred();
+    let sgpu_cycles = (s.samples_marched as u64).div_ceil(arch.sgpu_lanes as u64);
     let mlp_cycles = if deferred {
-        arch.systolic.deferred_mlp_cycles(w.pixels_shaded, arch.batch_size)
+        arch.systolic.deferred_mlp_cycles(s.pixels_shaded, arch.batch_size)
     } else {
-        arch.systolic.mlp_cycles(w.samples_shaded, arch.batch_size)
+        arch.systolic.mlp_cycles(s.samples_shaded, arch.batch_size)
     };
     // The DRAM stream carries the model plus the selected sparse format's
     // per-lookup metadata traffic; `format_bytes == 0` (the historical
@@ -248,9 +251,9 @@ pub fn simulate_frame(w: &FrameWorkload, arch: &ArchConfig) -> FrameSimResult {
     };
 
     let macs = if deferred {
-        w.pixels_shaded as u64 * DeferredMlp::macs_per_pixel() as u64
+        s.pixels_shaded as u64 * DeferredMlp::macs_per_pixel() as u64
     } else {
-        w.samples_shaded as u64 * Mlp::macs_per_sample() as u64
+        s.samples_shaded as u64 * Mlp::macs_per_sample() as u64
     };
     let systolic_utilization = if mlp_cycles == 0 {
         0.0
@@ -261,8 +264,8 @@ pub fn simulate_frame(w: &FrameWorkload, arch: &ArchConfig) -> FrameSimResult {
     // SRAM traffic: per marched sample the SGPU touches 8 corners ×
     // (bitmap 8 b + entry 26 b) plus ~8 feature fetches (≈128 b each);
     // the MLP streams weights once per batch plus its input/output buffers.
-    let sgpu_bits = w.samples_marched as u64 * 8 * (8 + 26 + 128);
-    let mlp_evals = if deferred { w.pixels_shaded } else { w.samples_shaded };
+    let sgpu_bits = s.samples_marched as u64 * 8 * (8 + 26 + 128);
+    let mlp_evals = if deferred { s.pixels_shaded } else { s.samples_shaded };
     let batches = (mlp_evals as u64).div_ceil(arch.batch_size as u64);
     let (weight_bits, in_dim) = if deferred {
         (DeferredMlp::weight_bytes_f16() as u64 * 8, DEFERRED_INPUT_DIM)
@@ -283,8 +286,8 @@ pub fn simulate_frame(w: &FrameWorkload, arch: &ArchConfig) -> FrameSimResult {
         bottleneck,
         systolic_utilization,
         activity: Activity {
-            samples_marched: w.samples_marched as u64,
-            samples_shaded: w.samples_shaded as u64,
+            samples_marched: s.samples_marched as u64,
+            samples_shaded: s.samples_shaded as u64,
             macs,
             sram_bits: sgpu_bits + mlp_bits,
             dram_bytes: stream_bytes,
@@ -332,26 +335,15 @@ impl PathSimResult {
 ///
 /// Each frame is simulated independently (double-buffered model streams
 /// re-fetch per frame, as in the single-frame model); reuse shows up purely
-/// through the workloads — warped frames arrive with fewer
-/// [`FrameWorkload::samples_marched`], so the amortized per-frame columns
-/// report what the trajectory actually cost. An empty path returns all
-/// zeros.
+/// through the workloads — warped frames arrive with fewer marched samples,
+/// so the amortized per-frame columns report what the trajectory actually
+/// cost. An empty path returns all zeros.
 pub fn simulate_path(workloads: &[FrameWorkload], arch: &ArchConfig) -> PathSimResult {
     let frames: Vec<FrameSimResult> = workloads.iter().map(|w| simulate_frame(w, arch)).collect();
-    assemble_path(frames, workloads)
-}
-
-/// Folds already-simulated per-frame results (in path order, one per
-/// workload) into a [`PathSimResult`]. [`simulate_path`] is exactly
-/// `assemble_path(workloads.map(simulate_frame), workloads)`; streaming
-/// drivers that overlap frame *N*'s render with frame *N−1*'s simulation
-/// assemble through the same fold, so overlap can never change a reported
-/// total.
-pub fn assemble_path(frames: Vec<FrameSimResult>, workloads: &[FrameWorkload]) -> PathSimResult {
     let total_cycles: u64 = frames.iter().map(|f| f.cycles).sum();
     let total_dram_bytes: u64 = frames.iter().map(|f| f.activity.dram_bytes).sum();
     let total_samples_marched: u64 = frames.iter().map(|f| f.activity.samples_marched).sum();
-    let total_rays_warped: u64 = workloads.iter().map(|w| w.rays_warped as u64).sum();
+    let total_rays_warped: u64 = workloads.iter().map(|w| w.stats.rays_warped as u64).sum();
     let n = frames.len().max(1) as f64;
     PathSimResult {
         amortized_samples_per_frame: total_samples_marched as f64 / n,
@@ -427,6 +419,7 @@ mod tests {
     use super::*;
     use spnerf_core::SpNerfConfig;
     use spnerf_render::interp::interpolate;
+    use spnerf_render::renderer::RenderStats;
     use spnerf_render::scene::{build_grid, SceneId};
     use spnerf_voxel::vqrf::{VqrfConfig, VqrfModel};
 
@@ -441,18 +434,25 @@ mod tests {
     }
 
     fn workload() -> FrameWorkload {
-        FrameWorkload {
-            scene: "lego".into(),
-            rays: 640_000,
-            samples_marched: 25_000_000,
-            samples_shaded: 1_200_000,
-            samples_skipped: 0,
-            pixels_shaded: 0,
-            rays_warped: 0,
-            rays_remarched: 0,
-            model_bytes: 7 << 20,
-            format_bytes: 0,
-        }
+        frame(640_000, 25_000_000, 1_200_000, 7 << 20)
+    }
+
+    /// A per-sample frame with only the counters the simulator reads set.
+    fn frame(rays: usize, marched: usize, shaded: usize, model_bytes: usize) -> FrameWorkload {
+        let stats = RenderStats {
+            rays,
+            samples_marched: marched,
+            samples_shaded: shaded,
+            ..Default::default()
+        };
+        FrameWorkload { scene: "lego".into(), stats, model_bytes, format_bytes: 0 }
+    }
+
+    /// `base` with `edit` applied to its counters.
+    fn with_stats(base: &FrameWorkload, edit: impl FnOnce(&mut RenderStats)) -> FrameWorkload {
+        let mut w = base.clone();
+        edit(&mut w.stats);
+        w
     }
 
     #[test]
@@ -542,7 +542,7 @@ mod tests {
 
     #[test]
     fn more_lanes_help_sgpu_bound_frames() {
-        let w = FrameWorkload { samples_shaded: 100_000, ..workload() }; // SGPU-bound
+        let w = with_stats(&workload(), |s| s.samples_shaded = 100_000); // SGPU-bound
         let two = simulate_frame(&w, &ArchConfig { sgpu_lanes: 2, ..Default::default() });
         let four = simulate_frame(&w, &ArchConfig { sgpu_lanes: 4, ..Default::default() });
         assert_eq!(two.bottleneck, Bottleneck::Sgpu);
@@ -554,18 +554,7 @@ mod tests {
         let arch = ArchConfig::default();
         let sim = CycleSimulator::new(arch);
         for (marched, shaded) in [(1_000_000, 60_000), (2_000_000, 40_000), (500_000, 45_000)] {
-            let w = FrameWorkload {
-                scene: "x".into(),
-                rays: 10_000,
-                samples_marched: marched,
-                samples_shaded: shaded,
-                samples_skipped: 0,
-                pixels_shaded: 0,
-                rays_warped: 0,
-                rays_remarched: 0,
-                model_bytes: 0,
-                format_bytes: 0,
-            };
+            let w = frame(10_000, marched, shaded, 0);
             let analytic = simulate_frame(&w, &arch);
             let stepped = sim.run(marched, shaded);
             let err = (stepped as f64 - analytic.cycles as f64).abs() / analytic.cycles as f64;
@@ -587,17 +576,17 @@ mod tests {
         // to one that never generated them.
         let arch = ArchConfig::default();
         let unskipped = workload();
-        let skipped = FrameWorkload {
-            samples_marched: unskipped.samples_marched / 10,
-            samples_skipped: unskipped.samples_marched - unskipped.samples_marched / 10,
-            ..unskipped.clone()
-        };
+        let marched = unskipped.stats.samples_marched;
+        let skipped = with_stats(&unskipped, |s| {
+            s.samples_marched = marched / 10;
+            s.samples_skipped = marched - marched / 10;
+        });
         let r_full = simulate_frame(&unskipped, &arch);
         let r_skip = simulate_frame(&skipped, &arch);
         assert!(r_skip.sgpu_cycles < r_full.sgpu_cycles / 5, "SGPU stream must shrink");
         assert_eq!(r_skip.mlp_cycles, r_full.mlp_cycles, "shaded work is unchanged");
         // A frame that never had the skipped samples at all is identical.
-        let absent = FrameWorkload { samples_skipped: 0, ..skipped.clone() };
+        let absent = with_stats(&skipped, |s| s.samples_skipped = 0);
         assert_eq!(simulate_frame(&absent, &arch).cycles, r_skip.cycles);
     }
 
@@ -608,7 +597,7 @@ mod tests {
         // utilization all derive from the small network.
         let arch = ArchConfig::default();
         let per_sample = workload();
-        let deferred = FrameWorkload { pixels_shaded: per_sample.rays / 2, ..per_sample.clone() };
+        let deferred = with_stats(&per_sample, |s| s.pixels_shaded = s.rays / 2);
         let r_ps = simulate_frame(&per_sample, &arch);
         let r_df = simulate_frame(&deferred, &arch);
         assert!(
@@ -619,11 +608,11 @@ mod tests {
         );
         assert_eq!(
             r_df.activity.macs,
-            deferred.pixels_shaded as u64 * DeferredMlp::macs_per_pixel() as u64
+            deferred.stats.pixels_shaded as u64 * DeferredMlp::macs_per_pixel() as u64
         );
         assert_eq!(
             r_df.mlp_cycles,
-            arch.systolic.deferred_mlp_cycles(deferred.pixels_shaded, arch.batch_size)
+            arch.systolic.deferred_mlp_cycles(deferred.stats.pixels_shaded, arch.batch_size)
         );
         // SGPU and DRAM streams are untouched — only the shading collapses.
         assert_eq!(r_df.sgpu_cycles, r_ps.sgpu_cycles);
@@ -634,18 +623,7 @@ mod tests {
 
     #[test]
     fn empty_frame_costs_only_fill() {
-        let w = FrameWorkload {
-            scene: "empty".into(),
-            rays: 100,
-            samples_marched: 0,
-            samples_shaded: 0,
-            samples_skipped: 0,
-            pixels_shaded: 0,
-            rays_warped: 0,
-            rays_remarched: 0,
-            model_bytes: 0,
-            format_bytes: 0,
-        };
+        let w = frame(100, 0, 0, 0);
         let arch = ArchConfig::default();
         let r = simulate_frame(&w, &arch);
         assert_eq!(r.cycles, arch.pipeline_fill_cycles());
@@ -659,13 +637,12 @@ mod tests {
         // be the plain sums of the per-frame results.
         let arch = ArchConfig::default();
         let full = workload();
-        let warped = FrameWorkload {
-            samples_marched: full.samples_marched / 4,
-            samples_shaded: full.samples_shaded / 4,
-            rays_warped: full.rays * 3 / 4,
-            rays_remarched: full.rays / 4,
-            ..full.clone()
-        };
+        let warped = with_stats(&full, |s| {
+            s.samples_marched /= 4;
+            s.samples_shaded /= 4;
+            s.rays_warped = s.rays * 3 / 4;
+            s.rays_remarched = s.rays / 4;
+        });
         let mut path = vec![full.clone()];
         path.extend(std::iter::repeat_n(warped.clone(), 7));
         let r = simulate_path(&path, &arch);
@@ -673,7 +650,7 @@ mod tests {
         assert_eq!(r.frames.len(), 8);
         assert_eq!(r.frames[0], standalone);
         assert_eq!(r.total_cycles, r.frames.iter().map(|f| f.cycles).sum::<u64>());
-        assert_eq!(r.total_rays_warped, 7 * warped.rays_warped as u64);
+        assert_eq!(r.total_rays_warped, 7 * warped.stats.rays_warped as u64);
         assert!(
             r.amortized_samples_per_frame < 0.4 * standalone.activity.samples_marched as f64,
             "amortized {} vs standalone {}",

@@ -49,9 +49,9 @@ fn main() {
             // per pixel instead of once per shaded sample.
             baked_rows.push(vec![
                 item.label(),
-                eval.workload.samples_shaded.to_string(),
-                eval.workload.pixels_shaded.to_string(),
-                format!("{:.1}x", eval.workload.mlp_collapse()),
+                eval.workload.stats.samples_shaded.to_string(),
+                eval.workload.stats.pixels_shaded.to_string(),
+                format!("{:.1}x", eval.workload.stats.mlp_collapse()),
                 format!("{:.2} dB", eval.psnr_baked.unwrap_or(f64::NAN)),
             ]);
         }
@@ -63,8 +63,8 @@ fn main() {
         ]);
         let w = VqrfGpuWorkload::new(
             scene.grid().dims().len(),
-            eval.workload.samples_marched as u64,
-            eval.workload.samples_shaded as u64,
+            eval.workload.stats.samples_marched as u64,
+            eval.workload.stats.samples_shaded as u64,
             scene.vqrf().compressed_footprint().total_bytes(),
         );
         for (i, p) in platforms.iter().enumerate() {

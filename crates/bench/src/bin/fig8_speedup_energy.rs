@@ -48,8 +48,8 @@ fn main() {
 
         let gpu_w = VqrfGpuWorkload::new(
             scene.grid().dims().len(),
-            eval.workload.samples_marched as u64,
-            eval.workload.samples_shaded as u64,
+            eval.workload.stats.samples_marched as u64,
+            eval.workload.stats.samples_shaded as u64,
             scene.vqrf().compressed_footprint().total_bytes(),
         );
         let fx = estimate_frame(&xnx, &gpu_w).fps();

@@ -8,10 +8,8 @@
 //! modes (`--reuse-mode` picks one), and the cycle/DRAM models report
 //! amortized samples, cycles, and DRAM bytes per frame over the whole path.
 //! Frame 0 always pays a full render, so the headline ratio compares
-//! frames 1.. only. The warp pass runs through the overlapped
-//! double-buffer driver — frame *N* renders while frame *N−1* simulates —
-//! and the binary cross-checks its fold against the sequential
-//! [`simulate_path`] bit for bit.
+//! frames 1.. only. Both modes render through `render_trajectory` and
+//! simulate through [`simulate_path`].
 //!
 //! With `--corpus` the sweep runs the five procedural archetypes instead
 //! of the eight scenes; CI greps the machine-readable `REUSE` lines to
@@ -71,20 +69,8 @@ fn main() {
             let mut by_mode: Vec<(ReuseMode, TrajectoryResponse, PathSimResult)> = Vec::new();
             for mode in &modes {
                 let request = TrajectoryRequest::new(source, spec).with_mode(*mode);
-                // The warp pass exercises the overlapped double-buffer
-                // driver; its fold must equal the sequential model's.
-                let (resp, path) = if mode.is_on() {
-                    let (resp, path) = session
-                        .render_trajectory_overlapped(&request, &arch)
-                        .expect("non-empty path");
-                    let sequential = simulate_path(&resp.workloads, &arch);
-                    assert_eq!(path, sequential, "overlapped fold must match sequential");
-                    (resp, path)
-                } else {
-                    let resp = session.render_trajectory(&request).expect("non-empty path");
-                    let path = simulate_path(&resp.workloads, &arch);
-                    (resp, path)
-                };
+                let resp = session.render_trajectory(&request).expect("non-empty path");
+                let path = simulate_path(&resp.workloads, &arch);
                 rows.push(vec![
                     item.label(),
                     kind.name().to_string(),

@@ -42,16 +42,13 @@ use spnerf::render::scene::{default_camera, SceneId};
 use spnerf::voxel::sparse::FormatSelection;
 use spnerf::voxel::vqrf::VqrfConfig;
 use spnerf_testkit::corpus::{generate, Corpus, CorpusSpec};
+use spnerf_testkit::fixtures::MLP_SEED;
 
 pub mod cli;
 pub mod snapshot;
 
 pub use cli::SourceMode;
 pub use spnerf::core::SpNerfConfig;
-
-/// Deterministic MLP seed shared by every harness so all figures use the
-/// same network.
-pub const MLP_SEED: u64 = 42;
 
 /// Fidelity preset for a harness run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -382,7 +379,7 @@ mod tests {
         // Quality ordering: VQRF ≥ masked SpNeRF > unmasked SpNeRF.
         assert!(eval.psnr_masked > eval.psnr_unmasked, "masking must help");
         assert!(eval.psnr_vqrf >= eval.psnr_masked - 1.0);
-        assert!(eval.workload.rays == 640_000);
+        assert_eq!(eval.workload.stats.rays, 640_000);
     }
 
     #[test]
@@ -454,7 +451,7 @@ mod tests {
         assert_eq!(scene.id(), None);
         let eval = evaluate_scene(&scene, &fid);
         assert!(eval.psnr_masked > eval.psnr_unmasked, "masking must help on corpus scenes too");
-        assert_eq!(eval.workload.rays, 640_000);
+        assert_eq!(eval.workload.stats.rays, 640_000);
     }
 
     #[test]
@@ -465,15 +462,15 @@ mod tests {
         let scene = build_sweep_scene(item, &fid);
         let eval = evaluate_scene(&scene, &fid);
         assert!(eval.psnr_baked.is_some(), "baked mode must report its PSNR");
-        assert!(eval.workload.is_deferred(), "baked mode must produce a deferred workload");
-        let collapse = eval.workload.mlp_collapse();
+        assert!(eval.workload.stats.is_deferred(), "baked mode must produce a deferred workload");
+        let collapse = eval.workload.stats.mlp_collapse();
         assert!(
             collapse >= 5.0,
             "dense-blob at quick fidelity must evaluate ≥5x fewer MLPs deferred, got {collapse:.2}x"
         );
         // The same scene under the default mode keeps the classical column.
         let classic = evaluate_scene(&scene, &Fidelity::quick());
-        assert!(!classic.workload.is_deferred());
+        assert!(!classic.workload.stats.is_deferred());
         assert!(classic.psnr_baked.is_none());
     }
 

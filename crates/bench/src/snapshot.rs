@@ -53,9 +53,7 @@ use spnerf::voxel::coord::{GridCoord, GridDims};
 use spnerf::voxel::grid::DenseGrid;
 use spnerf::voxel::kmeans::Codebook;
 use spnerf::voxel::FEATURE_DIM;
-use spnerf_testkit::fixtures::dataset_fixture;
-
-use crate::MLP_SEED;
+use spnerf_testkit::fixtures::{dataset_fixture, MLP_SEED};
 
 /// Version of the `BENCH_*.json` schema this code emits and validates.
 /// Bump it (and `docs/benchmarking.md`) when a field changes meaning; CI

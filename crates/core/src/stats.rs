@@ -39,15 +39,6 @@ impl AliasStats {
             self.aliased_empty as f64 / empty as f64
         }
     }
-
-    /// Fraction of stored points that alias another point's data.
-    pub fn point_alias_rate(&self) -> f64 {
-        if self.occupied == 0 {
-            0.0
-        } else {
-            self.aliased_points as f64 / self.occupied as f64
-        }
-    }
 }
 
 /// Scans the whole grid and classifies every voxel's decode behaviour.

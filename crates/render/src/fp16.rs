@@ -43,8 +43,6 @@ impl F16 {
     pub const MAX: F16 = F16(0x7bff);
     /// Smallest positive normal value (2⁻¹⁴).
     pub const MIN_POSITIVE: F16 = F16(0x0400);
-    /// Smallest positive subnormal value (2⁻²⁴).
-    pub const MIN_SUBNORMAL: F16 = F16(0x0001);
     /// Machine epsilon (2⁻¹⁰): difference between 1.0 and the next value.
     pub const EPSILON: F16 = F16(0x1400);
 
@@ -88,11 +86,6 @@ impl F16 {
         (self.0 & 0x7c00) == 0 && (self.0 & 0x03ff) != 0
     }
 
-    /// Sign bit (true when negative, including -0).
-    pub fn is_sign_negative(self) -> bool {
-        self.0 & 0x8000 != 0
-    }
-
     /// Absolute value.
     pub fn abs(self) -> Self {
         F16(self.0 & 0x7fff)
@@ -102,11 +95,6 @@ impl F16 {
     /// operation of one FP16 MAC in the systolic array.
     pub fn mul_add(self, b: F16, c: F16) -> F16 {
         F16::from_f32(self.to_f32() * b.to_f32() + c.to_f32())
-    }
-
-    /// The rounding error committed when storing `x` as f16.
-    pub fn rounding_error(x: f32) -> f32 {
-        (F16::from_f32(x).to_f32() - x).abs()
     }
 }
 

@@ -228,6 +228,35 @@ impl RenderStats {
         }
     }
 
+    /// Whether the view was rendered bake-and-defer (the MLP work is per
+    /// pixel, not per sample).
+    pub fn is_deferred(&self) -> bool {
+        self.pixels_shaded > 0
+    }
+
+    /// MLP-work collapse factor of a deferred view: per-sample evaluations
+    /// avoided per deferred evaluation paid
+    /// (`samples_shaded / pixels_shaded`). `0` for per-sample views.
+    pub fn mlp_collapse(&self) -> f64 {
+        if self.pixels_shaded == 0 {
+            0.0
+        } else {
+            self.samples_shaded as f64 / self.pixels_shaded as f64
+        }
+    }
+
+    /// Whether the view reused any rays from its predecessor (it is a
+    /// warped frame of a temporal trajectory).
+    pub fn is_warped(&self) -> bool {
+        self.rays_warped > 0
+    }
+
+    /// Fraction of rays the warp satisfied without marching (`0.0` for
+    /// still frames).
+    pub fn warp_fraction(&self) -> f64 {
+        self.rays_warped as f64 / self.rays.max(1) as f64
+    }
+
     /// Accumulates another view's statistics.
     pub fn merge(&mut self, other: &RenderStats) {
         self.rays += other.rays;
@@ -986,6 +1015,28 @@ mod tests {
             RenderStats { rays: 4, samples_marched: 10, samples_shaded: 6, ..Default::default() };
         assert_eq!(s.avg_marched_per_ray(), 2.5);
         assert_eq!(s.avg_shaded_per_ray(), 1.5);
+    }
+
+    #[test]
+    fn still_deferred_and_warped_ratios() {
+        let still = RenderStats {
+            rays: 1024,
+            samples_marched: 30_000,
+            samples_shaded: 2_000,
+            ..Default::default()
+        };
+        assert!(!still.is_deferred() && !still.is_warped());
+        assert_eq!(still.mlp_collapse(), 0.0);
+        assert_eq!(still.warp_fraction(), 0.0);
+
+        let deferred = RenderStats { pixels_shaded: 400, ..still };
+        assert!(deferred.is_deferred());
+        assert_eq!(deferred.mlp_collapse(), 2_000.0 / 400.0);
+
+        let warped = RenderStats { rays_warped: 768, rays_remarched: 256, ..still };
+        assert!(warped.is_warped());
+        assert_eq!(warped.warp_fraction(), 768.0 / 1024.0);
+        assert_eq!(RenderStats::default().warp_fraction(), 0.0);
     }
 
     #[test]

@@ -126,11 +126,6 @@ pub fn scene_aabb() -> Aabb {
     Aabb::centered(1.0)
 }
 
-/// Builds the scene's voxel grid at the paper-scale resolution.
-pub fn build_paper_grid(id: SceneId) -> DenseGrid {
-    build_grid(id, id.spec().paper_grid_side)
-}
-
 /// Builds the scene's voxel grid at an arbitrary cubic resolution.
 ///
 /// Occupancy is calibrated to the scene's target by quantile thresholding of

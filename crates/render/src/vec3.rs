@@ -58,11 +58,6 @@ impl Vec3 {
         self.dot(self).sqrt()
     }
 
-    /// Squared length (avoids the square root).
-    pub fn length_squared(self) -> f32 {
-        self.dot(self)
-    }
-
     /// Unit vector in the same direction.
     ///
     /// # Panics

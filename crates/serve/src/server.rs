@@ -271,7 +271,6 @@ pub fn run(trace: &Trace, cfg: &ServeConfig, meta: &RunMeta) -> ServeOutcome {
     let mut tenants = vec![TenantReport::default(); trace.tenants];
     let mut responses: Vec<ServedResponse> = Vec::new();
     let mut latencies: Vec<f64> = Vec::new();
-    let mut digest = Fnv64::new();
     let mut peak_resident = 0usize;
     let mut next = 0usize;
 
@@ -371,10 +370,6 @@ pub fn run(trace: &Trace, cfg: &ServeConfig, meta: &RunMeta) -> ServeOutcome {
                 latency,
                 image_digest: image_digests[i],
             };
-            digest.write_u64(served.seq);
-            digest.write_u64(served.complete);
-            digest.write_u64(served.latency);
-            digest.write_u64(served.image_digest);
             responses.push(served);
         }
         clock.advance_to(complete);
@@ -422,13 +417,13 @@ pub fn run(trace: &Trace, cfg: &ServeConfig, meta: &RunMeta) -> ServeOutcome {
             final_resident_bytes: cache.resident_bytes() as u64,
         },
         tenants,
-        responses_digest: hex(digest.finish()),
+        responses_digest: responses_digest(&responses),
     };
     ServeOutcome { report, responses }
 }
 
-/// Rolling digest over served responses — the same fold [`run`] uses, so
-/// tests can digest a response list independently.
+/// Digest over served responses in completion order: the report's
+/// `responses_digest`.
 pub fn responses_digest(responses: &[ServedResponse]) -> String {
     let mut h = Fnv64::new();
     for r in responses {

@@ -272,7 +272,7 @@ pub fn run(spec: &CorpusSpec, cfg: &ConformanceConfig) -> Record {
     rec.push("baked.stats.samples_marched", baked.stats.samples_marched);
     rec.push("baked.stats.samples_shaded", baked.stats.samples_shaded);
     rec.push("baked.stats.pixels_shaded", baked.stats.pixels_shaded);
-    rec.push("baked.mlp_collapse", format!("{:.2}", baked.workload.mlp_collapse()));
+    rec.push("baked.mlp_collapse", format!("{:.2}", baked.stats.mlp_collapse()));
     rec.push("baked.stats.digest", digest::hex(digest::digest_stats(&baked.stats)));
     rec.push("baked.workload.digest", digest::hex(digest::digest_workload(&baked.workload)));
     let baked_sim = simulate_frame(&baked.workload, &ArchConfig::default());

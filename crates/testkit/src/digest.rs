@@ -13,91 +13,17 @@ use spnerf_voxel::bitmap::Bitmap;
 use spnerf_voxel::grid::DenseGrid;
 use spnerf_voxel::kmeans::Codebook;
 
-/// An incremental 64-bit FNV-1a hasher over little-endian byte streams.
-///
-/// # Examples
+pub use spnerf_voxel::fnv::hex;
+/// The workspace's one FNV-1a hasher, which every digest here folds through
+/// (defined in `spnerf_voxel::fnv`).
 ///
 /// ```
-/// use spnerf_testkit::digest::Fnv64;
+/// use spnerf_testkit::digest::{hex, Fnv64};
 /// let mut h = Fnv64::new();
-/// h.write_u64(42);
-/// let a = h.finish();
-/// assert_ne!(a, Fnv64::new().finish());
+/// h.write(b"a");
+/// assert_eq!(hex(h.finish()), "0xaf63dc4c8601ec8c");
 /// ```
-#[derive(Debug, Clone)]
-pub struct Fnv64 {
-    state: u64,
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-impl Fnv64 {
-    /// A hasher at the FNV offset basis.
-    pub fn new() -> Self {
-        Self { state: FNV_OFFSET }
-    }
-
-    /// Folds raw bytes into the state.
-    pub fn write(&mut self, bytes: &[u8]) {
-        for b in bytes {
-            self.state ^= *b as u64;
-            self.state = self.state.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    /// Folds one byte.
-    pub fn write_u8(&mut self, v: u8) {
-        self.write(&[v]);
-    }
-
-    /// Folds a `u32` (little-endian).
-    pub fn write_u32(&mut self, v: u32) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// Folds a `u64` (little-endian).
-    pub fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    /// Folds a `usize` widened to `u64`, so 32- and 64-bit hosts agree.
-    pub fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-
-    /// Folds an `f32` by bit pattern.
-    pub fn write_f32(&mut self, v: f32) {
-        self.write_u32(v.to_bits());
-    }
-
-    /// Folds an `f64` by bit pattern.
-    pub fn write_f64(&mut self, v: f64) {
-        self.write_u64(v.to_bits());
-    }
-
-    /// Folds a string's UTF-8 bytes, length-prefixed.
-    pub fn write_str(&mut self, s: &str) {
-        self.write_usize(s.len());
-        self.write(s.as_bytes());
-    }
-
-    /// The digest.
-    pub fn finish(&self) -> u64 {
-        self.state
-    }
-}
-
-impl Default for Fnv64 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Formats a digest the way golden files store it (`0x` + 16 hex digits).
-pub fn hex(digest: u64) -> String {
-    format!("{digest:#018x}")
-}
+pub use spnerf_voxel::fnv::Fnv64;
 
 /// Digest of a rendered image: dimensions plus every pixel's exact bits.
 pub fn digest_image(img: &ImageBuffer) -> u64 {
@@ -142,17 +68,20 @@ pub fn digest_stats(stats: &RenderStats) -> u64 {
     h.finish()
 }
 
-/// Digest of a frame workload (scene label included).
+/// Digest of a frame workload (scene label included). The embedded counters
+/// fold in [`digest_stats`]' order, minus `rays_terminated_early`, which a
+/// workload has never carried into its digest.
 pub fn digest_workload(w: &FrameWorkload) -> u64 {
+    let s = &w.stats;
     let mut h = Fnv64::new();
     h.write_str(&w.scene);
-    h.write_usize(w.rays);
-    h.write_usize(w.samples_marched);
-    h.write_usize(w.samples_shaded);
-    h.write_usize(w.samples_skipped);
-    h.write_usize(w.pixels_shaded);
-    h.write_usize(w.rays_warped);
-    h.write_usize(w.rays_remarched);
+    h.write_usize(s.rays);
+    h.write_usize(s.samples_marched);
+    h.write_usize(s.samples_shaded);
+    h.write_usize(s.samples_skipped);
+    h.write_usize(s.pixels_shaded);
+    h.write_usize(s.rays_warped);
+    h.write_usize(s.rays_remarched);
     h.write_usize(w.model_bytes);
     h.write_usize(w.format_bytes);
     h.finish()
@@ -207,7 +136,8 @@ mod tests {
         let mut h = Fnv64::new();
         h.write(b"a");
         assert_eq!(h.finish(), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(Fnv64::new().finish(), FNV_OFFSET);
+        // FNV-1a("") is the offset basis.
+        assert_eq!(Fnv64::new().finish(), 0xcbf2_9ce4_8422_2325);
     }
 
     #[test]
@@ -269,13 +199,12 @@ mod tests {
 
         let w = FrameWorkload {
             scene: "x".into(),
-            rays: 10,
-            samples_marched: 20,
-            samples_shaded: 5,
-            samples_skipped: 0,
-            pixels_shaded: 0,
-            rays_warped: 0,
-            rays_remarched: 0,
+            stats: RenderStats {
+                rays: 10,
+                samples_marched: 20,
+                samples_shaded: 5,
+                ..Default::default()
+            },
             model_bytes: 1000,
             format_bytes: 0,
         };
@@ -283,16 +212,16 @@ mod tests {
         w2.scene = "y".into();
         assert_ne!(digest_workload(&w), digest_workload(&w2));
         let mut w3 = w.clone();
-        w3.pixels_shaded = 7;
+        w3.stats.pixels_shaded = 7;
         assert_ne!(digest_workload(&w), digest_workload(&w3));
         let mut w4 = w.clone();
         w4.format_bytes = 64;
         assert_ne!(digest_workload(&w), digest_workload(&w4));
         let mut w5 = w.clone();
-        w5.rays_warped = 8;
+        w5.stats.rays_warped = 8;
         assert_ne!(digest_workload(&w), digest_workload(&w5));
         let mut w6 = w.clone();
-        w6.rays_remarched = 8;
+        w6.stats.rays_remarched = 8;
         assert_ne!(digest_workload(&w), digest_workload(&w6));
     }
 }

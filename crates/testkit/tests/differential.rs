@@ -74,7 +74,7 @@ fn cycle_stepping_sim_validates_the_analytic_model_on_corpus_workloads() {
             ..resp.workload.at_paper_resolution()
         };
         let analytic = simulate_frame(&w, &arch);
-        let stepped = sim.run(w.samples_marched, w.samples_shaded);
+        let stepped = sim.run(w.stats.samples_marched, w.stats.samples_shaded);
         let err = (stepped as f64 - analytic.cycles as f64).abs() / analytic.cycles as f64;
         assert!(
             err < 0.05,

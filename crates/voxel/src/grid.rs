@@ -102,11 +102,6 @@ impl DenseGrid {
         &self.features
     }
 
-    /// Density by linear index.
-    pub fn density_at(&self, i: usize) -> f32 {
-        self.density[i]
-    }
-
     /// Features by linear index.
     pub fn features_at(&self, i: usize) -> &[f32] {
         &self.features[i * FEATURE_DIM..(i + 1) * FEATURE_DIM]

@@ -27,7 +27,9 @@
 //!   shared by k-means, VQRF classification and the renderer,
 //! * [`vqrf`] — the VQRF compressed model incl. the full-grid `restore()`
 //!   step that SpNeRF eliminates,
-//! * [`memory`] — itemized memory accounting shared by all representations.
+//! * [`memory`] — itemized memory accounting shared by all representations,
+//! * [`fnv`] — [`fnv::Fnv64`], the workspace's one FNV-1a hasher, behind
+//!   every stable digest (baked grids, render-cache keys, goldens).
 //!
 //! # Examples
 //!
@@ -55,6 +57,7 @@
 pub mod baked;
 pub mod bitmap;
 pub mod coord;
+pub mod fnv;
 pub mod formats;
 pub mod grid;
 pub mod kmeans;

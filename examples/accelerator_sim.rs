@@ -41,8 +41,8 @@ fn main() -> Result<(), spnerf::Error> {
     let workload = resp.workload.at_paper_resolution();
     println!(
         "workload @800×800: {:.1}M samples marched, {:.2}M shaded, model {:.1} MiB",
-        workload.samples_marched as f64 / 1e6,
-        workload.samples_shaded as f64 / 1e6,
+        workload.stats.samples_marched as f64 / 1e6,
+        workload.stats.samples_shaded as f64 / 1e6,
         workload.model_bytes as f64 / (1024.0 * 1024.0)
     );
 

@@ -76,8 +76,8 @@ fn main() -> Result<(), spnerf::Error> {
     let workload = masked.workload.at_paper_resolution();
     println!(
         "workload @800×800: {:.1}M samples marched, {:.2}M shaded",
-        workload.samples_marched as f64 / 1e6,
-        workload.samples_shaded as f64 / 1e6,
+        workload.stats.samples_marched as f64 / 1e6,
+        workload.stats.samples_shaded as f64 / 1e6,
     );
     Ok(())
 }

@@ -1,0 +1,75 @@
+#!/usr/bin/env bash
+# Checks that this tree prints byte-identical deterministic output to
+# another checkout, usually a clone of the parent commit. A refactor that
+# claims "no output changes" runs it before it is merged.
+#
+#   scripts/same-outputs.sh <parent-checkout>
+#
+# Builds both trees in release (each into its own `target/`), then runs from
+# each tree's root and diffs stdout, stderr and exit status of:
+#   * the ten figure/table binaries at `--quick`;
+#   * `fig9_temporal --quick --corpus`;
+#   * `fig2_profiling --quick --corpus --source baked`;
+#   * `spnerf_serve --quick --seed 7`;
+#   * `spnerf_serve --quick --replay crates/serve/tests/data/smoke.trace`.
+# None of these prints wall-clock time, so any difference is a real one.
+#
+# Exit status: 0 when every output matches, 1 on any difference, 2 on a
+# usage or build error.
+set -euo pipefail
+
+if [ "$#" -ne 1 ] || [ ! -f "$1/Cargo.toml" ]; then
+    echo "usage: $0 <parent-checkout>" >&2
+    exit 2
+fi
+here="$(cd "$(dirname "$0")/.." && pwd)"
+there="$(cd "$1" && pwd)"
+if [ "$here" = "$there" ]; then
+    echo "same-outputs: <parent-checkout> is this tree" >&2
+    exit 2
+fi
+
+FIGURES="table1_platforms fig2_profiling fig6_memory_psnr fig7_sweeps fig8_formats
+    fig8_speedup_energy fig9_area_power fig9_temporal table2_comparison ablation_preprocess"
+
+out="$(mktemp -d)"
+trap 'rm -rf "$out"' EXIT
+
+# run NAME BIN ARGS...: records one run's stdout, stderr and exit status
+# under $dir, running from the root of $tree (both set by the loop below).
+run() {
+    local name="$1" bin="$2"
+    shift 2
+    local status=0
+    (cd "$tree" && "./target/release/$bin" "$@") >"$dir/$name.out" 2>"$dir/$name.err" || status=$?
+    echo "$status" >"$dir/$name.status"
+}
+
+for side in parent change; do
+    if [ "$side" = parent ]; then tree="$there"; else tree="$here"; fi
+    dir="$out/$side"
+    mkdir -p "$dir"
+    echo "same-outputs: building $tree" >&2
+    (cd "$tree" && cargo build --release -q --target-dir "$tree/target") || exit 2
+    for bin in $FIGURES; do
+        run "$bin" "$bin" --quick
+    done
+    run fig9_temporal-corpus fig9_temporal --quick --corpus
+    run fig2_profiling-corpus-baked fig2_profiling --quick --corpus --source baked
+    run serve-seed7 spnerf_serve --quick --seed 7
+    run serve-smoke-replay spnerf_serve --quick --replay crates/serve/tests/data/smoke.trace
+done
+
+differ=0
+for f in "$out/parent"/*; do
+    name="$(basename "$f")"
+    if ! diff -u --label "parent/$name" --label "change/$name" "$f" "$out/change/$name"; then
+        differ=$((differ + 1))
+    fi
+done
+total=$(find "$out/parent" -type f | wc -l)
+if [ "$differ" -ne 0 ]; then
+    echo "same-outputs: $differ of $total outputs differ" >&2
+    exit 1
+fi
+echo "same-outputs: all $total outputs are byte-identical" >&2

@@ -66,7 +66,7 @@
 //! assert!(response.mean_psnr() > 10.0);
 //! // The same response carries what the accelerator simulator consumes.
 //! let workload = response.workload.at_paper_resolution();
-//! assert_eq!(workload.rays, 800 * 800);
+//! assert_eq!(workload.stats.rays, 800 * 800);
 //! # Ok::<(), spnerf::Error>(())
 //! ```
 

@@ -31,6 +31,8 @@
 //! provably-empty macro-blocks — images stay bitwise-identical while
 //! marched samples (and the cycles derived from them) drop.
 //!
+//! [`SkipMode::Mip`]: spnerf_render::renderer::SkipMode::Mip
+//!
 //! [`RenderSource::Baked`] renders bake-and-defer: a deterministic bake
 //! pass ([`Scene::baked_grid`], cached and `Arc`-shared) folds the color
 //! MLP into per-voxel diffuse RGB plus a compact specular feature, and the
@@ -65,17 +67,18 @@ use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use spnerf_accel::frame::FrameWorkload;
-use spnerf_core::{MaskMode, PreprocessOptions, SpNerfConfig, SpNerfModel, SpNerfView};
+use spnerf_core::{MaskMode, PreprocessOptions, SpNerfConfig, SpNerfModel};
 use spnerf_render::bake::bake;
 use spnerf_render::camera::PinholeCamera;
 use spnerf_render::eval::PsnrStats;
 use spnerf_render::image::ImageBuffer;
 use spnerf_render::mlp::{DeferredMlp, Mlp};
-use spnerf_render::renderer::{RenderConfig, RenderStats, Shader, SkipMode};
+use spnerf_render::renderer::{RenderConfig, RenderStats, Shader};
 use spnerf_render::scene::{build_grid, scene_aabb, SceneId};
 use spnerf_render::source::{support_bitmap, VoxelSource, WithOccupancy};
 use spnerf_render::temporal::{advance_frame, ReuseMode, ReuseState, TemporalFrame};
 use spnerf_voxel::baked::BakedGrid;
+use spnerf_voxel::fnv::Fnv64;
 use spnerf_voxel::grid::DenseGrid;
 use spnerf_voxel::mip::OccupancyMip;
 use spnerf_voxel::sparse::{FormatKind, FormatSelection, SparseFormat, SparseIndex};
@@ -113,8 +116,7 @@ pub enum RenderSource {
     /// and a compact specular feature accumulate along the ray, and the
     /// small view-dependence MLP ([`Scene::deferred`]) runs **once per
     /// pixel** instead of once per shaded sample. The grid is baked lazily
-    /// on first use (or eagerly via [`PipelineBuilder::eager_bake`]) and
-    /// `Arc`-shared like every other offline artifact.
+    /// on first use and `Arc`-shared like every other offline artifact.
     Baked,
 }
 
@@ -232,10 +234,8 @@ pub struct PipelineBuilder {
     grid_side: Option<u32>,
     vqrf: VqrfConfig,
     spnerf: SpNerfConfig,
-    preprocess: PreprocessOptions,
     mlp_seed: u64,
     render: RenderConfig,
-    eager_bake: bool,
     sparse_format: FormatSelection,
 }
 
@@ -264,10 +264,8 @@ impl PipelineBuilder {
             grid_side: None,
             vqrf: VqrfConfig::default(),
             spnerf: SpNerfConfig::default(),
-            preprocess: PreprocessOptions::default(),
             mlp_seed: 42,
             render: RenderConfig::default(),
-            eager_bake: false,
             sparse_format: FormatSelection::Auto,
         }
     }
@@ -292,21 +290,6 @@ impl PipelineBuilder {
         self
     }
 
-    /// Sets the codebook size of *both* the VQRF stage and the SpNeRF
-    /// address split — the two must agree, and this is the one-liner that
-    /// keeps them consistent.
-    pub fn codebook_size(mut self, size: usize) -> Self {
-        self.vqrf.codebook_size = size;
-        self.spnerf.codebook_size = size;
-        self
-    }
-
-    /// Sets the preprocessing policies (insertion order, density merge).
-    pub fn preprocess_options(mut self, opts: PreprocessOptions) -> Self {
-        self.preprocess = opts;
-        self
-    }
-
     /// Sets the seed of the shared random MLP.
     pub fn mlp_seed(mut self, seed: u64) -> Self {
         self.mlp_seed = seed;
@@ -319,13 +302,6 @@ impl PipelineBuilder {
         self
     }
 
-    /// Sets only the empty-space-skipping policy of the inherited render
-    /// configuration — the one-liner for "same pipeline, skipping on".
-    pub fn skip_mode(mut self, mode: SkipMode) -> Self {
-        self.render.skip_mode = mode;
-        self
-    }
-
     /// Sets how the scene's sparse occupancy index is encoded (default:
     /// [`FormatSelection::Auto`], the occupancy-statistics selector). The
     /// index sits outside the rendering fetch path, so every choice renders
@@ -333,15 +309,6 @@ impl PipelineBuilder {
     /// resident bytes, the `--sparse-format` sweep axis.
     pub fn sparse_format(mut self, selection: FormatSelection) -> Self {
         self.sparse_format = selection;
-        self
-    }
-
-    /// Runs the bake pass at [`PipelineBuilder::build`] time instead of on
-    /// the first [`RenderSource::Baked`] render. The baked grid is bitwise
-    /// the same either way (the bake is deterministic); eager baking only
-    /// moves the cost to build time — e.g. so benchmark loops never pay it.
-    pub fn eager_bake(mut self, on: bool) -> Self {
-        self.eager_bake = on;
         self
     }
 
@@ -375,12 +342,12 @@ impl PipelineBuilder {
             GridSource::Custom { label, grid } => (None, label, grid),
         };
         let vqrf = Arc::new(VqrfModel::build(&grid, &self.vqrf));
-        let model = SpNerfModel::build_with(&vqrf, &self.spnerf, self.preprocess)?;
+        let model = SpNerfModel::build(&vqrf, &self.spnerf)?;
         let mlp = Arc::new(Mlp::random(self.mlp_seed));
         let deferred = Arc::new(DeferredMlp::random(self.mlp_seed));
         let sparse =
             Arc::new(SparseIndex::from_bitmap_selected(self.sparse_format, model.bitmap()));
-        let scene = Scene {
+        Ok(Scene {
             id,
             label,
             grid,
@@ -389,18 +356,14 @@ impl PipelineBuilder {
             mlp,
             deferred,
             spnerf_cfg: self.spnerf,
-            preprocess: self.preprocess,
+            preprocess: PreprocessOptions::default(),
             render_cfg: self.render,
             mips: Arc::new(MipCache::default()),
             baked: Arc::new(OnceLock::new()),
             sparse_format: self.sparse_format,
             sparse,
             temporal: Arc::new(TemporalCache::default()),
-        };
-        if self.eager_bake {
-            let _ = scene.baked_grid();
-        }
-        Ok(scene)
+        })
     }
 }
 
@@ -409,7 +372,7 @@ impl PipelineBuilder {
 /// (the unmasked ablation's support exceeds the pruned bitmap, so sharing
 /// one pyramid would change its pixels).
 ///
-/// Built on first use by a [`SkipMode::Mip`] session and reused by every
+/// Built on first use by a `SkipMode::Mip` session and reused by every
 /// subsequent render of the same scene bundle, mirroring how the grid and
 /// MLP are shared.
 #[derive(Debug, Default)]
@@ -429,6 +392,8 @@ struct MipCache {
 /// The empty-space-skipping pyramids ([`Scene::occupancy_mip`]) are
 /// reference-counted the same way, built lazily on the first
 /// [`SkipMode::Mip`] render of each source.
+///
+/// [`SkipMode::Mip`]: spnerf_render::renderer::SkipMode::Mip
 #[derive(Debug, Clone)]
 pub struct Scene {
     id: Option<SceneId>,
@@ -589,16 +554,6 @@ impl Scene {
         self.render_cfg
     }
 
-    /// The masked decode view (full SpNeRF).
-    pub fn masked_view(&self) -> SpNerfView<'_> {
-        self.model.masked()
-    }
-
-    /// The unmasked decode view (the ablation).
-    pub fn unmasked_view(&self) -> SpNerfView<'_> {
-        self.model.unmasked()
-    }
-
     /// Rebuilds **only** the SpNeRF stage at a different operating point,
     /// sharing the grid, VQRF model and MLP with `self`. This is the Fig. 7
     /// sweep mechanism: K/T sweeps cost one preprocessing pass per point,
@@ -669,6 +624,8 @@ impl Scene {
     /// Sessions running [`SkipMode::Mip`] call this internally; it is
     /// public so custom render paths can attach the same pyramid via
     /// [`spnerf_render::source::WithOccupancy::new`].
+    ///
+    /// [`SkipMode::Mip`]: spnerf_render::renderer::SkipMode::Mip
     pub fn occupancy_mip(&self, source: RenderSource) -> Arc<OccupancyMip> {
         let build = |bitmap| Arc::new(OccupancyMip::build(bitmap));
         match source {
@@ -753,22 +710,16 @@ pub struct RenderSession<'a> {
 /// double-checks full equality on hit, so a collision can never alias two
 /// cameras.
 fn camera_key(cam: &PinholeCamera) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bits: u32| {
-        for b in bits.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    eat(cam.width);
-    eat(cam.height);
-    eat(cam.focal.to_bits());
+    let mut h = Fnv64::new();
+    h.write_u32(cam.width);
+    h.write_u32(cam.height);
+    h.write_f32(cam.focal);
     for v in [cam.pose.right, cam.pose.up, cam.pose.forward, cam.pose.position] {
-        eat(v.x.to_bits());
-        eat(v.y.to_bits());
-        eat(v.z.to_bits());
+        h.write_f32(v.x);
+        h.write_f32(v.y);
+        h.write_f32(v.z);
     }
-    h
+    h.finish()
 }
 
 impl RenderSession<'_> {
@@ -858,7 +809,7 @@ impl RenderSession<'_> {
     /// sources meet the renderer: each source maps to its voxel data and
     /// shader (the per-sample color MLP, or the deferred per-pixel network
     /// for [`RenderSource::Baked`]), with its occupancy pyramid attached
-    /// when the session runs with [`SkipMode::Mip`], so stills and
+    /// when the session runs with `SkipMode::Mip`, so stills and
     /// trajectory frames dispatch identically.
     pub(crate) fn frame(
         &self,
@@ -915,6 +866,7 @@ impl RenderSession<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spnerf_render::renderer::SkipMode;
     use spnerf_render::scene::default_camera;
     use spnerf_voxel::vqrf::VqrfConfigError;
 
@@ -957,13 +909,6 @@ mod tests {
             .spnerf_config(SpNerfConfig { subgrid_count: 4, table_size: 512, codebook_size: 32 })
             .build();
         assert!(matches!(mismatch, Err(Error::Build(_))));
-    }
-
-    #[test]
-    fn codebook_size_keeps_both_stages_consistent() {
-        let b = PipelineBuilder::new(SceneId::Lego).codebook_size(64);
-        assert_eq!(b.vqrf.codebook_size, 64);
-        assert_eq!(b.spnerf.codebook_size, 64);
     }
 
     #[test]
@@ -1040,9 +985,9 @@ mod tests {
         let resp =
             session.render(&RenderRequest::batch(RenderSource::spnerf_masked(), cams)).unwrap();
         assert_eq!(resp.stats.rays, 50);
-        assert_eq!(resp.workload.rays, 50);
+        assert_eq!(resp.workload.stats, resp.stats);
         assert_eq!(resp.workload.model_bytes, scene.model().footprint().total_bytes());
-        assert_eq!(resp.workload.at_paper_resolution().rays, 640_000);
+        assert_eq!(resp.workload.at_paper_resolution().stats.rays, 640_000);
     }
 
     #[test]
@@ -1137,7 +1082,7 @@ mod tests {
                 b.stats.samples_marched + b.stats.samples_skipped,
                 "{source:?}: marched + skipped is invariant"
             );
-            assert_eq!(b.workload.samples_skipped, b.stats.samples_skipped);
+            assert_eq!(b.workload.stats, b.stats);
         }
     }
 
@@ -1179,14 +1124,14 @@ mod tests {
             baked.stats.samples_shaded > baked.stats.pixels_shaded,
             "deferred shading must evaluate fewer MLPs than per-sample would"
         );
-        assert!(baked.workload.is_deferred());
-        assert_eq!(baked.workload.pixels_shaded, baked.stats.pixels_shaded);
+        assert!(baked.stats.is_deferred());
+        assert_eq!(baked.workload.stats, baked.stats);
         assert!(baked.mean_psnr() > 0.0, "baked view must resemble ground truth");
 
         // The classical paths never report deferred pixels.
         let gt = session.render(&RenderRequest::single(RenderSource::GroundTruth, cam)).unwrap();
         assert_eq!(gt.stats.pixels_shaded, 0);
-        assert!(!gt.workload.is_deferred());
+        assert!(!gt.stats.is_deferred());
         // Density is copied verbatim by the bake, so the marching workload
         // matches the ground-truth render exactly.
         assert_eq!(baked.stats.samples_marched, gt.stats.samples_marched);
@@ -1208,26 +1153,6 @@ mod tests {
             "the bake depends only on shared offline artifacts and must survive respecialization"
         );
         assert!(Arc::ptr_eq(&scene.deferred, &re.deferred), "deferred MLP must be shared");
-    }
-
-    #[test]
-    fn eager_bake_matches_lazy_bake_bit_for_bit() {
-        let eager = PipelineBuilder::new(SceneId::Mic)
-            .grid_side(14)
-            .vqrf_config(VqrfConfig { codebook_size: 16, kmeans_iters: 1, ..Default::default() })
-            .spnerf_config(SpNerfConfig { subgrid_count: 4, table_size: 2048, codebook_size: 16 })
-            .eager_bake(true)
-            .build()
-            .unwrap();
-        assert!(eager.baked.get().is_some(), "eager_bake must bake at build time");
-        let lazy = PipelineBuilder::new(SceneId::Mic)
-            .grid_side(14)
-            .vqrf_config(VqrfConfig { codebook_size: 16, kmeans_iters: 1, ..Default::default() })
-            .spnerf_config(SpNerfConfig { subgrid_count: 4, table_size: 2048, codebook_size: 16 })
-            .build()
-            .unwrap();
-        assert!(lazy.baked.get().is_none(), "lazy bundles bake on first use");
-        assert_eq!(eager.baked_grid().digest(), lazy.baked_grid().digest());
     }
 
     #[test]
@@ -1334,7 +1259,7 @@ mod tests {
             .grid_side(12)
             .vqrf_config(VqrfConfig { codebook_size: 4, kmeans_iters: 1, ..Default::default() })
             .spnerf_config(SpNerfConfig { subgrid_count: 2, table_size: 512, codebook_size: 4 })
-            .skip_mode(SkipMode::mip())
+            .render_config(RenderConfig { skip_mode: SkipMode::mip(), ..Default::default() })
             .build()
             .unwrap();
         assert_eq!(scene.render_config().skip_mode, SkipMode::mip());

@@ -12,13 +12,6 @@
 //! * [`RenderSession::trajectory_stream`] — incremental: advance one frame
 //!   at a time, persisting the warp state in the scene's [`TemporalCache`]
 //!   so a path can continue across sessions.
-//! * [`RenderSession::render_trajectory_overlapped`] — the streaming
-//!   double-buffer driver: frame *N* renders while frame *N−1* runs through
-//!   the cycle simulator on a second thread. Work accounting is validated
-//!   structurally — the overlapped [`PathSimResult`] is assembled by the
-//!   same fold as the sequential [`spnerf_accel::simulate_path`], so the
-//!   two are equal by construction (and asserted in tests), never by
-//!   wall-clock.
 //!
 //! # Determinism
 //!
@@ -58,11 +51,9 @@
 //! ```
 
 use std::collections::HashMap;
-use std::sync::{mpsc, Mutex};
-use std::thread;
+use std::sync::Mutex;
 
 use spnerf_accel::frame::FrameWorkload;
-use spnerf_accel::{assemble_path, simulate_frame, ArchConfig, FrameSimResult, PathSimResult};
 use spnerf_render::camera::PinholeCamera;
 use spnerf_render::renderer::RenderStats;
 pub use spnerf_render::temporal::{PathKind, ReuseMode, TrajectorySpec, WarpConfig};
@@ -245,13 +236,20 @@ impl<'a> RenderSession<'a> {
         &self,
         request: &TrajectoryRequest,
     ) -> Result<TrajectoryResponse, Error> {
-        let cameras = trajectory_cameras(&request.spec)?;
-        let mut state = None;
-        let mut frames = Vec::with_capacity(cameras.len());
-        for (i, camera) in cameras.iter().enumerate() {
-            frames.push(self.frame(request.source, camera, request.mode, i, &mut state));
+        if request.spec.frames == 0 {
+            return Err(Error::Request("a trajectory needs at least one frame".into()));
         }
-        Ok(assemble_response(self, request.source, frames))
+        let mut state = None;
+        let mut stats = RenderStats::default();
+        let mut frames = Vec::with_capacity(request.spec.frames);
+        let mut workloads = Vec::with_capacity(request.spec.frames);
+        for (i, camera) in request.spec.cameras().iter().enumerate() {
+            let frame = self.frame(request.source, camera, request.mode, i, &mut state);
+            stats += frame.stats;
+            workloads.push(self.scene().workload(&frame.stats));
+            frames.push(frame);
+        }
+        Ok(TrajectoryResponse { source: request.source, frames, workloads, stats })
     }
 
     /// Opens a resumable trajectory over one source: each
@@ -266,88 +264,6 @@ impl<'a> RenderSession<'a> {
     ) -> TrajectoryStream<'s, 'a> {
         TrajectoryStream { session: self, source, mode }
     }
-
-    /// Renders a camera path while simulating it: frame *N* renders on the
-    /// calling thread while frame *N−1*'s workload runs through the cycle
-    /// model ([`simulate_frame`]) on a simulation thread, connected by a
-    /// depth-2 channel — the software analogue of the accelerator's
-    /// double-buffered frame pipeline.
-    ///
-    /// The overlap is validated by construction, not by wall-clock: the
-    /// returned [`PathSimResult`] is folded by the same
-    /// [`assemble_path`] as the sequential [`spnerf_accel::simulate_path`],
-    /// over per-frame results collected in path order, so it is equal to
-    /// the sequential answer bit for bit.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Request`] for a zero-frame path.
-    pub fn render_trajectory_overlapped(
-        &self,
-        request: &TrajectoryRequest,
-        arch: &ArchConfig,
-    ) -> Result<(TrajectoryResponse, PathSimResult), Error> {
-        let cameras = trajectory_cameras(&request.spec)?;
-        let mut frames = Vec::with_capacity(cameras.len());
-        let mut workloads = Vec::with_capacity(cameras.len());
-        let (tx, rx) = mpsc::sync_channel::<(usize, FrameWorkload)>(2);
-        let sims = thread::scope(|s| {
-            let sim = s.spawn(move || {
-                let mut out: Vec<(usize, FrameSimResult)> = Vec::new();
-                while let Ok((i, w)) = rx.recv() {
-                    out.push((i, simulate_frame(&w, arch)));
-                }
-                out
-            });
-            let mut state = None;
-            for (i, camera) in cameras.iter().enumerate() {
-                let frame = self.frame(request.source, camera, request.mode, i, &mut state);
-                let workload = self.scene().workload(&frame.stats);
-                tx.send((i, workload.clone())).expect("simulation thread outlives the render loop");
-                frames.push(frame);
-                workloads.push(workload);
-            }
-            drop(tx);
-            sim.join().expect("simulation thread never panics")
-        });
-        // The single consumer receives in send order, but reassemble by
-        // index anyway so the fold's input order is a structural invariant,
-        // not a channel property.
-        let mut slots: Vec<Option<FrameSimResult>> = vec![None; workloads.len()];
-        for (i, r) in sims {
-            slots[i] = Some(r);
-        }
-        let ordered: Vec<FrameSimResult> =
-            slots.into_iter().map(|s| s.expect("every frame was simulated")).collect();
-        let path = assemble_path(ordered, &workloads);
-        Ok((assemble_response(self, request.source, frames), path))
-    }
-}
-
-/// Expands a spec's cameras, rejecting empty paths with a typed error.
-fn trajectory_cameras(spec: &TrajectorySpec) -> Result<Vec<PinholeCamera>, Error> {
-    if spec.frames == 0 {
-        return Err(Error::Request("a trajectory needs at least one frame".into()));
-    }
-    Ok(spec.cameras())
-}
-
-/// Folds rendered frames into a [`TrajectoryResponse`]: merged stats plus
-/// one workload per frame.
-fn assemble_response(
-    session: &RenderSession<'_>,
-    source: RenderSource,
-    frames: Vec<TemporalFrame>,
-) -> TrajectoryResponse {
-    let mut stats = RenderStats::default();
-    let workloads = frames
-        .iter()
-        .map(|f| {
-            stats += f.stats;
-            session.scene().workload(&f.stats)
-        })
-        .collect();
-    TrajectoryResponse { source, frames, workloads, stats }
 }
 
 /// Ensures the temporal cache participates in the scene bundle's `Debug`
@@ -413,8 +329,7 @@ mod tests {
             assert!(f.stats.rays_warped > 0, "frame {i} reused nothing");
             assert_eq!(f.stats.rays_warped + f.stats.rays_remarched, f.stats.rays);
             let w = &resp.workloads[i];
-            assert_eq!(w.rays_warped, f.stats.rays_warped, "workload must carry the warp column");
-            assert!(w.is_warped());
+            assert_eq!(w.stats, f.stats, "workload must carry the frame's counters");
         }
         assert!(resp.max_validation_error() <= WarpConfig::default().tolerance);
         // Off renders every sample on every frame; the warped path amortizes.
@@ -432,23 +347,6 @@ mod tests {
     }
 
     #[test]
-    fn overlapped_driver_matches_sequential_render_and_simulation() {
-        let scene = tiny_scene();
-        let session = scene.session();
-        let arch = ArchConfig::default();
-        let spec = TrajectorySpec::orbit(4, 12, 12);
-        let req = TrajectoryRequest::new(RenderSource::spnerf_masked(), spec)
-            .with_mode(ReuseMode::warp());
-        let sequential = session.render_trajectory(&req).expect("sequential renders");
-        let seq_path = spnerf_accel::simulate_path(&sequential.workloads, &arch);
-        let (overlapped, path) =
-            session.render_trajectory_overlapped(&req, &arch).expect("overlapped renders");
-        assert_eq!(overlapped.frames, sequential.frames, "overlap must not change pixels");
-        assert_eq!(overlapped.workloads, sequential.workloads);
-        assert_eq!(path, seq_path, "overlapped simulation must equal the sequential fold");
-    }
-
-    #[test]
     fn streams_persist_across_sessions_on_the_same_bundle() {
         let scene = tiny_scene();
         let spec = TrajectorySpec::orbit(3, 12, 12);
@@ -460,7 +358,7 @@ mod tests {
             assert_eq!(stream.next_frame(), 0);
             let (f0, w0) = stream.advance(&cams[0]);
             assert_eq!(f0.stats.rays_warped, 0);
-            assert_eq!(w0.rays_remarched, f0.stats.rays_remarched);
+            assert_eq!(w0.stats, f0.stats);
         }
         // A new session on the same bundle resumes the in-flight path.
         let session = scene.session();
@@ -543,13 +441,6 @@ mod tests {
         spec.frames = 0;
         let err = session
             .render_trajectory(&TrajectoryRequest::new(RenderSource::GroundTruth, spec))
-            .unwrap_err();
-        assert!(matches!(err, Error::Request(_)));
-        let err = session
-            .render_trajectory_overlapped(
-                &TrajectoryRequest::new(RenderSource::GroundTruth, spec),
-                &ArchConfig::default(),
-            )
             .unwrap_err();
         assert!(matches!(err, Error::Request(_)));
     }

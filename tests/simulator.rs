@@ -77,7 +77,7 @@ fn cycle_simulator_agrees_on_measured_workloads() {
     let sim = CycleSimulator::new(arch);
     let w = measured_workload(SceneId::Chair);
     let analytic = simulate_frame(&w, &arch);
-    let stepped = sim.run(w.samples_marched, w.samples_shaded);
+    let stepped = sim.run(w.stats.samples_marched, w.stats.samples_shaded);
     let err = (stepped as f64 - analytic.cycles as f64).abs() / analytic.cycles as f64;
     assert!(err < 0.05, "cycle-stepped vs analytic differ by {:.1}%", err * 100.0);
 }
@@ -95,8 +95,8 @@ fn speedup_chain_vs_baselines_has_paper_ordering() {
 
     let gpu_w = VqrfGpuWorkload::new(
         SceneId::Lego.spec().paper_grid_side.pow(3) as usize,
-        w.samples_marched as u64,
-        w.samples_shaded as u64,
+        w.stats.samples_marched as u64,
+        w.stats.samples_shaded as u64,
         1 << 20,
     );
     let xnx = estimate_frame(&PlatformSpec::xnx(), &gpu_w).fps();
