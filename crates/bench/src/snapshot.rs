@@ -42,7 +42,7 @@ use spnerf::render::mlp::{
     DeferredMlp, Mlp, DEFERRED_INPUT_DIM, MLP_HIDDEN_DIM, MLP_INPUT_DIM, MLP_OUTPUT_DIM,
 };
 use spnerf::render::ray::UniformSampler;
-use spnerf::render::renderer::{RenderConfig, RenderFrame, Shader};
+use spnerf::render::renderer::{render_view_serial, RenderConfig, RenderFrame, Shader};
 use spnerf::render::scene::{build_grid, default_camera, scene_aabb, SceneId};
 use spnerf::render::temporal::{
     advance_frame, disocclusion_mask, warp_splat, ReuseMode, TrajectorySpec, WarpConfig,
@@ -94,6 +94,10 @@ pub const REQUIRED_KERNELS: [&str; 7] = [
 /// * `disocclusion.test`: one pixel of the disocclusion test.
 /// * `decode.masked_cell`: one [`interpolate_cell`] on a masked SpNeRF view
 ///   per sample a 32×32 still marches, its per-cell bitmap probe included.
+/// * `march.masked_still`: one marched sample of a [`render_view_serial`]
+///   of that 32×32 masked still at 128 samples per ray, skipping off: the
+///   whole march (sampler, locate, probe, gather, MLP and composite) per
+///   sample it marches.
 /// * `kmeans.assign.scalar` / `kmeans.assign.lanes`: one
 ///   [`Codebook::assign_scalar`] or [`Codebook::assign`] of a 12-dim row
 ///   against a 4096-entry codebook (1024 under `--quick`).
@@ -109,7 +113,7 @@ pub const REQUIRED_KERNELS: [&str; 7] = [
 /// Older snapshots also carry a `composite.lanes` row (a since-deleted
 /// lane-blocked twin of the accumulator) and lack the newer rows; only
 /// [`REQUIRED_KERNELS`] is enforced, so they still validate.
-pub const EXTRA_KERNELS: [&str; 15] = [
+pub const EXTRA_KERNELS: [&str; 16] = [
     "mlp_batch.lanes",
     "bake.pass",
     "deferred_mlp.pixel",
@@ -117,6 +121,7 @@ pub const EXTRA_KERNELS: [&str; 15] = [
     "warp.splat",
     "disocclusion.test",
     "decode.masked_cell",
+    "march.masked_still",
     "kmeans.assign.scalar",
     "kmeans.assign.lanes",
     "hash.spatial_eq1",
@@ -321,6 +326,12 @@ pub fn measure(label: &str, quick: bool) -> Snapshot {
     let (_, _, decode_model) = dataset_fixture(SceneId::Mic, grid_side, 64, 8, 8192);
     let masked = decode_model.view(MaskMode::Masked);
     let decode_cells = view_cells(decode_model.dims(), 32);
+    // The same still through the whole march, one op per marched sample.
+    let still_camera = default_camera(32, 32, 0, 1);
+    let still = || {
+        render_view_serial(&masked, &mlp, &still_camera, &scene_aabb(), &RenderConfig::default())
+    };
+    let still_marched = still().1.samples_marched as u64;
 
     // k-means assignment: 12-dim rows against the paper's 4096-entry VQRF
     // codebook shape, one op per row.
@@ -446,6 +457,9 @@ pub fn measure(label: &str, quick: bool) -> Snapshot {
                 acc += interpolate_cell(&masked, black_box(cell)).density;
             }
             black_box(acc);
+        }),
+        time_kernel("march.masked_still", still_marched, target, || {
+            black_box(still());
         }),
         time_kernel("kmeans.assign.scalar", queries.len() as u64, target, || {
             let mut acc = 0usize;
@@ -1068,6 +1082,7 @@ mod tests {
             ("BENCH_pr17.json", include_str!("../../../BENCH_pr17.json")),
             ("BENCH_pr18.json", include_str!("../../../BENCH_pr18.json")),
             ("BENCH_pr19.json", include_str!("../../../BENCH_pr19.json")),
+            ("BENCH_pr21.json", include_str!("../../../BENCH_pr21.json")),
         ] {
             if let Err(errs) = validate_snapshot_json(text) {
                 panic!("{name} fails the schema: {errs:?}");

@@ -53,6 +53,36 @@ impl GridFrame {
     }
 }
 
+/// A continuous grid position located in its interpolation cell: the
+/// lower-corner vertex plus the fractional offsets inside the cell, before
+/// any weight exists. [`locate_cell`] finds it and [`CellLocation::weigh`]
+/// turns it into a [`TrilinearCell`]; the ray marcher probes the base in
+/// between, so a cell the source rules out never pays for its weights.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CellLocation {
+    /// Lower corner vertex.
+    pub(crate) base: GridCoord,
+    /// Offsets from `base` per axis, each in `[0, 1)`.
+    pub(crate) frac: Vec3,
+}
+
+impl CellLocation {
+    /// The 8 corner weights of the located cell, ordered like
+    /// [`GridCoord::cell_corners`].
+    #[inline]
+    pub(crate) fn weigh(&self) -> TrilinearCell {
+        let Vec3 { x: fx, y: fy, z: fz } = self.frac;
+        let mut weights = [0.0f32; 8];
+        for (i, w) in weights.iter_mut().enumerate() {
+            let wx = if i & 1 == 1 { fx } else { 1.0 - fx };
+            let wy = if (i >> 1) & 1 == 1 { fy } else { 1.0 - fy };
+            let wz = if (i >> 2) & 1 == 1 { fz } else { 1.0 - fz };
+            *w = wx * wy * wz;
+        }
+        TrilinearCell { base: self.base, weights }
+    }
+}
+
 /// The interpolation cell of a continuous grid position: the lower-corner
 /// vertex plus the 8 corner weights, ordered like
 /// [`GridCoord::cell_corners`].
@@ -64,12 +94,10 @@ pub struct TrilinearCell {
     pub weights: [f32; 8],
 }
 
-/// Computes the interpolation cell for a continuous grid position, or `None`
-/// when the position (clamped cell) falls outside the grid.
-///
-/// Positions within half a voxel outside the boundary are clamped onto it,
-/// matching the renderer's behaviour at the AABB faces.
-pub fn trilinear_cell(dims: GridDims, g: Vec3) -> Option<TrilinearCell> {
+/// The first half of [`trilinear_cell`]: the cell base and the fractional
+/// offsets of `g`, or `None` when `g` falls outside the grid.
+#[inline]
+pub(crate) fn locate_cell(dims: GridDims, g: Vec3) -> Option<CellLocation> {
     let max = Vec3::new((dims.nx - 1) as f32, (dims.ny - 1) as f32, (dims.nz - 1) as f32);
     if g.x < -0.5 || g.y < -0.5 || g.z < -0.5 {
         return None;
@@ -79,23 +107,31 @@ pub fn trilinear_cell(dims: GridDims, g: Vec3) -> Option<TrilinearCell> {
     }
     // The upper clamp keeps the base one vertex below the far face; on a
     // 1-thick axis (max = 0) there is no such vertex, and the base stays on
-    // the one plane with all weight on it.
-    let gx = g.x.clamp(0.0, (max.x - 1e-4).max(0.0));
-    let gy = g.y.clamp(0.0, (max.y - 1e-4).max(0.0));
-    let gz = g.z.clamp(0.0, (max.z - 1e-4).max(0.0));
-    let bx = gx.floor();
-    let by = gy.floor();
-    let bz = gz.floor();
-    let (fx, fy, fz) = (gx - bx, gy - by, gz - bz);
-    let base = GridCoord::new(bx as u32, by as u32, bz as u32);
-    let mut weights = [0.0f32; 8];
-    for (i, w) in weights.iter_mut().enumerate() {
-        let wx = if i & 1 == 1 { fx } else { 1.0 - fx };
-        let wy = if (i >> 1) & 1 == 1 { fy } else { 1.0 - fy };
-        let wz = if (i >> 2) & 1 == 1 { fz } else { 1.0 - fz };
-        *w = wx * wy * wz;
-    }
-    Some(TrilinearCell { base, weights })
+    // the one plane with all weight on it. On the clamped range integer
+    // truncation is `floor`, without a libm call; adding `+0.0` turns a
+    // `−0.0` position into `+0.0`, so the offset is `+0.0` there too, as
+    // `floor`'s `−0.0 − −0.0` is.
+    let axis = |v: f32, max: f32| {
+        let v = v.clamp(0.0, (max - 1e-4).max(0.0)) + 0.0;
+        let b = v as u32;
+        (b, v - b as f32)
+    };
+    let (bx, fx) = axis(g.x, max.x);
+    let (by, fy) = axis(g.y, max.y);
+    let (bz, fz) = axis(g.z, max.z);
+    Some(CellLocation { base: GridCoord::new(bx, by, bz), frac: Vec3::new(fx, fy, fz) })
+}
+
+/// Computes the interpolation cell for a continuous grid position, or `None`
+/// when the position (clamped cell) falls outside the grid.
+///
+/// Positions within half a voxel outside the boundary are clamped onto it,
+/// matching the renderer's behaviour at the AABB faces. The ray marcher
+/// splits this in two: it locates the cell base first (integer truncation
+/// of the clamped position, bitwise `floor`), and computes the weights only
+/// for a cell its probe lets through.
+pub fn trilinear_cell(dims: GridDims, g: Vec3) -> Option<TrilinearCell> {
+    locate_cell(dims, g).map(|at| at.weigh())
 }
 
 /// Result of interpolating a voxel source at one sample position.
@@ -122,10 +158,10 @@ impl InterpSample {
 /// as the hardware's masked lookups do. Returns an empty sample when the
 /// position is outside the grid.
 pub fn interpolate<S: VoxelSource + ?Sized>(source: &S, g: Vec3) -> InterpSample {
-    let Some(cell) = trilinear_cell(source.dims(), g) else {
-        return InterpSample::empty();
-    };
-    interpolate_cell(source, &cell)
+    match locate_cell(source.dims(), g) {
+        Some(at) => interpolate_located(source, &at),
+        None => InterpSample::empty(),
+    }
 }
 
 /// The scalar reference implementation of [`interpolate_cell`]: one corner
@@ -152,11 +188,9 @@ pub fn interpolate_cell_scalar<S: VoxelSource + ?Sized>(
     out
 }
 
-/// Interpolates `source` over an already-computed [`TrilinearCell`] — the
-/// arithmetic core of [`interpolate`], split out so callers that resolve
-/// the cell themselves (the empty-space-skipping ray marcher) don't compute
-/// it twice. Bitwise-identical to [`interpolate`] at the cell's position,
-/// and to the scalar oracle [`interpolate_cell_scalar`].
+/// Interpolates `source` over an already-computed [`TrilinearCell`].
+/// Bitwise-identical to [`interpolate`] at the cell's position, and to the
+/// scalar oracle [`interpolate_cell_scalar`].
 ///
 /// Structure follows the accelerator's SGPU: *probe* the cell once
 /// ([`VoxelSource::cell_maybe_occupied`], the BLU check before any hash),
@@ -169,12 +203,33 @@ pub fn interpolate_cell_scalar<S: VoxelSource + ?Sized>(
 /// exactly the scalar one; see [`crate::lanes`] for the bitwise contract.
 /// The oracle never probes, which is what pins the probe as sound.
 pub fn interpolate_cell<S: VoxelSource + ?Sized>(source: &S, cell: &TrilinearCell) -> InterpSample {
-    const EMPTY: VoxelData = VoxelData { density: 0.0, features: [0.0; FEATURE_DIM] };
-    // Probe phase: a ruled-out cell has no corner to gather, and the blend
-    // of zero corners is exactly the empty sample.
+    // A ruled-out cell has no corner to gather, and the blend of zero
+    // corners is exactly the empty sample.
     if !source.cell_maybe_occupied(cell.base) {
         return InterpSample::empty();
     }
+    gather_blend(source, cell)
+}
+
+/// [`interpolate_cell`] over a cell that is located but not yet weighed:
+/// *locate, probe, then weigh*. The probe needs only the base, so a cell
+/// the source rules out returns the empty sample before any of its 8
+/// weights is computed. This is the ray marcher's per-sample decode, and
+/// bitwise [`interpolate_cell`] of `at.weigh()`.
+#[inline]
+pub(crate) fn interpolate_located<S: VoxelSource + ?Sized>(
+    source: &S,
+    at: &CellLocation,
+) -> InterpSample {
+    if !source.cell_maybe_occupied(at.base) {
+        return InterpSample::empty();
+    }
+    gather_blend(source, &at.weigh())
+}
+
+/// The gather and blend phases of [`interpolate_cell`], after its probe.
+fn gather_blend<S: VoxelSource + ?Sized>(source: &S, cell: &TrilinearCell) -> InterpSample {
+    const EMPTY: VoxelData = VoxelData { density: 0.0, features: [0.0; FEATURE_DIM] };
     let corners = cell.base.cell_corners();
     // Gather phase: contributing corners in scalar order.
     let mut weights = [0.0f32; 8];
@@ -346,6 +401,133 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "feature channel at {pos:?}");
             }
             assert_eq!(s.occupied_corners, l.occupied_corners);
+        }
+    }
+
+    /// The pre-truncation definition of [`trilinear_cell`]: clamp, then
+    /// libm `floor`, then the weights.
+    fn floor_reference(dims: GridDims, g: Vec3) -> Option<TrilinearCell> {
+        let max = Vec3::new((dims.nx - 1) as f32, (dims.ny - 1) as f32, (dims.nz - 1) as f32);
+        if g.x < -0.5 || g.y < -0.5 || g.z < -0.5 {
+            return None;
+        }
+        if g.x > max.x + 0.5 || g.y > max.y + 0.5 || g.z > max.z + 0.5 {
+            return None;
+        }
+        let gx = g.x.clamp(0.0, (max.x - 1e-4).max(0.0));
+        let gy = g.y.clamp(0.0, (max.y - 1e-4).max(0.0));
+        let gz = g.z.clamp(0.0, (max.z - 1e-4).max(0.0));
+        let (bx, by, bz) = (gx.floor(), gy.floor(), gz.floor());
+        let (fx, fy, fz) = (gx - bx, gy - by, gz - bz);
+        let mut weights = [0.0f32; 8];
+        for (i, w) in weights.iter_mut().enumerate() {
+            let wx = if i & 1 == 1 { fx } else { 1.0 - fx };
+            let wy = if (i >> 1) & 1 == 1 { fy } else { 1.0 - fy };
+            let wz = if (i >> 2) & 1 == 1 { fz } else { 1.0 - fz };
+            *w = wx * wy * wz;
+        }
+        Some(TrilinearCell { base: GridCoord::new(bx as u32, by as u32, bz as u32), weights })
+    }
+
+    /// `trilinear_cell` equals the `floor` reference: the same base and
+    /// the same bit pattern in all eight weights (or `None` for both).
+    fn assert_matches_floor(dims: GridDims, g: Vec3) {
+        let got = trilinear_cell(dims, g);
+        let want = floor_reference(dims, g);
+        let bits = |c: Option<TrilinearCell>| c.map(|c| (c.base, c.weights.map(f32::to_bits)));
+        assert_eq!(bits(got), bits(want), "{dims} at {g:?}");
+    }
+
+    /// The next `f32` above `x` (finite `x`).
+    fn next_up(x: f32) -> f32 {
+        if x == 0.0 {
+            f32::from_bits(1)
+        } else if x > 0.0 {
+            f32::from_bits(x.to_bits() + 1)
+        } else {
+            f32::from_bits(x.to_bits() - 1)
+        }
+    }
+
+    /// The next `f32` below `x` (finite `x`).
+    fn next_down(x: f32) -> f32 {
+        -next_up(-x)
+    }
+
+    /// Per-axis probe values for a side of `n`: exact integers, the faces,
+    /// ±0.5 outside each face and one step past it, and the far-face clamp
+    /// edge `max − 1e-4` with its neighbours.
+    fn axis_probes(n: u32) -> Vec<f32> {
+        let max = (n - 1) as f32;
+        let clamp = (max - 1e-4).max(0.0);
+        let mut v = vec![
+            next_down(-0.5),
+            -0.5,
+            -0.25,
+            -0.0,
+            0.0,
+            0.5,
+            next_down(clamp),
+            clamp,
+            next_up(clamp),
+            max - 0.5,
+            max,
+            max + 0.25,
+            max + 0.5,
+            next_up(max + 0.5),
+        ];
+        let integers: Vec<u32> =
+            if n <= 24 { (0..n).collect() } else { vec![1, 2, n / 2, n - 3, n - 2, n - 1] };
+        v.extend(integers.into_iter().map(|i| i as f32));
+        v
+    }
+
+    #[test]
+    fn truncation_is_floor_bit_for_bit() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut grids: Vec<GridDims> = [1, 2, 3, 24, 128].map(GridDims::cube).to_vec();
+        grids.extend([GridDims::new(1, 24, 3), GridDims::new(128, 2, 1)]);
+        let mut rng = StdRng::seed_from_u64(0x7e57);
+        for dims in grids {
+            // Random positions in the grid and up to one voxel around it.
+            let around = |rng: &mut StdRng, n: u32| rng.gen::<f32>() * (n as f32 + 1.0) - 1.0;
+            for _ in 0..20_000 {
+                let g = Vec3::new(
+                    around(&mut rng, dims.nx),
+                    around(&mut rng, dims.ny),
+                    around(&mut rng, dims.nz),
+                );
+                assert_matches_floor(dims, g);
+            }
+            // Every combination of the per-axis edge values.
+            let (xs, ys, zs) = (axis_probes(dims.nx), axis_probes(dims.ny), axis_probes(dims.nz));
+            for &x in &xs {
+                for &y in &ys {
+                    for &z in &zs {
+                        assert_matches_floor(dims, Vec3::new(x, y, z));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn negative_zero_offsets_are_positive_zero() {
+        // `floor(−0.0)` is `−0.0` and `−0.0 − −0.0` is `+0.0`; the
+        // truncating locate must give the same `+0.0` offset, or the weights
+        // of the `+1` corners would carry a `−0.0` sign bit.
+        let dims = GridDims::cube(8);
+        for axis in 0..3 {
+            let mut p = [1.25f32, 2.5, 3.75];
+            p[axis] = -0.0;
+            let at = locate_cell(dims, Vec3::new(p[0], p[1], p[2])).unwrap();
+            let frac = [at.frac.x, at.frac.y, at.frac.z];
+            assert_eq!(frac[axis].to_bits(), 0.0f32.to_bits(), "axis {axis}");
+            assert_matches_floor(dims, Vec3::new(p[0], p[1], p[2]));
+            p[axis] = 0.0;
+            let pos = trilinear_cell(dims, Vec3::new(p[0], p[1], p[2])).unwrap();
+            assert_eq!(at.weigh(), pos, "axis {axis}: −0.0 and +0.0 weigh alike");
         }
     }
 

@@ -34,7 +34,7 @@ use crate::camera::PinholeCamera;
 use crate::composite::{accumulate_weighted, alpha_from_density, RayAccumulator};
 use crate::engine::{run_ordered, TileScheduler};
 use crate::image::ImageBuffer;
-use crate::interp::{interpolate_cell, trilinear_cell, GridFrame, InterpSample, TrilinearCell};
+use crate::interp::{interpolate_located, locate_cell, CellLocation, GridFrame, InterpSample};
 use crate::lanes::LANE_WIDTH;
 use crate::mlp::{
     encode_direction, DeferredMlp, Mlp, DEFERRED_INPUT_DIM, MLP_INPUT_DIM, VIEW_ENC_DIM,
@@ -171,6 +171,48 @@ impl Default for RenderConfig {
         }
     }
 }
+
+impl RenderConfig {
+    /// Checks the fields the renderer cannot run without.
+    ///
+    /// [`render_view`] panics on a zero `samples_per_ray` or `tile_size`;
+    /// callers that want a recoverable error instead (the `spnerf` pipeline
+    /// front door) validate first.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RenderConfigError`] when `samples_per_ray` or `tile_size`
+    /// is zero.
+    pub fn validate(&self) -> Result<(), RenderConfigError> {
+        if self.samples_per_ray == 0 {
+            return Err(RenderConfigError::ZeroSamplesPerRay);
+        }
+        if self.tile_size == 0 {
+            return Err(RenderConfigError::ZeroTileSize);
+        }
+        Ok(())
+    }
+}
+
+/// An invalid [`RenderConfig`], reported by [`RenderConfig::validate`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RenderConfigError {
+    /// `samples_per_ray` is zero, so a ray has no march step.
+    ZeroSamplesPerRay,
+    /// `tile_size` is zero, so the view cannot be cut into tiles.
+    ZeroTileSize,
+}
+
+impl std::fmt::Display for RenderConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RenderConfigError::ZeroSamplesPerRay => write!(f, "samples_per_ray must be non-zero"),
+            RenderConfigError::ZeroTileSize => write!(f, "tile_size must be non-zero"),
+        }
+    }
+}
+
+impl std::error::Error for RenderConfigError {}
 
 /// Workload statistics of one rendered view.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -405,12 +447,12 @@ impl RenderFrame {
 /// Per-ray empty-space skipper: the DDA-style coarse traversal state over a
 /// source's [`OccupancyMip`].
 ///
-/// Each admitted sample re-derives its interpolation cell with the exact
-/// arithmetic `interpolate` uses, so a skip decision is an *integer*
-/// statement about that cell's 8 corners — never a float extrapolation
-/// along the ray. That is what makes skipping provably pixel-exact: every
-/// skipped sample would have interpolated to density `≤ 0` and hit the
-/// `continue` branch anyway.
+/// Each sample is located in its interpolation cell with the exact
+/// arithmetic `interpolate` uses ([`locate_cell`]), so a skip decision is
+/// an *integer* statement about that cell's 8 corners — never a float
+/// extrapolation along the ray. That is what makes skipping provably
+/// pixel-exact: every skipped sample would have interpolated to density
+/// `≤ 0` and hit the `continue` branch anyway.
 struct EmptySkipper<'a> {
     mip: &'a OccupancyMip,
     max_level: usize,
@@ -431,7 +473,7 @@ impl<'a> EmptySkipper<'a> {
     fn new(mip: &'a OccupancyMip, max_level: usize, seed: SkipCache) -> Self {
         // Dilation bound: a contributing sample has a cell corner on an
         // occupied vertex, so its base ∈ [lo−1, hi] and its (unclamped)
-        // grid position ∈ [lo−1.5, hi+1.5] per axis (trilinear_cell admits
+        // grid position ∈ [lo−1.5, hi+1.5] per axis (locate_cell admits
         // positions up to 0.5 outside the cell lattice). Small-integer ±1.5
         // arithmetic is exact in f32, so the containment test below never
         // rounds a contributing sample out.
@@ -444,9 +486,10 @@ impl<'a> EmptySkipper<'a> {
         Self { mip, max_level, clip, cached: seed.0 }
     }
 
-    /// Decides one sample at continuous grid position `g`: `Some(cell)`
-    /// when it must be marched, `None` when it is provably empty.
-    fn admit(&mut self, dims: GridDims, g: Vec3) -> Option<TrilinearCell> {
+    /// Decides one sample at continuous grid position `g`: its located cell
+    /// when it must be marched, `None` when it is provably empty. Only the
+    /// base decides, so a skipped sample never pays for its weights.
+    fn admit(&mut self, dims: GridDims, g: Vec3) -> Option<CellLocation> {
         // Ray-interval clipping against the occupied AABB: outside the
         // dilated box no cell corner can reach an occupied vertex.
         match self.clip {
@@ -461,8 +504,8 @@ impl<'a> EmptySkipper<'a> {
             }
         }
         // Outside the grid the interpolated sample is empty by definition.
-        let cell = trilinear_cell(dims, g)?;
-        let b = cell.base;
+        let at = locate_cell(dims, g)?;
+        let b = at.base;
         if let Some((lo, hi)) = self.cached {
             if (lo.x..=hi.x).contains(&b.x)
                 && (lo.y..=hi.y).contains(&b.y)
@@ -475,7 +518,7 @@ impl<'a> EmptySkipper<'a> {
             self.cached = Some(region);
             return None;
         }
-        Some(cell)
+        Some(at)
     }
 }
 
@@ -509,6 +552,13 @@ impl Marched {
 /// rest, and hands each positive-density sample to `shade` with its alpha
 /// and front-to-back weight `T·α` (taken before the sample updates `T`).
 ///
+/// Each sample is *located, probed, then weighed*, as the SGPU's Bitmap
+/// Lookup Unit answers before any per-vertex work: [`locate_cell`] finds
+/// the cell base, the skipper (under [`SkipMode::Mip`]) and the source's
+/// [`VoxelSource::cell_maybe_occupied`] probe decide from the base alone,
+/// and only a cell that survives both gets its 8 weights and its gather
+/// ([`interpolate_located`]).
+///
 /// `shade` must update the accumulator's transmittance exactly once
 /// ([`RayAccumulator::add_sample`] or [`RayAccumulator::attenuate`]). The
 /// loop stops the ray once it is opaque, so where a ray stops depends on
@@ -533,19 +583,19 @@ fn march_ray<S: VoxelSource + ?Sized>(
     let mut depth_sum = 0.0f32;
     for (t, pos) in UniformSampler::new(ray, &frame.aabb, frame.step) {
         let g = frame.grid.world_to_grid(pos);
-        let cell = match &mut skipper {
+        let located = match &mut skipper {
             Some(skipper) => match skipper.admit(dims, g) {
-                Some(cell) => Some(cell),
+                Some(at) => Some(at),
                 None => {
                     stats.samples_skipped += 1;
                     continue;
                 }
             },
-            None => trilinear_cell(dims, g),
+            None => locate_cell(dims, g),
         };
         stats.samples_marched += 1;
-        let sample = match cell {
-            Some(cell) => interpolate_cell(source, &cell),
+        let sample = match located {
+            Some(at) => interpolate_located(source, &at),
             None => InterpSample::empty(),
         };
         if sample.density <= 0.0 {
@@ -922,6 +972,16 @@ mod tests {
     }
 
     #[test]
+    fn validate_names_the_zero_field() {
+        assert_eq!(RenderConfig::default().validate(), Ok(()));
+        let no_samples = RenderConfig { samples_per_ray: 0, ..Default::default() };
+        assert_eq!(no_samples.validate(), Err(RenderConfigError::ZeroSamplesPerRay));
+        let no_tiles = RenderConfig { tile_size: 0, ..Default::default() };
+        assert_eq!(no_tiles.validate(), Err(RenderConfigError::ZeroTileSize));
+        assert_eq!(RenderConfigError::ZeroTileSize.to_string(), "tile_size must be non-zero");
+    }
+
+    #[test]
     fn diagonal_factor_covers_cube_diagonal() {
         // The named constant must clear √3 (the cube space diagonal) while
         // keeping the historical literal's exact value.
@@ -1070,6 +1130,48 @@ mod tests {
                 "{id:?}: marched + skipped is invariant"
             );
             assert_eq!(off.1.samples_skipped, 0, "Off never skips");
+        }
+    }
+
+    #[test]
+    fn skipper_locates_the_trilinear_base() {
+        // The skipper decides from the located cell alone; wherever it
+        // admits a sample, that cell must weigh to `trilinear_cell`'s, bit
+        // for bit. On a full grid it admits every in-grid position.
+        use crate::interp::{trilinear_cell, TrilinearCell};
+        use crate::source::WithOccupancy;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut full = DenseGrid::zeros(GridDims::new(9, 5, 7));
+        for c in full.dims().iter() {
+            full.set_density(c, 1.0);
+        }
+        let mut rng = StdRng::seed_from_u64(9);
+        for (grid, all) in [(full, true), (build_grid(SceneId::Mic, 24), false)] {
+            let skippable = WithOccupancy::build(&grid);
+            let dims = grid.dims();
+            let mut skipper = EmptySkipper::new(skippable.mip(), usize::MAX, SkipCache::EMPTY);
+            let around = |rng: &mut StdRng, n: u32| rng.gen::<f32>() * (n as f32 + 3.0) - 2.0;
+            let mut admitted = 0;
+            for _ in 0..20_000 {
+                let g = Vec3::new(
+                    around(&mut rng, dims.nx),
+                    around(&mut rng, dims.ny),
+                    around(&mut rng, dims.nz),
+                );
+                let want = trilinear_cell(dims, g);
+                let bits =
+                    |c: Option<TrilinearCell>| c.map(|c| (c.base, c.weights.map(f32::to_bits)));
+                match skipper.admit(dims, g) {
+                    Some(at) => {
+                        admitted += 1;
+                        assert_eq!(Some(at.base), want.map(|c| c.base), "{dims} at {g:?}");
+                        assert_eq!(bits(Some(at.weigh())), bits(want), "{dims} at {g:?}");
+                    }
+                    None => assert!(!all || want.is_none(), "{dims}: full grid skipped {g:?}"),
+                }
+            }
+            assert!(admitted > 0, "{dims}: something must be admitted");
         }
     }
 

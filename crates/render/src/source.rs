@@ -12,8 +12,8 @@
 //!
 //! * [`VoxelSource::occupancy_mip`], a pyramid the ray marcher skips whole
 //!   empty macro-blocks with (under [`crate::renderer::SkipMode::Mip`]);
-//! * [`VoxelSource::cell_maybe_occupied`], a per-cell probe
-//!   [`crate::interp::interpolate_cell`] asks before it gathers a cell's 8
+//! * [`VoxelSource::cell_maybe_occupied`], a per-cell probe the ray marcher
+//!   asks from the cell base before it weighs or gathers the cell's 8
 //!   corners — the masked SpNeRF view answers it from its bitmap, as the
 //!   accelerator's BLU does before the HMU hashes.
 //!
@@ -63,10 +63,11 @@ pub trait VoxelSource {
     /// Whether the interpolation cell with lower corner `base` may touch a
     /// vertex this source fetches.
     ///
-    /// [`crate::interp::interpolate_cell`] asks this once per sample before
-    /// it gathers the cell's corners; a cell ruled out here is the empty
-    /// sample, at the cost of one query instead of eight
-    /// [`VoxelSource::fetch`] calls. **Contract:** `false` promises that
+    /// The ray marcher asks this once per sample, from the located cell
+    /// base, before it weighs and gathers the cell's corners, and
+    /// [`crate::interp::interpolate_cell`] asks it before its gather; a cell ruled out here is the empty
+    /// sample, at the cost of one query instead of eight trilinear weights
+    /// and eight [`VoxelSource::fetch`] calls. **Contract:** `false` promises that
     /// `fetch` returns `None` for all 8 vertices `[base, base+1]³`; `true`
     /// (the default) promises nothing. Like [`VoxelSource::occupancy_mip`],
     /// a wrong `true` only costs a gather, and a wrong `false` changes

@@ -8,6 +8,7 @@
 use std::fmt;
 
 use spnerf_core::{BuildError, ConfigError};
+use spnerf_render::renderer::RenderConfigError;
 use spnerf_voxel::vqrf::VqrfConfigError;
 
 /// Any failure producible by the `spnerf` pipeline layer or the examples
@@ -22,6 +23,9 @@ pub enum Error {
     Build(BuildError),
     /// The VQRF compression configuration is invalid.
     Vqrf(VqrfConfigError),
+    /// The render configuration is invalid (a zero `samples_per_ray` or
+    /// `tile_size`).
+    Render(RenderConfigError),
     /// A scene name did not match any of the eight Synthetic-NeRF scenes.
     UnknownScene(String),
     /// A [`crate::pipeline::RenderRequest`] was malformed (the message
@@ -40,6 +44,7 @@ impl fmt::Display for Error {
             Error::Config(e) => write!(f, "invalid SpNeRF configuration: {e}"),
             Error::Build(e) => write!(f, "SpNeRF build failed: {e}"),
             Error::Vqrf(e) => write!(f, "invalid VQRF configuration: {e}"),
+            Error::Render(e) => write!(f, "invalid render configuration: {e}"),
             Error::UnknownScene(name) => {
                 write!(f, "unknown scene '{name}' (expected one of the Synthetic-NeRF eight)")
             }
@@ -56,6 +61,7 @@ impl std::error::Error for Error {
             Error::Config(e) => Some(e),
             Error::Build(e) => Some(e),
             Error::Vqrf(e) => Some(e),
+            Error::Render(e) => Some(e),
             Error::Io(e) => Some(e),
             Error::ParseInt(e) => Some(e),
             _ => None,
@@ -86,6 +92,12 @@ impl From<VqrfConfigError> for Error {
     }
 }
 
+impl From<RenderConfigError> for Error {
+    fn from(e: RenderConfigError) -> Self {
+        Error::Render(e)
+    }
+}
+
 impl From<std::io::Error> for Error {
     fn from(e: std::io::Error) -> Self {
         Error::Io(e)
@@ -112,6 +124,7 @@ mod tests {
         let b = BuildError::CodebookMismatch { model: 4, config: 8 };
         assert!(matches!(Error::from(b), Error::Build(_)));
         assert!(matches!(Error::from(VqrfConfigError::ZeroCodebook), Error::Vqrf(_)));
+        assert!(matches!(Error::from(RenderConfigError::ZeroTileSize), Error::Render(_)));
     }
 
     #[test]

@@ -327,13 +327,15 @@ impl PipelineBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Vqrf`] for an invalid compression configuration and
-    /// [`Error::Config`] / [`Error::Build`] when the SpNeRF stage rejects
-    /// its operating point (zero fields, codebook mismatch, true-grid
-    /// overflow).
+    /// Returns [`Error::Vqrf`] for an invalid compression configuration,
+    /// [`Error::Render`] for a render configuration with a zero
+    /// `samples_per_ray` or `tile_size`, and [`Error::Config`] /
+    /// [`Error::Build`] when the SpNeRF stage rejects its operating point
+    /// (zero fields, codebook mismatch, true-grid overflow).
     pub fn build(self) -> Result<Scene, Error> {
         self.vqrf.validate()?;
         self.spnerf.validate()?;
+        self.render.validate()?;
         let side = self.side();
         let (id, label, grid) = match self.source {
             GridSource::Dataset(id) => {
@@ -676,6 +678,11 @@ impl Scene {
     }
 
     /// Opens a render session with an overridden render configuration.
+    ///
+    /// The configuration is not checked here: [`RenderSession::render`] and
+    /// [`RenderSession::render_trajectory`] return [`Error::Render`] for an
+    /// invalid one, and [`crate::trajectory::TrajectoryStream::advance`]
+    /// panics on it.
     pub fn session_with(&self, cfg: RenderConfig) -> RenderSession<'_> {
         RenderSession { scene: self, cfg, cache: RefCell::new(HashMap::new()) }
     }
@@ -749,9 +756,11 @@ impl RenderSession<'_> {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Request`] for an empty camera batch or a
+    /// Returns [`Error::Render`] when the session's render configuration is
+    /// invalid, and [`Error::Request`] for an empty camera batch or a
     /// reference-image count that does not match the batch.
     pub fn render(&self, request: &RenderRequest<'_>) -> Result<RenderResponse, Error> {
+        self.cfg.validate()?;
         if request.cameras.is_empty() {
             return Err(Error::Request("empty camera batch".into()));
         }
@@ -909,6 +918,42 @@ mod tests {
             .spnerf_config(SpNerfConfig { subgrid_count: 4, table_size: 512, codebook_size: 32 })
             .build();
         assert!(matches!(mismatch, Err(Error::Build(_))));
+    }
+
+    #[test]
+    fn builder_rejects_zero_render_fields() {
+        use spnerf_render::renderer::RenderConfigError;
+        for (cfg, want) in [
+            (
+                RenderConfig { samples_per_ray: 0, ..Default::default() },
+                RenderConfigError::ZeroSamplesPerRay,
+            ),
+            (RenderConfig { tile_size: 0, ..Default::default() }, RenderConfigError::ZeroTileSize),
+        ] {
+            let built = PipelineBuilder::new(SceneId::Mic).grid_side(12).render_config(cfg).build();
+            assert!(matches!(built, Err(Error::Render(e)) if e == want), "{want:?}");
+        }
+    }
+
+    #[test]
+    fn session_render_rejects_zero_render_fields() {
+        use spnerf_render::renderer::RenderConfigError;
+        let scene = tiny_scene();
+        let req = RenderRequest::single(RenderSource::spnerf_masked(), default_camera(6, 6, 0, 4));
+        for (cfg, want) in [
+            (
+                RenderConfig { samples_per_ray: 0, ..scene.render_config() },
+                RenderConfigError::ZeroSamplesPerRay,
+            ),
+            (
+                RenderConfig { tile_size: 0, ..scene.render_config() },
+                RenderConfigError::ZeroTileSize,
+            ),
+        ] {
+            let session = scene.session_with(cfg);
+            assert!(matches!(session.render(&req), Err(Error::Render(e)) if e == want), "{want:?}");
+            assert_eq!(session.cache_len(), 0, "nothing rendered");
+        }
     }
 
     #[test]

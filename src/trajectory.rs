@@ -205,6 +205,12 @@ impl TrajectoryStream<'_, '_> {
     /// previous frame forward and re-march only disoccluded, depth-edge,
     /// and validation rays.
     ///
+    /// # Panics
+    ///
+    /// Panics if the session's render configuration has a zero
+    /// `samples_per_ray` or `tile_size` (see
+    /// [`RenderConfig::validate`](spnerf_render::renderer::RenderConfig::validate)).
+    ///
     /// [`reset`]: TrajectoryStream::reset
     pub fn advance(&mut self, camera: &PinholeCamera) -> (TemporalFrame, FrameWorkload) {
         let cache = self.session.scene().temporal();
@@ -231,11 +237,13 @@ impl<'a> RenderSession<'a> {
     ///
     /// # Errors
     ///
-    /// [`Error::Request`] for a zero-frame path.
+    /// [`Error::Render`] when the session's render configuration is
+    /// invalid, and [`Error::Request`] for a zero-frame path.
     pub fn render_trajectory(
         &self,
         request: &TrajectoryRequest,
     ) -> Result<TrajectoryResponse, Error> {
+        self.render_config().validate()?;
         if request.spec.frames == 0 {
             return Err(Error::Request("a trajectory needs at least one frame".into()));
         }
@@ -443,5 +451,25 @@ mod tests {
             .render_trajectory(&TrajectoryRequest::new(RenderSource::GroundTruth, spec))
             .unwrap_err();
         assert!(matches!(err, Error::Request(_)));
+    }
+
+    #[test]
+    fn trajectories_reject_zero_render_fields() {
+        use spnerf_render::renderer::RenderConfigError;
+        let scene = tiny_scene();
+        let req = TrajectoryRequest::new(RenderSource::GroundTruth, TrajectorySpec::orbit(2, 8, 8));
+        for (cfg, want) in [
+            (
+                RenderConfig { samples_per_ray: 0, ..scene.render_config() },
+                RenderConfigError::ZeroSamplesPerRay,
+            ),
+            (
+                RenderConfig { tile_size: 0, ..scene.render_config() },
+                RenderConfigError::ZeroTileSize,
+            ),
+        ] {
+            let err = scene.session_with(cfg).render_trajectory(&req).unwrap_err();
+            assert!(matches!(err, Error::Render(e) if e == want), "{want:?}");
+        }
     }
 }
