@@ -32,6 +32,7 @@ use spnerf::dram::controller::MemoryController;
 use spnerf::dram::timing::DramTimings;
 use spnerf::dram::trace::{gather, sequential};
 use spnerf::render::bake::bake;
+use spnerf::render::camera::PinholeCamera;
 use spnerf::render::composite::accumulate_weighted;
 use spnerf::render::fp16::{f16_bits_to_f32, f32_to_f16_bits};
 use spnerf::render::interp::{
@@ -41,15 +42,18 @@ use spnerf::render::lanes::LANE_WIDTH;
 use spnerf::render::mlp::{
     DeferredMlp, Mlp, DEFERRED_INPUT_DIM, MLP_HIDDEN_DIM, MLP_INPUT_DIM, MLP_OUTPUT_DIM,
 };
-use spnerf::render::ray::UniformSampler;
-use spnerf::render::renderer::{render_view_serial, RenderConfig, RenderFrame, Shader};
+use spnerf::render::ray::{Ray, UniformSampler};
+use spnerf::render::renderer::{
+    render_view_serial, trace_rays, RenderConfig, RenderFrame, Shader, SkipCache,
+};
 use spnerf::render::scene::{build_grid, default_camera, scene_aabb, SceneId};
+use spnerf::render::source::VoxelSource;
 use spnerf::render::temporal::{
     advance_frame, disocclusion_mask, warp_splat, ReuseMode, TrajectorySpec, WarpConfig,
 };
 use spnerf::render::vec3::Vec3;
 use spnerf::voxel::baked::SPEC_DIM;
-use spnerf::voxel::coord::{GridCoord, GridDims};
+use spnerf::voxel::coord::GridCoord;
 use spnerf::voxel::grid::DenseGrid;
 use spnerf::voxel::kmeans::Codebook;
 use spnerf::voxel::FEATURE_DIM;
@@ -93,7 +97,8 @@ pub const REQUIRED_KERNELS: [&str; 7] = [
 /// * `warp.splat`: one pixel of a forward-warp splat into the next camera.
 /// * `disocclusion.test`: one pixel of the disocclusion test.
 /// * `decode.masked_cell`: one [`interpolate_cell`] on a masked SpNeRF view
-///   per sample a 32×32 still marches, its per-cell bitmap probe included.
+///   per in-grid sample a 32×32 still marches (each ray stopped where the
+///   still stops it), its per-cell bitmap probe included.
 /// * `march.masked_still`: one marched sample of a [`render_view_serial`]
 ///   of that 32×32 masked still at 128 samples per ray, skipping off: the
 ///   whole march (sampler, locate, probe, gather, MLP and composite) per
@@ -233,20 +238,28 @@ fn probe_cells(grid: &DenseGrid, n: usize) -> Vec<TrilinearCell> {
         .collect()
 }
 
-/// The interpolation cell of every sample a `side`×`side` view from
-/// [`default_camera`] marches with skipping off, in ray order: the cell
-/// stream a still frame feeds the decoder, mostly empty space.
-fn view_cells(dims: GridDims, side: u32) -> Vec<TrilinearCell> {
-    let frame = RenderFrame::new(dims, &scene_aabb(), &RenderConfig::default());
-    let camera = default_camera(side, side, 0, 1);
+/// The interpolation cell of every in-grid sample that a still of `source`
+/// through `camera` marches with skipping off, in ray order: the cell
+/// stream the still feeds the decoder, mostly empty space. Each ray stops
+/// where [`render_view_serial`] stops it (early ray termination), so the
+/// stream is the decode work of that still.
+fn view_cells(source: &impl VoxelSource, mlp: &Mlp, camera: &PinholeCamera) -> Vec<TrilinearCell> {
+    let cfg = RenderConfig::default();
+    let dims = source.dims();
+    let frame = RenderFrame::new(dims, &scene_aabb(), &cfg);
+    let rays: Vec<(Ray, SkipCache)> = (0..camera.height)
+        .flat_map(|py| {
+            (0..camera.width).map(move |px| (camera.ray_for_pixel(px, py), SkipCache::EMPTY))
+        })
+        .collect();
+    let traced = trace_rays(source, Shader::PerSample(mlp), &frame, &rays, &cfg);
     let mut cells = Vec::new();
-    for py in 0..side {
-        for px in 0..side {
-            let ray = camera.ray_for_pixel(px, py);
-            for (_, pos) in UniformSampler::new(ray, frame.aabb(), frame.step()) {
-                cells.extend(trilinear_cell(dims, frame.grid().world_to_grid(pos)));
-            }
-        }
+    for ((ray, _), traced) in rays.iter().zip(&traced) {
+        let marched = UniformSampler::new(*ray, frame.aabb(), frame.step())
+            .take(traced.stats.samples_marched);
+        cells.extend(
+            marched.filter_map(|(_, pos)| trilinear_cell(dims, frame.grid().world_to_grid(pos))),
+        );
     }
     cells
 }
@@ -322,12 +335,12 @@ pub fn measure(label: &str, quick: bool) -> Snapshot {
     let (warped_colors, warped_depths) = warp_splat(&warp_prev, &warp_cams[1], &warp_cfg);
 
     // Masked online decode: the paper's `mic` scene at the interpolation
-    // grid's side, probed along every sample of a 32×32 view.
+    // grid's side, probed along every sample a 32×32 still marches.
     let (_, _, decode_model) = dataset_fixture(SceneId::Mic, grid_side, 64, 8, 8192);
     let masked = decode_model.view(MaskMode::Masked);
-    let decode_cells = view_cells(decode_model.dims(), 32);
     // The same still through the whole march, one op per marched sample.
     let still_camera = default_camera(32, 32, 0, 1);
+    let decode_cells = view_cells(&masked, &mlp, &still_camera);
     let still = || {
         render_view_serial(&masked, &mlp, &still_camera, &scene_aabb(), &RenderConfig::default())
     };
@@ -1083,6 +1096,7 @@ mod tests {
             ("BENCH_pr18.json", include_str!("../../../BENCH_pr18.json")),
             ("BENCH_pr19.json", include_str!("../../../BENCH_pr19.json")),
             ("BENCH_pr21.json", include_str!("../../../BENCH_pr21.json")),
+            ("BENCH_pr22.json", include_str!("../../../BENCH_pr22.json")),
         ] {
             if let Err(errs) = validate_snapshot_json(text) {
                 panic!("{name} fails the schema: {errs:?}");

@@ -13,7 +13,7 @@ use rand::{Rng, SeedableRng};
 use crate::lanes::{F32x8, LANE_WIDTH};
 use crate::vec3::Vec3;
 use spnerf_voxel::baked::SPEC_DIM;
-use spnerf_voxel::FEATURE_DIM;
+use spnerf_voxel::{wide, FEATURE_DIM};
 
 /// Dimension of the view-direction encoding: raw direction (3) plus sin/cos
 /// at 4 frequencies per component (3 × 2 × 4 = 24).
@@ -148,20 +148,23 @@ impl Layer {
     }
 
     /// The lane-blocked GEMV every forward pass runs, bitwise-equal to
-    /// [`Layer::forward_into`].
+    /// [`Layer::forward_into`] followed, with `relu`, by [`relu`].
     ///
     /// Each [`F32x8`] lane holds 8 *independent* output neurons; inputs
     /// stream in the same ascending `i` order as the scalar oracle with an
     /// unfused multiply-then-add, so every output's float-addition order —
     /// and therefore its bits — is unchanged. The padded tail columns
-    /// accumulate zeros and are never stored.
+    /// accumulate zeros and are never stored. With `relu`, each
+    /// accumulator is activated as it is stored ([`activate`]).
     ///
     /// One accumulator alone is latency-bound: each step waits for the
     /// previous add. So each sweep over the inputs feeds four accumulators
-    /// ([`GEMV_GROUP`] outputs, 8 SSE registers) from one splat of `x[i]`,
-    /// giving four independent add chains. Blocks past the last full group
-    /// (layer 3's single padded block) take the one-accumulator loop.
-    fn forward_into_lanes(&self, x: &[f32], out: &mut [f32]) {
+    /// ([`GEMV_GROUP`] outputs, four ymm registers under [`wide!`]) from one
+    /// splat of `x[i]`, giving four independent add chains. Blocks past the
+    /// last full group (layer 3's single padded block) take the
+    /// one-accumulator loop.
+    #[inline(always)]
+    fn forward_into_lanes(&self, x: &[f32], out: &mut [f32], relu: bool) {
         debug_assert_eq!(x.len(), self.in_dim);
         debug_assert_eq!(out.len(), self.out_dim);
         let padded = pad_to_lanes(self.out_dim);
@@ -180,7 +183,7 @@ impl Layer {
             }
             for (k, acc) in [a0, a1, a2, a3].into_iter().enumerate() {
                 let j = jb + k * LANE_WIDTH;
-                acc.store_padded(&mut out[j..self.out_dim.min(j + LANE_WIDTH)]);
+                activate(acc, relu).store_padded(&mut out[j..self.out_dim.min(j + LANE_WIDTH)]);
             }
         }
         for jb in (grouped..padded).step_by(LANE_WIDTH) {
@@ -188,12 +191,13 @@ impl Layer {
             for (xi, row) in x.iter().zip(rows.clone()) {
                 acc = F32x8::splat(*xi).mul_add(F32x8::load_padded(&row[jb..jb + LANE_WIDTH]), acc);
             }
-            acc.store_padded(&mut out[jb..self.out_dim.min(jb + LANE_WIDTH)]);
+            activate(acc, relu).store_padded(&mut out[jb..self.out_dim.min(jb + LANE_WIDTH)]);
         }
     }
 
     /// The batched lane kernel: the same layer over [`LANE_WIDTH`] samples
-    /// at once, bitwise-equal per sample to [`Layer::forward_into`].
+    /// at once, bitwise-equal per sample to [`Layer::forward_into`]
+    /// followed, with `relu`, by [`relu`].
     ///
     /// `x[i]` holds input `i` of the eight samples, one sample per lane, and
     /// `out[o]` receives output `o` the same way. Each lane runs the scalar
@@ -201,15 +205,22 @@ impl Layer {
     /// unfused — so each sample's bits are those of a lone GEMV. Inputs
     /// that are zero in every lane are left out of the sweep
     /// ([`Layer::active_inputs`]); adding their zero products would not
-    /// change a bit ([`Layer::zero_inputs_add_nothing`]).
+    /// change a bit ([`Layer::zero_inputs_add_nothing`]). With `relu`, each
+    /// accumulator is activated as it is stored ([`activate`]).
     ///
     /// The GEMV reloads every weight per sample and is bound by those
     /// loads; here one splat of `w[o][i]` serves eight samples. Each sweep
-    /// over the inputs feeds four outputs ([`BATCH_GROUP`] accumulators, 8
-    /// SSE registers) from one load of `x[i]`, straight from the row-major
-    /// `weights`. Outputs past the last full group (all of layer 3's three)
-    /// take the one-accumulator loop.
-    fn forward_batch_into(&self, x: &[[f32; LANE_WIDTH]], out: &mut [[f32; LANE_WIDTH]]) {
+    /// over the inputs feeds four outputs ([`BATCH_GROUP`] accumulators,
+    /// four ymm registers under [`wide!`]) from one load of `x[i]`, straight
+    /// from the row-major `weights`. Outputs past the last full group (all
+    /// of layer 3's three) take the one-accumulator loop.
+    #[inline(always)]
+    fn forward_batch_into(
+        &self,
+        x: &[[f32; LANE_WIDTH]],
+        out: &mut [[f32; LANE_WIDTH]],
+        relu: bool,
+    ) {
         debug_assert_eq!(x.len(), self.in_dim);
         debug_assert_eq!(out.len(), self.out_dim);
         let mut active = [0usize; MAX_BATCH_IN];
@@ -228,7 +239,7 @@ impl Layer {
                 a3 = F32x8::splat(r3[i]).mul_add(xi, a3);
             }
             for (k, acc) in [a0, a1, a2, a3].into_iter().enumerate() {
-                out[o + k] = acc.to_array();
+                out[o + k] = activate(acc, relu).to_array();
             }
         }
         for (o, slot) in out.iter_mut().enumerate().skip(grouped) {
@@ -237,7 +248,7 @@ impl Layer {
             for &i in active {
                 acc = F32x8::splat(r[i]).mul_add(F32x8::from_array(x[i]), acc);
             }
-            *slot = acc.to_array();
+            *slot = activate(acc, relu).to_array();
         }
     }
 
@@ -249,6 +260,11 @@ impl Layer {
     /// or along an x-row of a bake — tend to switch off the same hidden
     /// units, so about half of layers 2 and 3's inputs are zero in every
     /// lane of a render batch.
+    ///
+    /// An input is `±0.0` in every lane exactly when the OR of its lanes'
+    /// bits, each shifted left past the sign bit, is zero: one branch-free
+    /// reduction instead of eight compares.
+    #[inline(always)]
     fn active_inputs<'b>(
         &self,
         x: &[[f32; LANE_WIDTH]],
@@ -256,8 +272,9 @@ impl Layer {
     ) -> &'b [usize] {
         let mut n = 0;
         for (i, xi) in x.iter().enumerate() {
+            let magnitude_bits = xi.iter().fold(0, |bits, v| bits | (v.to_bits() << 1));
             buf[n] = i;
-            n += usize::from(!self.zero_inputs_add_nothing || *xi != [0.0; LANE_WIDTH]);
+            n += usize::from(!self.zero_inputs_add_nothing || magnitude_bits != 0);
         }
         &buf[..n]
     }
@@ -301,21 +318,24 @@ impl Mlp {
 
     /// Runs the network on one 39-element input, returning RGB in `[0, 1]`.
     ///
-    /// Runs the lane GEMV, which is bitwise-identical to the scalar oracle
-    /// [`Mlp::forward_scalar`] (see [`crate::lanes`]).
+    /// Runs the lane GEMV at the host's widest lane width ([`wide!`]), which
+    /// is bitwise-identical to the scalar oracle [`Mlp::forward_scalar`]
+    /// (see [`crate::lanes`]).
     pub fn forward(&self, input: &[f32; MLP_INPUT_DIM]) -> [f32; MLP_OUTPUT_DIM] {
+        wide!(self.forward_lanes(input))
+    }
+
+    /// The body of [`Mlp::forward`], at whatever width its caller is
+    /// compiled for. The ReLUs are fused into layers 1 and 2's stores.
+    #[inline(always)]
+    fn forward_lanes(&self, input: &[f32; MLP_INPUT_DIM]) -> [f32; MLP_OUTPUT_DIM] {
         let mut h1 = [0.0f32; MLP_HIDDEN_DIM];
         let mut h2 = [0.0f32; MLP_HIDDEN_DIM];
         let mut out = [0.0f32; MLP_OUTPUT_DIM];
-        self.l1.forward_into_lanes(input, &mut h1);
-        relu(&mut h1);
-        self.l2.forward_into_lanes(&h1, &mut h2);
-        relu(&mut h2);
-        self.l3.forward_into_lanes(&h2, &mut out);
-        for o in &mut out {
-            *o = sigmoid(*o);
-        }
-        out
+        self.l1.forward_into_lanes(input, &mut h1, true);
+        self.l2.forward_into_lanes(&h1, &mut h2, true);
+        self.l3.forward_into_lanes(&h2, &mut out, false);
+        out.map(sigmoid)
     }
 
     /// Runs the network on [`LANE_WIDTH`] samples at once, one sample per
@@ -329,23 +349,29 @@ impl Mlp {
     /// share, leaving out an input that is zero in every lane, changes no
     /// bit — so every sample's output is bitwise the scalar oracle
     /// [`Mlp::forward_scalar`] of its own input, whatever the other lanes
-    /// hold, NaN and ±∞ included.
+    /// hold, NaN and ±∞ included. It runs at the host's widest lane width
+    /// ([`wide!`]).
     pub fn forward_batch(
+        &self,
+        x: &[[f32; LANE_WIDTH]; MLP_INPUT_DIM],
+    ) -> [[f32; LANE_WIDTH]; MLP_OUTPUT_DIM] {
+        wide!(self.forward_batch_lanes(x))
+    }
+
+    /// The body of [`Mlp::forward_batch`], at whatever width its caller is
+    /// compiled for. The ReLUs are fused into layers 1 and 2's stores.
+    #[inline(always)]
+    fn forward_batch_lanes(
         &self,
         x: &[[f32; LANE_WIDTH]; MLP_INPUT_DIM],
     ) -> [[f32; LANE_WIDTH]; MLP_OUTPUT_DIM] {
         let mut h1 = [[0.0f32; LANE_WIDTH]; MLP_HIDDEN_DIM];
         let mut h2 = [[0.0f32; LANE_WIDTH]; MLP_HIDDEN_DIM];
         let mut out = [[0.0f32; LANE_WIDTH]; MLP_OUTPUT_DIM];
-        self.l1.forward_batch_into(x, &mut h1);
-        h1.iter_mut().for_each(|h| relu(h));
-        self.l2.forward_batch_into(&h1, &mut h2);
-        h2.iter_mut().for_each(|h| relu(h));
-        self.l3.forward_batch_into(&h2, &mut out);
-        for o in out.iter_mut().flatten() {
-            *o = sigmoid(*o);
-        }
-        out
+        self.l1.forward_batch_into(x, &mut h1, true);
+        self.l2.forward_batch_into(&h1, &mut h2, true);
+        self.l3.forward_batch_into(&h2, &mut out, false);
+        out.map(|channel| channel.map(sigmoid))
     }
 
     /// The scalar reference forward pass — the test oracle the lane
@@ -509,21 +535,24 @@ impl DeferredMlp {
     }
 
     /// Runs the network on one accumulated-feature ⊕ view-encoding input,
-    /// returning RGB in `[0, 1]`. Runs the lane GEMV, bitwise-identical to
-    /// the scalar oracle [`DeferredMlp::forward_scalar`].
+    /// returning RGB in `[0, 1]`. Runs the lane GEMV at the host's widest
+    /// lane width ([`wide!`]), bitwise-identical to the scalar oracle
+    /// [`DeferredMlp::forward_scalar`].
     pub fn forward(&self, input: &[f32; DEFERRED_INPUT_DIM]) -> [f32; MLP_OUTPUT_DIM] {
+        wide!(self.forward_lanes(input))
+    }
+
+    /// The body of [`DeferredMlp::forward`], at whatever width its caller
+    /// is compiled for. The ReLUs are fused into layers 1 and 2's stores.
+    #[inline(always)]
+    fn forward_lanes(&self, input: &[f32; DEFERRED_INPUT_DIM]) -> [f32; MLP_OUTPUT_DIM] {
         let mut h1 = [0.0f32; DEFERRED_HIDDEN_DIM];
         let mut h2 = [0.0f32; DEFERRED_HIDDEN_DIM];
         let mut out = [0.0f32; MLP_OUTPUT_DIM];
-        self.l1.forward_into_lanes(input, &mut h1);
-        relu(&mut h1);
-        self.l2.forward_into_lanes(&h1, &mut h2);
-        relu(&mut h2);
-        self.l3.forward_into_lanes(&h2, &mut out);
-        for o in &mut out {
-            *o = sigmoid(*o);
-        }
-        out
+        self.l1.forward_into_lanes(input, &mut h1, true);
+        self.l2.forward_into_lanes(&h1, &mut h2, true);
+        self.l3.forward_into_lanes(&h2, &mut out, false);
+        out.map(sigmoid)
     }
 
     /// Multiply-accumulate operations per deferred evaluation — the
@@ -564,11 +593,25 @@ impl DeferredMlp {
     }
 }
 
+/// The scalar oracles' ReLU over a stored layer output.
 fn relu(v: &mut [f32]) {
     for x in v.iter_mut() {
         if *x < 0.0 {
             *x = 0.0;
         }
+    }
+}
+
+/// A lane kernel's activation, applied to an accumulator as its layer
+/// stores it: with `relu`, the lane select `x < 0 ? +0.0 : x`, bitwise the
+/// oracle's [`relu`] (a `−0.0` or NaN lane is not below zero and stays as
+/// it is) with no branch per activation; without, `acc` as it is.
+#[inline(always)]
+fn activate(acc: F32x8, relu: bool) -> F32x8 {
+    if relu {
+        acc.select_lt(F32x8::ZERO, F32x8::ZERO, acc)
+    } else {
+        acc
     }
 }
 
@@ -649,15 +692,63 @@ mod tests {
             .collect()
     }
 
+    // The tests below pin each dispatched kernel three ways. Calling a
+    // kernel body directly compiles it at the build's baseline width;
+    // calling its front door runs the `wide!` clone on an AVX host (every
+    // CI host); the scalar oracle is the reference both must equal bit for
+    // bit. Tests build this crate at opt-level 3 (the root `Cargo.toml`),
+    // so the clone under test is vectorized onto ymm registers, as in a
+    // release build.
+
+    /// Asserts `got` is `want` bit for bit.
+    fn assert_bits(want: &[f32], got: &[f32], context: &str) {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(want), bits(got), "{context}");
+    }
+
+    /// Color-MLP inputs: corpus voxel features of every archetype, each
+    /// with its own view encoding, as a render feeds them, then signed
+    /// zeros, subnormals and large magnitudes that random draws never
+    /// reach.
+    fn kernel_inputs() -> Vec<[f32; MLP_INPUT_DIM]> {
+        use crate::source::VoxelSource;
+        use spnerf_testkit::corpus::{generate, Archetype, CorpusSpec};
+        let mut inputs = Vec::new();
+        for (seed, arch) in Archetype::ALL.into_iter().enumerate() {
+            let grid = generate(&CorpusSpec::new(arch, 12, 0.2, seed as u64));
+            let features: Vec<_> =
+                VoxelSource::dims(&grid).iter().filter_map(|c| grid.fetch(c)).take(21).collect();
+            assert!(!features.is_empty(), "{arch:?} has no occupied vertex");
+            inputs.extend(features.iter().enumerate().map(|(n, data)| {
+                let a = n as f32 * 0.37;
+                let mut input = [0.0f32; MLP_INPUT_DIM];
+                input[..FEATURE_DIM].copy_from_slice(&data.features);
+                input[FEATURE_DIM..].copy_from_slice(&encode_direction(
+                    Vec3::new(a.cos(), 0.3, a.sin()).normalized(),
+                ));
+                input
+            }));
+        }
+        let sign = |i: usize| if i % 3 == 1 { -1.0f32 } else { 1.0 };
+        inputs.extend([
+            [0.0; MLP_INPUT_DIM],
+            [-0.0; MLP_INPUT_DIM],
+            std::array::from_fn(|i| sign(i) * 0.0),
+            std::array::from_fn(|i| sign(i) * f32::from_bits(1)),
+            std::array::from_fn(|i| sign(i) * f32::from_bits(0x007F_FFFF)),
+            std::array::from_fn(|i| sign(i) * f32::from_bits(1 << (i % 23))),
+            std::array::from_fn(|i| sign(i) * 1e3),
+        ]);
+        inputs
+    }
+
     #[test]
     fn lane_gemv_is_bitwise_scalar() {
         let mlp = Mlp::random(9);
-        for input in random_inputs(21, 32) {
-            let s = mlp.forward_scalar(&input);
-            let l = mlp.forward(&input);
-            for (a, b) in s.iter().zip(l) {
-                assert_eq!(a.to_bits(), b.to_bits(), "lane GEMV diverged from scalar");
-            }
+        for (n, input) in random_inputs(21, 32).iter().chain(&kernel_inputs()).enumerate() {
+            let oracle = mlp.forward_scalar(input);
+            assert_bits(&oracle, &mlp.forward_lanes(input), &format!("body, input {n}"));
+            assert_bits(&oracle, &mlp.forward(input), &format!("wide, input {n}"));
         }
     }
 
@@ -691,17 +782,81 @@ mod tests {
         // and a NaN weight times zero is NaN: either way, skipping the zero
         // input would change the output's bits, so such layers sweep
         // every input.
-        let zeros = [[0.0f32; LANE_WIDTH]; 2];
+        //
+        // Both kernels, at both widths, with and without the fused ReLU.
+        // Fed signed zeros, the −0.0-bias layer stores −0.0 and +0.0, which
+        // the ReLU keeps as they are, and negative outputs, which it turns
+        // into +0.0; the NaN-weight layer stores NaN, which it keeps.
+        let inputs = [[0.0, 0.0], [-0.0, -0.0], [-0.0, 0.0], [-1.0, 0.5], [2.0, -3.0]];
+        // The batches put input `pick(l)` in lane `l`. The first three hold
+        // ±0.0 in every lane of both inputs (+0.0, −0.0, then mixed signs):
+        // exactly the inputs a layer that may skip zeros would leave out.
+        // The last mixes zero and non-zero lanes.
+        let picks: [fn(usize) -> usize; 4] = [|_| 0, |_| 1, |l| l % 3, |l| l % 5];
         for (weights, bias) in [(vec![1.0, 1.0], vec![-0.0]), (vec![f32::NAN, 1.0], vec![0.5])] {
             let layer = Layer::from_parts(2, 1, weights, bias);
             assert!(!layer.zero_inputs_add_nothing);
-            let mut want = [0.0f32];
-            layer.forward_into(&[0.0, 0.0], &mut want);
-            let mut got = [[0.0f32; LANE_WIDTH]];
-            layer.forward_batch_into(&zeros, &mut got);
-            for lane in got[0] {
-                assert_eq!(lane.to_bits(), want[0].to_bits());
+            for relu_on in [false, true] {
+                let oracle: Vec<f32> = inputs
+                    .iter()
+                    .map(|x| {
+                        let mut out = [0.0f32];
+                        layer.forward_into(x, &mut out);
+                        if relu_on {
+                            relu(&mut out);
+                        }
+                        out[0]
+                    })
+                    .collect();
+                let context = format!("bias {:?}, relu {relu_on}", layer.bias);
+                for (x, want) in inputs.iter().zip(&oracle) {
+                    let (mut body, mut dispatched) = ([0.0f32], [0.0f32]);
+                    layer.forward_into_lanes(x, &mut body, relu_on);
+                    wide!(layer.forward_into_lanes(x, &mut dispatched, relu_on));
+                    assert_bits(&[*want], &body, &format!("GEMV body, {context}, x {x:?}"));
+                    assert_bits(&[*want], &dispatched, &format!("GEMV wide, {context}, x {x:?}"));
+                }
+                for (b, pick) in picks.iter().enumerate() {
+                    let batch: [[f32; LANE_WIDTH]; 2] =
+                        std::array::from_fn(|i| std::array::from_fn(|l| inputs[pick(l)][i]));
+                    let (mut body, mut dispatched) =
+                        ([[0.0f32; LANE_WIDTH]], [[0.0f32; LANE_WIDTH]]);
+                    layer.forward_batch_into(&batch, &mut body, relu_on);
+                    wide!(layer.forward_batch_into(&batch, &mut dispatched, relu_on));
+                    let want: Vec<f32> = (0..LANE_WIDTH).map(|l| oracle[pick(l)]).collect();
+                    assert_bits(&want, &body[0], &format!("batch {b} body, {context}"));
+                    assert_bits(&want, &dispatched[0], &format!("batch {b} wide, {context}"));
+                }
             }
+        }
+    }
+
+    #[test]
+    fn batch_body_and_wide_clone_are_bitwise_scalar() {
+        // Odd groups fill five lanes and leave NaN and ±∞ in the spare
+        // lanes; even groups fill all eight, so inputs that are zero in
+        // every lane are left out of the sweep.
+        let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        let mlp = Mlp::random(11);
+        let inputs = kernel_inputs();
+        let mut rest = inputs.as_slice();
+        let mut group = 0;
+        while !rest.is_empty() {
+            let filled = rest.len().min(if group % 2 == 0 { LANE_WIDTH } else { 5 });
+            let (now, later) = rest.split_at(filled);
+            let batch: [[f32; LANE_WIDTH]; MLP_INPUT_DIM] = std::array::from_fn(|i| {
+                std::array::from_fn(|l| now.get(l).map_or(specials[(i + l) % 3], |x| x[i]))
+            });
+            let body = mlp.forward_batch_lanes(&batch);
+            let dispatched = mlp.forward_batch(&batch);
+            for (l, input) in now.iter().enumerate() {
+                let oracle = mlp.forward_scalar(input);
+                let context = format!("group {group} lane {l} of {filled}");
+                assert_bits(&oracle, &body.map(|c| c[l]), &format!("body, {context}"));
+                assert_bits(&oracle, &dispatched.map(|c| c[l]), &format!("wide, {context}"));
+            }
+            rest = later;
+            group += 1;
         }
     }
 
@@ -765,11 +920,16 @@ mod tests {
                 *x = rng.gen_range(-2.0..2.0);
             }
             let s = mlp.forward_scalar(&input);
-            let l = mlp.forward(&input);
-            for (a, b) in s.iter().zip(l) {
-                assert_eq!(a.to_bits(), b.to_bits(), "deferred lane GEMV diverged from scalar");
-            }
+            assert_bits(&s, &mlp.forward_lanes(&input), "deferred body");
+            assert_bits(&s, &mlp.forward(&input), "deferred wide");
             assert!(s.iter().all(|c| (0.0..=1.0).contains(c)), "rgb out of range: {s:?}");
+        }
+        for (n, input) in kernel_inputs().iter().enumerate() {
+            let input: &[f32; DEFERRED_INPUT_DIM] =
+                input[..DEFERRED_INPUT_DIM].try_into().expect("the deferred input is a prefix");
+            let oracle = mlp.forward_scalar(input);
+            assert_bits(&oracle, &mlp.forward_lanes(input), &format!("deferred body, input {n}"));
+            assert_bits(&oracle, &mlp.forward(input), &format!("deferred wide, input {n}"));
         }
     }
 

@@ -25,12 +25,16 @@
 //!   points run as contiguous row jobs on the ordered pool
 //!   ([`crate::pool::run_ordered`]); labels come back in row order and
 //!   the Lloyd sums still accumulate sequentially.
+//!
+//! Both sweeps run through [`wide!`](crate::wide!), so on an AVX host each
+//! lane vector is one ymm register; the bits are the same at either width.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::lanes::{F32x8, LANE_WIDTH};
 use crate::pool::run_ordered;
+use crate::wide;
 
 /// Distance evaluations (rows × codewords) per job of the ordered pool:
 /// large enough that a job outweighs its scheduling, and that a small pass
@@ -142,10 +146,7 @@ impl Codebook {
         let mut centroids: Vec<f32> = Vec::with_capacity(cfg.k * dim);
         let first = row(rng.gen_range(0..n_train));
         centroids.extend_from_slice(first);
-        let mut min_d2: Vec<f32> = rows_t
-            .chunks_exact(dim)
-            .flat_map(|block| block_dist2(block, first).to_array())
-            .collect();
+        let mut min_d2 = first_min_d2(&rows_t, dim, first);
         while centroids.len() / dim < k {
             let live = &min_d2[..n_train];
             let total: f64 = live.iter().map(|d| *d as f64).sum();
@@ -255,13 +256,21 @@ impl Codebook {
     /// ties go to the lowest index, and a row with no finite distance
     /// (NaN or infinite entries) answers 0.
     ///
-    /// The lane kernel: eight codewords per [`F32x8`] sweep, bitwise the
-    /// same answer as [`Codebook::assign_scalar`].
+    /// The lane kernel: eight codewords per [`F32x8`] sweep at the host's
+    /// widest lane width ([`wide!`]), bitwise the same answer as
+    /// [`Codebook::assign_scalar`].
     ///
     /// # Panics
     ///
     /// Panics if `v.len() != dim`.
     pub fn assign(&self, v: &[f32]) -> usize {
+        wide!(self.assign_lanes(v))
+    }
+
+    /// The body of [`Codebook::assign`], at whatever width its caller is
+    /// compiled for.
+    #[inline(always)]
+    fn assign_lanes(&self, v: &[f32]) -> usize {
         assert_eq!(v.len(), self.dim, "query dimension mismatch");
         // Per lane `l`: the smallest distance over codewords l, l + 8, …
         // (strict `<`, so the first of equals), and the block it came from.
@@ -372,6 +381,7 @@ fn transpose(rows: &[f32], dim: usize, pad: f32) -> Vec<F32x8> {
 
 /// Squared distances from the eight rows of one transposed block to `c`,
 /// each summed over channels in [`dist2`]'s order.
+#[inline(always)]
 fn block_dist2(block: &[F32x8], c: &[f32]) -> F32x8 {
     let mut acc = F32x8::ZERO;
     for (x, y) in block.iter().zip(c) {
@@ -381,10 +391,33 @@ fn block_dist2(block: &[F32x8], c: &[f32]) -> F32x8 {
     acc
 }
 
+/// The k-means++ distances after picking the first centroid `c`: each
+/// training row's squared distance to `c`, padded to whole blocks of
+/// `rows_t` (the transposed rows), at the host's widest lane width
+/// ([`wide!`]). Not [`lower_min_d2`] from `+∞`: a NaN distance must be
+/// stored, as the scalar loop stores it, and `NaN < +∞` is false.
+fn first_min_d2(rows_t: &[F32x8], dim: usize, c: &[f32]) -> Vec<f32> {
+    let mut min_d2 = vec![0.0f32; rows_t.len() / dim * LANE_WIDTH];
+    wide!({
+        for (block, out) in rows_t.chunks_exact(dim).zip(min_d2.chunks_exact_mut(LANE_WIDTH)) {
+            block_dist2(block, c).store_padded(out);
+        }
+    });
+    min_d2
+}
+
 /// The k-means++ update after picking centroid `c`: lowers each training
 /// row's entry of `min_d2` (padded to whole blocks of `rows_t`, the
 /// transposed rows) to its distance to `c` where that is strictly smaller.
+/// Runs [`lower_min_d2_lanes`] at the host's widest lane width ([`wide!`]).
 fn lower_min_d2(rows_t: &[F32x8], dim: usize, c: &[f32], min_d2: &mut [f32]) {
+    wide!(lower_min_d2_lanes(rows_t, dim, c, min_d2));
+}
+
+/// The body of [`lower_min_d2`], at whatever width its caller is compiled
+/// for.
+#[inline(always)]
+fn lower_min_d2_lanes(rows_t: &[F32x8], dim: usize, c: &[f32], min_d2: &mut [f32]) {
     for (block, out) in rows_t.chunks_exact(dim).zip(min_d2.chunks_exact_mut(LANE_WIDTH)) {
         let d = block_dist2(block, c);
         let cur = F32x8::load_padded(out);
@@ -502,7 +535,10 @@ mod tests {
 
     #[test]
     fn lane_min_d2_update_is_bitwise_scalar() {
-        // Ragged row counts leave a partly padded last block.
+        // Three ways: the sweep bodies called directly (baseline width),
+        // the dispatched sweeps (the `wide` clone on an AVX host), and the
+        // scalar loop. Ragged row counts leave a partly padded last block.
+        let bits = |v: &[f32]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
         for (n, dim) in [(1usize, 12usize), (8, 3), (13, 12), (64, 5), (101, 1)] {
             let rows = rows_with_specials(n, dim, n as u64);
             let rows_t = transpose(&rows, dim, 0.0);
@@ -510,10 +546,12 @@ mod tests {
             // The first centroid sets the distances, the rest lower them.
             let mut scalar: Vec<f32> =
                 rows.chunks_exact(dim).map(|r| dist2(r, &centroids[..dim])).collect();
-            let mut lanes: Vec<f32> = rows_t
+            let mut body: Vec<f32> = rows_t
                 .chunks_exact(dim)
                 .flat_map(|block| block_dist2(block, &centroids[..dim]).to_array())
                 .collect();
+            let mut dispatched = first_min_d2(&rows_t, dim, &centroids[..dim]);
+            assert_eq!(bits(&dispatched), bits(&body), "first sweep, n={n} dim={dim}");
             for c in centroids.chunks_exact(dim) {
                 for (r, slot) in rows.chunks_exact(dim).zip(scalar.iter_mut()) {
                     let d = dist2(r, c);
@@ -521,9 +559,41 @@ mod tests {
                         *slot = d;
                     }
                 }
-                lower_min_d2(&rows_t, dim, c, &mut lanes);
-                let bits = |v: &[f32]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&lanes[..n]), bits(&scalar), "n={n} dim={dim}");
+                lower_min_d2_lanes(&rows_t, dim, c, &mut body);
+                lower_min_d2(&rows_t, dim, c, &mut dispatched);
+                assert_eq!(bits(&body[..n]), bits(&scalar), "body, n={n} dim={dim}");
+                assert_eq!(bits(&dispatched[..n]), bits(&scalar), "wide, n={n} dim={dim}");
+            }
+        }
+    }
+
+    #[test]
+    fn assign_body_and_wide_clone_are_bitwise_scalar() {
+        // Codebooks of every padding shape (k = 1, 7, 8, 9, 33), with
+        // duplicated codewords and codewords holding NaN or ±∞, queried by
+        // rows at a duplicate (a tie the lowest index must win), random
+        // rows and rows holding NaN, ±∞, −0.0 or subnormals.
+        let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 1.0e-40, 3.0e38];
+        for k in [1usize, 7, 8, 9, 33] {
+            for dim in [1usize, 3, 12] {
+                let mut centroids = random_rows(k, dim, (k * dim) as u64);
+                for c in (2..k).step_by(3) {
+                    centroids.copy_within(0..dim, c * dim);
+                }
+                if k > 4 {
+                    centroids[4 * dim] = specials[k % specials.len()];
+                }
+                let cb = Codebook::from_centroids(centroids, dim);
+                let mut queries = vec![cb.centroid(0).to_vec(), cb.centroid(k - 1).to_vec()];
+                queries.extend(random_rows(8, dim, 77).chunks_exact(dim).map(<[f32]>::to_vec));
+                queries
+                    .extend(rows_with_specials(40, dim, 5).chunks_exact(dim).map(<[f32]>::to_vec));
+                queries.extend(specials.iter().map(|v| vec![*v; dim]));
+                for q in &queries {
+                    let want = cb.assign_scalar(q);
+                    assert_eq!(cb.assign_lanes(q), want, "body, k={k} dim={dim} row {q:?}");
+                    assert_eq!(cb.assign(q), want, "wide, k={k} dim={dim} row {q:?}");
+                }
             }
         }
     }

@@ -10,6 +10,15 @@
 //! is `#[inline]`, so the renderer's kernels inline them across the crate
 //! boundary as if the type were local.
 //!
+//! # Width
+//!
+//! The x86-64 baseline has only 128-bit SSE registers, so there an
+//! [`F32x8`] is two of them. The throughput-bound kernels therefore run
+//! through [`wide!`](crate::wide!): on a host with AVX it runs the kernel
+//! body in a clone compiled with AVX enabled, where an [`F32x8`] is one
+//! ymm register; on any other host it runs the same body as built. The
+//! host's CPU picks the clone; no flag, feature or setting does.
+//!
 //! # The bitwise contract
 //!
 //! Every operation here is **element-wise**: there are no horizontal
@@ -29,11 +38,80 @@
 //! codewords or training rows for k-means) and keep the reduction axis
 //! sequential, so each output's float-addition order is exactly the scalar
 //! one.
+//!
+//! The AVX clone keeps the contract: [`wide!`](crate::wide!) enables
+//! `avx` alone, never `fma`, and Rust never fuses a separate multiply and
+//! add, so every lane still rounds twice, as the scalar oracles do.
 
 use std::ops::{Add, AddAssign, Mul, Sub};
 
 /// Number of `f32` elements per [`F32x8`] lane vector.
 pub const LANE_WIDTH: usize = 8;
+
+/// Evaluates a lane-kernel expression at the widest lane width the host
+/// offers: `wide!(expr)` is [`lanes::wide`](crate::lanes::wide) run on an
+/// `#[inline(always)]` closure around `expr`.
+///
+/// On an x86-64 host with AVX, `expr` runs inside a clone compiled with
+/// `#[target_feature(enable = "avx")]`, where each
+/// [`F32x8`](crate::lanes::F32x8) is one 256-bit ymm register instead of
+/// two SSE registers; everywhere else it runs as built. Only `avx` is
+/// enabled, never `fma`, so both clones compute the same bits (see the
+/// module's bitwise contract).
+///
+/// The widening reaches only code that is inlined into the clone. The
+/// macro pins the closure inline; the functions `expr` calls must be
+/// `#[inline(always)]` too. Code the compiler keeps out of line still gives
+/// the same results, at baseline width; `scripts/check-wide-lanes.sh` finds
+/// it in a release binary.
+///
+/// # Examples
+///
+/// ```
+/// use spnerf_voxel::lanes::F32x8;
+/// use spnerf_voxel::wide;
+///
+/// let (a, b) = (F32x8::splat(1.5), F32x8::splat(2.0));
+/// assert_eq!(wide!(a.mul_add(b, a)), a.mul_add(b, a));
+/// ```
+#[macro_export]
+macro_rules! wide {
+    ($kernel:expr) => {
+        $crate::lanes::wide(
+            #[inline(always)]
+            || $kernel,
+        )
+    };
+}
+
+/// Runs `kernel` at the widest lane width the host offers, and returns its
+/// result: the function behind [`wide!`](crate::wide!), which callers use
+/// so that the closure is inlined into the AVX clone.
+#[allow(unsafe_code)]
+#[inline(always)]
+pub fn wide<R>(kernel: impl FnOnce() -> R) -> R {
+    #[cfg(target_arch = "x86_64")]
+    {
+        /// Runs `kernel`, compiled with AVX instructions enabled.
+        ///
+        /// # Safety
+        ///
+        /// The CPU running it must support AVX.
+        #[target_feature(enable = "avx")]
+        unsafe fn avx<R>(kernel: impl FnOnce() -> R) -> R {
+            kernel()
+        }
+
+        if std::arch::is_x86_feature_detected!("avx") {
+            // SAFETY: `avx` has no requirement beyond the one its
+            // `#[target_feature]` attribute states — that the CPU supports
+            // AVX — and the runtime check above has just found AVX on this
+            // CPU (which also covers the OS saving the ymm state).
+            return unsafe { avx(kernel) };
+        }
+    }
+    kernel()
+}
 
 /// An 8-wide `f32` lane vector with element-wise arithmetic.
 ///
@@ -223,15 +301,25 @@ mod tests {
 
     #[test]
     fn mul_add_is_unfused_and_matches_scalar_order() {
-        // The exact double-rounding of `acc + a*b` must be preserved: pick
-        // operands where fused and unfused differ in the last ulp.
-        let a = 0.1f32;
-        let b = 0.2f32;
-        let acc = 0.3f32;
-        let lane = F32x8::splat(a).mul_add(F32x8::splat(b), F32x8::splat(acc));
-        let scalar = acc + a * b;
-        for l in lane.to_array() {
-            assert_eq!(l.to_bits(), scalar.to_bits());
+        // The exact double-rounding of `acc + a*b` must be preserved, at
+        // baseline width and in the `wide` clone, whose operands are hidden
+        // from constant folding. The second operands tell a fused
+        // multiply-add apart: `a·a = 1 + 2^-11 + 2^-24` rounds to
+        // `1 + 2^-11`, so the unfused sum is 0 and a fused one is 2^-24.
+        let a = 1.0 + 2.0f32.powi(-12);
+        let acc = -(1.0 + 2.0f32.powi(-11));
+        assert_eq!(acc + a * a, 0.0);
+        assert_eq!(a.mul_add(a, acc), 2.0f32.powi(-24), "the operands tell fused apart");
+        for (a, b, acc) in [(0.1f32, 0.2f32, 0.3f32), (a, a, acc)] {
+            let scalar = acc + a * b;
+            let lane = F32x8::splat(a).mul_add(F32x8::splat(b), F32x8::splat(acc));
+            let (wa, wb, wacc) =
+                std::hint::black_box((F32x8::splat(a), F32x8::splat(b), F32x8::splat(acc)));
+            let wide_lane = wide!(wa.mul_add(wb, wacc));
+            for (l, w) in lane.to_array().into_iter().zip(wide_lane.to_array()) {
+                assert_eq!(l.to_bits(), scalar.to_bits(), "baseline, {a} * {b} + {acc}");
+                assert_eq!(w.to_bits(), scalar.to_bits(), "wide clone, {a} * {b} + {acc}");
+            }
         }
     }
 }

@@ -22,7 +22,9 @@
 //! * [`quant`] — symmetric INT8 quantization with FP scale,
 //! * [`kmeans`] — the vector-quantization codebook trainer,
 //! * [`lanes`] — [`lanes::F32x8`], the workspace's one explicit-width lane
-//!   type, shared by the k-means kernel and the renderer's hot paths,
+//!   type, shared by the k-means kernel and the renderer's hot paths, and
+//!   [`wide!`], which runs a lane kernel in an AVX clone on hosts that
+//!   have AVX,
 //! * [`pool`] — the one ordered worker pool ([`pool::run_ordered`]),
 //!   shared by k-means, VQRF classification and the renderer,
 //! * [`vqrf`] — the VQRF compressed model incl. the full-grid `restore()`
@@ -51,7 +53,9 @@
 //! assert!(compressed.total_bytes() < restored.total_bytes());
 //! ```
 
-#![forbid(unsafe_code)]
+// `lanes::wide` holds the workspace's one `unsafe` call (its AVX clone);
+// everything else in this crate stays safe code.
+#![deny(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod baked;

@@ -757,12 +757,21 @@ impl RenderSession<'_> {
     /// # Errors
     ///
     /// Returns [`Error::Render`] when the session's render configuration is
-    /// invalid, and [`Error::Request`] for an empty camera batch or a
-    /// reference-image count that does not match the batch.
+    /// invalid, and [`Error::Request`] for an empty camera batch, a camera
+    /// with a zero image width or height, or a reference-image count that
+    /// does not match the batch.
     pub fn render(&self, request: &RenderRequest<'_>) -> Result<RenderResponse, Error> {
         self.cfg.validate()?;
         if request.cameras.is_empty() {
             return Err(Error::Request("empty camera batch".into()));
+        }
+        for (i, cam) in request.cameras.iter().enumerate() {
+            if cam.width == 0 || cam.height == 0 {
+                return Err(Error::Request(format!(
+                    "camera {i} of the batch is {}x{} pixels; a view needs a non-zero width and height",
+                    cam.width, cam.height
+                )));
+            }
         }
         let mut images = Vec::with_capacity(request.cameras.len());
         let mut stats = RenderStats::default();
@@ -952,6 +961,26 @@ mod tests {
         ] {
             let session = scene.session_with(cfg);
             assert!(matches!(session.render(&req), Err(Error::Render(e)) if e == want), "{want:?}");
+            assert_eq!(session.cache_len(), 0, "nothing rendered");
+        }
+    }
+
+    #[test]
+    fn zero_size_cameras_are_request_errors() {
+        let scene = tiny_scene();
+        let session = scene.session();
+        for (width, height) in [(0, 8), (8, 0), (0, 0)] {
+            let cameras = vec![default_camera(6, 6, 0, 4), default_camera(width, height, 0, 4)];
+            let req = RenderRequest::batch(RenderSource::spnerf_masked(), cameras);
+            match session.render(&req) {
+                Err(Error::Request(msg)) => {
+                    assert!(
+                        msg.contains(&format!("camera 1 of the batch is {width}x{height}")),
+                        "{msg}"
+                    )
+                }
+                other => panic!("{width}x{height}: expected a request error, got {other:?}"),
+            }
             assert_eq!(session.cache_len(), 0, "nothing rendered");
         }
     }

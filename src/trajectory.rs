@@ -209,7 +209,8 @@ impl TrajectoryStream<'_, '_> {
     ///
     /// Panics if the session's render configuration has a zero
     /// `samples_per_ray` or `tile_size` (see
-    /// [`RenderConfig::validate`](spnerf_render::renderer::RenderConfig::validate)).
+    /// [`RenderConfig::validate`](spnerf_render::renderer::RenderConfig::validate)),
+    /// or if `camera` has a zero image width or height.
     ///
     /// [`reset`]: TrajectoryStream::reset
     pub fn advance(&mut self, camera: &PinholeCamera) -> (TemporalFrame, FrameWorkload) {
@@ -238,14 +239,22 @@ impl<'a> RenderSession<'a> {
     /// # Errors
     ///
     /// [`Error::Render`] when the session's render configuration is
-    /// invalid, and [`Error::Request`] for a zero-frame path.
+    /// invalid, and [`Error::Request`] for a zero-frame path or a camera
+    /// with a zero image width or height.
     pub fn render_trajectory(
         &self,
         request: &TrajectoryRequest,
     ) -> Result<TrajectoryResponse, Error> {
         self.render_config().validate()?;
-        if request.spec.frames == 0 {
+        let spec = &request.spec;
+        if spec.frames == 0 {
             return Err(Error::Request("a trajectory needs at least one frame".into()));
+        }
+        if spec.width == 0 || spec.height == 0 {
+            return Err(Error::Request(format!(
+                "the trajectory's camera is {}x{} pixels; a view needs a non-zero width and height",
+                spec.width, spec.height
+            )));
         }
         let mut state = None;
         let mut stats = RenderStats::default();
@@ -451,6 +460,21 @@ mod tests {
             .render_trajectory(&TrajectoryRequest::new(RenderSource::GroundTruth, spec))
             .unwrap_err();
         assert!(matches!(err, Error::Request(_)));
+    }
+
+    #[test]
+    fn zero_size_trajectory_cameras_are_rejected() {
+        let scene = tiny_scene();
+        for (width, height) in [(0, 8), (8, 0)] {
+            let spec = TrajectorySpec::orbit(2, width, height);
+            let req = TrajectoryRequest::new(RenderSource::spnerf_masked(), spec);
+            match scene.session().render_trajectory(&req) {
+                Err(Error::Request(msg)) => {
+                    assert!(msg.contains(&format!("camera is {width}x{height}")), "{msg}")
+                }
+                other => panic!("{width}x{height}: expected a request error, got {other:?}"),
+            }
+        }
     }
 
     #[test]
