@@ -258,7 +258,7 @@ mod tests {
 
     #[test]
     fn weight_buffer_fits_actual_mlp() {
-        let need = Mlp::random(0).weight_bytes_f16();
+        let need = Mlp::weight_bytes_f16();
         let have = sram_inventory().iter().find(|m| m.name == "weight buffer").unwrap().bytes;
         assert!(need <= have, "weights {need} B exceed buffer {have} B");
     }

@@ -16,7 +16,7 @@ use spnerf_render::image::ImageBuffer;
 use spnerf_render::interp::GridFrame;
 use spnerf_render::mlp::{encode_direction, Mlp, MLP_INPUT_DIM};
 use spnerf_render::ray::{Aabb, UniformSampler};
-use spnerf_render::renderer::RenderConfig;
+use spnerf_render::renderer::{RenderConfig, BACKGROUND, DENSITY_SCALE};
 use spnerf_render::vec3::Vec3;
 use spnerf_voxel::FEATURE_DIM;
 
@@ -130,7 +130,7 @@ impl<'a> FunctionalPipeline<'a> {
         for py in 0..camera.height {
             for px in 0..camera.width {
                 let acc = accumulators[(py * camera.width + px) as usize];
-                img.set(px, py, acc.finalize(cfg.background));
+                img.set(px, py, acc.finalize(BACKGROUND));
             }
         }
         img
@@ -191,7 +191,7 @@ impl<'a> FunctionalPipeline<'a> {
                 continue;
             }
             let rgb = Vec3::new(x[i * 3], x[i * 3 + 1], x[i * 3 + 2]);
-            let alpha = alpha_from_density(s.density * cfg.density_scale, step);
+            let alpha = alpha_from_density(s.density * DENSITY_SCALE, step);
             accumulators[idx].add_sample(alpha, rgb);
             if accumulators[idx].is_opaque(cfg.early_stop) {
                 alive[idx] = false;

@@ -270,7 +270,7 @@ pub fn simulate_frame(w: &FrameWorkload, arch: &ArchConfig) -> FrameSimResult {
     let (weight_bits, in_dim) = if deferred {
         (DeferredMlp::weight_bytes_f16() as u64 * 8, DEFERRED_INPUT_DIM)
     } else {
-        (Mlp::random(0).weight_bytes_f16() as u64 * 8, 40)
+        (Mlp::weight_bytes_f16() as u64 * 8, 40)
     };
     let io_bits = (arch.batch_size * in_dim * 2 * 8) as u64 + (arch.batch_size * 3 * 2 * 8) as u64;
     let mlp_bits = batches * (weight_bits + io_bits);

@@ -94,10 +94,9 @@ pub struct HarnessArgs {
     /// `--corpus`: sweep the testkit's five procedural archetypes instead
     /// of the eight Synthetic-NeRF scenes.
     pub corpus: bool,
-    /// `--skip-mode off|mip|mip:N`: empty-space skipping policy. Images are
-    /// bitwise-identical in every mode; `mip` drops marched samples (and
-    /// the cycles derived from them) through the occupancy pyramid,
-    /// `mip:N` caps the coarsest pyramid level consulted at `N`.
+    /// `--skip-mode off|mip`: empty-space skipping policy. Images are
+    /// bitwise-identical in both modes; `mip` drops marched samples (and
+    /// the cycles derived from them) through the occupancy pyramid.
     pub skip_mode: SkipMode,
     /// `--source spnerf|baked`: the primary data path measurements flow
     /// from. `baked` renders the baked grid with the deferred per-pixel
@@ -196,8 +195,8 @@ impl Flag {
             Flag::SkipMode => (
                 "--skip-mode",
                 Some("MODE"),
-                "empty-space skipping: off (default), mip, or mip:N to cap the\n\
-                 coarsest pyramid level at N; images are identical in every mode",
+                "empty-space skipping: off (default) or mip (the occupancy\n\
+                 pyramid); images are identical in both modes",
             ),
             Flag::Source => (
                 "--source",
@@ -338,12 +337,8 @@ pub fn parse(args: &[String], flags: &[Flag]) -> Result<HarnessArgs, ArgError> {
             Flag::SkipMode => {
                 out.skip_mode = match value {
                     "off" => SkipMode::Off,
-                    "mip" => SkipMode::mip(),
-                    _ => value
-                        .strip_prefix("mip:")
-                        .and_then(|n| n.parse().ok())
-                        .map(|levels| SkipMode::Mip { levels })
-                        .ok_or_else(bad)?,
+                    "mip" => SkipMode::Mip,
+                    _ => return Err(bad()),
                 }
             }
             Flag::Source => {
@@ -521,7 +516,7 @@ mod tests {
     fn every_value_flag_takes_both_forms() {
         let table = [
             (Flag::Threads, "4"),
-            (Flag::SkipMode, "mip:2"),
+            (Flag::SkipMode, "mip"),
             (Flag::Source, "baked"),
             (Flag::SparseFormat, "coo"),
             (Flag::Seed, "9"),
@@ -552,16 +547,8 @@ mod tests {
         assert_eq!(parse_any(&["--skip-mode", "off"]).unwrap().skip_mode, SkipMode::Off);
         assert_eq!(parse_any(&["--skip-mode", "mip"]).unwrap().skip_mode, SkipMode::mip());
         assert_eq!(parse_any(&["--skip-mode=mip"]).unwrap().skip_mode, SkipMode::mip());
-        assert_eq!(
-            parse_any(&["--skip-mode", "mip:2"]).unwrap().skip_mode,
-            SkipMode::Mip { levels: 2 }
-        );
-        assert_eq!(
-            parse_any(&["--skip-mode=mip:0"]).unwrap().skip_mode,
-            SkipMode::Mip { levels: 0 }
-        );
         assert_eq!(parse_any(&["--skip-mode"]), Err(ArgError::MissingValue("--skip-mode")));
-        for bad in ["mips", "on", "mip:", "mip:x", ""] {
+        for bad in ["mips", "on", "mip:", "mip:x", "mip:0", "mip:2", ""] {
             assert_eq!(
                 parse_any(&["--skip-mode", bad]),
                 Err(ArgError::BadValue { flag: "--skip-mode", value: bad.to_string() }),
@@ -761,7 +748,7 @@ mod tests {
             assert_eq!(u.contains(THREADS_ENV_VAR), set.contains(&Flag::Threads));
         }
         let u = usage("bin", EVERY);
-        assert!(u.contains("mip:N") && u.contains("baked") && u.contains("rank"));
+        assert!(u.contains("mip") && u.contains("baked") && u.contains("rank"));
         assert!(u.contains("dolly") && u.contains("warp"));
         assert!(ArgError::UnknownFlag("--x".into()).to_string().contains("--x"));
         assert!(ArgError::MissingValue("--threads").to_string().contains("--threads"));

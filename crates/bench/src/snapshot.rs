@@ -43,9 +43,7 @@ use spnerf::render::mlp::{
     DeferredMlp, Mlp, DEFERRED_INPUT_DIM, MLP_HIDDEN_DIM, MLP_INPUT_DIM, MLP_OUTPUT_DIM,
 };
 use spnerf::render::ray::{Ray, UniformSampler};
-use spnerf::render::renderer::{
-    render_view_serial, trace_rays, RenderConfig, RenderFrame, Shader, SkipCache,
-};
+use spnerf::render::renderer::{render_view_serial, trace_rays, RenderConfig, RenderFrame, Shader};
 use spnerf::render::scene::{build_grid, default_camera, scene_aabb, SceneId};
 use spnerf::render::source::VoxelSource;
 use spnerf::render::temporal::{
@@ -247,14 +245,12 @@ fn view_cells(source: &impl VoxelSource, mlp: &Mlp, camera: &PinholeCamera) -> V
     let cfg = RenderConfig::default();
     let dims = source.dims();
     let frame = RenderFrame::new(dims, &scene_aabb(), &cfg);
-    let rays: Vec<(Ray, SkipCache)> = (0..camera.height)
-        .flat_map(|py| {
-            (0..camera.width).map(move |px| (camera.ray_for_pixel(px, py), SkipCache::EMPTY))
-        })
+    let rays: Vec<Ray> = (0..camera.height)
+        .flat_map(|py| (0..camera.width).map(move |px| camera.ray_for_pixel(px, py)))
         .collect();
     let traced = trace_rays(source, Shader::PerSample(mlp), &frame, &rays, &cfg);
     let mut cells = Vec::new();
-    for ((ray, _), traced) in rays.iter().zip(&traced) {
+    for (ray, traced) in rays.iter().zip(&traced) {
         let marched = UniformSampler::new(*ray, frame.aabb(), frame.step())
             .take(traced.stats.samples_marched);
         cells.extend(

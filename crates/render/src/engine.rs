@@ -10,13 +10,15 @@
 //! one core. The same pool serves still frames
 //! ([`crate::renderer::render_view`] submits one job per tile) and the
 //! temporal warp pass ([`crate::temporal`] submits one job per chunk of
-//! re-marched pixels).
+//! re-marched pixels; a frame with nothing to warp from re-marches them
+//! all). A job is a list of bare rays.
 //!
 //! # Determinism guarantee
 //!
 //! Every ray's result from [`crate::renderer::trace_rays`] depends on that
-//! ray alone — not on the job it shares or the thread that runs it — so
-//! neither the job split nor parallelism can change any pixel. Workers pull jobs from an
+//! ray alone — not on the job it shares, the thread that runs it, or any
+//! earlier frame — so neither the job split nor parallelism can change any
+//! pixel. Workers pull jobs from an
 //! atomic counter (dynamic load balancing), but results are handed back
 //! **in job index order** on the calling thread, where pixels are written
 //! and [`crate::renderer::RenderStats`] merged; the produced image and

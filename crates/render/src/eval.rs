@@ -1,21 +1,11 @@
-//! Multi-view quality evaluation.
+//! Summary statistics: the aggregation rules behind multi-view PSNR and
+//! latency reports.
 //!
 //! The paper reports PSNR over Synthetic-NeRF's test trajectories (many
-//! poses per scene), not a single view. This module renders a source and a
-//! reference over a shared pose set and aggregates per-view PSNR — the
-//! harness binaries use one pose for speed, but the machinery (and the
-//! tests) cover the trajectory case.
-//!
-//! Per-view renders honor [`RenderConfig::parallelism`] /
-//! [`RenderConfig::tile_size`], so trajectory evaluation scales with the
-//! tile engine while staying bitwise-deterministic.
-
-use crate::camera::{orbit_poses, PinholeCamera};
-use crate::mlp::Mlp;
-use crate::ray::Aabb;
-use crate::renderer::{render_view, RenderConfig, RenderStats};
-use crate::source::VoxelSource;
-use crate::vec3::Vec3;
+//! poses per scene), not a single view. Multi-view PSNR is rendered by the
+//! `spnerf` pipeline's `RenderSession` (a batch request with a reference
+//! source) and aggregated here by [`PsnrStats::from_values`]; the serve
+//! report aggregates latencies with [`SummaryStats`] and [`percentile`].
 
 /// Count / mean / min / max over a sample set — the one aggregation rule
 /// every summary in the workspace shares.
@@ -105,9 +95,8 @@ pub struct PsnrStats {
 impl PsnrStats {
     /// Aggregates per-view PSNR values (dB) into summary statistics.
     ///
-    /// This is the single aggregation rule shared by [`psnr_over_views`]
-    /// and the `spnerf` pipeline's `RenderSession`, so batch responses and
-    /// trajectory evaluation can never disagree on the summary. It is
+    /// This is the aggregation rule of the `spnerf` pipeline's
+    /// `RenderSession` for batch responses with a reference source. It is
     /// [`SummaryStats::from_values`] under PSNR field names.
     ///
     /// # Panics
@@ -119,71 +108,9 @@ impl PsnrStats {
     }
 }
 
-/// Cameras on the standard evaluation orbit (radius 2.8, elevation 0.45).
-pub fn evaluation_cameras(width: u32, height: u32, count: usize) -> Vec<PinholeCamera> {
-    orbit_poses(count, Vec3::ZERO, 2.8, 0.45)
-        .into_iter()
-        .map(|pose| PinholeCamera { width, height, focal: width as f32 * 1.1, pose })
-        .collect()
-}
-
-/// Renders `source` and `reference` over `cameras` and aggregates the
-/// per-view PSNR of source-vs-reference. Also returns the source's total
-/// render statistics (workload measurement over the whole trajectory).
-///
-/// # Panics
-///
-/// Panics if `cameras` is empty.
-pub fn psnr_over_views<S: VoxelSource + Sync, R: VoxelSource + Sync>(
-    source: &S,
-    reference: &R,
-    mlp: &Mlp,
-    cameras: &[PinholeCamera],
-    aabb: &Aabb,
-    cfg: &RenderConfig,
-) -> (PsnrStats, RenderStats) {
-    assert!(!cameras.is_empty(), "need at least one camera");
-    let mut total_stats = RenderStats::default();
-    let mut psnrs = Vec::with_capacity(cameras.len());
-    for cam in cameras {
-        let (ref_img, _) = render_view(reference, mlp, cam, aabb, cfg);
-        let (img, stats) = render_view(source, mlp, cam, aabb, cfg);
-        total_stats += stats;
-        psnrs.push(img.psnr(&ref_img));
-    }
-    (PsnrStats::from_values(&psnrs), total_stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scene::{build_grid, scene_aabb, SceneId};
-
-    #[test]
-    fn identical_sources_give_infinite_psnr() {
-        let grid = build_grid(SceneId::Mic, 20);
-        let mlp = Mlp::random(0);
-        let cams = evaluation_cameras(8, 8, 3);
-        let cfg = RenderConfig { samples_per_ray: 16, ..Default::default() };
-        let (stats, render_stats) = psnr_over_views(&grid, &grid, &mlp, &cams, &scene_aabb(), &cfg);
-        assert_eq!(stats.views, 3);
-        assert!(stats.mean_db.is_infinite());
-        assert_eq!(render_stats.rays, 3 * 64);
-    }
-
-    #[test]
-    fn stats_ordering() {
-        // Different sources: min ≤ mean ≤ max, all finite.
-        let gt = build_grid(SceneId::Lego, 24);
-        let other = build_grid(SceneId::Lego, 20); // coarser grid ⇒ differs
-        let mlp = Mlp::random(0);
-        let cams = evaluation_cameras(10, 10, 4);
-        let cfg = RenderConfig { samples_per_ray: 24, ..Default::default() };
-        let (s, _) = psnr_over_views(&other, &gt, &mlp, &cams, &scene_aabb(), &cfg);
-        assert!(s.min_db <= s.mean_db && s.mean_db <= s.max_db);
-        assert!(s.min_db.is_finite() && s.max_db.is_finite());
-        assert!(s.min_db > 5.0, "renders should still correlate: {:.1}", s.min_db);
-    }
 
     #[test]
     fn from_values_aggregates() {
@@ -265,24 +192,5 @@ mod tests {
     #[should_panic(expected = "at least one value for a percentile")]
     fn percentile_rejects_empty() {
         let _ = percentile(&[], 50.0);
-    }
-
-    #[test]
-    fn cameras_lie_on_the_orbit() {
-        let cams = evaluation_cameras(16, 16, 6);
-        assert_eq!(cams.len(), 6);
-        for c in &cams {
-            assert!((c.pose.position.length() - 2.8).abs() < 1e-4);
-            assert_eq!(c.width, 16);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one camera")]
-    fn empty_cameras_panic() {
-        let grid = build_grid(SceneId::Mic, 16);
-        let mlp = Mlp::random(0);
-        let cfg = RenderConfig::default();
-        let _ = psnr_over_views(&grid, &grid, &mlp, &[], &scene_aabb(), &cfg);
     }
 }

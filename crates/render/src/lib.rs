@@ -31,13 +31,15 @@
 //!   forward-warp reuse: [`temporal::ReuseMode::Off`] stays
 //!   bitwise-identical to per-frame rendering while
 //!   [`temporal::ReuseMode::Warp`] re-marches only disoccluded, depth-edge
-//!   and validation rays, carrying per-pixel skip caches across frames.
+//!   and validation rays.
 //!
 //! # Render engine architecture
 //!
 //! Rendering is layered: [`renderer::trace_rays`] is the one pure job
 //! kernel (march → decode → interpolate → MLP → composite) over a
-//! read-only [`renderer::RenderFrame`], for either [`renderer::Shader`].
+//! read-only [`renderer::RenderFrame`], for either [`renderer::Shader`]: it
+//! takes bare rays and reports each ray's color, depth and
+//! [`renderer::RenderStats`].
 //! Like the accelerator's MLP Unit, it shades in batches: a job marches
 //! all its rays, runs the queued samples through
 //! [`mlp::Mlp::forward_batch`] eight at a time, then composites. The
@@ -100,8 +102,8 @@ pub use lanes::F32x8;
 pub use mlp::{DeferredMlp, Mlp};
 pub use ray::{Aabb, Ray};
 pub use renderer::{
-    render_view, render_view_serial, trace_rays, RenderConfig, RenderStats, Shader, SkipCache,
-    SkipMode, TracedRay,
+    render_view, render_view_serial, trace_rays, RenderConfig, RenderStats, Shader, SkipMode,
+    TracedRay,
 };
 pub use scene::SceneId;
 pub use source::{support_bitmap, VoxelData, VoxelSource, WithOccupancy};

@@ -410,7 +410,7 @@ impl Mlp {
 
     /// Weight-buffer bytes at FP16 (weights + biases), the accelerator's
     /// weight SRAM requirement.
-    pub fn weight_bytes_f16(&self) -> usize {
+    pub const fn weight_bytes_f16() -> usize {
         let params = MLP_INPUT_DIM * MLP_HIDDEN_DIM
             + MLP_HIDDEN_DIM
             + MLP_HIDDEN_DIM * MLP_HIDDEN_DIM
@@ -869,11 +869,10 @@ mod tests {
 
     #[test]
     fn weight_bytes() {
-        let mlp = Mlp::random(0);
         let params = 39 * 128 + 128 + 128 * 128 + 128 + 128 * 3 + 3;
-        assert_eq!(mlp.weight_bytes_f16(), params * 2);
+        assert_eq!(Mlp::weight_bytes_f16(), params * 2);
         // Fits comfortably in the 58 KB MLP buffer budget of the paper.
-        assert!(mlp.weight_bytes_f16() < 58 * 1024);
+        assert!(Mlp::weight_bytes_f16() < 58 * 1024);
     }
 
     #[test]
@@ -896,7 +895,7 @@ mod tests {
         );
         // The resident copy is strictly larger than the fp16 SRAM budget:
         // full precision plus the lane mirror.
-        assert!(mlp.resident_bytes() > mlp.weight_bytes_f16());
+        assert!(mlp.resident_bytes() > Mlp::weight_bytes_f16());
     }
 
     #[test]

@@ -15,11 +15,14 @@
 //! The renderer is split into three layers:
 //!
 //! 1. [`trace_rays`] — the one pure job kernel: march, decode, shade and
-//!    composite a list of primary rays against a shared read-only
-//!    [`RenderFrame`]. Like the accelerator's MLP Unit (Fig. 4), it shades
+//!    composite a list of bare primary rays against a shared read-only
+//!    [`RenderFrame`], returning each ray's color, depth and
+//!    [`RenderStats`]. Like the accelerator's MLP Unit (Fig. 4), it shades
 //!    in batches: every ray of the job is marched first, then the queued
 //!    samples run through [`Mlp::forward_batch`] eight at a time, then each
-//!    ray composites its own samples in march order;
+//!    ray composites its own samples in march order. No state passes
+//!    between rays or frames, as the SGPU settles each sample from the
+//!    on-chip bitmap alone;
 //! 2. [`crate::engine`] — the tile scheduler and the ordered worker pool
 //!    that fans jobs out over threads and returns results in job order;
 //! 3. [`render_view`] — the front door: renders one view honoring
@@ -57,6 +60,14 @@ use spnerf_voxel::FEATURE_DIM;
 /// literal bit-for-bit, so renders are unchanged.
 pub const RAY_DIAGONAL_FACTOR: f32 = 1.74;
 
+/// Multiplier applied to grid densities before the alpha computation:
+/// grids store normalized densities, and this sets shell opacity.
+pub const DENSITY_SCALE: f32 = 110.0;
+
+/// Background color composited behind the volume (Synthetic-NeRF uses
+/// white).
+pub const BACKGROUND: Vec3 = Vec3::ONE;
+
 /// Empty-space skipping policy of the ray marcher.
 ///
 /// Skipping is **provably safe**: a sample is skipped only when the
@@ -72,28 +83,22 @@ pub enum SkipMode {
     /// March every sample (the historical behaviour, and the default).
     #[default]
     Off,
-    /// Skip macro-blocks the source's [`OccupancyMip`] proves empty.
-    /// Requires the source to carry a pyramid
+    /// Skip macro-blocks the source's [`OccupancyMip`] proves empty,
+    /// walking the whole pyramid. Requires the source to carry a pyramid
     /// ([`crate::source::VoxelSource::occupancy_mip`]); sources without one
     /// render exactly as [`SkipMode::Off`].
-    Mip {
-        /// Coarsest pyramid level consulted (clamped to the levels built);
-        /// `0` degenerates to per-cell checks. Use [`SkipMode::mip`] for
-        /// the whole pyramid.
-        levels: usize,
-    },
+    Mip,
 }
 
 impl SkipMode {
-    /// [`SkipMode::Mip`] using every pyramid level — the sensible default
-    /// when skipping is wanted at all.
+    /// [`SkipMode::Mip`].
     pub const fn mip() -> Self {
-        SkipMode::Mip { levels: usize::MAX }
+        SkipMode::Mip
     }
 
     /// Whether this mode skips at all.
     pub const fn is_on(&self) -> bool {
-        matches!(self, SkipMode::Mip { .. })
+        matches!(self, SkipMode::Mip)
     }
 }
 
@@ -106,7 +111,7 @@ impl SkipMode {
 /// and accumulates the baked specular feature along the ray, then runs the
 /// small [`DeferredMlp`] **once per pixel** in the ray epilogue —
 /// collapsing MLP work from `samples_shaded` to `pixels_shaded`
-/// evaluations, the workload change [`RayStats::pixels_shaded`] charges
+/// evaluations, the workload change [`RenderStats::pixels_shaded`] charges
 /// through the accelerator model.
 ///
 /// Both variants give every ray a result that depends on that ray alone,
@@ -137,14 +142,8 @@ impl<'a> From<&'a Mlp> for Shader<'a> {
 pub struct RenderConfig {
     /// Uniform samples across the AABB diameter per ray.
     pub samples_per_ray: usize,
-    /// Multiplier applied to grid densities before the alpha computation
-    /// (grids store normalized densities; this sets shell opacity).
-    pub density_scale: f32,
     /// Terminate a ray once transmittance falls below this threshold.
     pub early_stop: f32,
-    /// Background color composited behind the volume (Synthetic-NeRF uses
-    /// white).
-    pub background: Vec3,
     /// Worker threads for tile-parallel rendering: `1` renders serially,
     /// `0` uses every available core. Output is bitwise-identical at any
     /// value.
@@ -162,9 +161,7 @@ impl Default for RenderConfig {
     fn default() -> Self {
         Self {
             samples_per_ray: 128,
-            density_scale: 110.0,
             early_stop: 1e-3,
-            background: Vec3::ONE,
             parallelism: 1,
             tile_size: 32,
             skip_mode: SkipMode::Off,
@@ -214,7 +211,9 @@ impl std::fmt::Display for RenderConfigError {
 
 impl std::error::Error for RenderConfigError {}
 
-/// Workload statistics of one rendered view.
+/// Workload statistics of one rendered view, or of one traced ray
+/// ([`TracedRay::stats`], with `rays` = 1); views and rays alike total
+/// with `+=`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RenderStats {
     /// Primary rays cast.
@@ -310,19 +309,6 @@ impl RenderStats {
         self.rays_warped += other.rays_warped;
         self.rays_remarched += other.rays_remarched;
     }
-
-    /// Folds one traced ray into the totals. The temporal reuse columns
-    /// ([`RenderStats::rays_warped`] / [`RenderStats::rays_remarched`]) are
-    /// frame-level bookkeeping, not per-ray properties, so they are left
-    /// untouched here — the temporal driver sets them once per frame.
-    pub fn record_ray(&mut self, ray: &RayStats) {
-        self.rays += 1;
-        self.samples_marched += ray.samples_marched;
-        self.samples_shaded += ray.samples_shaded;
-        self.rays_terminated_early += usize::from(ray.terminated_early);
-        self.samples_skipped += ray.samples_skipped;
-        self.pixels_shaded += ray.pixels_shaded;
-    }
 }
 
 impl std::ops::AddAssign<RenderStats> for RenderStats {
@@ -337,59 +323,10 @@ impl std::ops::AddAssign<&RenderStats> for RenderStats {
     }
 }
 
-/// Workload statistics of one traced ray.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RayStats {
-    /// Sample positions marched along this ray.
-    pub samples_marched: usize,
-    /// Samples with positive density (MLP evaluations).
-    pub samples_shaded: usize,
-    /// Whether the ray hit the early-termination threshold.
-    pub terminated_early: bool,
-    /// Sample positions skipped by the occupancy pyramid (see
-    /// [`RenderStats::samples_skipped`]).
-    pub samples_skipped: usize,
-    /// Deferred-MLP evaluations on this ray: `1` when
-    /// [`Shader::Deferred`] shaded at least one sample, `0` otherwise (and
-    /// always `0` under [`Shader::PerSample`]).
-    pub pixels_shaded: usize,
-}
-
-/// Opaque cross-frame empty-space cache handle.
-///
-/// Wraps the ray marcher's cached empty macro-block — a claim about
-/// the *grid* ("this cell range is provably empty"), not about any
-/// particular ray. Seeding the next frame's skipper with it is therefore
-/// exactness-preserving for any ray: a seeded skipper skips exactly the
-/// samples an unseeded one would also skip (after one pyramid descent),
-/// so pixels are bitwise-unchanged and only the descent order of
-/// book-keeping differs — and that book-keeping
-/// ([`RayStats::samples_skipped`]) is identical too, because cached-range
-/// skips and pyramid-descent skips are counted the same way.
-///
-/// The handle is only valid for the source it was produced from: after a
-/// model respecialization it must be dropped (the facade's temporal cache
-/// does this), because a stale empty-region claim about a *different* grid
-/// would be unsound.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SkipCache(Option<(GridCoord, GridCoord)>);
-
-impl SkipCache {
-    /// The empty handle: seeding with it is exactly the historical
-    /// (unseeded) marching path.
-    pub const EMPTY: Self = SkipCache(None);
-
-    /// Whether the handle carries a cached empty region.
-    pub fn is_hint(&self) -> bool {
-        self.0.is_some()
-    }
-}
-
 /// Everything [`trace_rays`] learns about one primary ray: the composited
 /// color, the opacity-weighted mean march depth (world-space distance
-/// along the ray; `+∞` for rays with no opacity), the per-ray workload
-/// statistics, and the final empty-space cache handle for cross-frame
-/// carry.
+/// along the ray; `+∞` for rays with no opacity) and the ray's workload
+/// statistics.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TracedRay {
     /// Composited pixel color.
@@ -400,11 +337,11 @@ pub struct TracedRay {
     /// shaded sample's alpha rounded to 0. This is the depth the temporal
     /// forward-warp reprojects radiance at.
     pub depth: f32,
-    /// Per-ray workload statistics.
-    pub stats: RayStats,
-    /// The skipper's final cached empty region, reusable as the seed of a
-    /// nearby ray in the next frame (see [`SkipCache`]).
-    pub skip_cache: SkipCache,
+    /// The ray's workload statistics: `rays` is 1,
+    /// `rays_terminated_early` and `pixels_shaded` are 0 or 1, and the
+    /// temporal columns are 0 ([`crate::temporal::advance_frame`] sets
+    /// those per frame).
+    pub stats: RenderStats,
 }
 
 /// Per-view context precomputed once and shared read-only by every ray:
@@ -455,7 +392,6 @@ impl RenderFrame {
 /// `≤ 0` and hit the `continue` branch anyway.
 struct EmptySkipper<'a> {
     mip: &'a OccupancyMip,
-    max_level: usize,
     /// Conservative grid-space occupied box (the mip's occupied AABB
     /// dilated by the cell + boundary-clamp reach of 1.5 vertices);
     /// positions outside cannot contribute. `None` when the grid is
@@ -468,9 +404,8 @@ struct EmptySkipper<'a> {
 }
 
 impl<'a> EmptySkipper<'a> {
-    /// A skipper whose empty-region cache is pre-seeded from a previous
-    /// frame ([`SkipCache::EMPTY`] is the unseeded march).
-    fn new(mip: &'a OccupancyMip, max_level: usize, seed: SkipCache) -> Self {
+    /// A skipper over `mip` with nothing cached yet.
+    fn new(mip: &'a OccupancyMip) -> Self {
         // Dilation bound: a contributing sample has a cell corner on an
         // occupied vertex, so its base ∈ [lo−1, hi] and its (unclamped)
         // grid position ∈ [lo−1.5, hi+1.5] per axis (locate_cell admits
@@ -483,7 +418,7 @@ impl<'a> EmptySkipper<'a> {
                 Vec3::new(hi.x as f32, hi.y as f32, hi.z as f32) + Vec3::splat(1.5),
             )
         });
-        Self { mip, max_level, clip, cached: seed.0 }
+        Self { mip, clip, cached: None }
     }
 
     /// Decides one sample at continuous grid position `g`: its located cell
@@ -514,7 +449,7 @@ impl<'a> EmptySkipper<'a> {
                 return None;
             }
         }
-        if let Some(region) = self.mip.empty_region(b, self.max_level) {
+        if let Some(region) = self.mip.empty_region(b, usize::MAX) {
             self.cached = Some(region);
             return None;
         }
@@ -528,10 +463,9 @@ struct Marched {
     /// transmittance; under [`Shader::PerSample`] the transmittance only
     /// ([`RayAccumulator::attenuate`]).
     acc: RayAccumulator,
-    stats: RayStats,
+    stats: RenderStats,
     /// `Σ T·α·t` over the shaded samples, the numerator of the depth.
     depth_sum: f32,
-    skip_cache: SkipCache,
 }
 
 impl Marched {
@@ -543,7 +477,7 @@ impl Marched {
     fn finish(self, color: Vec3) -> TracedRay {
         let opacity = self.acc.opacity();
         let depth = if opacity == 0.0 { f32::INFINITY } else { self.depth_sum / opacity };
-        TracedRay { color, depth, stats: self.stats, skip_cache: self.skip_cache }
+        TracedRay { color, depth, stats: self.stats }
     }
 }
 
@@ -567,19 +501,16 @@ fn march_ray<S: VoxelSource + ?Sized>(
     source: &S,
     frame: &RenderFrame,
     ray: Ray,
-    seed: SkipCache,
     cfg: &RenderConfig,
     mut shade: impl FnMut(&mut RayAccumulator, f32, f32, &InterpSample),
 ) -> Marched {
     let dims = source.dims();
     let mut skipper = match cfg.skip_mode {
         SkipMode::Off => None,
-        SkipMode::Mip { levels } => {
-            source.occupancy_mip().map(|mip| EmptySkipper::new(mip, levels, seed))
-        }
+        SkipMode::Mip => source.occupancy_mip().map(EmptySkipper::new),
     };
     let mut acc = RayAccumulator::new();
-    let mut stats = RayStats::default();
+    let mut stats = RenderStats { rays: 1, ..RenderStats::default() };
     let mut depth_sum = 0.0f32;
     for (t, pos) in UniformSampler::new(ray, &frame.aabb, frame.step) {
         let g = frame.grid.world_to_grid(pos);
@@ -602,22 +533,22 @@ fn march_ray<S: VoxelSource + ?Sized>(
             continue;
         }
         stats.samples_shaded += 1;
-        let alpha = alpha_from_density(sample.density * cfg.density_scale, frame.step);
+        let alpha = alpha_from_density(sample.density * DENSITY_SCALE, frame.step);
         let w = acc.transmittance() * alpha.clamp(0.0, 1.0);
         depth_sum += w * t;
         shade(&mut acc, alpha, w, &sample);
         if acc.is_opaque(cfg.early_stop) {
-            stats.terminated_early = true;
+            stats.rays_terminated_early = 1;
             break;
         }
     }
-    Marched { acc, stats, depth_sum, skip_cache: SkipCache(skipper.and_then(|s| s.cached)) }
+    Marched { acc, stats, depth_sum }
 }
 
-/// Traces one render job — a list of primary rays, each with the
-/// [`SkipCache`] its skipper starts from — and returns one [`TracedRay`]
-/// per ray, in order. This is the one kernel behind still tiles, the
-/// serial oracle (one whole-view job) and the temporal re-march chunks.
+/// Traces one render job — a list of primary rays — and returns one
+/// [`TracedRay`] per ray, in order. This is the one kernel behind still
+/// tiles, the serial oracle (one whole-view job) and the temporal re-march
+/// chunks.
 ///
 /// Every ray's result depends on that ray alone — never on the job it
 /// shares or its place in it — which is what lets the engine split a view
@@ -634,32 +565,26 @@ fn march_ray<S: VoxelSource + ?Sized>(
 ///   3. composite each ray's samples in march order.
 /// * [`Shader::Deferred`] composites baked diffuse color, accumulates the
 ///   baked specular feature, and pays one [`DeferredMlp`] evaluation per
-///   ray ([`RayStats::pixels_shaded`]), ray by ray.
+///   ray ([`RenderStats::pixels_shaded`]), ray by ray.
 /// * Under [`SkipMode::Mip`] (and a source carrying an occupancy pyramid)
 ///   samples in provably-empty macro-blocks are skipped: they are counted
-///   in [`RayStats::samples_skipped`] instead of
-///   [`RayStats::samples_marched`], and the color is bitwise-identical to
-///   [`SkipMode::Off`].
-/// * A seed other than [`SkipCache::EMPTY`] pre-loads the skipper with an
-///   empty region carried from a previous frame. A seed only changes *how*
-///   a provably-empty sample is proven empty (cached range vs pyramid
-///   descent), never whether it is skipped, so color and stats are
-///   bitwise-identical for every seed.
+///   in [`RenderStats::samples_skipped`] instead of
+///   [`RenderStats::samples_marched`], and the color is bitwise-identical
+///   to [`SkipMode::Off`].
 /// * The depth is a pure side accumulation next to the color, so tracking
 ///   it never changes a composited pixel.
 pub fn trace_rays<S: VoxelSource + ?Sized>(
     source: &S,
     shader: Shader<'_>,
     frame: &RenderFrame,
-    rays: &[(Ray, SkipCache)],
+    rays: &[Ray],
     cfg: &RenderConfig,
 ) -> Vec<TracedRay> {
     match shader {
         Shader::PerSample(mlp) => trace_per_sample(source, mlp, frame, rays, cfg),
-        Shader::Deferred(deferred) => rays
-            .iter()
-            .map(|&(ray, seed)| trace_deferred(source, deferred, frame, ray, seed, cfg))
-            .collect(),
+        Shader::Deferred(deferred) => {
+            rays.iter().map(|&ray| trace_deferred(source, deferred, frame, ray, cfg)).collect()
+        }
     }
 }
 
@@ -676,7 +601,7 @@ fn trace_per_sample<S: VoxelSource + ?Sized>(
     source: &S,
     mlp: &Mlp,
     frame: &RenderFrame,
-    rays: &[(Ray, SkipCache)],
+    rays: &[Ray],
     cfg: &RenderConfig,
 ) -> Vec<TracedRay> {
     // March: every ray, its shaded samples queued in march order. Only
@@ -685,9 +610,9 @@ fn trace_per_sample<S: VoxelSource + ?Sized>(
     let mut views: Vec<[f32; VIEW_ENC_DIM]> = Vec::new();
     let marched: Vec<Marched> = rays
         .iter()
-        .map(|&(ray, seed)| {
+        .map(|&ray| {
             let view = views.len();
-            let marched = march_ray(source, frame, ray, seed, cfg, |acc, alpha, _, sample| {
+            let marched = march_ray(source, frame, ray, cfg, |acc, alpha, _, sample| {
                 queue.push(Queued { view, alpha, features: sample.features });
                 acc.attenuate(alpha);
             });
@@ -728,7 +653,7 @@ fn trace_per_sample<S: VoxelSource + ?Sized>(
             for (q, c) in queue[shaded.clone()].iter().zip(&rgb[shaded]) {
                 acc.add_sample(q.alpha, *c);
             }
-            marched.finish(acc.finalize(cfg.background))
+            marched.finish(acc.finalize(BACKGROUND))
         })
         .collect()
 }
@@ -739,19 +664,18 @@ fn trace_deferred<S: VoxelSource + ?Sized>(
     deferred: &DeferredMlp,
     frame: &RenderFrame,
     ray: Ray,
-    seed: SkipCache,
     cfg: &RenderConfig,
 ) -> TracedRay {
     // The alpha-weighted specular feature, accumulated next to the color.
     let mut spec = [0.0f32; SPEC_DIM];
-    let mut marched = march_ray(source, frame, ray, seed, cfg, |acc, alpha, w, sample| {
+    let mut marched = march_ray(source, frame, ray, cfg, |acc, alpha, w, sample| {
         // No per-sample MLP: the baked payload already carries the diffuse
         // color (channels 0..3) and the specular feature (channels 3..12).
         accumulate_weighted(&mut spec, &sample.features[DIFFUSE_DIM..], w);
         let diffuse = Vec3::new(sample.features[0], sample.features[1], sample.features[2]);
         acc.add_sample(alpha, diffuse);
     });
-    let mut color = marched.acc.finalize(cfg.background);
+    let mut color = marched.acc.finalize(BACKGROUND);
     if marched.stats.samples_shaded > 0 {
         // The one deferred-MLP evaluation this pixel pays: view dependence
         // from the accumulated specular feature and the ray's view
@@ -793,16 +717,13 @@ pub fn render_view<'a, S: VoxelSource + Sync>(
     let frame = RenderFrame::new(source.dims(), aabb, cfg);
     let tiles = run_ordered(cfg.parallelism, sched.tile_count(), |i| {
         // One job per tile.
-        let rays: Vec<(Ray, SkipCache)> = sched
-            .tile(i)
-            .pixels()
-            .map(|(px, py)| (camera.ray_for_pixel(px, py), SkipCache::EMPTY))
-            .collect();
+        let rays: Vec<Ray> =
+            sched.tile(i).pixels().map(|(px, py)| camera.ray_for_pixel(px, py)).collect();
         let mut stats = RenderStats::default();
         let colors: Vec<Vec3> = trace_rays(source, shader, &frame, &rays, cfg)
             .iter()
             .map(|traced| {
-                stats.record_ray(&traced.stats);
+                stats += traced.stats;
                 traced.color
             })
             .collect();
@@ -841,10 +762,9 @@ pub fn render_view_serial<'a, S: VoxelSource + ?Sized>(
     let mut stats = RenderStats::default();
     let mut img = ImageBuffer::new(camera.width, camera.height);
     let pixels = || (0..camera.height).flat_map(|py| (0..camera.width).map(move |px| (px, py)));
-    let rays: Vec<(Ray, SkipCache)> =
-        pixels().map(|(px, py)| (camera.ray_for_pixel(px, py), SkipCache::EMPTY)).collect();
+    let rays: Vec<Ray> = pixels().map(|(px, py)| camera.ray_for_pixel(px, py)).collect();
     for ((px, py), traced) in pixels().zip(trace_rays(source, shader, &frame, &rays, cfg)) {
-        stats.record_ray(&traced.stats);
+        stats += traced.stats;
         img.set(px, py, traced.color);
     }
     (img, stats)
@@ -1045,31 +965,6 @@ mod tests {
     }
 
     #[test]
-    fn record_ray_accumulates() {
-        let mut s = RenderStats::default();
-        s.record_ray(&RayStats {
-            samples_marched: 7,
-            samples_shaded: 3,
-            terminated_early: true,
-            samples_skipped: 2,
-            pixels_shaded: 1,
-        });
-        s.record_ray(&RayStats {
-            samples_marched: 5,
-            samples_shaded: 0,
-            terminated_early: false,
-            samples_skipped: 1,
-            pixels_shaded: 0,
-        });
-        assert_eq!(s.rays, 2);
-        assert_eq!(s.samples_marched, 12);
-        assert_eq!(s.samples_shaded, 3);
-        assert_eq!(s.rays_terminated_early, 1);
-        assert_eq!(s.samples_skipped, 3);
-        assert_eq!(s.pixels_shaded, 1);
-    }
-
-    #[test]
     fn avg_marched_per_ray_divides_by_rays() {
         let s =
             RenderStats { rays: 4, samples_marched: 10, samples_shaded: 6, ..Default::default() };
@@ -1150,7 +1045,7 @@ mod tests {
         for (grid, all) in [(full, true), (build_grid(SceneId::Mic, 24), false)] {
             let skippable = WithOccupancy::build(&grid);
             let dims = grid.dims();
-            let mut skipper = EmptySkipper::new(skippable.mip(), usize::MAX, SkipCache::EMPTY);
+            let mut skipper = EmptySkipper::new(skippable.mip());
             let around = |rng: &mut StdRng, n: u32| rng.gen::<f32>() * (n as f32 + 3.0) - 2.0;
             let mut admitted = 0;
             for _ in 0..20_000 {
@@ -1173,20 +1068,6 @@ mod tests {
             }
             assert!(admitted > 0, "{dims}: something must be admitted");
         }
-    }
-
-    #[test]
-    fn skip_levels_zero_still_exact() {
-        use crate::source::WithOccupancy;
-        let grid = build_grid(SceneId::Drums, 24);
-        let mlp = Mlp::random(1);
-        let cam = default_camera(9, 9, 2, 4);
-        let off = render_view(&grid, &mlp, &cam, &scene_aabb(), &tiny_cfg());
-        let skippable = WithOccupancy::build(&grid);
-        let cfg = RenderConfig { skip_mode: SkipMode::Mip { levels: 0 }, ..tiny_cfg() };
-        let on = render_view(&skippable, &mlp, &cam, &scene_aabb(), &cfg);
-        assert_eq!(on.0, off.0, "fine-level-only skipping stays exact");
-        assert!(on.1.samples_skipped > 0);
     }
 
     #[test]
@@ -1231,10 +1112,10 @@ mod tests {
             for px in 0..10 {
                 // Each pixel as a job of its own.
                 let ray = cam.ray_for_pixel(px, py);
-                let traced =
-                    trace_rays(&grid, (&mlp).into(), &frame, &[(ray, SkipCache::EMPTY)], &cfg)[0];
+                let traced = trace_rays(&grid, (&mlp).into(), &frame, &[ray], &cfg)[0];
                 assert_eq!(traced.color, img.get(px, py), "kernel color must be the view's pixel");
-                stats.record_ray(&traced.stats);
+                assert_eq!(traced.stats.rays, 1, "a traced ray's stats count that one ray");
+                stats += traced.stats;
                 if traced.stats.samples_shaded > 0 {
                     hits += 1;
                     // Depth sits inside the march range of the 2.8-radius orbit
@@ -1268,9 +1149,9 @@ mod tests {
         let cam = default_camera(8, 8, 0, 4);
         let cfg = tiny_cfg();
         let frame = RenderFrame::new(grid.dims(), &scene_aabb(), &cfg);
-        let rays: Vec<(Ray, SkipCache)> = (0..8)
+        let rays: Vec<Ray> = (0..8)
             .flat_map(|py| (0..8).map(move |px| (px, py)))
-            .map(|(px, py)| (cam.ray_for_pixel(px, py), SkipCache::EMPTY))
+            .map(|(px, py)| cam.ray_for_pixel(px, py))
             .collect();
         let traced = trace_rays(&grid, (&mlp).into(), &frame, &rays, &cfg);
         let shaded: Vec<&TracedRay> =
@@ -1280,39 +1161,6 @@ mod tests {
             assert_eq!(t.depth, f32::INFINITY, "a ray with no opacity has no surface");
             assert_eq!(t.color, Vec3::ONE, "and stays pure background");
         }
-    }
-
-    #[test]
-    fn skip_cache_seed_is_exactness_preserving() {
-        use crate::source::WithOccupancy;
-        let grid = build_grid(SceneId::Mic, 28);
-        let mlp = Mlp::random(1);
-        let cam = default_camera(12, 12, 1, 4);
-        let cfg = RenderConfig { skip_mode: SkipMode::mip(), ..tiny_cfg() };
-        let skippable = WithOccupancy::build(&grid);
-        let frame = RenderFrame::new(skippable.dims(), &scene_aabb(), &cfg);
-        let shader = Shader::PerSample(&mlp);
-        let trace = |ray, seed| trace_rays(&skippable, shader, &frame, &[(ray, seed)], &cfg)[0];
-        // March column-adjacent rays, seeding each from its upper neighbor
-        // (the temporal carry pattern): colors, stats, and the final cache
-        // must match the unseeded march bit for bit.
-        let mut carried = 0;
-        for px in 0..12 {
-            let mut seed = SkipCache::EMPTY;
-            for py in 0..12 {
-                let ray = cam.ray_for_pixel(px, py);
-                let fresh = trace(ray, SkipCache::EMPTY);
-                let seeded = trace(ray, seed);
-                assert_eq!(seeded.color, fresh.color, "seed must never change a pixel");
-                assert_eq!(seeded.stats, fresh.stats, "seed must never change the accounting");
-                assert_eq!(seeded.depth.to_bits(), fresh.depth.to_bits());
-                if seed.is_hint() {
-                    carried += 1;
-                }
-                seed = seeded.skip_cache;
-            }
-        }
-        assert!(carried > 0, "the cache must actually carry between rays");
     }
 
     #[test]

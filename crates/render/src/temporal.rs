@@ -16,8 +16,9 @@
 //!   [`ReuseMode::Warp`] forward-warps the previous frame's radiance along
 //!   the camera delta at its marched depth and re-marches only the rays
 //!   that need it (disoccluded pixels, depth edges, and a rotating
-//!   validation subset), carrying each pixel's empty-space
-//!   [`SkipCache`] across frames;
+//!   validation subset). A frame with nothing to warp from is the same
+//!   pass with every pixel a hole, so every ray re-marches. Only radiance
+//!   and depth carry between frames; each re-marched ray starts afresh;
 //! * [`advance_frame`] / [`render_trajectory`] — the stateful
 //!   per-frame driver and the one-shot path renderer.
 //!
@@ -55,7 +56,7 @@ use crate::engine::run_ordered;
 use crate::image::ImageBuffer;
 use crate::ray::{Aabb, Ray};
 use crate::renderer::{
-    render_view, trace_rays, RenderConfig, RenderFrame, RenderStats, Shader, SkipCache, TracedRay,
+    render_view, trace_rays, RenderConfig, RenderFrame, RenderStats, Shader, TracedRay,
 };
 use crate::source::VoxelSource;
 use crate::vec3::Vec3;
@@ -298,14 +299,12 @@ impl ReuseMode {
 }
 
 /// The reusable state a frame leaves behind for its successor: the camera
-/// it was rendered from, its radiance and depth buffers, and each pixel's
-/// final empty-space cache handle.
+/// it was rendered from and its radiance and depth buffers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReuseState {
     camera: PinholeCamera,
     colors: Vec<Vec3>,
     depths: Vec<f32>,
-    hints: Vec<SkipCache>,
 }
 
 impl ReuseState {
@@ -464,11 +463,11 @@ pub struct TemporalFrame {
 /// * [`ReuseMode::Off`] — renders through [`render_view`]; the result
 ///   is bitwise-identical to an independent still render and `state` is
 ///   cleared.
-/// * [`ReuseMode::Warp`] — with no usable state (first frame, or a camera
-///   shape change) renders every ray through [`trace_rays`] (the image
-///   is still bitwise-identical to a still render) and records reuse
-///   state; otherwise forward-warps the previous frame and re-marches
-///   only the rays that need it.
+/// * [`ReuseMode::Warp`] — forward-warps the previous frame and
+///   re-marches only the rays that need it, then records reuse state. With
+///   no usable state (first frame, or a camera shape change) nothing is
+///   splatted, every pixel is a hole and every ray re-marches, so the
+///   image is bitwise-identical to a still render.
 ///
 /// `frame_idx` rotates the validation phase; callers rendering a path pass
 /// the frame's index along it.
@@ -496,65 +495,44 @@ pub fn advance_frame<S: VoxelSource + Sync>(
         }
         ReuseMode::Warp(wcfg) => wcfg,
     };
-    let compatible = state.as_ref().is_some_and(|s| {
+    let frame = RenderFrame::new(source.dims(), aabb, cfg);
+    let prev = state.take().filter(|s| {
         s.camera.width == camera.width
             && s.camera.height == camera.height
             && s.camera.focal == camera.focal
     });
-    let frame = RenderFrame::new(source.dims(), aabb, cfg);
-    if !compatible {
-        *state = None;
-        let n = camera.ray_count();
-        let jobs: Vec<(usize, SkipCache)> = (0..n).map(|j| (j, SkipCache::EMPTY)).collect();
-        let traced = trace_pixels(source, shader, camera, &frame, cfg, &jobs);
-        let mut stats = RenderStats::default();
-        let mut colors = Vec::with_capacity(n);
-        let mut depths = Vec::with_capacity(n);
-        let mut hints = Vec::with_capacity(n);
-        for ray in &traced {
-            stats.record_ray(&ray.stats);
-            colors.push(ray.color);
-            depths.push(ray.depth);
-            hints.push(ray.skip_cache);
-        }
-        stats.rays_remarched = n;
-        let image = image_from_colors(camera, &colors);
-        *state = Some(ReuseState { camera: *camera, colors, depths, hints });
-        return TemporalFrame { image, stats, validation_error: 0.0 };
-    }
-
-    let prev = state.take().expect("compatible implies state");
     let (w, h) = (camera.width as usize, camera.height as usize);
     let n = w * h;
 
-    let (mut colors, mut depths) = warp_splat(&prev, camera, &wcfg);
+    let (mut colors, mut depths) = match &prev {
+        Some(prev) => warp_splat(prev, camera, &wcfg),
+        // Nothing to warp from: every pixel is a hole, so every ray
+        // re-marches and no pixel is a validation pixel.
+        None => (vec![Vec3::ZERO; n], vec![f32::INFINITY; n]),
+    };
     let (remarch, _, validation) = disocclusion_mask(&colors, &depths, w, h, &wcfg, frame_idx);
 
-    // Re-march pass: only the selected rays, seeded with their pixel's
-    // previous-frame empty-space cache.
-    let jobs: Vec<(usize, SkipCache)> =
-        (0..n).filter(|&j| remarch[j]).map(|j| (j, prev.hints[j])).collect();
+    // Re-march pass: only the selected rays.
+    let jobs: Vec<usize> = (0..n).filter(|&j| remarch[j]).collect();
     let traced = trace_pixels(source, shader, camera, &frame, cfg, &jobs);
 
-    let mut hints = prev.hints;
     let mut stats = RenderStats::default();
     let mut validation_error = 0.0f32;
-    for (&(j, _), ray) in jobs.iter().zip(&traced) {
+    for (&j, ray) in jobs.iter().zip(&traced) {
         if validation[j] {
             let d = ray.color - colors[j];
             validation_error = validation_error.max(d.x.abs()).max(d.y.abs()).max(d.z.abs());
         }
         colors[j] = ray.color;
         depths[j] = ray.depth;
-        hints[j] = ray.skip_cache;
-        stats.record_ray(&ray.stats);
+        stats += ray.stats;
     }
     stats.rays_remarched = jobs.len();
     stats.rays_warped = n - jobs.len();
     stats.rays = n;
 
     let image = image_from_colors(camera, &colors);
-    *state = Some(ReuseState { camera: *camera, colors, depths, hints });
+    *state = Some(ReuseState { camera: *camera, colors, depths });
     TemporalFrame { image, stats, validation_error }
 }
 
@@ -596,8 +574,8 @@ fn image_from_colors(camera: &PinholeCamera, colors: &[Vec3]) -> ImageBuffer {
 /// between workers, never change any per-ray result.
 const REMARCH_CHUNK: usize = 128;
 
-/// Traces the listed pixels (each with its own [`SkipCache`] seed),
-/// returning results in job order.
+/// Traces the listed pixels (row-major indices), returning results in job
+/// order.
 ///
 /// The pixels are cut into [`REMARCH_CHUNK`]-sized [`trace_rays`] jobs
 /// for the engine's ordered worker pool, which hands the chunks back in
@@ -610,15 +588,13 @@ fn trace_pixels<S: VoxelSource + Sync>(
     camera: &PinholeCamera,
     frame: &RenderFrame,
     cfg: &RenderConfig,
-    jobs: &[(usize, SkipCache)],
+    jobs: &[usize],
 ) -> Vec<TracedRay> {
-    let chunks: Vec<&[(usize, SkipCache)]> = jobs.chunks(REMARCH_CHUNK).collect();
+    let chunks: Vec<&[usize]> = jobs.chunks(REMARCH_CHUNK).collect();
     let traced = run_ordered(cfg.parallelism, chunks.len(), |ci| {
-        let rays: Vec<(Ray, SkipCache)> = chunks[ci]
+        let rays: Vec<Ray> = chunks[ci]
             .iter()
-            .map(|&(j, seed)| {
-                (camera.ray_for_pixel(j as u32 % camera.width, j as u32 / camera.width), seed)
-            })
+            .map(|&j| camera.ray_for_pixel(j as u32 % camera.width, j as u32 / camera.width))
             .collect();
         trace_rays(source, shader, frame, &rays, cfg)
     });
@@ -697,8 +673,8 @@ mod tests {
         );
         let (img, stats) = render_view(&grid, shader, &cam, &scene_aabb(), &cfg);
         assert_eq!(frame.image, img, "a stateless warp frame is a full render");
-        assert_eq!(frame.stats.samples_marched, stats.samples_marched);
-        assert_eq!(frame.stats.rays_remarched, frame.stats.rays);
+        assert_eq!(frame.stats, RenderStats { rays_remarched: stats.rays, ..stats });
+        assert_eq!(frame.validation_error, 0.0, "nothing was warped, so nothing is validated");
         assert!(state.is_some(), "the frame must leave reuse state behind");
     }
 
@@ -749,7 +725,7 @@ mod tests {
     }
 
     #[test]
-    fn skip_hints_carry_across_frames_without_changing_pixels() {
+    fn skip_mode_warp_frames_keep_their_pixels() {
         use crate::source::WithOccupancy;
         let grid = build_grid(SceneId::Mic, 24);
         let mlp = Mlp::random(1);
@@ -799,5 +775,7 @@ mod tests {
         );
         assert_eq!(frame.stats.rays_warped, 0, "incompatible state must not be warped from");
         assert_eq!(frame.stats.rays_remarched, frame.stats.rays);
+        let (img, _) = render_view(&grid, shader, &big[1], &scene_aabb(), &cfg);
+        assert_eq!(frame.image, img, "the reset frame is a full render");
     }
 }

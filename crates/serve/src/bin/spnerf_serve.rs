@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run --release -p spnerf-serve --bin spnerf_serve -- [--quick] [--threads N]
-//!     [--skip-mode off|mip|mip:N] [--seed N] [--duration-ticks N] [--cache-bytes N]
+//!     [--skip-mode off|mip] [--seed N] [--duration-ticks N] [--cache-bytes N]
 //!     [--replay FILE] [--zipf-s S]
 //! ```
 //!

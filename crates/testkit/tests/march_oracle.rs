@@ -1,31 +1,37 @@
 //! The march oracle: a plain per-sample definition of a rendered pixel,
-//! compared bit for bit with the renderer's march.
+//! compared bit for bit with the renderer's march under both shaders.
 //!
 //! [`oracle_ray`] walks one ray the way the volume-rendering equation
 //! reads: `UniformSampler` → `world_to_grid` → `trilinear_cell` →
-//! `interpolate_cell_scalar` (which never probes) → `Mlp::forward_scalar`
-//! → `RayAccumulator::add_sample`, with early termination and the
-//! opacity-weighted depth. The renderer instead locates each sample,
+//! `interpolate_cell_scalar` (which never probes) → a color →
+//! `RayAccumulator::add_sample`, with early termination and the
+//! opacity-weighted depth. Per sample the color is `Mlp::forward_scalar`;
+//! over a baked grid it is the baked diffuse color, the specular feature is
+//! accumulated with `accumulate_weighted`, and one
+//! `DeferredMlp::forward_scalar` per shaded pixel adds view dependence
+//! scaled by the ray's opacity. The renderer instead locates each sample,
 //! probes its cell base, weighs only cells that survive, queues shaded
 //! samples and shades them eight per pass; none of that may move a bit of
 //! color, depth or any counter. The goldens pin the march at one
 //! configuration; this pins it against its definition.
 
 use spnerf_core::MaskMode;
+use spnerf_render::bake::bake;
 use spnerf_render::camera::PinholeCamera;
-use spnerf_render::composite::{alpha_from_density, RayAccumulator};
+use spnerf_render::composite::{accumulate_weighted, alpha_from_density, RayAccumulator};
 use spnerf_render::interp::{interpolate_cell_scalar, trilinear_cell, GridFrame};
-use spnerf_render::mlp::{encode_direction, Mlp, MLP_INPUT_DIM};
+use spnerf_render::mlp::{encode_direction, DeferredMlp, Mlp, DEFERRED_INPUT_DIM, MLP_INPUT_DIM};
 use spnerf_render::ray::{Aabb, Ray, UniformSampler};
 use spnerf_render::renderer::{
-    render_view, render_view_serial, trace_rays, RayStats, RenderConfig, RenderFrame, RenderStats,
-    SkipCache, SkipMode, RAY_DIAGONAL_FACTOR,
+    render_view, render_view_serial, trace_rays, RenderConfig, RenderFrame, RenderStats, Shader,
+    SkipMode, BACKGROUND, DENSITY_SCALE, RAY_DIAGONAL_FACTOR,
 };
 use spnerf_render::scene::{default_camera, scene_aabb, SceneId};
 use spnerf_render::source::{VoxelData, VoxelSource, WithOccupancy};
 use spnerf_render::vec3::Vec3;
-use spnerf_testkit::corpus::Corpus;
+use spnerf_testkit::corpus::{generate, Corpus};
 use spnerf_testkit::fixtures;
+use spnerf_voxel::baked::{DIFFUSE_DIM, SPEC_DIM};
 use spnerf_voxel::coord::{GridCoord, GridDims};
 use spnerf_voxel::FEATURE_DIM;
 
@@ -33,13 +39,13 @@ use spnerf_voxel::FEATURE_DIM;
 struct OracleRay {
     color: Vec3,
     depth: f32,
-    stats: RayStats,
+    stats: RenderStats,
 }
 
-/// The per-sample reference march of one ray.
+/// The per-sample reference march of one ray under `shader`.
 fn oracle_ray<S: VoxelSource + ?Sized>(
     source: &S,
-    mlp: &Mlp,
+    shader: Shader<'_>,
     ray: Ray,
     aabb: &Aabb,
     cfg: &RenderConfig,
@@ -49,8 +55,10 @@ fn oracle_ray<S: VoxelSource + ?Sized>(
     let step = aabb.size().max_component() * RAY_DIAGONAL_FACTOR / cfg.samples_per_ray as f32;
     let view = encode_direction(ray.dir);
     let mut acc = RayAccumulator::new();
-    let mut stats = RayStats::default();
+    let mut stats = RenderStats { rays: 1, ..RenderStats::default() };
     let mut depth_sum = 0.0f32;
+    // The specular feature a deferred ray accumulates, weighted like color.
+    let mut spec = [0.0f32; SPEC_DIM];
     for (t, pos) in UniformSampler::new(ray, aabb, step) {
         stats.samples_marched += 1;
         let Some(cell) = trilinear_cell(dims, grid.world_to_grid(pos)) else { continue };
@@ -59,23 +67,44 @@ fn oracle_ray<S: VoxelSource + ?Sized>(
             continue;
         }
         stats.samples_shaded += 1;
-        let alpha = alpha_from_density(sample.density * cfg.density_scale, step);
+        let alpha = alpha_from_density(sample.density * DENSITY_SCALE, step);
         // The sample's front-to-back weight `T·α`, before it updates `T`.
         let w = acc.transmittance() * alpha.clamp(0.0, 1.0);
         depth_sum += w * t;
-        let mut input = [0.0f32; MLP_INPUT_DIM];
-        input[..FEATURE_DIM].copy_from_slice(&sample.features);
-        input[FEATURE_DIM..].copy_from_slice(&view);
-        let [r, g, b] = mlp.forward_scalar(&input);
+        let [r, g, b] = match shader {
+            Shader::PerSample(mlp) => {
+                let mut input = [0.0f32; MLP_INPUT_DIM];
+                input[..FEATURE_DIM].copy_from_slice(&sample.features);
+                input[FEATURE_DIM..].copy_from_slice(&view);
+                mlp.forward_scalar(&input)
+            }
+            Shader::Deferred(_) => {
+                // A baked payload: diffuse RGB, then the specular feature.
+                accumulate_weighted(&mut spec, &sample.features[DIFFUSE_DIM..], w);
+                [sample.features[0], sample.features[1], sample.features[2]]
+            }
+        };
         acc.add_sample(alpha, Vec3::new(r, g, b));
         if acc.is_opaque(cfg.early_stop) {
-            stats.terminated_early = true;
+            stats.rays_terminated_early = 1;
             break;
         }
     }
     let opacity = acc.opacity();
     let depth = if opacity == 0.0 { f32::INFINITY } else { depth_sum / opacity };
-    OracleRay { color: acc.finalize(cfg.background), depth, stats }
+    let mut color = acc.finalize(BACKGROUND);
+    if let Shader::Deferred(deferred) = shader {
+        if stats.samples_shaded > 0 {
+            // One view-dependent evaluation per shaded pixel.
+            stats.pixels_shaded = 1;
+            let mut input = [0.0f32; DEFERRED_INPUT_DIM];
+            input[..SPEC_DIM].copy_from_slice(&spec);
+            input[SPEC_DIM..].copy_from_slice(&view);
+            let [r, g, b] = deferred.forward_scalar(&input);
+            color = color + Vec3::new(r, g, b) * opacity;
+        }
+    }
+    OracleRay { color, depth, stats }
 }
 
 fn color_bits(c: Vec3) -> [u32; 3] {
@@ -87,7 +116,7 @@ fn color_bits(c: Vec3) -> [u32; 3] {
 ///
 /// * per ray, against [`trace_rays`] over the whole view as one job
 ///   (`render_view_serial`'s own job): color bits, depth bits and every
-///   [`RayStats`] field;
+///   [`RenderStats`] field;
 /// * the image bits and [`RenderStats`] of `render_view_serial`, and of a
 ///   two-thread `render_view` on 5-pixel tiles.
 ///
@@ -98,7 +127,7 @@ fn color_bits(c: Vec3) -> [u32; 3] {
 fn check_view<R, S>(
     reference: &R,
     source: &S,
-    mlp: &Mlp,
+    shader: Shader<'_>,
     camera: &PinholeCamera,
     cfg: &RenderConfig,
 ) -> Result<RenderStats, String>
@@ -109,14 +138,13 @@ where
     let aabb = scene_aabb();
     let pixels: Vec<(u32, u32)> =
         (0..camera.height).flat_map(|y| (0..camera.width).map(move |x| (x, y))).collect();
-    let rays: Vec<(Ray, SkipCache)> =
-        pixels.iter().map(|&(x, y)| (camera.ray_for_pixel(x, y), SkipCache::EMPTY)).collect();
+    let rays: Vec<Ray> = pixels.iter().map(|&(x, y)| camera.ray_for_pixel(x, y)).collect();
     let frame = RenderFrame::new(source.dims(), &aabb, cfg);
-    let traced = trace_rays(source, mlp.into(), &frame, &rays, cfg);
+    let traced = trace_rays(source, shader, &frame, &rays, cfg);
     let skipping = cfg.skip_mode.is_on();
     let mut want = RenderStats::default();
-    for ((&(x, y), &(ray, _)), got) in pixels.iter().zip(&rays).zip(&traced) {
-        let oracle = oracle_ray(reference, mlp, ray, &aabb, cfg);
+    for ((&(x, y), &ray), got) in pixels.iter().zip(&rays).zip(&traced) {
+        let oracle = oracle_ray(reference, shader, ray, &aabb, cfg);
         let at = format!("pixel ({x},{y})");
         if color_bits(got.color) != color_bits(oracle.color) {
             return Err(format!("{at}: color {:?}, oracle {:?}", got.color, oracle.color));
@@ -132,7 +160,7 @@ where
                     oracle.stats.samples_marched
                 ));
             }
-            RayStats {
+            RenderStats {
                 samples_marched: oracle.stats.samples_marched,
                 samples_skipped: 0,
                 ..got.stats
@@ -143,12 +171,12 @@ where
         if stats != oracle.stats {
             return Err(format!("{at}: stats {:?}, oracle {:?}", got.stats, oracle.stats));
         }
-        want.record_ray(&got.stats);
+        want += got.stats;
     }
     let tiled = RenderConfig { parallelism: 2, tile_size: 5, ..*cfg };
     for (name, (image, stats)) in [
-        ("render_view_serial", render_view_serial(source, mlp, camera, &aabb, cfg)),
-        ("render_view", render_view(source, mlp, camera, &aabb, &tiled)),
+        ("render_view_serial", render_view_serial(source, shader, camera, &aabb, cfg)),
+        ("render_view", render_view(source, shader, camera, &aabb, &tiled)),
     ] {
         for (&(x, y), got) in pixels.iter().zip(&traced) {
             if color_bits(image.get(x, y)) != color_bits(got.color) {
@@ -170,16 +198,16 @@ fn cfg(samples_per_ray: usize, skip_mode: SkipMode) -> RenderConfig {
 /// occupancy pyramid attached under [`SkipMode::Mip`].
 fn check_both_modes<S: VoxelSource + Sync + Copy>(
     source: S,
-    mlp: &Mlp,
+    shader: Shader<'_>,
     camera: &PinholeCamera,
 ) -> Result<(), String> {
-    let stats = check_view(&source, &source, mlp, camera, &cfg(48, SkipMode::Off))
+    let stats = check_view(&source, &source, shader, camera, &cfg(48, SkipMode::Off))
         .map_err(|e| format!("skipping off: {e}"))?;
     if stats.samples_shaded == 0 {
         return Err("the view shades nothing, so it pins no color".into());
     }
     let skippable = WithOccupancy::build(source);
-    check_view(&source, &skippable, mlp, camera, &cfg(48, SkipMode::mip()))
+    check_view(&source, &skippable, shader, camera, &cfg(48, SkipMode::mip()))
         .map(|_| ())
         .map_err(|e| format!("skipping mip: {e}"))
 }
@@ -187,17 +215,31 @@ fn check_both_modes<S: VoxelSource + Sync + Copy>(
 #[test]
 fn march_is_the_oracle_on_every_archetype() {
     let mlp = Mlp::random(fixtures::MLP_SEED);
+    let shader = Shader::PerSample(&mlp);
     for (i, spec) in Corpus::quick().enumerate() {
         let (grid, _vqrf, model) = fixtures::corpus_fixture(&spec, 32, 8, 4096);
         let camera = default_camera(16, 16, i, 5);
         for (name, result) in [
-            ("masked", check_both_modes(model.view(MaskMode::Masked), &mlp, &camera)),
-            ("unmasked", check_both_modes(model.view(MaskMode::Unmasked), &mlp, &camera)),
-            ("ground truth", check_both_modes(&grid, &mlp, &camera)),
+            ("masked", check_both_modes(model.view(MaskMode::Masked), shader, &camera)),
+            ("unmasked", check_both_modes(model.view(MaskMode::Unmasked), shader, &camera)),
+            ("ground truth", check_both_modes(&grid, shader, &camera)),
         ] {
             if let Err(e) = result {
                 panic!("{}, {name}: {e}", spec.label());
             }
+        }
+    }
+}
+
+#[test]
+fn deferred_march_is_the_oracle_on_every_baked_archetype() {
+    let deferred = DeferredMlp::random(fixtures::MLP_SEED);
+    let shader = Shader::Deferred(&deferred);
+    for (i, spec) in Corpus::quick().enumerate() {
+        let baked = bake(&generate(&spec), &Mlp::random(fixtures::MLP_SEED));
+        let camera = default_camera(16, 16, i, 5);
+        if let Err(e) = check_both_modes(&baked, shader, &camera) {
+            panic!("{}, baked: {e}", spec.label());
         }
     }
 }
@@ -210,7 +252,8 @@ fn march_is_the_oracle_on_a_side_64_mic_still() {
     let mlp = Mlp::random(fixtures::MLP_SEED);
     let masked = model.view(MaskMode::Masked);
     let camera = default_camera(32, 32, 3, 8);
-    let stats = check_view(&masked, &masked, &mlp, &camera, &cfg(128, SkipMode::Off)).unwrap();
+    let stats =
+        check_view(&masked, &masked, (&mlp).into(), &camera, &cfg(128, SkipMode::Off)).unwrap();
     assert!(stats.samples_shaded > 0, "the still must hit the scene");
 }
 
@@ -240,8 +283,9 @@ fn a_march_that_drops_maybe_cells_fails_the_oracle() {
     let masked = model.view(MaskMode::Masked);
     let camera = default_camera(16, 16, 1, 8);
     let cfg = cfg(48, SkipMode::Off);
-    check_view(&masked, &masked, &mlp, &camera, &cfg).expect("the honest march is the oracle");
-    let err = check_view(&masked, &DropsMaybeCells(masked), &mlp, &camera, &cfg)
+    let shader = Shader::PerSample(&mlp);
+    check_view(&masked, &masked, shader, &camera, &cfg).expect("the honest march is the oracle");
+    let err = check_view(&masked, &DropsMaybeCells(masked), shader, &camera, &cfg)
         .expect_err("a march that drops occupied cells must fail the oracle");
     assert!(err.starts_with("pixel"), "the per-ray check must catch it: {err}");
 }

@@ -10,6 +10,8 @@
 #   * the ten figure/table binaries at `--quick`;
 #   * `fig9_temporal --quick --corpus`;
 #   * `fig2_profiling --quick --corpus --source baked`;
+#   * `fig9_temporal` and `fig2_profiling` at `--quick --corpus --skip-mode
+#     mip`, the runs that march through the occupancy pyramid;
 #   * `spnerf_serve --quick --seed 7`;
 #   * `spnerf_serve --quick --replay crates/serve/tests/data/smoke.trace`.
 # None of these prints wall-clock time, so any difference is a real one.
@@ -67,6 +69,8 @@ for side in parent change; do
     done
     run fig9_temporal-corpus fig9_temporal --quick --corpus
     run fig2_profiling-corpus-baked fig2_profiling --quick --corpus --source baked
+    run fig9_temporal-corpus-mip fig9_temporal --quick --corpus --skip-mode mip
+    run fig2_profiling-corpus-mip fig2_profiling --quick --corpus --skip-mode mip
     run serve-seed7 spnerf_serve --quick --seed 7
     run serve-smoke-replay spnerf_serve --quick --replay crates/serve/tests/data/smoke.trace
 

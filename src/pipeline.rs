@@ -413,7 +413,7 @@ pub struct Scene {
     sparse_format: FormatSelection,
     sparse: Arc<SparseIndex>,
     /// Per-source temporal reuse state ([`crate::trajectory`]): the previous
-    /// frame's radiance/depth/skip-hint buffers a warped trajectory resumes
+    /// frame's radiance and depth buffers a warped trajectory resumes
     /// from. Shared by plain `Clone` (clones are the same bundle), but
     /// **every respecialization** ([`Scene::with_spnerf_opts`],
     /// [`Scene::with_sparse_format`]) gets a fresh, empty cache — warp

@@ -433,7 +433,7 @@ mod tests {
     }
 
     #[test]
-    fn skip_mode_sessions_carry_hints_without_changing_pixels() {
+    fn skip_mode_sessions_keep_warp_pixels() {
         let scene = tiny_scene();
         let spec = TrajectorySpec::orbit(3, 12, 12);
         let req = TrajectoryRequest::new(RenderSource::spnerf_masked(), spec)
