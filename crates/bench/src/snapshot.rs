@@ -47,7 +47,7 @@ use spnerf::render::renderer::{render_view_serial, trace_rays, RenderConfig, Ren
 use spnerf::render::scene::{build_grid, default_camera, scene_aabb, SceneId};
 use spnerf::render::source::VoxelSource;
 use spnerf::render::temporal::{
-    advance_frame, disocclusion_mask, warp_splat, ReuseMode, TrajectorySpec, WarpConfig,
+    advance_frame, disocclusion_mask, warp_splat, ReuseMode, TrajectorySpec,
 };
 use spnerf::render::vec3::Vec3;
 use spnerf::voxel::baked::SPEC_DIM;
@@ -311,7 +311,6 @@ pub fn measure(label: &str, quick: bool) -> Snapshot {
     // fully (warp mode with no state) to build a real buffered frame; the
     // timed region is then the forward-warp splat into frame 1's camera
     // and the disocclusion test over the warped buffers, one op per pixel.
-    let warp_cfg = WarpConfig::default();
     let warp_side: u32 = 32;
     let warp_cams = TrajectorySpec::orbit(2, warp_side, warp_side).cameras();
     let warp_render = RenderConfig { samples_per_ray: 32, ..Default::default() };
@@ -328,7 +327,7 @@ pub fn measure(label: &str, quick: bool) -> Snapshot {
     );
     let warp_prev = warp_state.expect("frame 0 records reuse state");
     let warp_pixels = warp_side as u64 * warp_side as u64;
-    let (warped_colors, warped_depths) = warp_splat(&warp_prev, &warp_cams[1], &warp_cfg);
+    let (warped_colors, warped_depths) = warp_splat(&warp_prev, &warp_cams[1]);
 
     // Masked online decode: the paper's `mic` scene at the interpolation
     // grid's side, probed along every sample a 32×32 still marches.
@@ -448,7 +447,7 @@ pub fn measure(label: &str, quick: bool) -> Snapshot {
             black_box(acc);
         }),
         time_kernel("warp.splat", warp_pixels, target, || {
-            black_box(warp_splat(black_box(&warp_prev), &warp_cams[1], &warp_cfg));
+            black_box(warp_splat(black_box(&warp_prev), &warp_cams[1]));
         }),
         time_kernel("disocclusion.test", warp_pixels, target, || {
             black_box(disocclusion_mask(
@@ -456,7 +455,6 @@ pub fn measure(label: &str, quick: bool) -> Snapshot {
                 &warped_depths,
                 warp_side as usize,
                 warp_side as usize,
-                &warp_cfg,
                 1,
             ));
         }),

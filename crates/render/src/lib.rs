@@ -109,6 +109,6 @@ pub use scene::SceneId;
 pub use source::{support_bitmap, VoxelData, VoxelSource, WithOccupancy};
 pub use temporal::{
     advance_frame, render_trajectory, PathKind, ReuseMode, ReuseState, TemporalFrame,
-    TrajectorySpec, WarpConfig,
+    TrajectorySpec, WARP_TOLERANCE,
 };
 pub use vec3::Vec3;

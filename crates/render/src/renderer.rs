@@ -297,9 +297,11 @@ impl RenderStats {
     pub fn warp_fraction(&self) -> f64 {
         self.rays_warped as f64 / self.rays.max(1) as f64
     }
+}
 
-    /// Accumulates another view's statistics.
-    pub fn merge(&mut self, other: &RenderStats) {
+/// Accumulates another view's (or ray's) statistics, column by column.
+impl std::ops::AddAssign<&RenderStats> for RenderStats {
+    fn add_assign(&mut self, other: &RenderStats) {
         self.rays += other.rays;
         self.samples_marched += other.samples_marched;
         self.samples_shaded += other.samples_shaded;
@@ -313,13 +315,7 @@ impl RenderStats {
 
 impl std::ops::AddAssign<RenderStats> for RenderStats {
     fn add_assign(&mut self, other: RenderStats) {
-        self.merge(&other);
-    }
-}
-
-impl std::ops::AddAssign<&RenderStats> for RenderStats {
-    fn add_assign(&mut self, other: &RenderStats) {
-        self.merge(other);
+        *self += &other;
     }
 }
 
@@ -931,7 +927,7 @@ mod tests {
             rays_warped: 7,
             rays_remarched: 8,
         };
-        a.merge(&b);
+        a += &b;
         assert_eq!(a.rays, 11);
         assert_eq!(a.samples_marched, 22);
         assert_eq!(a.samples_shaded, 33);
@@ -944,6 +940,8 @@ mod tests {
 
     #[test]
     fn add_assign_matches_merge() {
+        // `+= &b` is the column-by-column merge; `+= b` must agree with it.
+        let a = RenderStats { rays: 1, samples_marched: 5, ..Default::default() };
         let b = RenderStats {
             rays: 4,
             samples_marched: 40,
@@ -954,14 +952,13 @@ mod tests {
             rays_warped: 1,
             rays_remarched: 2,
         };
-        let mut via_merge = RenderStats::default();
-        via_merge.merge(&b);
-        let mut by_value = RenderStats::default();
+        let mut via_merge = a;
+        via_merge += &b;
+        let mut by_value = a;
         by_value += b;
-        let mut by_ref = RenderStats::default();
-        by_ref += &b;
         assert_eq!(by_value, via_merge);
-        assert_eq!(by_ref, via_merge);
+        assert_eq!(via_merge.rays, 5);
+        assert_eq!(via_merge.samples_marched, 45);
     }
 
     #[test]

@@ -37,16 +37,16 @@
 //!   sizes (the warp pass schedules pixel chunks itself and ignores the
 //!   latter);
 //! * background is reused too: rays that shaded nothing are splatted at
-//!   [`WarpConfig::far_depth`], so an empty sky never forces a re-march.
+//!   `FAR_DEPTH`, so an empty sky never forces a re-march.
 //!
 //! Error is bounded by construction, not hope: every pixel whose warped
-//! 3×3 depth neighborhood spans more than
-//! [`WarpConfig::depth_edge_threshold`] (silhouettes — where disocclusion
-//! happens) is re-marched, and a rotating `1/validation_stride` subset of
-//! all pixels is re-marched each frame so no pixel goes more than
-//! `validation_stride` frames without ground truth.
-//! [`TemporalFrame::validation_error`] reports the largest warped-vs-
-//! re-marched discrepancy actually observed.
+//! 3×3 depth neighborhood spans more than `DEPTH_EDGE_THRESHOLD`
+//! (silhouettes — where disocclusion happens) is re-marched, and a
+//! rotating `1/VALIDATION_STRIDE` subset of all pixels is re-marched each
+//! frame so no pixel goes more than `VALIDATION_STRIDE` frames without
+//! ground truth. [`TemporalFrame::validation_error`] reports the largest
+//! warped-vs-re-marched discrepancy actually observed, and
+//! [`WARP_TOLERANCE`] is the level the property tests hold it to.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -224,46 +224,34 @@ fn orbit_eye(radius: f32, elevation: f32, azimuth: f32) -> Vec3 {
     )
 }
 
-/// Tuning knobs of the forward-warp reuse path.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WarpConfig {
-    /// Every pixel `j` with `j % validation_stride == frame % stride` is
-    /// re-marched, so each pixel is refreshed from ground truth at least
-    /// once per `validation_stride` frames. `1` re-marches everything
-    /// (warp becomes full rendering with extra bookkeeping).
-    pub validation_stride: usize,
-    /// Re-march every pixel whose warped 3×3 depth neighborhood spans more
-    /// than this (world units): depth discontinuities are where occlusion
-    /// relationships change, so the silhouette band is never trusted.
-    pub depth_edge_threshold: f32,
-    /// Re-march every pixel whose warped 3×3 neighborhood spans more than
-    /// this per-channel color contrast: a warp is only sub-pixel accurate,
-    /// so across a sharp texture gradient the reprojected color can be off
-    /// by up to the local contrast. Smooth regions — where a sub-pixel
-    /// error is invisible — stay warped.
-    pub color_edge_threshold: f32,
-    /// Depth at which background pixels (no shaded sample) are splatted so
-    /// an empty sky warps instead of forcing a re-march. Must be far
-    /// beyond the scene (the standard scenes fit in a radius-2.8 orbit).
-    pub far_depth: f32,
-    /// Documented accuracy contract: the largest per-channel deviation a
-    /// warped pixel may show against a full re-march. The renderer does
-    /// not enforce it (it *measures* [`TemporalFrame::validation_error`]);
-    /// the property tests assert it over the whole corpus.
-    pub tolerance: f32,
-}
+/// Every pixel `j` with `j % VALIDATION_STRIDE == frame % VALIDATION_STRIDE`
+/// is re-marched, so each pixel is refreshed from ground truth at least
+/// once per `VALIDATION_STRIDE` frames.
+const VALIDATION_STRIDE: usize = 16;
 
-impl Default for WarpConfig {
-    fn default() -> Self {
-        Self {
-            validation_stride: 16,
-            depth_edge_threshold: 0.5,
-            color_edge_threshold: 0.2,
-            far_depth: 100.0,
-            tolerance: 0.25,
-        }
-    }
-}
+/// Re-march every pixel whose warped 3×3 depth neighborhood spans more
+/// than this (world units): depth discontinuities are where occlusion
+/// relationships change, so the silhouette band is never trusted.
+const DEPTH_EDGE_THRESHOLD: f32 = 0.5;
+
+/// Re-march every pixel whose warped 3×3 neighborhood spans more than this
+/// per-channel color contrast: a warp is only sub-pixel accurate, so
+/// across a sharp texture gradient the reprojected color can be off by up
+/// to the local contrast. Smooth regions — where a sub-pixel error is
+/// invisible — stay warped.
+const COLOR_EDGE_THRESHOLD: f32 = 0.2;
+
+/// Depth at which background pixels (no shaded sample) are splatted so an
+/// empty sky warps instead of forcing a re-march. Far beyond the scene
+/// (the standard scenes fit in a radius-2.8 orbit).
+const FAR_DEPTH: f32 = 100.0;
+
+/// Documented accuracy contract of [`ReuseMode::Warp`]: the largest
+/// per-channel deviation a warped pixel may show against a full re-march.
+/// The renderer does not enforce it (it *measures*
+/// [`TemporalFrame::validation_error`]); the property tests assert it over
+/// the whole corpus.
+pub const WARP_TOLERANCE: f32 = 0.25;
 
 /// Frame-to-frame reuse policy of a trajectory render.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -275,25 +263,25 @@ pub enum ReuseMode {
     Off,
     /// Forward-warp the previous frame and re-march only disoccluded,
     /// depth-edge, and validation rays.
-    Warp(WarpConfig),
+    Warp,
 }
 
 impl ReuseMode {
-    /// [`ReuseMode::Warp`] with the default [`WarpConfig`].
-    pub fn warp() -> Self {
-        ReuseMode::Warp(WarpConfig::default())
+    /// [`ReuseMode::Warp`].
+    pub const fn warp() -> Self {
+        ReuseMode::Warp
     }
 
     /// Whether this mode reuses anything at all.
     pub fn is_on(&self) -> bool {
-        matches!(self, ReuseMode::Warp(_))
+        matches!(self, ReuseMode::Warp)
     }
 
     /// Canonical CLI name (`off` / `warp`).
     pub fn name(&self) -> &'static str {
         match self {
             ReuseMode::Off => "off",
-            ReuseMode::Warp(_) => "warp",
+            ReuseMode::Warp => "warp",
         }
     }
 }
@@ -307,13 +295,6 @@ pub struct ReuseState {
     depths: Vec<f32>,
 }
 
-impl ReuseState {
-    /// The camera the buffered frame was rendered from.
-    pub fn camera(&self) -> &PinholeCamera {
-        &self.camera
-    }
-}
-
 /// The forward-warp kernel: splats every pixel of the buffered previous
 /// frame into the new view at its marched depth, returning the warped
 /// color and depth buffers (`f32::INFINITY` depth = hole).
@@ -325,11 +306,7 @@ impl ReuseState {
 /// footprint and fills only the pixels the primary pass left empty, so
 /// rounding pinholes (two sources landing on one target under rotation)
 /// don't masquerade as disocclusions and force needless re-marching.
-pub fn warp_splat(
-    prev: &ReuseState,
-    camera: &PinholeCamera,
-    wcfg: &WarpConfig,
-) -> (Vec<Vec3>, Vec<f32>) {
+pub fn warp_splat(prev: &ReuseState, camera: &PinholeCamera) -> (Vec<Vec3>, Vec<f32>) {
     let (w, h) = (camera.width as usize, camera.height as usize);
     let n = w * h;
     let mut colors = vec![Vec3::ZERO; n];
@@ -338,7 +315,7 @@ pub fn warp_splat(
     let mut fill_depths = vec![f32::INFINITY; n];
     for (i, (&color, &depth)) in prev.colors.iter().zip(&prev.depths).enumerate() {
         let (px, py) = ((i % w) as u32, (i / w) as u32);
-        let t = if depth.is_finite() { depth } else { wcfg.far_depth };
+        let t = if depth.is_finite() { depth } else { FAR_DEPTH };
         let world = prev.camera.ray_for_pixel(px, py).at(t);
         let v = world - camera.pose.position;
         let z = v.dot(camera.pose.forward);
@@ -379,35 +356,31 @@ pub fn warp_splat(
 }
 
 /// The disocclusion-test kernel: decides which rays of a warped buffer
-/// cannot be trusted and must be re-marched. Returns
-/// `(remarch, holes, validation)` per-pixel masks.
+/// cannot be trusted and must be re-marched. Returns `(remarch,
+/// validation)` per-pixel masks.
 ///
 /// A ray re-marches when it is a hole even the footprint pass never
 /// covered (revealed area), part of the rotating validation subset
-/// (`j % stride == frame_idx % stride`), or a trailing-edge ghost: a near
-/// pixel with a markedly farther (or color-contrasting) 3×3 neighbor,
-/// i.e. a foreground splat that may be covering freshly revealed
-/// background. Far pixels beside near ones are *not* re-marched — the
-/// warp can only err there by showing background where background
-/// belongs.
+/// (`j % VALIDATION_STRIDE == frame_idx % VALIDATION_STRIDE`), or a
+/// trailing-edge ghost: a near pixel with a markedly farther (or
+/// color-contrasting) 3×3 neighbor, i.e. a foreground splat that may be
+/// covering freshly revealed background. Far pixels beside near ones are
+/// *not* re-marched — the warp can only err there by showing background
+/// where background belongs.
 pub fn disocclusion_mask(
     colors: &[Vec3],
     depths: &[f32],
     w: usize,
     h: usize,
-    wcfg: &WarpConfig,
     frame_idx: usize,
-) -> (Vec<bool>, Vec<bool>, Vec<bool>) {
+) -> (Vec<bool>, Vec<bool>) {
     let n = w * h;
-    let stride = wcfg.validation_stride.max(1);
     let mut remarch = vec![false; n];
-    let mut holes = vec![false; n];
     let mut validation = vec![false; n];
     for (j, flag) in remarch.iter_mut().enumerate() {
         if !depths[j].is_finite() {
             *flag = true;
-            holes[j] = true;
-        } else if j % stride == frame_idx % stride {
+        } else if j % VALIDATION_STRIDE == frame_idx % VALIDATION_STRIDE {
             *flag = true;
             validation[j] = true;
         }
@@ -415,18 +388,18 @@ pub fn disocclusion_mask(
     for py in 0..h {
         for px in 0..w {
             let j = py * w + px;
-            if holes[j] {
+            let d = depths[j];
+            if !d.is_finite() {
                 continue;
             }
-            let d = depths[j];
             let c = colors[j];
             'neighbors: for dy in py.saturating_sub(1)..=(py + 1).min(h - 1) {
                 for dx in px.saturating_sub(1)..=(px + 1).min(w - 1) {
                     let k = dy * w + dx;
                     let dn = depths[k];
                     let dc = colors[k] - c;
-                    if (dn.is_finite() && dn - d > wcfg.depth_edge_threshold)
-                        || dc.x.abs().max(dc.y.abs()).max(dc.z.abs()) > wcfg.color_edge_threshold
+                    if (dn.is_finite() && dn - d > DEPTH_EDGE_THRESHOLD)
+                        || dc.x.abs().max(dc.y.abs()).max(dc.z.abs()) > COLOR_EDGE_THRESHOLD
                     {
                         remarch[j] = true;
                         validation[j] = false;
@@ -436,7 +409,7 @@ pub fn disocclusion_mask(
             }
         }
     }
-    (remarch, holes, validation)
+    (remarch, validation)
 }
 
 /// One rendered frame of a trajectory.
@@ -487,14 +460,11 @@ pub fn advance_frame<S: VoxelSource + Sync>(
     frame_idx: usize,
     state: &mut Option<ReuseState>,
 ) -> TemporalFrame {
-    let wcfg = match mode {
-        ReuseMode::Off => {
-            *state = None;
-            let (image, stats) = render_view(source, shader, camera, aabb, cfg);
-            return TemporalFrame { image, stats, validation_error: 0.0 };
-        }
-        ReuseMode::Warp(wcfg) => wcfg,
-    };
+    if mode == ReuseMode::Off {
+        *state = None;
+        let (image, stats) = render_view(source, shader, camera, aabb, cfg);
+        return TemporalFrame { image, stats, validation_error: 0.0 };
+    }
     let frame = RenderFrame::new(source.dims(), aabb, cfg);
     let prev = state.take().filter(|s| {
         s.camera.width == camera.width
@@ -505,12 +475,12 @@ pub fn advance_frame<S: VoxelSource + Sync>(
     let n = w * h;
 
     let (mut colors, mut depths) = match &prev {
-        Some(prev) => warp_splat(prev, camera, &wcfg),
+        Some(prev) => warp_splat(prev, camera),
         // Nothing to warp from: every pixel is a hole, so every ray
         // re-marches and no pixel is a validation pixel.
         None => (vec![Vec3::ZERO; n], vec![f32::INFINITY; n]),
     };
-    let (remarch, _, validation) = disocclusion_mask(&colors, &depths, w, h, &wcfg, frame_idx);
+    let (remarch, validation) = disocclusion_mask(&colors, &depths, w, h, frame_idx);
 
     // Re-march pass: only the selected rays.
     let jobs: Vec<usize> = (0..n).filter(|&j| remarch[j]).collect();
@@ -687,7 +657,7 @@ mod tests {
         let cams = TrajectorySpec::orbit(4, 16, 16).cameras();
         let frames =
             render_trajectory(&grid, shader, &cams, &scene_aabb(), &cfg, ReuseMode::warp());
-        let tolerance = WarpConfig::default().tolerance;
+        let tolerance = WARP_TOLERANCE;
         for (i, (frame, cam)) in frames.iter().zip(&cams).enumerate().skip(1) {
             assert!(
                 frame.stats.rays_warped > frame.stats.rays_remarched,

@@ -6,7 +6,7 @@
 //! * warped frames are bitwise-deterministic across thread counts and
 //!   tile sizes;
 //! * warp-then-validate never drifts from a full re-march by more than the
-//!   configured [`WarpConfig::tolerance`], on any pixel of any frame.
+//!   documented [`WARP_TOLERANCE`], on any pixel of any frame.
 
 use proptest::prelude::*;
 use spnerf_render::bake::bake;
@@ -15,7 +15,7 @@ use spnerf_render::renderer::{render_view, RenderConfig, Shader};
 use spnerf_render::scene::scene_aabb;
 use spnerf_render::source::VoxelSource;
 use spnerf_render::temporal::{
-    render_trajectory, ReuseMode, TemporalFrame, TrajectorySpec, WarpConfig,
+    render_trajectory, ReuseMode, TemporalFrame, TrajectorySpec, WARP_TOLERANCE,
 };
 use spnerf_testkit::corpus::{generate, Archetype, CorpusSpec};
 use spnerf_testkit::fixtures;
@@ -156,7 +156,7 @@ proptest! {
     ) {
         let spec = spec_for(path_idx, frames, image);
         let cfg = render_cfg();
-        let tol = WarpConfig::default().tolerance;
+        let tol = WARP_TOLERANCE;
         let warp = trajectory_over_source(arch_idx, 1, &spec, &cfg, ReuseMode::warp());
         let exact = trajectory_over_source(arch_idx, 1, &spec, &cfg, ReuseMode::Off);
         for (i, (w, e)) in warp.iter().zip(&exact).enumerate() {

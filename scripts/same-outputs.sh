@@ -9,7 +9,8 @@
 # each tree's root and diffs stdout, stderr and exit status of:
 #   * the ten figure/table binaries at `--quick`;
 #   * `fig9_temporal --quick --corpus`;
-#   * `fig2_profiling --quick --corpus --source baked`;
+#   * `fig9_temporal` and `fig2_profiling` at `--quick --corpus --source
+#     baked`, the deferred shader through the warp pass and the stills;
 #   * `fig9_temporal` and `fig2_profiling` at `--quick --corpus --skip-mode
 #     mip`, the runs that march through the occupancy pyramid;
 #   * `spnerf_serve --quick --seed 7`;
@@ -68,6 +69,7 @@ for side in parent change; do
         run "$bin" "$bin" --quick
     done
     run fig9_temporal-corpus fig9_temporal --quick --corpus
+    run fig9_temporal-corpus-baked fig9_temporal --quick --corpus --source baked
     run fig2_profiling-corpus-baked fig2_profiling --quick --corpus --source baked
     run fig9_temporal-corpus-mip fig9_temporal --quick --corpus --skip-mode mip
     run fig2_profiling-corpus-mip fig2_profiling --quick --corpus --skip-mode mip

@@ -35,9 +35,8 @@
 //! * [`trajectory`] — camera paths over the same front door:
 //!   [`trajectory::TrajectoryRequest`]s render deterministic
 //!   orbit/dolly/jitter paths with optional frame-to-frame forward-warp
-//!   reuse, resumable [`trajectory::TrajectoryStream`]s persist warp state
-//!   per scene bundle, and a streaming driver overlaps each frame's render
-//!   with the previous frame's cycle simulation.
+//!   reuse, one-shot or through a [`trajectory::TrajectoryStream`] that
+//!   advances a frame per call and owns the warp state it carries.
 //!
 //! # Examples
 //!
@@ -81,7 +80,7 @@ pub use error::Error;
 pub use pipeline::{
     PipelineBuilder, Reference, RenderRequest, RenderResponse, RenderSession, RenderSource, Scene,
 };
-pub use trajectory::{TemporalCache, TrajectoryRequest, TrajectoryResponse, TrajectoryStream};
+pub use trajectory::{TrajectoryRequest, TrajectoryResponse, TrajectoryStream};
 
 pub use spnerf_accel as accel;
 pub use spnerf_core as core;

@@ -84,7 +84,6 @@ use spnerf_voxel::mip::OccupancyMip;
 use spnerf_voxel::sparse::{FormatKind, FormatSelection, SparseFormat, SparseIndex};
 use spnerf_voxel::vqrf::{VqrfConfig, VqrfModel};
 
-use crate::trajectory::TemporalCache;
 use crate::Error;
 
 /// Looks a scene up by its dataset name (`"lego"`, `"ship"`, …).
@@ -364,7 +363,6 @@ impl PipelineBuilder {
             baked: Arc::new(OnceLock::new()),
             sparse_format: self.sparse_format,
             sparse,
-            temporal: Arc::new(TemporalCache::default()),
         })
     }
 }
@@ -412,14 +410,6 @@ pub struct Scene {
     baked: Arc<OnceLock<Arc<BakedGrid>>>,
     sparse_format: FormatSelection,
     sparse: Arc<SparseIndex>,
-    /// Per-source temporal reuse state ([`crate::trajectory`]): the previous
-    /// frame's radiance and depth buffers a warped trajectory resumes
-    /// from. Shared by plain `Clone` (clones are the same bundle), but
-    /// **every respecialization** ([`Scene::with_spnerf_opts`],
-    /// [`Scene::with_sparse_format`]) gets a fresh, empty cache — warp
-    /// buffers rendered by the old model must never seed frames of the new
-    /// one.
-    temporal: Arc<TemporalCache>,
 }
 
 impl Scene {
@@ -502,17 +492,7 @@ impl Scene {
     /// move.
     pub fn with_sparse_format(&self, selection: FormatSelection) -> Scene {
         let sparse = Arc::new(SparseIndex::from_bitmap_selected(selection, self.model.bitmap()));
-        // A fresh temporal cache, not `..self.clone()`'s shared Arc: the
-        // respecialized bundle is a *different* scene as far as mid-flight
-        // trajectories are concerned, and resuming one from the parent's
-        // warp buffers would serve stale state (regression-tested in
-        // `crate::trajectory`).
-        Scene {
-            sparse_format: selection,
-            sparse,
-            temporal: Arc::new(TemporalCache::default()),
-            ..self.clone()
-        }
+        Scene { sparse_format: selection, sparse, ..self.clone() }
     }
 
     /// Per-component host-resident footprint of this bundle: every byte a
@@ -612,9 +592,6 @@ impl Scene {
             baked: Arc::clone(&self.baked),
             sparse_format: self.sparse_format,
             sparse,
-            // Never carried over: warp state rendered by the old operating
-            // point must not seed frames of the new model.
-            temporal: Arc::new(TemporalCache::default()),
         })
     }
 
@@ -662,14 +639,6 @@ impl Scene {
         let lookup_bytes = self.sparse.access_cost().bytes_per_lookup;
         FrameWorkload::from_render(&self.label, stats, &self.model)
             .with_format_traffic(stats.samples_marched * lookup_bytes)
-    }
-
-    /// The bundle's temporal reuse cache: per-source warp state a
-    /// [`crate::trajectory::TrajectoryStream`] persists between frames.
-    /// Shared across sessions and clones of this bundle; fresh (empty) on
-    /// every respecialization.
-    pub fn temporal(&self) -> &TemporalCache {
-        &self.temporal
     }
 
     /// Opens a render session with the bundle's render configuration.

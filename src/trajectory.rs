@@ -5,25 +5,23 @@
 //! ([`ReuseMode`]). This module ties them to the [`Scene`](crate::pipeline::Scene)/[`RenderSession`]
 //! front door:
 //!
-//! * [`RenderSession::render_trajectory`] — one-shot: render a whole path,
-//!   returning every frame plus the per-frame [`FrameWorkload`]s the
-//!   accelerator's path simulator ([`spnerf_accel::simulate_path`])
-//!   consumes.
-//! * [`RenderSession::trajectory_stream`] — incremental: advance one frame
-//!   at a time, persisting the warp state in the scene's [`TemporalCache`]
-//!   so a path can continue across sessions.
+//! * [`RenderSession::trajectory_stream`] — incremental: a
+//!   [`TrajectoryStream`] advances one frame at a time and owns the warp
+//!   state it carries from frame to frame.
+//! * [`RenderSession::render_trajectory`] — one-shot: a stream run over a
+//!   whole path, returning every frame plus the per-frame
+//!   [`FrameWorkload`]s the accelerator's path simulator
+//!   ([`spnerf_accel::simulate_path`]) consumes.
 //!
 //! # Determinism
 //!
 //! Trajectory rendering inherits every exactness rule of the render crate:
 //! [`ReuseMode::Off`] is bitwise-identical to a loop of independent
 //! per-frame renders, and warped frames are bitwise-reproducible across
-//! thread counts and tile sizes. The one new piece of shared
-//! state — the [`TemporalCache`] — is keyed per [`RenderSource`] and is
-//! **invalidated** (fresh, empty cache) by every scene respecialization
-//! ([`Scene::with_spnerf`](crate::pipeline::Scene::with_spnerf), [`Scene::with_sparse_format`](crate::pipeline::Scene::with_sparse_format)): a trajectory
-//! resumed on a respecialized bundle re-renders its next frame from
-//! scratch rather than warping stale buffers.
+//! thread counts and tile sizes. The one piece of state a path carries —
+//! the previous frame's radiance and depth — lives in its stream, so
+//! streams never see each other's frames, and a stream borrows one scene's
+//! session, so its buffers can never seed a frame of a respecialized model.
 //!
 //! # Example
 //!
@@ -50,78 +48,14 @@
 //! # Ok::<(), spnerf::Error>(())
 //! ```
 
-use std::collections::HashMap;
-use std::sync::Mutex;
-
 use spnerf_accel::frame::FrameWorkload;
 use spnerf_render::camera::PinholeCamera;
 use spnerf_render::renderer::RenderStats;
-pub use spnerf_render::temporal::{PathKind, ReuseMode, TrajectorySpec, WarpConfig};
+pub use spnerf_render::temporal::{PathKind, ReuseMode, TrajectorySpec, WARP_TOLERANCE};
 use spnerf_render::temporal::{ReuseState, TemporalFrame};
 
 use crate::pipeline::{RenderSession, RenderSource};
 use crate::Error;
-
-/// Per-source temporal reuse state shared by every session of one [`Scene`](crate::pipeline::Scene)
-/// bundle.
-///
-/// A [`TrajectoryStream`] persists its warp buffers here after each frame,
-/// so a path can continue across sessions (and across session-cache
-/// clears). Plain `Scene::clone` shares the cache — clones are the same
-/// bundle — but every respecialization gets a fresh one; see
-/// [`Scene::temporal`](crate::pipeline::Scene::temporal).
-#[derive(Debug, Default)]
-pub struct TemporalCache {
-    slots: Mutex<HashMap<RenderSource, Slot>>,
-}
-
-#[derive(Debug)]
-struct Slot {
-    state: Option<ReuseState>,
-    next_frame: usize,
-}
-
-impl TemporalCache {
-    /// Removes and returns the cached `(state, next_frame_index)` for one
-    /// source; `(None, 0)` when the source has no trajectory in flight.
-    fn take(&self, source: RenderSource) -> (Option<ReuseState>, usize) {
-        match self.slots.lock().expect("temporal cache lock").remove(&source) {
-            Some(slot) => (slot.state, slot.next_frame),
-            None => (None, 0),
-        }
-    }
-
-    /// Stores one source's state after a frame.
-    fn put(&self, source: RenderSource, state: Option<ReuseState>, next_frame: usize) {
-        self.slots.lock().expect("temporal cache lock").insert(source, Slot { state, next_frame });
-    }
-
-    /// Index of the next frame a resumed stream for `source` would render
-    /// (`0` when nothing is in flight).
-    pub fn next_frame(&self, source: RenderSource) -> usize {
-        self.slots.lock().expect("temporal cache lock").get(&source).map_or(0, |s| s.next_frame)
-    }
-
-    /// Number of sources with a trajectory in flight.
-    pub fn len(&self) -> usize {
-        self.slots.lock().expect("temporal cache lock").len()
-    }
-
-    /// Whether no trajectory is in flight.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops every in-flight trajectory's state.
-    pub fn clear(&self) {
-        self.slots.lock().expect("temporal cache lock").clear();
-    }
-
-    /// Drops one source's in-flight state.
-    pub fn forget(&self, source: RenderSource) {
-        self.slots.lock().expect("temporal cache lock").remove(&source);
-    }
-}
 
 /// A camera-path render request: which source to render, the path to render
 /// it along, and the reuse mode.
@@ -179,24 +113,24 @@ impl TrajectoryResponse {
     }
 }
 
-/// An in-flight trajectory advancing one frame per call, persisting its
-/// warp state in the scene's [`TemporalCache`] between calls.
+/// An in-flight trajectory advancing one frame per call. It owns the
+/// previous frame's warp buffers and the index of its next frame, so
+/// dropping the stream ends the path.
 ///
-/// Obtained from [`RenderSession::trajectory_stream`]. Dropping the stream
-/// loses nothing — the state lives on the scene, so a later stream for the
-/// same source (from this session or another on the same bundle) resumes
-/// where this one stopped.
+/// Obtained from [`RenderSession::trajectory_stream`].
 #[derive(Debug)]
 pub struct TrajectoryStream<'s, 'a> {
     session: &'s RenderSession<'a>,
     source: RenderSource,
     mode: ReuseMode,
+    state: Option<ReuseState>,
+    next_frame: usize,
 }
 
 impl TrajectoryStream<'_, '_> {
     /// Index of the frame the next [`TrajectoryStream::advance`] renders.
     pub fn next_frame(&self) -> usize {
-        self.session.scene().temporal().next_frame(self.source)
+        self.next_frame
     }
 
     /// Renders the path's next frame and returns it with its accelerator
@@ -214,27 +148,24 @@ impl TrajectoryStream<'_, '_> {
     ///
     /// [`reset`]: TrajectoryStream::reset
     pub fn advance(&mut self, camera: &PinholeCamera) -> (TemporalFrame, FrameWorkload) {
-        let cache = self.session.scene().temporal();
-        let (mut state, frame_idx) = cache.take(self.source);
-        let frame = self.session.frame(self.source, camera, self.mode, frame_idx, &mut state);
-        cache.put(self.source, state, frame_idx + 1);
+        let frame =
+            self.session.frame(self.source, camera, self.mode, self.next_frame, &mut self.state);
+        self.next_frame += 1;
         let workload = self.session.scene().workload(&frame.stats);
         (frame, workload)
     }
 
     /// Forgets the in-flight state: the next [`TrajectoryStream::advance`]
     /// renders frame 0 of a new path.
-    pub fn reset(&self) {
-        self.session.scene().temporal().forget(self.source);
+    pub fn reset(&mut self) {
+        self.state = None;
+        self.next_frame = 0;
     }
 }
 
 impl<'a> RenderSession<'a> {
-    /// Renders a whole camera path in one call.
-    ///
-    /// Self-contained: the path starts from a fresh frame 0 and does not
-    /// read or leave state in the scene's [`TemporalCache`] (use
-    /// [`RenderSession::trajectory_stream`] for resumable paths).
+    /// Renders a whole camera path in one call: one
+    /// [`TrajectoryStream`] advanced over the spec's cameras.
     ///
     /// # Errors
     ///
@@ -256,35 +187,27 @@ impl<'a> RenderSession<'a> {
                 spec.width, spec.height
             )));
         }
-        let mut state = None;
+        let mut stream = self.trajectory_stream(request.source, request.mode);
+        let (frames, workloads): (Vec<_>, Vec<_>) =
+            spec.cameras().iter().map(|camera| stream.advance(camera)).unzip();
         let mut stats = RenderStats::default();
-        let mut frames = Vec::with_capacity(request.spec.frames);
-        let mut workloads = Vec::with_capacity(request.spec.frames);
-        for (i, camera) in request.spec.cameras().iter().enumerate() {
-            let frame = self.frame(request.source, camera, request.mode, i, &mut state);
+        for frame in &frames {
             stats += frame.stats;
-            workloads.push(self.scene().workload(&frame.stats));
-            frames.push(frame);
         }
         Ok(TrajectoryResponse { source: request.source, frames, workloads, stats })
     }
 
-    /// Opens a resumable trajectory over one source: each
-    /// [`TrajectoryStream::advance`] renders the path's next frame,
-    /// persisting warp state in the scene's [`TemporalCache`] between
-    /// calls. A stream over a source with a path already in flight (from
-    /// this session or another on the same bundle) resumes it.
+    /// Opens a trajectory over one source at frame 0: each
+    /// [`TrajectoryStream::advance`] renders the path's next frame.
     pub fn trajectory_stream<'s>(
         &'s self,
         source: RenderSource,
         mode: ReuseMode,
     ) -> TrajectoryStream<'s, 'a> {
-        TrajectoryStream { session: self, source, mode }
+        TrajectoryStream { session: self, source, mode, state: None, next_frame: 0 }
     }
 }
 
-/// Ensures the temporal cache participates in the scene bundle's `Debug`
-/// and sharing rules the way the doc on [`Scene::temporal`](crate::pipeline::Scene::temporal) promises.
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,7 +215,6 @@ mod tests {
     use spnerf_core::SpNerfConfig;
     use spnerf_render::renderer::{RenderConfig, SkipMode};
     use spnerf_render::scene::SceneId;
-    use spnerf_voxel::sparse::FormatSelection;
     use spnerf_voxel::vqrf::VqrfConfig;
 
     fn tiny_scene() -> Scene {
@@ -327,8 +249,6 @@ mod tests {
                 assert_eq!(frame.stats.rays_warped, 0);
                 assert_eq!(frame.stats.rays_remarched, 0);
             }
-            // Off mode leaves no reuse state behind.
-            assert!(scene.temporal().is_empty());
         }
     }
 
@@ -348,7 +268,7 @@ mod tests {
             let w = &resp.workloads[i];
             assert_eq!(w.stats, f.stats, "workload must carry the frame's counters");
         }
-        assert!(resp.max_validation_error() <= WarpConfig::default().tolerance);
+        assert!(resp.max_validation_error() <= WARP_TOLERANCE);
         // Off renders every sample on every frame; the warped path amortizes.
         let off = session
             .render_trajectory(&TrajectoryRequest::new(RenderSource::spnerf_masked(), spec))
@@ -359,77 +279,95 @@ mod tests {
             resp.samples_marched_after_first(),
             off.samples_marched_after_first()
         );
-        // One-shot trajectories are self-contained.
-        assert!(scene.temporal().is_empty());
+    }
+
+    /// A frame's pixels and validation error as raw bits, so equality is
+    /// bit for bit.
+    fn frame_bits(frame: &TemporalFrame) -> Vec<u32> {
+        let pixels = frame.image.pixels().iter().flat_map(|p| [p.x, p.y, p.z]);
+        pixels.chain([frame.validation_error]).map(f32::to_bits).collect()
     }
 
     #[test]
-    fn streams_persist_across_sessions_on_the_same_bundle() {
+    fn interleaved_streams_each_reproduce_the_one_shot_path() {
         let scene = tiny_scene();
+        let session = scene.session();
         let spec = TrajectorySpec::orbit(3, 12, 12);
         let cams = spec.cameras();
         let source = RenderSource::spnerf_masked();
-        {
-            let session = scene.session();
-            let mut stream = session.trajectory_stream(source, ReuseMode::warp());
-            assert_eq!(stream.next_frame(), 0);
-            let (f0, w0) = stream.advance(&cams[0]);
-            assert_eq!(f0.stats.rays_warped, 0);
-            assert_eq!(w0.stats, f0.stats);
+        let req = TrajectoryRequest::new(source, spec).with_mode(ReuseMode::warp());
+        let one_shot = session.render_trajectory(&req).expect("one-shot renders");
+        // Two streams over the same source on one session, advanced in
+        // turn: each carries its own warp state.
+        let mut a = session.trajectory_stream(source, ReuseMode::warp());
+        let mut b = session.trajectory_stream(source, ReuseMode::warp());
+        for (i, cam) in cams.iter().enumerate() {
+            for stream in [&mut a, &mut b] {
+                assert_eq!(stream.next_frame(), i);
+                let (frame, workload) = stream.advance(cam);
+                assert_eq!(frame_bits(&frame), frame_bits(&one_shot.frames[i]), "frame {i}");
+                assert_eq!(frame.stats, one_shot.frames[i].stats, "frame {i}");
+                assert_eq!(workload, one_shot.workloads[i], "frame {i}");
+            }
         }
-        // A new session on the same bundle resumes the in-flight path.
-        let session = scene.session();
-        let mut stream = session.trajectory_stream(source, ReuseMode::warp());
-        assert_eq!(stream.next_frame(), 1);
-        let (f1, _) = stream.advance(&cams[1]);
-        assert!(f1.stats.rays_warped > 0, "resumed frame must warp the persisted buffers");
-        // The streamed path is bitwise the one-shot path.
-        let one_shot = scene
-            .session()
-            .render_trajectory(&TrajectoryRequest::new(source, spec).with_mode(ReuseMode::warp()))
-            .expect("one-shot renders");
-        assert_eq!(f1.image, one_shot.frames[1].image);
-        // reset() forgets the path.
-        stream.reset();
-        assert_eq!(stream.next_frame(), 0);
-        assert!(scene.temporal().is_empty());
+        // reset() restarts the path at a full frame 0.
+        a.reset();
+        assert_eq!(a.next_frame(), 0);
+        let (restart, _) = a.advance(&cams[0]);
+        assert_eq!(frame_bits(&restart), frame_bits(&one_shot.frames[0]));
+        assert_eq!(restart.stats, one_shot.frames[0].stats);
+        assert_eq!(b.next_frame(), 3, "resetting one stream leaves the other alone");
     }
 
     #[test]
-    fn respecializing_invalidates_in_flight_warp_state() {
+    fn one_pixel_views_render_through_every_source() {
         let scene = tiny_scene();
-        let spec = TrajectorySpec::orbit(3, 12, 12);
+        let spec = TrajectorySpec::orbit(3, 1, 1);
         let cams = spec.cameras();
-        let source = RenderSource::spnerf_masked();
-        let session = scene.session();
-        let mut stream = session.trajectory_stream(source, ReuseMode::warp());
-        stream.advance(&cams[0]);
-        stream.advance(&cams[1]);
-        assert_eq!(scene.temporal().next_frame(source), 2);
-
-        // Plain clones are the same bundle: they share the in-flight path.
-        assert_eq!(scene.clone().temporal().next_frame(source), 2);
-
-        // Respecializing the SpNeRF stage must start from an empty cache …
-        let respec = scene
-            .with_spnerf(SpNerfConfig { subgrid_count: 2, table_size: 1024, codebook_size: 16 })
-            .expect("respecialize");
-        assert!(respec.temporal().is_empty(), "with_spnerf must invalidate temporal state");
-        // … so the next frame rendered on it is a fresh full render, never
-        // a warp of the old model's buffers.
-        let rs = respec.session();
-        let (frame, _) = rs.trajectory_stream(source, ReuseMode::warp()).advance(&cams[2]);
-        assert_eq!(frame.stats.rays_warped, 0, "stale warp buffers served after with_spnerf");
-        let still =
-            rs.render(&RenderRequest::single(source, cams[2])).expect("fresh still renders");
-        assert_eq!(frame.image, still.images[0]);
-
-        // Same contract for the sparse-format respecialization, which used
-        // to clone the whole bundle wholesale.
-        let refmt = scene.with_sparse_format(FormatSelection::Auto);
-        assert!(refmt.temporal().is_empty(), "with_sparse_format must invalidate temporal state");
-        // The original bundle still has its path in flight.
-        assert_eq!(scene.temporal().next_frame(source), 2);
+        // Every trajectory frame of every source, in both reuse modes.
+        let frames_under = |skip_mode| {
+            let session = scene.session_with(RenderConfig { skip_mode, ..scene.render_config() });
+            let mut images = Vec::new();
+            for source in [
+                RenderSource::GroundTruth,
+                RenderSource::Vqrf,
+                RenderSource::spnerf_masked(),
+                RenderSource::spnerf_unmasked(),
+                RenderSource::Baked,
+            ] {
+                let stills = session
+                    .render(&RenderRequest::batch(source, cams.clone()))
+                    .expect("1x1 stills render");
+                assert_eq!(stills.stats.rays, 3, "{source:?}");
+                for mode in [ReuseMode::Off, ReuseMode::warp()] {
+                    let req = TrajectoryRequest::new(source, spec).with_mode(mode);
+                    let resp = session.render_trajectory(&req).expect("1x1 trajectory renders");
+                    assert_eq!(resp.frames.len(), 3);
+                    for (i, frame) in resp.frames.iter().enumerate() {
+                        let at = format!("{source:?} {mode:?} {skip_mode:?} frame {i}");
+                        assert_eq!((frame.image.width(), frame.image.height()), (1, 1), "{at}");
+                        let px = frame.image.get(0, 0);
+                        assert!(px.x.is_finite() && px.y.is_finite() && px.z.is_finite(), "{at}");
+                        assert_eq!(frame.stats.rays, 1, "{at}");
+                        if mode.is_on() {
+                            assert_eq!(frame.stats.rays_warped + frame.stats.rays_remarched, 1);
+                        }
+                        // Frame 0 and every unwarped frame are still renders.
+                        if i == 0 || !frame.stats.is_warped() {
+                            assert_eq!(frame.image, stills.images[i], "{at}");
+                        }
+                        assert!(frame.validation_error <= WARP_TOLERANCE, "{at}");
+                        images.push(frame.image.clone());
+                    }
+                }
+            }
+            images
+        };
+        assert_eq!(
+            frames_under(SkipMode::mip()),
+            frames_under(SkipMode::Off),
+            "skipping must not change a pixel"
+        );
     }
 
     #[test]
