@@ -1091,6 +1091,7 @@ mod tests {
             ("BENCH_pr19.json", include_str!("../../../BENCH_pr19.json")),
             ("BENCH_pr21.json", include_str!("../../../BENCH_pr21.json")),
             ("BENCH_pr22.json", include_str!("../../../BENCH_pr22.json")),
+            ("BENCH_pr25.json", include_str!("../../../BENCH_pr25.json")),
         ] {
             if let Err(errs) = validate_snapshot_json(text) {
                 panic!("{name} fails the schema: {errs:?}");

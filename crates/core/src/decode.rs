@@ -16,9 +16,11 @@
 //! The masked view also answers the renderer's per-cell probe
 //! ([`VoxelSource::cell_maybe_occupied`]) from the same bitmap, as the
 //! SGPU's Bitmap Lookup Unit does before its Hash Mapping Unit: a sample
-//! whose 8 corners are all unset skips steps 1–3 for every corner. The
-//! probe reads only the bitmap the model already holds, so it adds no
-//! resident bytes.
+//! whose 8 corners are all unset skips steps 1–3 for every corner. Before
+//! that, the renderer clips each sample against the bitmap's occupied box
+//! ([`VoxelSource::occupied_bounds`], found once when the model is built).
+//! Both read only what the model already holds, so they add no resident
+//! structure.
 
 use spnerf_render::source::{VoxelData, VoxelSource};
 use spnerf_voxel::coord::{GridCoord, GridDims};
@@ -122,6 +124,16 @@ impl VoxelSource for SpNerfView<'_> {
         match self.decode(c) {
             DecodeOutcome::Value(v) => Some(v),
             _ => None,
+        }
+    }
+
+    /// Masked: the bitmap's occupied box, sound because the masked decode
+    /// support is a subset of the bitmap. Unmasked: no box, because hash
+    /// collisions decode at empty voxels anywhere in the grid.
+    fn occupied_bounds(&self) -> Option<(GridCoord, GridCoord)> {
+        match self.mode {
+            MaskMode::Masked => self.model.occupied_bounds(),
+            MaskMode::Unmasked => None,
         }
     }
 

@@ -51,6 +51,9 @@ pub struct SpNerfModel {
     kept: QuantizedTensor,
     density_scale: f32,
     bitmap: Bitmap,
+    /// [`Bitmap::occupied_bounds`] of `bitmap`, found once at build: the
+    /// model is immutable, so its occupied set never moves.
+    occupied_bounds: Option<(GridCoord, GridCoord)>,
     report: PreprocessReport,
 }
 
@@ -81,6 +84,7 @@ impl SpNerfModel {
         for p in vqrf.points() {
             bitmap.set(p.coord, true);
         }
+        let occupied_bounds = bitmap.occupied_bounds();
         Ok(Self {
             cfg: *cfg,
             dims: vqrf.dims(),
@@ -90,6 +94,7 @@ impl SpNerfModel {
             kept: vqrf.kept_quant().clone(),
             density_scale: vqrf.density_quant().params().scale(),
             bitmap,
+            occupied_bounds,
             report,
         })
     }
@@ -117,6 +122,12 @@ impl SpNerfModel {
     /// The occupancy bitmap used for masking.
     pub fn bitmap(&self) -> &Bitmap {
         &self.bitmap
+    }
+
+    /// Inclusive bounds of the bitmap's set vertices
+    /// ([`Bitmap::occupied_bounds`]), or `None` for an empty model.
+    pub(crate) fn occupied_bounds(&self) -> Option<(GridCoord, GridCoord)> {
+        self.occupied_bounds
     }
 
     /// Preprocessing statistics (collisions, load factors).

@@ -71,10 +71,10 @@ pub const BACKGROUND: Vec3 = Vec3::ONE;
 /// Empty-space skipping policy of the ray marcher.
 ///
 /// Skipping is **provably safe**: a sample is skipped only when the
-/// occupancy pyramid proves all 8 corners of its interpolation cell are
-/// unoccupied — exactly the samples whose interpolated density would be
-/// `≤ 0` and contribute nothing. Rendered images are therefore
-/// bitwise-identical to [`SkipMode::Off`]; only
+/// source's occupied box or its occupancy pyramid proves all 8 corners of
+/// its interpolation cell are unoccupied — exactly the samples whose
+/// interpolated density would be `≤ 0` and contribute nothing. Rendered
+/// images are therefore bitwise-identical to [`SkipMode::Off`]; only
 /// [`RenderStats::samples_marched`] (and the cycles/DRAM traffic derived
 /// from it) drops, mirroring how the paper's pruning removes work without
 /// changing output.
@@ -225,10 +225,11 @@ pub struct RenderStats {
     pub samples_shaded: usize,
     /// Rays that hit the early-termination threshold.
     pub rays_terminated_early: usize,
-    /// Sample positions the occupancy pyramid proved empty and skipped
-    /// without decoding (always 0 under [`SkipMode::Off`]). Skipped samples
-    /// are charged no GID/MLP work — `samples_marched + samples_skipped`
-    /// is invariant across skip modes.
+    /// Sample positions a skipping ray settled empty without decoding:
+    /// outside the source's occupied box, or in a block its occupancy
+    /// pyramid proves empty (always 0 under [`SkipMode::Off`]). Skipped
+    /// samples are charged no GID/MLP work — `samples_marched +
+    /// samples_skipped` is invariant across skip modes.
     pub samples_skipped: usize,
     /// Per-pixel deferred-MLP evaluations (one per ray that shaded at
     /// least one sample). Always 0 under [`Shader::PerSample`]; under
@@ -377,6 +378,46 @@ impl RenderFrame {
     }
 }
 
+/// The grid-space box one ray clips its samples against: the source's
+/// [`VoxelSource::occupied_bounds`] dilated by 1.5 vertices per axis, or
+/// all of space when the source knows no box.
+///
+/// Dilation bound: a contributing sample has a cell corner on an occupied
+/// vertex, so its base ∈ [lo−1, hi] and its (unclamped) grid position ∈
+/// [lo−1.5, hi+1.5] per axis ([`locate_cell`] admits positions up to 0.5
+/// outside the cell lattice). Small-integer ±1.5 arithmetic is exact in
+/// f32, so the test never rounds a contributing sample out.
+struct Clip {
+    lo: Vec3,
+    hi: Vec3,
+}
+
+impl Clip {
+    fn of<S: VoxelSource + ?Sized>(source: &S) -> Self {
+        match source.occupied_bounds() {
+            Some((lo, hi)) => Self {
+                lo: Vec3::new(lo.x as f32, lo.y as f32, lo.z as f32) - Vec3::splat(1.5),
+                hi: Vec3::new(hi.x as f32, hi.y as f32, hi.z as f32) + Vec3::splat(1.5),
+            },
+            None => Self { lo: Vec3::splat(f32::NEG_INFINITY), hi: Vec3::splat(f32::INFINITY) },
+        }
+    }
+
+    /// Whether grid position `g` lies outside the box, where no cell
+    /// corner can reach an occupied vertex. Written as `<`/`>` so that a
+    /// NaN coordinate is never excluded: it goes on to [`locate_cell`], as
+    /// it would without a box.
+    #[inline]
+    fn excludes(&self, g: Vec3) -> bool {
+        (g.x < self.lo.x)
+            | (g.y < self.lo.y)
+            | (g.z < self.lo.z)
+            | (g.x > self.hi.x)
+            | (g.y > self.hi.y)
+            | (g.z > self.hi.z)
+    }
+}
+
 /// Per-ray empty-space skipper: the DDA-style coarse traversal state over a
 /// source's [`OccupancyMip`].
 ///
@@ -385,14 +426,12 @@ impl RenderFrame {
 /// an *integer* statement about that cell's 8 corners — never a float
 /// extrapolation along the ray. That is what makes skipping provably
 /// pixel-exact: every skipped sample would have interpolated to density
-/// `≤ 0` and hit the `continue` branch anyway.
+/// `≤ 0` and hit the `continue` branch anyway. The ray's [`Clip`] has
+/// already settled every sample outside the occupied box; on an empty
+/// pyramid (no box) the top block is unset, so every in-grid sample skips
+/// here.
 struct EmptySkipper<'a> {
     mip: &'a OccupancyMip,
-    /// Conservative grid-space occupied box (the mip's occupied AABB
-    /// dilated by the cell + boundary-clamp reach of 1.5 vertices);
-    /// positions outside cannot contribute. `None` when the grid is
-    /// entirely empty.
-    clip: Option<(Vec3, Vec3)>,
     /// Inclusive cell-base range of the last empty macro-block found —
     /// successive samples inside it skip on three integer range checks,
     /// without re-descending the pyramid.
@@ -402,38 +441,13 @@ struct EmptySkipper<'a> {
 impl<'a> EmptySkipper<'a> {
     /// A skipper over `mip` with nothing cached yet.
     fn new(mip: &'a OccupancyMip) -> Self {
-        // Dilation bound: a contributing sample has a cell corner on an
-        // occupied vertex, so its base ∈ [lo−1, hi] and its (unclamped)
-        // grid position ∈ [lo−1.5, hi+1.5] per axis (locate_cell admits
-        // positions up to 0.5 outside the cell lattice). Small-integer ±1.5
-        // arithmetic is exact in f32, so the containment test below never
-        // rounds a contributing sample out.
-        let clip = mip.occupied_bounds().map(|(lo, hi)| {
-            (
-                Vec3::new(lo.x as f32, lo.y as f32, lo.z as f32) - Vec3::splat(1.5),
-                Vec3::new(hi.x as f32, hi.y as f32, hi.z as f32) + Vec3::splat(1.5),
-            )
-        });
-        Self { mip, clip, cached: None }
+        Self { mip, cached: None }
     }
 
     /// Decides one sample at continuous grid position `g`: its located cell
     /// when it must be marched, `None` when it is provably empty. Only the
     /// base decides, so a skipped sample never pays for its weights.
     fn admit(&mut self, dims: GridDims, g: Vec3) -> Option<CellLocation> {
-        // Ray-interval clipping against the occupied AABB: outside the
-        // dilated box no cell corner can reach an occupied vertex.
-        match self.clip {
-            None => return None,
-            Some((lo, hi)) => {
-                if g.x < lo.x || g.y < lo.y || g.z < lo.z {
-                    return None;
-                }
-                if g.x > hi.x || g.y > hi.y || g.z > hi.z {
-                    return None;
-                }
-            }
-        }
         // Outside the grid the interpolated sample is empty by definition.
         let at = locate_cell(dims, g)?;
         let b = at.base;
@@ -482,12 +496,17 @@ impl Marched {
 /// rest, and hands each positive-density sample to `shade` with its alpha
 /// and front-to-back weight `T·α` (taken before the sample updates `T`).
 ///
-/// Each sample is *located, probed, then weighed*, as the SGPU's Bitmap
-/// Lookup Unit answers before any per-vertex work: [`locate_cell`] finds
-/// the cell base, the skipper (under [`SkipMode::Mip`]) and the source's
-/// [`VoxelSource::cell_maybe_occupied`] probe decide from the base alone,
-/// and only a cell that survives both gets its 8 weights and its gather
-/// ([`interpolate_located`]).
+/// Each sample is *clipped, located, skipped, probed, then weighed*, as the
+/// SGPU's Bitmap Lookup Unit answers before any per-vertex work: the ray's
+/// [`Clip`] (the source's [`VoxelSource::occupied_bounds`]) settles a
+/// sample outside the occupied box with six compares, [`locate_cell`]
+/// finds the cell base of the rest, the skipper (under [`SkipMode::Mip`])
+/// and the source's [`VoxelSource::cell_maybe_occupied`] probe decide from
+/// the base alone, and only a cell that survives both gets its 8 weights
+/// and its gather ([`interpolate_located`]). A sample settled before the
+/// probe counts in [`RenderStats::samples_skipped`] when the ray has a
+/// skipper, and in [`RenderStats::samples_marched`] otherwise, as the
+/// hardware model marches it.
 ///
 /// `shade` must update the accumulator's transmittance exactly once
 /// ([`RayAccumulator::add_sample`] or [`RayAccumulator::attenuate`]). The
@@ -501,6 +520,7 @@ fn march_ray<S: VoxelSource + ?Sized>(
     mut shade: impl FnMut(&mut RayAccumulator, f32, f32, &InterpSample),
 ) -> Marched {
     let dims = source.dims();
+    let clip = Clip::of(source);
     let mut skipper = match cfg.skip_mode {
         SkipMode::Off => None,
         SkipMode::Mip => source.occupancy_mip().map(EmptySkipper::new),
@@ -510,21 +530,25 @@ fn march_ray<S: VoxelSource + ?Sized>(
     let mut depth_sum = 0.0f32;
     for (t, pos) in UniformSampler::new(ray, &frame.aabb, frame.step) {
         let g = frame.grid.world_to_grid(pos);
-        let located = match &mut skipper {
-            Some(skipper) => match skipper.admit(dims, g) {
-                Some(at) => Some(at),
-                None => {
-                    stats.samples_skipped += 1;
-                    continue;
-                }
-            },
-            None => locate_cell(dims, g),
+        let located = if clip.excludes(g) {
+            None
+        } else {
+            match &mut skipper {
+                Some(skipper) => skipper.admit(dims, g),
+                None => locate_cell(dims, g),
+            }
+        };
+        let Some(at) = located else {
+            // The empty sample, settled before any probe.
+            if skipper.is_some() {
+                stats.samples_skipped += 1;
+            } else {
+                stats.samples_marched += 1;
+            }
+            continue;
         };
         stats.samples_marched += 1;
-        let sample = match located {
-            Some(at) => interpolate_located(source, &at),
-            None => InterpSample::empty(),
-        };
+        let sample = interpolate_located(source, &at);
         if sample.density <= 0.0 {
             continue;
         }
@@ -563,10 +587,10 @@ fn march_ray<S: VoxelSource + ?Sized>(
 ///   baked specular feature, and pays one [`DeferredMlp`] evaluation per
 ///   ray ([`RenderStats::pixels_shaded`]), ray by ray.
 /// * Under [`SkipMode::Mip`] (and a source carrying an occupancy pyramid)
-///   samples in provably-empty macro-blocks are skipped: they are counted
-///   in [`RenderStats::samples_skipped`] instead of
-///   [`RenderStats::samples_marched`], and the color is bitwise-identical
-///   to [`SkipMode::Off`].
+///   samples outside the occupied box or in provably-empty macro-blocks
+///   are skipped: they are counted in [`RenderStats::samples_skipped`]
+///   instead of [`RenderStats::samples_marched`], and the color is
+///   bitwise-identical to [`SkipMode::Off`].
 /// * The depth is a pure side accumulation next to the color, so tracking
 ///   it never changes a composited pixel.
 pub fn trace_rays<S: VoxelSource + ?Sized>(
@@ -1064,6 +1088,61 @@ mod tests {
                 }
             }
             assert!(admitted > 0, "{dims}: something must be admitted");
+        }
+    }
+
+    #[test]
+    fn the_clip_never_excludes_a_contributing_position() {
+        // Positions up to two cells outside the grid. A slab one vertex
+        // short of the far x face is where `locate_cell`'s clamp reaches
+        // furthest past the box (a position up to 0.5 beyond the last
+        // vertex still weighs the slab by about 1e-4), and a 1-thick axis
+        // admits positions 0.5 either side of its one plane. Every position
+        // the clip excludes must interpolate to the empty sample.
+        use crate::interp::{interpolate_cell_scalar, trilinear_cell};
+        use crate::source::WithOccupancy;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let fill = |dims: GridDims, occupied: &dyn Fn(GridCoord) -> bool| {
+            let mut grid = DenseGrid::zeros(dims);
+            for c in dims.iter().filter(|&c| occupied(c)) {
+                grid.set_density(c, 1.0);
+            }
+            grid
+        };
+        let grids = [
+            fill(GridDims::cube(8), &|c| c.x == 6),
+            fill(GridDims::new(6, 1, 5), &|c| (2..4).contains(&c.x) && c.z >= 1),
+            build_grid(SceneId::Mic, 24),
+        ];
+        let mut rng = StdRng::seed_from_u64(11);
+        for grid in grids {
+            let dims = grid.dims();
+            let clip = Clip::of(&WithOccupancy::build(&grid));
+            let around = |rng: &mut StdRng, n: u32| rng.gen::<f32>() * (n as f32 + 3.0) - 2.0;
+            let (mut excluded, mut kept) = (0, 0);
+            for _ in 0..20_000 {
+                let g = Vec3::new(
+                    around(&mut rng, dims.nx),
+                    around(&mut rng, dims.ny),
+                    around(&mut rng, dims.nz),
+                );
+                if !clip.excludes(g) {
+                    kept += 1;
+                    continue;
+                }
+                excluded += 1;
+                if let Some(cell) = trilinear_cell(dims, g) {
+                    let density = interpolate_cell_scalar(&grid, &cell).density;
+                    assert!(density <= 0.0, "{dims}: the clip excluded {g:?} of density {density}");
+                }
+            }
+            assert!(excluded > 0 && kept > 0, "{dims}: the clip must cut somewhere");
+        }
+        // With no box, nothing is excluded, not even a NaN position.
+        let clip = Clip::of(&DenseGrid::zeros(GridDims::cube(4)));
+        for g in [Vec3::splat(-1e30), Vec3::splat(1e30), Vec3::splat(f32::NAN)] {
+            assert!(!clip.excludes(g), "{g:?}");
         }
     }
 

@@ -7,9 +7,12 @@
 //! `spnerf-core`). PSNR differences between variants are then attributable
 //! purely to the data path, mirroring the paper's Fig. 6(b) methodology.
 //!
-//! Two optional queries let a source tell the renderer where it is empty,
-//! and both default to "no information":
+//! Three optional queries let a source tell the renderer where it is empty,
+//! and all three default to "no information":
 //!
+//! * [`VoxelSource::occupied_bounds`], an inclusive vertex box the ray
+//!   marcher clips every sample against before it locates the sample's
+//!   cell — the masked SpNeRF view answers it from its bitmap;
 //! * [`VoxelSource::occupancy_mip`], a pyramid the ray marcher skips whole
 //!   empty macro-blocks with (under [`crate::renderer::SkipMode::Mip`]);
 //! * [`VoxelSource::cell_maybe_occupied`], a per-cell probe the ray marcher
@@ -46,6 +49,19 @@ pub trait VoxelSource {
     /// Fetches the voxel at `c`; `None` when the vertex is empty or out of
     /// bounds.
     fn fetch(&self, c: GridCoord) -> Option<VoxelData>;
+
+    /// An inclusive vertex box `(lo, hi)` holding every vertex where
+    /// [`VoxelSource::fetch`] returns `Some`, if the source knows one.
+    ///
+    /// The ray marcher clips each sample against this box, dilated by the
+    /// 1.5-vertex reach of an interpolation cell, before it locates the
+    /// cell: a sample outside it is the empty sample. **Contract:** the box
+    /// must hold every vertex `fetch` returns data for; `None` (the
+    /// default) promises nothing. A box that is too large only costs work,
+    /// and one that leaves out a fetched vertex changes pixels.
+    fn occupied_bounds(&self) -> Option<(GridCoord, GridCoord)> {
+        None
+    }
 
     /// An occupancy pyramid over this source's support, if one is attached.
     ///
@@ -150,6 +166,10 @@ impl<T: VoxelSource + ?Sized> VoxelSource for &T {
         (**self).fetch(c)
     }
 
+    fn occupied_bounds(&self) -> Option<(GridCoord, GridCoord)> {
+        (**self).occupied_bounds()
+    }
+
     fn occupancy_mip(&self) -> Option<&OccupancyMip> {
         (**self).occupancy_mip()
     }
@@ -224,6 +244,12 @@ impl<S: VoxelSource> VoxelSource for WithOccupancy<S> {
 
     fn fetch(&self, c: GridCoord) -> Option<VoxelData> {
         self.source.fetch(c)
+    }
+
+    /// The pyramid's bounds: its base covers the source's support, so its
+    /// box holds every fetched vertex.
+    fn occupied_bounds(&self) -> Option<(GridCoord, GridCoord)> {
+        self.mip.occupied_bounds()
     }
 
     fn occupancy_mip(&self) -> Option<&OccupancyMip> {
@@ -309,6 +335,12 @@ mod tests {
         assert_eq!(w.fetch(GridCoord::new(2, 2, 2)), g.fetch(GridCoord::new(2, 2, 2)));
         let mip = w.occupancy_mip().expect("pyramid attached");
         assert_eq!(mip.base().count_ones(), 1);
+        // The wrapper answers its pyramid's box, which the bare grid does
+        // not know.
+        let at = GridCoord::new(2, 2, 2);
+        assert_eq!(w.occupied_bounds(), Some((at, at)));
+        assert_eq!(w.occupied_bounds(), mip.occupied_bounds());
+        assert_eq!(g.occupied_bounds(), None);
         // The reference forwarding impl must forward the pyramid too, or
         // skipping silently turns off behind `&`-indirection.
         let r = &w;
@@ -334,5 +366,11 @@ mod tests {
         let r: &DenseGrid = &g;
         assert_eq!(r.dims(), g.dims());
         assert_eq!(r.fetch(GridCoord::new(1, 1, 1)), g.fetch(GridCoord::new(1, 1, 1)));
+        // The box is forwarded, or clipping silently turns off behind `&`.
+        let w = WithOccupancy::build(&g);
+        let r = &w;
+        let at = GridCoord::new(1, 1, 1);
+        assert_eq!(VoxelSource::occupied_bounds(&r), Some((at, at)));
+        assert_eq!(VoxelSource::occupied_bounds(&&g), None);
     }
 }

@@ -9,11 +9,12 @@
 //! over a baked grid it is the baked diffuse color, the specular feature is
 //! accumulated with `accumulate_weighted`, and one
 //! `DeferredMlp::forward_scalar` per shaded pixel adds view dependence
-//! scaled by the ray's opacity. The renderer instead locates each sample,
-//! probes its cell base, weighs only cells that survive, queues shaded
-//! samples and shades them eight per pass; none of that may move a bit of
-//! color, depth or any counter. The goldens pin the march at one
-//! configuration; this pins it against its definition.
+//! scaled by the ray's opacity. The renderer instead clips each sample
+//! against the source's occupied box, locates it, probes its cell base,
+//! weighs only cells that survive, queues shaded samples and shades them
+//! eight per pass; none of that may move a bit of color, depth or any
+//! counter. The goldens pin the march at one configuration; this pins it
+//! against its definition.
 
 use spnerf_core::MaskMode;
 use spnerf_render::bake::bake;
@@ -27,12 +28,13 @@ use spnerf_render::renderer::{
     SkipMode, BACKGROUND, DENSITY_SCALE, RAY_DIAGONAL_FACTOR,
 };
 use spnerf_render::scene::{default_camera, scene_aabb, SceneId};
-use spnerf_render::source::{VoxelData, VoxelSource, WithOccupancy};
+use spnerf_render::source::{support_bitmap, VoxelData, VoxelSource, WithOccupancy};
 use spnerf_render::vec3::Vec3;
 use spnerf_testkit::corpus::{generate, Corpus};
 use spnerf_testkit::fixtures;
 use spnerf_voxel::baked::{DIFFUSE_DIM, SPEC_DIM};
 use spnerf_voxel::coord::{GridCoord, GridDims};
+use spnerf_voxel::grid::DenseGrid;
 use spnerf_voxel::FEATURE_DIM;
 
 /// One ray as the oracle defines it.
@@ -288,4 +290,164 @@ fn a_march_that_drops_maybe_cells_fails_the_oracle() {
     let err = check_view(&masked, &DropsMaybeCells(masked), shader, &camera, &cfg)
         .expect_err("a march that drops occupied cells must fail the oracle");
     assert!(err.starts_with("pixel"), "the per-ray check must catch it: {err}");
+}
+
+/// A source whose occupied box leaves out its inner source's far x plane
+/// of occupied vertices: a march that trusts it clips away samples that
+/// plane contributes to.
+struct LeavesOutAPlane<S>(S);
+
+impl<S: VoxelSource> VoxelSource for LeavesOutAPlane<S> {
+    fn dims(&self) -> GridDims {
+        self.0.dims()
+    }
+
+    fn fetch(&self, c: GridCoord) -> Option<VoxelData> {
+        self.0.fetch(c)
+    }
+
+    fn occupied_bounds(&self) -> Option<(GridCoord, GridCoord)> {
+        let (lo, hi) = self.0.occupied_bounds()?;
+        Some((lo, GridCoord::new(hi.x - 1, hi.y, hi.z)))
+    }
+
+    fn cell_maybe_occupied(&self, base: GridCoord) -> bool {
+        self.0.cell_maybe_occupied(base)
+    }
+}
+
+#[test]
+fn a_march_that_trusts_lying_bounds_fails_the_oracle() {
+    let (_grid, _vqrf, model) = fixtures::dataset_fixture(SceneId::Mic, 24, 32, 8, 4096);
+    let mlp = Mlp::random(fixtures::MLP_SEED);
+    let masked = model.view(MaskMode::Masked);
+    assert!(masked.occupied_bounds().is_some(), "the masked view has a box to lie about");
+    let camera = default_camera(16, 16, 1, 8);
+    let cfg = cfg(48, SkipMode::Off);
+    let shader = Shader::PerSample(&mlp);
+    check_view(&masked, &masked, shader, &camera, &cfg).expect("the honest march is the oracle");
+    let err = check_view(&masked, &LeavesOutAPlane(masked), shader, &camera, &cfg)
+        .expect_err("a march that clips away an occupied plane must fail the oracle");
+    assert!(err.starts_with("pixel"), "the per-ray check must catch it: {err}");
+}
+
+/// A grid of `dims` with density (and position-dependent features) on
+/// every vertex `occupied` admits.
+fn grid_where(dims: GridDims, occupied: impl Fn(GridCoord) -> bool) -> DenseGrid {
+    let mut grid = DenseGrid::zeros(dims);
+    for c in dims.iter().filter(|&c| occupied(c)) {
+        grid.set_density(c, 0.6 + 0.02 * (c.x + c.y + c.z) as f32);
+        let f: Vec<f32> = (0..FEATURE_DIM as u32)
+            .map(|j| ((c.x * 3 + c.y * 5 + c.z * 7 + j) % 11) as f32 / 10.0)
+            .collect();
+        grid.set_features(c, &f);
+    }
+    grid
+}
+
+#[test]
+fn the_clip_holds_at_the_grid_edges() {
+    let mlp = Mlp::random(fixtures::MLP_SEED);
+    let shader = Shader::PerSample(&mlp);
+    let n = 16;
+    let mid = |v: u32| (n / 2 - 2..=n / 2 + 1).contains(&v);
+    let at = GridCoord::new;
+    let cases: [(&str, DenseGrid, usize, (GridCoord, GridCoord)); 5] = [
+        // Three rods through the centre, each spanning its axis: the
+        // occupied vertices touch all six faces, so the dilated box reaches
+        // past the grid on every side.
+        (
+            "six faces",
+            grid_where(GridDims::cube(n), |c| {
+                [mid(c.x) && mid(c.y), mid(c.y) && mid(c.z), mid(c.x) && mid(c.z)].contains(&true)
+            }),
+            4,
+            (at(0, 0, 0), at(n - 1, n - 1, n - 1)),
+        ),
+        // A 3×3×3 cluster in the far corner, everything else empty.
+        (
+            "corner cluster",
+            grid_where(GridDims::cube(n), |c| c.x >= n - 3 && c.y >= n - 3 && c.z >= n - 3),
+            4,
+            (at(n - 3, n - 3, n - 3), at(n - 1, n - 1, n - 1)),
+        ),
+        // 1-thick axes, with a box smaller than the grid on the other two.
+        (
+            "1-thick x",
+            grid_where(GridDims::new(1, n, n), |c| {
+                (3..12).contains(&c.y) && (5..14).contains(&c.z)
+            }),
+            1,
+            (at(0, 3, 5), at(0, 11, 13)),
+        ),
+        (
+            "1-thick y",
+            grid_where(GridDims::new(n, 1, n), |c| {
+                (6..13).contains(&c.x) && (1..10).contains(&c.z)
+            }),
+            4,
+            (at(6, 0, 1), at(12, 0, 9)),
+        ),
+        (
+            "1-thick z",
+            grid_where(GridDims::new(n, n, 1), |c| (2..9).contains(&c.x) && (4..15).contains(&c.y)),
+            4,
+            (at(2, 4, 0), at(8, 14, 0)),
+        ),
+    ];
+    for (i, (name, grid, subgrids, bounds)) in cases.into_iter().enumerate() {
+        let (grid, _vqrf, model) = fixtures::model_fixture(grid, 8, subgrids, 4096);
+        let masked = model.view(MaskMode::Masked);
+        assert_eq!(masked.occupied_bounds(), Some(bounds), "{name}");
+        let camera = default_camera(16, 16, i, 5);
+        for (source, result) in [
+            ("masked", check_both_modes(masked, shader, &camera)),
+            ("ground truth", check_both_modes(&grid, shader, &camera)),
+        ] {
+            if let Err(e) = result {
+                panic!("{name}, {source}: {e}");
+            }
+        }
+    }
+}
+
+#[test]
+fn an_empty_pyramid_skips_every_sample() {
+    // No occupied vertex, so the pyramid has no box: the skipper alone
+    // settles every sample, in the grid (its top block is unset) and out
+    // of it (no cell to locate).
+    let grid = DenseGrid::zeros(GridDims::cube(16));
+    let mlp = Mlp::random(fixtures::MLP_SEED);
+    let camera = default_camera(16, 16, 2, 5);
+    let skippable = WithOccupancy::build(&grid);
+    assert_eq!(skippable.occupied_bounds(), None);
+    let off = check_view(&grid, &grid, (&mlp).into(), &camera, &cfg(48, SkipMode::Off)).unwrap();
+    let mip =
+        check_view(&grid, &skippable, (&mlp).into(), &camera, &cfg(48, SkipMode::mip())).unwrap();
+    assert_eq!(off.samples_shaded, 0);
+    assert!(off.samples_marched > 0, "the view's rays cross the grid");
+    assert_eq!(mip.samples_marched, 0, "an empty pyramid leaves nothing to march");
+    assert_eq!(mip.samples_skipped, off.samples_marched);
+}
+
+#[test]
+fn every_source_keeps_the_bounds_contract() {
+    // Only the masked view knows a box; it is its bitmap's, and it holds
+    // the view's exact decode support. Every other source answers `None`.
+    for spec in Corpus::quick() {
+        let (grid, vqrf, model) = fixtures::corpus_fixture(&spec, 32, 8, 4096);
+        let label = spec.label();
+        let masked = model.view(MaskMode::Masked);
+        let bounds = masked.occupied_bounds();
+        assert_eq!(bounds, model.bitmap().occupied_bounds(), "{label}");
+        let (lo, hi) = bounds.expect("every archetype occupies something");
+        let (slo, shi) = support_bitmap(&masked).occupied_bounds().expect("the view decodes");
+        assert!(lo.x <= slo.x && lo.y <= slo.y && lo.z <= slo.z, "{label}: {lo} above {slo}");
+        assert!(shi.x <= hi.x && shi.y <= hi.y && shi.z <= hi.z, "{label}: {shi} past {hi}");
+        assert_eq!(model.view(MaskMode::Unmasked).occupied_bounds(), None, "{label}");
+        assert_eq!(grid.occupied_bounds(), None, "{label}");
+        assert_eq!(vqrf.occupied_bounds(), None, "{label}");
+        let baked = bake(&grid, &Mlp::random(fixtures::MLP_SEED));
+        assert_eq!(baked.occupied_bounds(), None, "{label}");
+    }
 }

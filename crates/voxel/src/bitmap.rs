@@ -152,6 +152,28 @@ impl Bitmap {
         }
     }
 
+    /// Inclusive bounds `(lo, hi)` of the set vertices, or `None` when no
+    /// bit is set.
+    ///
+    /// This is the codebase's one computation of an occupied box: the
+    /// occupancy pyramid and the SpNeRF model both take theirs from here.
+    /// It scans the packed words once, skips zero words whole, and locates
+    /// only the set bits of the others.
+    pub fn occupied_bounds(&self) -> Option<(GridCoord, GridCoord)> {
+        let mut bounds: Option<(GridCoord, GridCoord)> = None;
+        for (w, &word) in self.words.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let c = self.dims.coord_of(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+                let (lo, hi) = bounds.get_or_insert((c, c));
+                *lo = GridCoord::new(lo.x.min(c.x), lo.y.min(c.y), lo.z.min(c.z));
+                *hi = GridCoord::new(hi.x.max(c.x), hi.y.max(c.y), hi.z.max(c.z));
+            }
+        }
+        bounds
+    }
+
     /// Number of set bits (occupied voxels).
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
@@ -269,6 +291,40 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn occupied_bounds_is_the_box_of_the_set_vertices() {
+        // Against a per-vertex reference, on the grids `any_in_cell` is
+        // checked on: every single-bit bitmap (each word boundary of the
+        // 130-long z axis with only one side set), one random fill, and
+        // the all-zero bitmap.
+        let reference = |b: &Bitmap| {
+            let set: Vec<GridCoord> = b.dims().iter().filter(|&c| b.get(c)).collect();
+            let min = |f: fn(&GridCoord) -> u32| set.iter().map(f).min();
+            let max = |f: fn(&GridCoord) -> u32| set.iter().map(f).max();
+            Some((
+                GridCoord::new(min(|c| c.x)?, min(|c| c.y)?, min(|c| c.z)?),
+                GridCoord::new(max(|c| c.x)?, max(|c| c.y)?, max(|c| c.z)?),
+            ))
+        };
+        for dims in [GridDims::new(5, 7, 9), GridDims::new(2, 3, 130), GridDims::new(1, 1, 130)] {
+            let mut random = Bitmap::zeros(dims);
+            let mut state = 0x9e37_79b9_7f4a_7c15u64;
+            for i in 0..random.len() {
+                state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                random.set_index(i, state >> 61 == 0);
+            }
+            assert!(random.count_ones() > 1, "{dims}: the random fill sets bits");
+            for i in 0..dims.len() {
+                let mut single = Bitmap::zeros(dims);
+                single.set_index(i, true);
+                let c = dims.coord_of(i);
+                assert_eq!(single.occupied_bounds(), Some((c, c)), "bit {c} in {dims}");
+            }
+            assert_eq!(random.occupied_bounds(), reference(&random), "random fill in {dims}");
+            assert_eq!(Bitmap::zeros(dims).occupied_bounds(), None, "all-zero {dims}");
         }
     }
 

@@ -58,8 +58,7 @@ use crate::coord::{GridCoord, GridDims};
 pub struct OccupancyMip {
     /// `levels[0]` is the fine bitmap; `levels[k]` the level-`k` block map.
     levels: Vec<Bitmap>,
-    /// Inclusive bounds of the set vertices, `None` when the bitmap is
-    /// all-zero.
+    /// [`Bitmap::occupied_bounds`] of `levels[0]`.
     occupied_bounds: Option<(GridCoord, GridCoord)>,
 }
 
@@ -76,19 +75,7 @@ impl OccupancyMip {
     /// the grid).
     pub fn build(bitmap: Bitmap) -> Self {
         let base_dims = bitmap.dims();
-        let mut occupied_bounds: Option<(GridCoord, GridCoord)> = None;
-        for c in base_dims.iter() {
-            if bitmap.get(c) {
-                occupied_bounds = Some(match occupied_bounds {
-                    None => (c, c),
-                    Some((lo, hi)) => (
-                        GridCoord::new(lo.x.min(c.x), lo.y.min(c.y), lo.z.min(c.z)),
-                        GridCoord::new(hi.x.max(c.x), hi.y.max(c.y), hi.z.max(c.z)),
-                    ),
-                });
-            }
-        }
-
+        let occupied_bounds = bitmap.occupied_bounds();
         let mut levels = vec![bitmap];
         let mut k = 1u32;
         loop {
@@ -152,9 +139,10 @@ impl OccupancyMip {
         self.levels[level].get_clamped(block)
     }
 
-    /// Inclusive bounds `(lo, hi)` of the occupied vertex set, or `None`
-    /// when the grid is entirely empty. This is the occupied AABB the
-    /// renderer clips ray intervals against.
+    /// Inclusive bounds `(lo, hi)` of the occupied vertex set
+    /// ([`Bitmap::occupied_bounds`] of the base, kept from the build), or
+    /// `None` when the grid is entirely empty. A source that carries this
+    /// pyramid answers the renderer's occupied box with it.
     pub fn occupied_bounds(&self) -> Option<(GridCoord, GridCoord)> {
         self.occupied_bounds
     }
