@@ -13,17 +13,16 @@
 //! [`MaskMode::Unmasked`] disables step 3, reproducing the paper's
 //! "SpNeRF before bitmap masking" ablation of Fig. 6(b).
 //!
-//! The masked view also answers the renderer's per-cell probe
-//! ([`VoxelSource::cell_maybe_occupied`]) from the same bitmap, as the
-//! SGPU's Bitmap Lookup Unit does before its Hash Mapping Unit: a sample
-//! whose 8 corners are all unset skips steps 1–3 for every corner. Before
-//! that, the renderer clips each sample against the bitmap's occupied box
-//! ([`VoxelSource::occupied_bounds`], found once when the model is built).
-//! Both read only what the model already holds, so they add no resident
-//! structure.
+//! The masked view also answers the renderer's one emptiness query
+//! ([`VoxelSource::occupancy_mip`]) with the model's bitmap pyramid
+//! ([`SpNerfModel::occupancy`], built once with the model), as the SGPU's
+//! Bitmap Lookup Unit answers before its Hash Mapping Unit: the renderer
+//! clips each sample against the bitmap's occupied box, and a sample whose
+//! 8 corners are all unset skips steps 1–3 for every corner.
 
 use spnerf_render::source::{VoxelData, VoxelSource};
 use spnerf_voxel::coord::{GridCoord, GridDims};
+use spnerf_voxel::mip::OccupancyMip;
 
 use crate::model::SpNerfModel;
 
@@ -69,13 +68,14 @@ impl<'a> SpNerfView<'a> {
     /// [`SpNerfView::decode`] produces a value.
     ///
     /// Under [`MaskMode::Masked`] this is a *subset* of the model's pruned
-    /// bitmap (quantized-to-zero densities and empty slots drop out); under
+    /// bitmap (quantized-to-zero densities and empty slots drop out), so
+    /// the masked view skips against the bitmap's own pyramid
+    /// ([`SpNerfModel::occupancy`]), which covers it. Under
     /// [`MaskMode::Unmasked`] it is a *superset* (hash collisions at empty
-    /// voxels decode to their winner's data). This is the bitmap the
-    /// renderer's empty-space-skipping pyramid
-    /// ([`spnerf_voxel::mip::OccupancyMip`]) must be built from — using the
-    /// pruned bitmap for the unmasked ablation would skip over collision
-    /// artifacts and change pixels.
+    /// voxels decode to their winner's data): this is the bitmap the
+    /// unmasked ablation's pyramid ([`OccupancyMip`]) must be built from —
+    /// using the pruned bitmap there would skip over collision artifacts
+    /// and change pixels.
     pub fn support_bitmap(&self) -> spnerf_voxel::bitmap::Bitmap {
         spnerf_render::source::support_bitmap(self)
     }
@@ -127,23 +127,13 @@ impl VoxelSource for SpNerfView<'_> {
         }
     }
 
-    /// Masked: the bitmap's occupied box, sound because the masked decode
-    /// support is a subset of the bitmap. Unmasked: no box, because hash
+    /// Masked: the model's bitmap pyramid, sound because the masked decode
+    /// support is a subset of the bitmap. Unmasked: none, because hash
     /// collisions decode at empty voxels anywhere in the grid.
-    fn occupied_bounds(&self) -> Option<(GridCoord, GridCoord)> {
+    fn occupancy_mip(&self) -> Option<&OccupancyMip> {
         match self.mode {
-            MaskMode::Masked => self.model.occupied_bounds(),
+            MaskMode::Masked => Some(self.model.occupancy()),
             MaskMode::Unmasked => None,
-        }
-    }
-
-    /// Masked: one bitmap probe of the cell's 8 corners, sound because the
-    /// masked decode support is a subset of the bitmap. Unmasked: always
-    /// "maybe", because hash collisions decode at empty voxels.
-    fn cell_maybe_occupied(&self, base: GridCoord) -> bool {
-        match self.mode {
-            MaskMode::Masked => self.model.bitmap().any_in_cell(base),
-            MaskMode::Unmasked => true,
         }
     }
 }
@@ -245,20 +235,24 @@ mod tests {
         // The collision-heavy fixture: unmasked decode has false positives.
         let (_, model) = fixture(14, 0.05, 3, 2, 256);
         let masked = model.view(MaskMode::Masked);
-        let unmasked = model.view(MaskMode::Unmasked);
+        let mip = masked.occupancy_mip().expect("the masked view carries its model's pyramid");
+        assert!(std::ptr::eq(mip, model.occupancy().as_ref()));
+        assert_eq!(mip.base(), model.bitmap());
         let mut ruled_out = 0;
         for base in all_bases(model.dims()) {
-            let maybe = masked.cell_maybe_occupied(base);
-            assert_eq!(maybe, model.bitmap().any_in_cell(base), "cell {base}");
-            if !maybe {
+            let empty = mip.cell_empty(base);
+            assert_eq!(empty, !model.bitmap().any_in_cell(base), "cell {base}");
+            if empty {
                 ruled_out += 1;
                 for corner in base.cell_corners() {
                     assert!(masked.fetch(corner).is_none(), "cell {base} fetches {corner}");
                 }
             }
-            assert!(unmasked.cell_maybe_occupied(base), "unmasked must answer maybe at {base}");
         }
         assert!(ruled_out > 0, "the fixture has empty cells to rule out");
+        // Hash collisions decode at empty voxels, so the unmasked view
+        // rules nothing out.
+        assert!(model.view(MaskMode::Unmasked).occupancy_mip().is_none());
     }
 
     #[test]
@@ -289,22 +283,19 @@ mod tests {
 
     #[test]
     fn wrappers_forward_the_cell_probe() {
-        // If a wrapper fell back to the trait default, the fast path would
-        // switch itself off behind `&` or an attached pyramid.
+        // If `&` fell back to the trait default, the probe would switch
+        // itself off behind it; `WithOccupancy` probes with the pyramid it
+        // attaches, which replaces the view's own.
         use spnerf_render::source::WithOccupancy;
-        use spnerf_voxel::mip::OccupancyMip;
         use std::sync::Arc;
         let (_, model) = fixture(14, 0.05, 3, 2, 256);
+        let ptr = |m: Option<&OccupancyMip>| m.map(|m| m as *const OccupancyMip);
         for mode in [MaskMode::Masked, MaskMode::Unmasked] {
             let view = model.view(mode);
             let mip = Arc::new(OccupancyMip::build(view.support_bitmap()));
-            let wrapped = WithOccupancy::new(view, mip);
-            let by_ref = &view;
-            for base in all_bases(model.dims()) {
-                let want = view.cell_maybe_occupied(base);
-                assert_eq!(VoxelSource::cell_maybe_occupied(&by_ref, base), want, "&view {base}");
-                assert_eq!(wrapped.cell_maybe_occupied(base), want, "WithOccupancy {base}");
-            }
+            let wrapped = WithOccupancy::new(view, Arc::clone(&mip));
+            assert_eq!(ptr(VoxelSource::occupancy_mip(&&view)), ptr(view.occupancy_mip()));
+            assert_eq!(ptr(wrapped.occupancy_mip()), ptr(Some(&mip)), "{mode:?}");
         }
     }
 

@@ -4,12 +4,17 @@
 //! This is the artifact the accelerator streams from DRAM — the entire
 //! replacement for VQRF's restored dense grid. Its footprint versus
 //! [`VqrfModel::restored_footprint`] is the paper's Fig. 6(a) (21.07×
-//! average reduction).
+//! average reduction). The bitmap is the base of an [`OccupancyMip`] built
+//! with the model, the pyramid the masked view hands the renderer; only
+//! the base is charged.
+
+use std::sync::Arc;
 
 use spnerf_voxel::bitmap::Bitmap;
 use spnerf_voxel::coord::{GridCoord, GridDims};
 use spnerf_voxel::kmeans::Codebook;
 use spnerf_voxel::memory::MemoryFootprint;
+use spnerf_voxel::mip::OccupancyMip;
 use spnerf_voxel::quant::QuantizedTensor;
 use spnerf_voxel::vqrf::VqrfModel;
 use spnerf_voxel::FEATURE_DIM;
@@ -50,10 +55,8 @@ pub struct SpNerfModel {
     codebook: Codebook,
     kept: QuantizedTensor,
     density_scale: f32,
-    bitmap: Bitmap,
-    /// [`Bitmap::occupied_bounds`] of `bitmap`, found once at build: the
-    /// model is immutable, so its occupied set never moves.
-    occupied_bounds: Option<(GridCoord, GridCoord)>,
+    /// The occupancy bitmap as its pyramid's base, built once.
+    occupancy: Arc<OccupancyMip>,
     report: PreprocessReport,
 }
 
@@ -79,12 +82,16 @@ impl SpNerfModel {
         cfg: &SpNerfConfig,
         opts: PreprocessOptions,
     ) -> Result<Self, BuildError> {
-        let (tables, partition, report) = build_tables_with(vqrf, cfg, opts)?;
+        // The pyramid is built before the tables: built after them, its
+        // small long-lived levels kept glibc's heap from trimming the
+        // tables' freed transients, and `paper-stills` peak RSS rose from
+        // 36.5 to 43 MiB.
         let mut bitmap = Bitmap::zeros(vqrf.dims());
         for p in vqrf.points() {
             bitmap.set(p.coord, true);
         }
-        let occupied_bounds = bitmap.occupied_bounds();
+        let occupancy = Arc::new(OccupancyMip::build(bitmap));
+        let (tables, partition, report) = build_tables_with(vqrf, cfg, opts)?;
         Ok(Self {
             cfg: *cfg,
             dims: vqrf.dims(),
@@ -93,8 +100,7 @@ impl SpNerfModel {
             codebook: vqrf.codebook().clone(),
             kept: vqrf.kept_quant().clone(),
             density_scale: vqrf.density_quant().params().scale(),
-            bitmap,
-            occupied_bounds,
+            occupancy,
             report,
         })
     }
@@ -119,15 +125,16 @@ impl SpNerfModel {
         &self.tables
     }
 
-    /// The occupancy bitmap used for masking.
+    /// The occupancy bitmap used for masking: the base of
+    /// [`Self::occupancy`].
     pub fn bitmap(&self) -> &Bitmap {
-        &self.bitmap
+        self.occupancy.base()
     }
 
-    /// Inclusive bounds of the bitmap's set vertices
-    /// ([`Bitmap::occupied_bounds`]), or `None` for an empty model.
-    pub(crate) fn occupied_bounds(&self) -> Option<(GridCoord, GridCoord)> {
-        self.occupied_bounds
+    /// The occupancy pyramid over [`Self::bitmap`], built with the model and
+    /// `Arc`-shared with every render of its masked view.
+    pub fn occupancy(&self) -> &Arc<OccupancyMip> {
+        &self.occupancy
     }
 
     /// Preprocessing statistics (collisions, load factors).
@@ -208,7 +215,8 @@ impl SpNerfModel {
     pub fn footprint(&self) -> MemoryFootprint {
         let mut fp = MemoryFootprint::new("SpNeRF model");
         fp.add("hash tables", self.tables.iter().map(HashTable::storage_bytes).sum());
-        fp.add("bitmap", self.bitmap.storage_bytes());
+        // The bitmap only: the pyramid's coarse levels are not charged.
+        fp.add("bitmap", self.bitmap().storage_bytes());
         fp.add("codebook (FP16)", self.codebook.len() * FEATURE_DIM * 2);
         fp.add("true voxel grid (INT8)", self.kept.storage_bytes());
         fp

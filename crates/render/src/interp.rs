@@ -158,8 +158,8 @@ impl InterpSample {
 /// as the hardware's masked lookups do. Returns an empty sample when the
 /// position is outside the grid.
 pub fn interpolate<S: VoxelSource + ?Sized>(source: &S, g: Vec3) -> InterpSample {
-    match locate_cell(source.dims(), g) {
-        Some(at) => interpolate_located(source, &at),
+    match trilinear_cell(source.dims(), g) {
+        Some(cell) => interpolate_cell(source, &cell),
         None => InterpSample::empty(),
     }
 }
@@ -193,8 +193,9 @@ pub fn interpolate_cell_scalar<S: VoxelSource + ?Sized>(
 /// scalar oracle [`interpolate_cell_scalar`].
 ///
 /// Structure follows the accelerator's SGPU: *probe* the cell once
-/// ([`VoxelSource::cell_maybe_occupied`], the BLU check before any hash),
-/// then *gather* the contributing corners (the same `w == 0` and masked
+/// ([`OccupancyMip::cell_empty`] on the source's
+/// [`VoxelSource::occupancy_mip`], the BLU check before any hash), then
+/// *gather* the contributing corners (the same `w == 0` and masked
 /// occupancy tests as the scalar oracle, in the same corner order), then
 /// *blend* all [`FEATURE_DIM`] feature channels in lane form — two [`F32x8`]
 /// vectors (channels 0..8 and 8..12 zero-padded) scaled by the splatted
@@ -202,33 +203,23 @@ pub fn interpolate_cell_scalar<S: VoxelSource + ?Sized>(
 /// accumulate sequentially, so each channel's float-addition order is
 /// exactly the scalar one; see [`crate::lanes`] for the bitwise contract.
 /// The oracle never probes, which is what pins the probe as sound.
+///
+/// [`OccupancyMip::cell_empty`]: spnerf_voxel::mip::OccupancyMip::cell_empty
 pub fn interpolate_cell<S: VoxelSource + ?Sized>(source: &S, cell: &TrilinearCell) -> InterpSample {
     // A ruled-out cell has no corner to gather, and the blend of zero
     // corners is exactly the empty sample.
-    if !source.cell_maybe_occupied(cell.base) {
+    if source.occupancy_mip().is_some_and(|mip| mip.cell_empty(cell.base)) {
         return InterpSample::empty();
     }
     gather_blend(source, cell)
 }
 
-/// [`interpolate_cell`] over a cell that is located but not yet weighed:
-/// *locate, probe, then weigh*. The probe needs only the base, so a cell
-/// the source rules out returns the empty sample before any of its 8
-/// weights is computed. This is the ray marcher's per-sample decode, and
-/// bitwise [`interpolate_cell`] of `at.weigh()`.
-#[inline]
-pub(crate) fn interpolate_located<S: VoxelSource + ?Sized>(
+/// The gather and blend phases of [`interpolate_cell`], after its probe;
+/// the ray marcher calls it on a cell it has already probed.
+pub(crate) fn gather_blend<S: VoxelSource + ?Sized>(
     source: &S,
-    at: &CellLocation,
+    cell: &TrilinearCell,
 ) -> InterpSample {
-    if !source.cell_maybe_occupied(at.base) {
-        return InterpSample::empty();
-    }
-    gather_blend(source, &at.weigh())
-}
-
-/// The gather and blend phases of [`interpolate_cell`], after its probe.
-fn gather_blend<S: VoxelSource + ?Sized>(source: &S, cell: &TrilinearCell) -> InterpSample {
     const EMPTY: VoxelData = VoxelData { density: 0.0, features: [0.0; FEATURE_DIM] };
     let corners = cell.base.cell_corners();
     // Gather phase: contributing corners in scalar order.

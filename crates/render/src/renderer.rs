@@ -22,7 +22,8 @@
 //!    samples run through [`Mlp::forward_batch`] eight at a time, then each
 //!    ray composites its own samples in march order. No state passes
 //!    between rays or frames, as the SGPU settles each sample from the
-//!    on-chip bitmap alone;
+//!    on-chip bitmap alone: a ray reads its source's one emptiness query,
+//!    [`VoxelSource::occupancy_mip`], once;
 //! 2. [`crate::engine`] — the tile scheduler and the ordered worker pool
 //!    that fans jobs out over threads and returns results in job order;
 //! 3. [`render_view`] — the front door: renders one view honoring
@@ -37,7 +38,7 @@ use crate::camera::PinholeCamera;
 use crate::composite::{accumulate_weighted, alpha_from_density, RayAccumulator};
 use crate::engine::{run_ordered, TileScheduler};
 use crate::image::ImageBuffer;
-use crate::interp::{interpolate_located, locate_cell, CellLocation, GridFrame, InterpSample};
+use crate::interp::{gather_blend, locate_cell, CellLocation, GridFrame, InterpSample};
 use crate::lanes::LANE_WIDTH;
 use crate::mlp::{
     encode_direction, DeferredMlp, Mlp, DEFERRED_INPUT_DIM, MLP_INPUT_DIM, VIEW_ENC_DIM,
@@ -71,9 +72,9 @@ pub const BACKGROUND: Vec3 = Vec3::ONE;
 /// Empty-space skipping policy of the ray marcher.
 ///
 /// Skipping is **provably safe**: a sample is skipped only when the
-/// source's occupied box or its occupancy pyramid proves all 8 corners of
-/// its interpolation cell are unoccupied — exactly the samples whose
-/// interpolated density would be `≤ 0` and contribute nothing. Rendered
+/// source's occupancy pyramid (its occupied box or a block) proves all 8
+/// corners of its interpolation cell are unoccupied — exactly the samples
+/// whose interpolated density would be `≤ 0` and contribute nothing. Rendered
 /// images are therefore bitwise-identical to [`SkipMode::Off`]; only
 /// [`RenderStats::samples_marched`] (and the cycles/DRAM traffic derived
 /// from it) drops, mirroring how the paper's pruning removes work without
@@ -378,8 +379,8 @@ impl RenderFrame {
     }
 }
 
-/// The grid-space box one ray clips its samples against: the source's
-/// [`VoxelSource::occupied_bounds`] dilated by 1.5 vertices per axis, or
+/// The grid-space box one ray clips its samples against: its pyramid's
+/// [`OccupancyMip::occupied_bounds`] dilated by 1.5 vertices per axis, or
 /// all of space when the source knows no box.
 ///
 /// Dilation bound: a contributing sample has a cell corner on an occupied
@@ -393,8 +394,8 @@ struct Clip {
 }
 
 impl Clip {
-    fn of<S: VoxelSource + ?Sized>(source: &S) -> Self {
-        match source.occupied_bounds() {
+    fn of(mip: Option<&OccupancyMip>) -> Self {
+        match mip.and_then(OccupancyMip::occupied_bounds) {
             Some((lo, hi)) => Self {
                 lo: Vec3::new(lo.x as f32, lo.y as f32, lo.z as f32) - Vec3::splat(1.5),
                 hi: Vec3::new(hi.x as f32, hi.y as f32, hi.z as f32) + Vec3::splat(1.5),
@@ -438,12 +439,7 @@ struct EmptySkipper<'a> {
     cached: Option<(GridCoord, GridCoord)>,
 }
 
-impl<'a> EmptySkipper<'a> {
-    /// A skipper over `mip` with nothing cached yet.
-    fn new(mip: &'a OccupancyMip) -> Self {
-        Self { mip, cached: None }
-    }
-
+impl EmptySkipper<'_> {
     /// Decides one sample at continuous grid position `g`: its located cell
     /// when it must be marched, `None` when it is provably empty. Only the
     /// base decides, so a skipped sample never pays for its weights.
@@ -459,7 +455,7 @@ impl<'a> EmptySkipper<'a> {
                 return None;
             }
         }
-        if let Some(region) = self.mip.empty_region(b, usize::MAX) {
+        if let Some(region) = self.mip.empty_region(b) {
             self.cached = Some(region);
             return None;
         }
@@ -496,14 +492,14 @@ impl Marched {
 /// rest, and hands each positive-density sample to `shade` with its alpha
 /// and front-to-back weight `T·α` (taken before the sample updates `T`).
 ///
-/// Each sample is *clipped, located, skipped, probed, then weighed*, as the
-/// SGPU's Bitmap Lookup Unit answers before any per-vertex work: the ray's
-/// [`Clip`] (the source's [`VoxelSource::occupied_bounds`]) settles a
-/// sample outside the occupied box with six compares, [`locate_cell`]
-/// finds the cell base of the rest, the skipper (under [`SkipMode::Mip`])
-/// and the source's [`VoxelSource::cell_maybe_occupied`] probe decide from
-/// the base alone, and only a cell that survives both gets its 8 weights
-/// and its gather ([`interpolate_located`]). A sample settled before the
+/// Each sample is *clipped, located, skipped or probed, then weighed*, as
+/// the SGPU's Bitmap Lookup Unit answers before any per-vertex work, all
+/// from the source's one pyramid ([`VoxelSource::occupancy_mip`], read once
+/// per ray): the ray's [`Clip`] settles a sample outside the pyramid's box
+/// with six compares, [`locate_cell`] finds the cell base of the rest, the
+/// skipper (under [`SkipMode::Mip`]) or else [`OccupancyMip::cell_empty`]
+/// decides from the base alone, and only a surviving cell gets its 8
+/// weights and its gather ([`gather_blend`]). A sample settled before the
 /// probe counts in [`RenderStats::samples_skipped`] when the ray has a
 /// skipper, and in [`RenderStats::samples_marched`] otherwise, as the
 /// hardware model marches it.
@@ -520,11 +516,14 @@ fn march_ray<S: VoxelSource + ?Sized>(
     mut shade: impl FnMut(&mut RayAccumulator, f32, f32, &InterpSample),
 ) -> Marched {
     let dims = source.dims();
-    let clip = Clip::of(source);
+    let mip = source.occupancy_mip();
+    let clip = Clip::of(mip);
     let mut skipper = match cfg.skip_mode {
         SkipMode::Off => None,
-        SkipMode::Mip => source.occupancy_mip().map(EmptySkipper::new),
+        SkipMode::Mip => mip.map(|mip| EmptySkipper { mip, cached: None }),
     };
+    // The skipper's `empty_region` already ends in the probe.
+    let probe = if skipper.is_some() { None } else { mip };
     let mut acc = RayAccumulator::new();
     let mut stats = RenderStats { rays: 1, ..RenderStats::default() };
     let mut depth_sum = 0.0f32;
@@ -548,7 +547,10 @@ fn march_ray<S: VoxelSource + ?Sized>(
             continue;
         };
         stats.samples_marched += 1;
-        let sample = interpolate_located(source, &at);
+        if probe.is_some_and(|mip| mip.cell_empty(at.base)) {
+            continue;
+        }
+        let sample = gather_blend(source, &at.weigh());
         if sample.density <= 0.0 {
             continue;
         }
@@ -1066,7 +1068,7 @@ mod tests {
         for (grid, all) in [(full, true), (build_grid(SceneId::Mic, 24), false)] {
             let skippable = WithOccupancy::build(&grid);
             let dims = grid.dims();
-            let mut skipper = EmptySkipper::new(skippable.mip());
+            let mut skipper = EmptySkipper { mip: skippable.mip(), cached: None };
             let around = |rng: &mut StdRng, n: u32| rng.gen::<f32>() * (n as f32 + 3.0) - 2.0;
             let mut admitted = 0;
             for _ in 0..20_000 {
@@ -1118,7 +1120,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         for grid in grids {
             let dims = grid.dims();
-            let clip = Clip::of(&WithOccupancy::build(&grid));
+            let clip = Clip::of(WithOccupancy::build(&grid).occupancy_mip());
             let around = |rng: &mut StdRng, n: u32| rng.gen::<f32>() * (n as f32 + 3.0) - 2.0;
             let (mut excluded, mut kept) = (0, 0);
             for _ in 0..20_000 {
@@ -1140,7 +1142,7 @@ mod tests {
             assert!(excluded > 0 && kept > 0, "{dims}: the clip must cut somewhere");
         }
         // With no box, nothing is excluded, not even a NaN position.
-        let clip = Clip::of(&DenseGrid::zeros(GridDims::cube(4)));
+        let clip = Clip::of(None);
         for g in [Vec3::splat(-1e30), Vec3::splat(1e30), Vec3::splat(f32::NAN)] {
             assert!(!clip.excludes(g), "{g:?}");
         }

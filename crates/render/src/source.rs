@@ -7,21 +7,15 @@
 //! `spnerf-core`). PSNR differences between variants are then attributable
 //! purely to the data path, mirroring the paper's Fig. 6(b) methodology.
 //!
-//! Three optional queries let a source tell the renderer where it is empty,
-//! and all three default to "no information":
-//!
-//! * [`VoxelSource::occupied_bounds`], an inclusive vertex box the ray
-//!   marcher clips every sample against before it locates the sample's
-//!   cell — the masked SpNeRF view answers it from its bitmap;
-//! * [`VoxelSource::occupancy_mip`], a pyramid the ray marcher skips whole
-//!   empty macro-blocks with (under [`crate::renderer::SkipMode::Mip`]);
-//! * [`VoxelSource::cell_maybe_occupied`], a per-cell probe the ray marcher
-//!   asks from the cell base before it weighs or gathers the cell's 8
-//!   corners — the masked SpNeRF view answers it from its bitmap, as the
-//!   accelerator's BLU does before the HMU hashes.
-//!
-//! Each may over-approximate the source's support, which only costs work,
-//! but never under-approximate it, which would change pixels.
+//! A source tells the renderer where it is empty through one optional
+//! query, [`VoxelSource::occupancy_mip`] (default: no information). From
+//! that one pyramid the ray marcher takes its clip box, its per-cell probe
+//! and, under [`crate::renderer::SkipMode::Mip`], its skipper, as the
+//! accelerator's Bitmap Lookup Unit settles a sample before any hash. The
+//! masked SpNeRF view answers with its model's bitmap pyramid;
+//! [`WithOccupancy`] attaches one to any source. The pyramid may
+//! over-approximate the source's support, which only costs work, but never
+//! under-approximate it, which would change pixels.
 
 use std::sync::Arc;
 
@@ -50,46 +44,23 @@ pub trait VoxelSource {
     /// bounds.
     fn fetch(&self, c: GridCoord) -> Option<VoxelData>;
 
-    /// An inclusive vertex box `(lo, hi)` holding every vertex where
-    /// [`VoxelSource::fetch`] returns `Some`, if the source knows one.
+    /// An occupancy pyramid over this source's support, if the source
+    /// carries one: the renderer's one emptiness query, read once per ray.
+    /// The march clips each sample against its
+    /// [`OccupancyMip::occupied_bounds`] (dilated by 1.5 vertices), probes
+    /// each located cell with [`OccupancyMip::cell_empty`] before the gather
+    /// (as [`crate::interp::interpolate_cell`] does), and under
+    /// [`crate::renderer::SkipMode::Mip`] skips the blocks
+    /// [`OccupancyMip::empty_region`] proves empty. `None` (the default)
+    /// clips, probes and skips nothing.
     ///
-    /// The ray marcher clips each sample against this box, dilated by the
-    /// 1.5-vertex reach of an interpolation cell, before it locates the
-    /// cell: a sample outside it is the empty sample. **Contract:** the box
-    /// must hold every vertex `fetch` returns data for; `None` (the
-    /// default) promises nothing. A box that is too large only costs work,
-    /// and one that leaves out a fetched vertex changes pixels.
-    fn occupied_bounds(&self) -> Option<(GridCoord, GridCoord)> {
-        None
-    }
-
-    /// An occupancy pyramid over this source's support, if one is attached.
-    ///
-    /// The renderer's empty-space skipping
-    /// ([`crate::renderer::SkipMode::Mip`]) consults this; `None` (the
-    /// default) renders without skipping. **Safety contract:** every vertex
-    /// where [`VoxelSource::fetch`] returns `Some` must be set in the
-    /// pyramid's base bitmap — an over-approximation only costs skips, an
-    /// under-approximation changes pixels. [`WithOccupancy::build`]
-    /// constructs the exact support and therefore always satisfies it.
+    /// **Safety contract:** every vertex where [`VoxelSource::fetch`]
+    /// returns `Some` must be set in the pyramid's base bitmap — an
+    /// over-approximation only costs work, an under-approximation changes
+    /// pixels. [`WithOccupancy::build`] constructs the exact support and
+    /// therefore always satisfies it.
     fn occupancy_mip(&self) -> Option<&OccupancyMip> {
         None
-    }
-
-    /// Whether the interpolation cell with lower corner `base` may touch a
-    /// vertex this source fetches.
-    ///
-    /// The ray marcher asks this once per sample, from the located cell
-    /// base, before it weighs and gathers the cell's corners, and
-    /// [`crate::interp::interpolate_cell`] asks it before its gather; a cell ruled out here is the empty
-    /// sample, at the cost of one query instead of eight trilinear weights
-    /// and eight [`VoxelSource::fetch`] calls. **Contract:** `false` promises that
-    /// `fetch` returns `None` for all 8 vertices `[base, base+1]³`; `true`
-    /// (the default) promises nothing. Like [`VoxelSource::occupancy_mip`],
-    /// a wrong `true` only costs a gather, and a wrong `false` changes
-    /// pixels.
-    fn cell_maybe_occupied(&self, _base: GridCoord) -> bool {
-        true
     }
 }
 
@@ -166,21 +137,14 @@ impl<T: VoxelSource + ?Sized> VoxelSource for &T {
         (**self).fetch(c)
     }
 
-    fn occupied_bounds(&self) -> Option<(GridCoord, GridCoord)> {
-        (**self).occupied_bounds()
-    }
-
     fn occupancy_mip(&self) -> Option<&OccupancyMip> {
         (**self).occupancy_mip()
-    }
-
-    fn cell_maybe_occupied(&self, base: GridCoord) -> bool {
-        (**self).cell_maybe_occupied(base)
     }
 }
 
 /// A [`VoxelSource`] with an occupancy pyramid attached, enabling
-/// [`crate::renderer::SkipMode::Mip`] empty-space skipping.
+/// [`crate::renderer::SkipMode::Mip`] empty-space skipping. The attached
+/// pyramid replaces any pyramid the wrapped source carries.
 ///
 /// The pyramid is reference-counted so one build serves every render (and
 /// every worker thread) of the same source — the `Arc`-shared pattern the
@@ -246,18 +210,8 @@ impl<S: VoxelSource> VoxelSource for WithOccupancy<S> {
         self.source.fetch(c)
     }
 
-    /// The pyramid's bounds: its base covers the source's support, so its
-    /// box holds every fetched vertex.
-    fn occupied_bounds(&self) -> Option<(GridCoord, GridCoord)> {
-        self.mip.occupied_bounds()
-    }
-
     fn occupancy_mip(&self) -> Option<&OccupancyMip> {
         Some(&self.mip)
-    }
-
-    fn cell_maybe_occupied(&self, base: GridCoord) -> bool {
-        self.source.cell_maybe_occupied(base)
     }
 }
 
@@ -334,17 +288,22 @@ mod tests {
         assert_eq!(w.dims(), g.dims());
         assert_eq!(w.fetch(GridCoord::new(2, 2, 2)), g.fetch(GridCoord::new(2, 2, 2)));
         let mip = w.occupancy_mip().expect("pyramid attached");
+        assert!(std::ptr::eq(mip, w.mip().as_ref()));
         assert_eq!(mip.base().count_ones(), 1);
-        // The wrapper answers its pyramid's box, which the bare grid does
-        // not know.
+        // The pyramid answers the box and the probe; the bare grid cannot.
         let at = GridCoord::new(2, 2, 2);
-        assert_eq!(w.occupied_bounds(), Some((at, at)));
-        assert_eq!(w.occupied_bounds(), mip.occupied_bounds());
-        assert_eq!(g.occupied_bounds(), None);
+        assert_eq!(mip.occupied_bounds(), Some((at, at)));
+        assert!(!mip.cell_empty(GridCoord::new(1, 1, 1)));
+        assert!(mip.cell_empty(GridCoord::new(3, 3, 3)));
+        // A wrapper's pyramid replaces the one its source carries.
+        let other = Arc::new(OccupancyMip::build(support_bitmap(&g)));
+        let rewrapped = WithOccupancy::new(&w, Arc::clone(&other));
+        assert!(std::ptr::eq(rewrapped.occupancy_mip().unwrap(), other.as_ref()));
         // The reference forwarding impl must forward the pyramid too, or
-        // skipping silently turns off behind `&`-indirection.
+        // clipping, probing and skipping silently turn off behind
+        // `&`-indirection.
         let r = &w;
-        assert!(VoxelSource::occupancy_mip(&r).is_some());
+        assert!(std::ptr::eq(VoxelSource::occupancy_mip(&r).unwrap(), mip));
         // Bare sources carry no pyramid.
         assert!(g.occupancy_mip().is_none());
     }
@@ -352,8 +311,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "dimensions must match")]
     fn mismatched_mip_dims_rejected() {
-        use spnerf_voxel::bitmap::Bitmap;
-        use spnerf_voxel::mip::OccupancyMip;
         let g = DenseGrid::zeros(GridDims::cube(4));
         let mip = Arc::new(OccupancyMip::build(Bitmap::zeros(GridDims::cube(8))));
         let _ = WithOccupancy::new(&g, mip);
@@ -366,11 +323,13 @@ mod tests {
         let r: &DenseGrid = &g;
         assert_eq!(r.dims(), g.dims());
         assert_eq!(r.fetch(GridCoord::new(1, 1, 1)), g.fetch(GridCoord::new(1, 1, 1)));
-        // The box is forwarded, or clipping silently turns off behind `&`.
+        // The pyramid is forwarded, or clipping, probing and skipping
+        // silently turn off behind `&`.
         let w = WithOccupancy::build(&g);
         let r = &w;
         let at = GridCoord::new(1, 1, 1);
-        assert_eq!(VoxelSource::occupied_bounds(&r), Some((at, at)));
-        assert_eq!(VoxelSource::occupied_bounds(&&g), None);
+        let mip = VoxelSource::occupancy_mip(&r).expect("the wrapper's pyramid");
+        assert_eq!(mip.occupied_bounds(), Some((at, at)));
+        assert!(VoxelSource::occupancy_mip(&&g).is_none());
     }
 }

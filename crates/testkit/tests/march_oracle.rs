@@ -9,12 +9,15 @@
 //! over a baked grid it is the baked diffuse color, the specular feature is
 //! accumulated with `accumulate_weighted`, and one
 //! `DeferredMlp::forward_scalar` per shaded pixel adds view dependence
-//! scaled by the ray's opacity. The renderer instead clips each sample
-//! against the source's occupied box, locates it, probes its cell base,
-//! weighs only cells that survive, queues shaded samples and shades them
-//! eight per pass; none of that may move a bit of color, depth or any
-//! counter. The goldens pin the march at one configuration; this pins it
-//! against its definition.
+//! scaled by the ray's opacity. The renderer instead reads the source's
+//! occupancy pyramid once per ray, clips each sample against the pyramid's
+//! occupied box, locates it, skips or probes its cell base, weighs only
+//! cells that survive, queues shaded samples and shades them eight per
+//! pass; none of that may move a bit of color, depth or any counter. The
+//! goldens pin the march at one configuration; this pins it against its
+//! definition.
+
+use std::sync::Arc;
 
 use spnerf_core::MaskMode;
 use spnerf_render::bake::bake;
@@ -28,13 +31,14 @@ use spnerf_render::renderer::{
     SkipMode, BACKGROUND, DENSITY_SCALE, RAY_DIAGONAL_FACTOR,
 };
 use spnerf_render::scene::{default_camera, scene_aabb, SceneId};
-use spnerf_render::source::{support_bitmap, VoxelData, VoxelSource, WithOccupancy};
+use spnerf_render::source::{support_bitmap, VoxelSource, WithOccupancy};
 use spnerf_render::vec3::Vec3;
 use spnerf_testkit::corpus::{generate, Corpus};
 use spnerf_testkit::fixtures;
 use spnerf_voxel::baked::{DIFFUSE_DIM, SPEC_DIM};
 use spnerf_voxel::coord::{GridCoord, GridDims};
 use spnerf_voxel::grid::DenseGrid;
+use spnerf_voxel::mip::OccupancyMip;
 use spnerf_voxel::FEATURE_DIM;
 
 /// One ray as the oracle defines it.
@@ -259,76 +263,71 @@ fn march_is_the_oracle_on_a_side_64_mic_still() {
     assert!(stats.samples_shaded > 0, "the still must hit the scene");
 }
 
-/// A source that answers "empty" for every other cell its inner source
-/// may occupy: a march that trusts it treats those "maybe" cells as empty,
-/// which is the mistake the probe must never make.
-struct DropsMaybeCells<S>(S);
-
-impl<S: VoxelSource> VoxelSource for DropsMaybeCells<S> {
-    fn dims(&self) -> GridDims {
-        self.0.dims()
+#[test]
+fn a_bare_masked_view_skips_against_its_model_pyramid() {
+    // Under `Mip` the masked view skips against the bitmap pyramid its
+    // model carries, with no wrapper: it is the oracle, it skips, and it
+    // counts exactly what the exact-support pyramid of
+    // `WithOccupancy::build` counts (no corpus density quantizes to zero,
+    // so the two pyramids agree).
+    let mlp = Mlp::random(fixtures::MLP_SEED);
+    let shader = Shader::PerSample(&mlp);
+    let mip = cfg(48, SkipMode::mip());
+    for (i, spec) in Corpus::quick().enumerate() {
+        let (_grid, _vqrf, model) = fixtures::corpus_fixture(&spec, 32, 8, 4096);
+        let label = spec.label();
+        let masked = model.view(MaskMode::Masked);
+        let camera = default_camera(16, 16, i, 5);
+        let bare = check_view(&masked, &masked, shader, &camera, &mip)
+            .unwrap_or_else(|e| panic!("{label}, bare: {e}"));
+        assert!(bare.samples_skipped > 0, "{label}: the bare view must skip");
+        let exact = WithOccupancy::build(masked);
+        let wrapped = check_view(&masked, &exact, shader, &camera, &mip)
+            .unwrap_or_else(|e| panic!("{label}, exact support: {e}"));
+        assert_eq!(bare, wrapped, "{label}");
     }
+}
 
-    fn fetch(&self, c: GridCoord) -> Option<VoxelData> {
-        self.0.fetch(c)
+/// Under both skip modes, the masked view of mic at side 24 is the oracle
+/// with its own pyramid, and fails the per-ray check with a pyramid over
+/// its bitmap less every set vertex `drop` picks (given the bitmap's far
+/// corner): a march trusts the pyramid it reads, so one that leaves out
+/// occupied vertices changes pixels, and the oracle sees it.
+fn assert_the_lie_fails(drop: impl Fn(GridCoord, GridCoord) -> bool) {
+    let (_grid, _vqrf, model) = fixtures::dataset_fixture(SceneId::Mic, 24, 32, 8, 4096);
+    let (_, far) = model.bitmap().occupied_bounds().expect("mic occupies something");
+    let mut lie = model.bitmap().clone();
+    let dropped: Vec<GridCoord> = lie.ones().filter(|&c| drop(c, far)).collect();
+    assert!(!dropped.is_empty(), "the lie must leave out an occupied vertex");
+    for c in dropped {
+        lie.set(c, false);
     }
-
-    fn cell_maybe_occupied(&self, base: GridCoord) -> bool {
-        self.0.cell_maybe_occupied(base) && (base.x + base.y + base.z) % 2 == 1
+    let masked = model.view(MaskMode::Masked);
+    let liar = WithOccupancy::new(masked, Arc::new(OccupancyMip::build(lie)));
+    let mlp = Mlp::random(fixtures::MLP_SEED);
+    let camera = default_camera(16, 16, 1, 8);
+    for skip_mode in [SkipMode::Off, SkipMode::mip()] {
+        let cfg = cfg(48, skip_mode);
+        check_view(&masked, &masked, (&mlp).into(), &camera, &cfg)
+            .unwrap_or_else(|e| panic!("{skip_mode:?}: the honest march is the oracle: {e}"));
+        let err = check_view(&masked, &liar, (&mlp).into(), &camera, &cfg)
+            .expect_err("a march that trusts a lying pyramid must fail the oracle");
+        assert!(err.starts_with("pixel"), "{skip_mode:?}: the per-ray check must catch it: {err}");
     }
 }
 
 #[test]
 fn a_march_that_drops_maybe_cells_fails_the_oracle() {
-    let (_grid, _vqrf, model) = fixtures::dataset_fixture(SceneId::Mic, 24, 32, 8, 4096);
-    let mlp = Mlp::random(fixtures::MLP_SEED);
-    let masked = model.view(MaskMode::Masked);
-    let camera = default_camera(16, 16, 1, 8);
-    let cfg = cfg(48, SkipMode::Off);
-    let shader = Shader::PerSample(&mlp);
-    check_view(&masked, &masked, shader, &camera, &cfg).expect("the honest march is the oracle");
-    let err = check_view(&masked, &DropsMaybeCells(masked), shader, &camera, &cfg)
-        .expect_err("a march that drops occupied cells must fail the oracle");
-    assert!(err.starts_with("pixel"), "the per-ray check must catch it: {err}");
-}
-
-/// A source whose occupied box leaves out its inner source's far x plane
-/// of occupied vertices: a march that trusts it clips away samples that
-/// plane contributes to.
-struct LeavesOutAPlane<S>(S);
-
-impl<S: VoxelSource> VoxelSource for LeavesOutAPlane<S> {
-    fn dims(&self) -> GridDims {
-        self.0.dims()
-    }
-
-    fn fetch(&self, c: GridCoord) -> Option<VoxelData> {
-        self.0.fetch(c)
-    }
-
-    fn occupied_bounds(&self) -> Option<(GridCoord, GridCoord)> {
-        let (lo, hi) = self.0.occupied_bounds()?;
-        Some((lo, GridCoord::new(hi.x - 1, hi.y, hi.z)))
-    }
-
-    fn cell_maybe_occupied(&self, base: GridCoord) -> bool {
-        self.0.cell_maybe_occupied(base)
-    }
+    // Every vertex whose x + y + z is even is left out, so a cell whose
+    // occupied corners are all even probes (and skips) as empty.
+    assert_the_lie_fails(|c, _| (c.x + c.y + c.z) % 2 == 0);
 }
 
 #[test]
 fn a_march_that_trusts_lying_bounds_fails_the_oracle() {
-    let (_grid, _vqrf, model) = fixtures::dataset_fixture(SceneId::Mic, 24, 32, 8, 4096);
-    let mlp = Mlp::random(fixtures::MLP_SEED);
-    let masked = model.view(MaskMode::Masked);
-    assert!(masked.occupied_bounds().is_some(), "the masked view has a box to lie about");
-    let camera = default_camera(16, 16, 1, 8);
-    let cfg = cfg(48, SkipMode::Off);
-    let shader = Shader::PerSample(&mlp);
-    check_view(&masked, &masked, shader, &camera, &cfg).expect("the honest march is the oracle");
-    let err = check_view(&masked, &LeavesOutAPlane(masked), shader, &camera, &cfg)
-        .expect_err("a march that clips away an occupied plane must fail the oracle");
-    assert!(err.starts_with("pixel"), "the per-ray check must catch it: {err}");
+    // The far occupied x plane is left out, so the pyramid's box clips
+    // away the samples that plane contributes to.
+    assert_the_lie_fails(|c, far| c.x == far.x);
 }
 
 /// A grid of `dims` with density (and position-dependent features) on
@@ -398,7 +397,8 @@ fn the_clip_holds_at_the_grid_edges() {
     for (i, (name, grid, subgrids, bounds)) in cases.into_iter().enumerate() {
         let (grid, _vqrf, model) = fixtures::model_fixture(grid, 8, subgrids, 4096);
         let masked = model.view(MaskMode::Masked);
-        assert_eq!(masked.occupied_bounds(), Some(bounds), "{name}");
+        let box_of = masked.occupancy_mip().and_then(OccupancyMip::occupied_bounds);
+        assert_eq!(box_of, Some(bounds), "{name}");
         let camera = default_camera(16, 16, i, 5);
         for (source, result) in [
             ("masked", check_both_modes(masked, shader, &camera)),
@@ -420,7 +420,7 @@ fn an_empty_pyramid_skips_every_sample() {
     let mlp = Mlp::random(fixtures::MLP_SEED);
     let camera = default_camera(16, 16, 2, 5);
     let skippable = WithOccupancy::build(&grid);
-    assert_eq!(skippable.occupied_bounds(), None);
+    assert_eq!(skippable.occupancy_mip().unwrap().occupied_bounds(), None);
     let off = check_view(&grid, &grid, (&mlp).into(), &camera, &cfg(48, SkipMode::Off)).unwrap();
     let mip =
         check_view(&grid, &skippable, (&mlp).into(), &camera, &cfg(48, SkipMode::mip())).unwrap();
@@ -431,23 +431,22 @@ fn an_empty_pyramid_skips_every_sample() {
 }
 
 #[test]
-fn every_source_keeps_the_bounds_contract() {
-    // Only the masked view knows a box; it is its bitmap's, and it holds
-    // the view's exact decode support. Every other source answers `None`.
+fn every_source_keeps_the_occupancy_contract() {
+    // Only the masked view carries a pyramid: its model's bitmap pyramid,
+    // whose base holds the view's exact decode support. Every other source
+    // answers `None`.
     for spec in Corpus::quick() {
         let (grid, vqrf, model) = fixtures::corpus_fixture(&spec, 32, 8, 4096);
         let label = spec.label();
         let masked = model.view(MaskMode::Masked);
-        let bounds = masked.occupied_bounds();
-        assert_eq!(bounds, model.bitmap().occupied_bounds(), "{label}");
-        let (lo, hi) = bounds.expect("every archetype occupies something");
-        let (slo, shi) = support_bitmap(&masked).occupied_bounds().expect("the view decodes");
-        assert!(lo.x <= slo.x && lo.y <= slo.y && lo.z <= slo.z, "{label}: {lo} above {slo}");
-        assert!(shi.x <= hi.x && shi.y <= hi.y && shi.z <= hi.z, "{label}: {shi} past {hi}");
-        assert_eq!(model.view(MaskMode::Unmasked).occupied_bounds(), None, "{label}");
-        assert_eq!(grid.occupied_bounds(), None, "{label}");
-        assert_eq!(vqrf.occupied_bounds(), None, "{label}");
+        let mip = masked.occupancy_mip().expect("the masked view carries a pyramid");
+        assert!(std::ptr::eq(mip, model.occupancy().as_ref()), "{label}");
+        let support = support_bitmap(&masked);
+        assert!(support.count_ones() > 0, "{label}: the view decodes");
+        assert!(support.ones().all(|c| mip.base().get(c)), "{label}: the base misses support");
         let baked = bake(&grid, &Mlp::random(fixtures::MLP_SEED));
-        assert_eq!(baked.occupied_bounds(), None, "{label}");
+        let unmasked = model.view(MaskMode::Unmasked);
+        let others: [&dyn VoxelSource; 4] = [&unmasked, &grid, &vqrf, &baked];
+        assert!(others.iter().all(|s| s.occupancy_mip().is_none()), "{label}");
     }
 }

@@ -80,11 +80,11 @@ impl Bitmap {
     /// as unset, as in [`Self::get_clamped`].
     ///
     /// This is the codebase's one definition of "a cell touches a set
-    /// vertex": the masked decoder's per-cell probe and
-    /// [`crate::mip::OccupancyMip::cell_empty`] both answer with it. Since z
-    /// is the fastest axis, the cell is at most four rows of two adjacent
-    /// bits, so the query reads four rows (one word each, two where the
-    /// pair straddles a word) and allocates nothing.
+    /// vertex": [`crate::mip::OccupancyMip::cell_empty`], the renderer's
+    /// per-cell probe, answers with it. Since z is the fastest axis, the
+    /// cell is at most four rows of two adjacent bits, so the query reads
+    /// four rows (one word each, two where the pair straddles a word) and
+    /// allocates nothing.
     pub fn any_in_cell(&self, base: GridCoord) -> bool {
         let d = self.dims;
         // Every corner is `>= base` per axis, so a base outside the grid
@@ -152,26 +152,39 @@ impl Bitmap {
         }
     }
 
+    /// The set vertices, in linear (z-fastest) order.
+    ///
+    /// This is the codebase's one walk over set bits: it scans the packed
+    /// words once, skips zero words whole, and locates only the set bits of
+    /// the others. [`Self::occupied_bounds`] folds over it, and
+    /// [`crate::mip::OccupancyMip::build`] sets each level from it.
+    pub fn ones(&self) -> impl Iterator<Item = GridCoord> + '_ {
+        self.words.iter().enumerate().flat_map(move |(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                if bits == 0 {
+                    return None;
+                }
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                Some(self.dims.coord_of(i))
+            })
+        })
+    }
+
     /// Inclusive bounds `(lo, hi)` of the set vertices, or `None` when no
     /// bit is set.
     ///
-    /// This is the codebase's one computation of an occupied box: the
-    /// occupancy pyramid and the SpNeRF model both take theirs from here.
-    /// It scans the packed words once, skips zero words whole, and locates
-    /// only the set bits of the others.
+    /// This is the codebase's one computation of an occupied box, a fold
+    /// over [`Self::ones`]; the occupancy pyramid keeps its base's.
     pub fn occupied_bounds(&self) -> Option<(GridCoord, GridCoord)> {
-        let mut bounds: Option<(GridCoord, GridCoord)> = None;
-        for (w, &word) in self.words.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let c = self.dims.coord_of(w * 64 + bits.trailing_zeros() as usize);
-                bits &= bits - 1;
-                let (lo, hi) = bounds.get_or_insert((c, c));
-                *lo = GridCoord::new(lo.x.min(c.x), lo.y.min(c.y), lo.z.min(c.z));
-                *hi = GridCoord::new(hi.x.max(c.x), hi.y.max(c.y), hi.z.max(c.z));
-            }
-        }
-        bounds
+        self.ones().fold(None, |bounds, c| {
+            let (lo, hi) = bounds.unwrap_or((c, c));
+            Some((
+                GridCoord::new(lo.x.min(c.x), lo.y.min(c.y), lo.z.min(c.z)),
+                GridCoord::new(hi.x.max(c.x), hi.y.max(c.y), hi.z.max(c.z)),
+            ))
+        })
     }
 
     /// Number of set bits (occupied voxels).
@@ -296,12 +309,13 @@ mod tests {
 
     #[test]
     fn occupied_bounds_is_the_box_of_the_set_vertices() {
-        // Against a per-vertex reference, on the grids `any_in_cell` is
-        // checked on: every single-bit bitmap (each word boundary of the
-        // 130-long z axis with only one side set), one random fill, and
-        // the all-zero bitmap.
+        // `ones` and the box it folds into, against a per-vertex filter, on
+        // the grids `any_in_cell` is checked on: every single-bit bitmap
+        // (each word boundary of the 130-long z axis with only one side
+        // set), one random fill, and the all-zero bitmap.
+        let filter = |b: &Bitmap| b.dims().iter().filter(|&c| b.get(c)).collect::<Vec<_>>();
         let reference = |b: &Bitmap| {
-            let set: Vec<GridCoord> = b.dims().iter().filter(|&c| b.get(c)).collect();
+            let set = filter(b);
             let min = |f: fn(&GridCoord) -> u32| set.iter().map(f).min();
             let max = |f: fn(&GridCoord) -> u32| set.iter().map(f).max();
             Some((
@@ -321,9 +335,12 @@ mod tests {
                 let mut single = Bitmap::zeros(dims);
                 single.set_index(i, true);
                 let c = dims.coord_of(i);
+                assert_eq!(single.ones().collect::<Vec<_>>(), [c], "bit {c} in {dims}");
                 assert_eq!(single.occupied_bounds(), Some((c, c)), "bit {c} in {dims}");
             }
+            assert_eq!(random.ones().collect::<Vec<_>>(), filter(&random), "random fill in {dims}");
             assert_eq!(random.occupied_bounds(), reference(&random), "random fill in {dims}");
+            assert_eq!(Bitmap::zeros(dims).ones().next(), None, "all-zero {dims}");
             assert_eq!(Bitmap::zeros(dims).occupied_bounds(), None, "all-zero {dims}");
         }
     }

@@ -21,9 +21,14 @@
 //! that one block's coverage, so "block empty ⇒ cell empty" holds with no
 //! neighbour checks. The overlap composes: a level-`k` block is the OR of
 //! its two level-`k−1` children per axis (their closed ranges tile its
-//! range exactly), which is how levels ≥ 2 are built; level 1 is reduced
-//! directly from the bitmap (3³ vertices per block, the 2³ interior plus
-//! the shared boundary planes).
+//! range exactly), so each set block of level `k−1` sets its parent. Level
+//! 1 is set from the bitmap's set vertices: vertex `v` lies in block
+//! `v/2`, and an even `v > 0` also on the end plane of block `v/2 − 1`.
+//! Only set bits are visited, so the build costs follow the occupancy.
+//!
+//! The pyramid is the renderer's one emptiness query: its box clips each
+//! ray, [`OccupancyMip::cell_empty`] probes each cell, and
+//! [`OccupancyMip::empty_region`] skips whole blocks.
 //!
 //! # Examples
 //!
@@ -37,11 +42,11 @@
 //! let mip = OccupancyMip::build(b);
 //! // The cell at the origin is provably empty, and the pyramid proves it
 //! // with a whole macro-block, not vertex by vertex.
-//! let (lo, hi) = mip.empty_region(GridCoord::new(0, 0, 0), usize::MAX).unwrap();
+//! let (lo, hi) = mip.empty_region(GridCoord::new(0, 0, 0)).unwrap();
 //! assert_eq!(lo, GridCoord::new(0, 0, 0));
 //! assert!(hi.x >= 3, "a coarse block covers many cell bases");
 //! // The cell touching the occupied vertex is not.
-//! assert!(mip.empty_region(GridCoord::new(8, 8, 8), usize::MAX).is_none());
+//! assert!(mip.empty_region(GridCoord::new(8, 8, 8)).is_none());
 //! ```
 
 use crate::bitmap::Bitmap;
@@ -70,9 +75,19 @@ fn level_dims(base: GridDims, k: u32) -> GridDims {
     GridDims::new(block(base.nx), block(base.ny), block(base.nz))
 }
 
+/// The level-1 blocks whose closed coverage `[2i, 2i + 2]` holds vertex `v`
+/// on one axis: block `v/2`, and block `v/2 − 1` when `v` is even and
+/// positive (the plane the two share), both clamped to the last block
+/// `last`. With one block the pair repeats it.
+fn level1_blocks(v: u32, last: u32) -> [u32; 2] {
+    let own = (v / 2).min(last);
+    let shared = if v % 2 == 0 && v > 0 { (v / 2 - 1).min(last) } else { own };
+    [own, shared]
+}
+
 impl OccupancyMip {
     /// Builds the full pyramid over `bitmap` (levels until one block spans
-    /// the grid).
+    /// the grid), each level from the set bits of the level below.
     pub fn build(bitmap: Bitmap) -> Self {
         let base_dims = bitmap.dims();
         let occupied_bounds = bitmap.occupied_bounds();
@@ -81,24 +96,24 @@ impl OccupancyMip {
         loop {
             let dims = level_dims(base_dims, k);
             let mut level = Bitmap::zeros(dims);
-            // OR-reduce the previous level. Level 1 reads the vertex bitmap
-            // directly, where block `i` covers the closed range [2i, 2i+2]
-            // per axis (reach 2 — the 2³ interior plus the shared boundary
-            // planes); levels ≥ 2 read the two children per axis (reach 1),
-            // whose closed coverages tile the parent's exactly.
-            let reach = if k == 1 { 2 } else { 1 };
             let child = &levels[k as usize - 1];
-            for c in dims.iter() {
-                'scan: for dz in 0..=reach {
-                    for dy in 0..=reach {
-                        for dx in 0..=reach {
-                            let j = GridCoord::new(c.x * 2 + dx, c.y * 2 + dy, c.z * 2 + dz);
-                            if child.get_clamped(j) {
-                                level.set(c, true);
-                                break 'scan;
+            if k == 1 {
+                // A vertex sets every block whose closed coverage holds it:
+                // one or two per axis.
+                let (lx, ly, lz) = (dims.nx - 1, dims.ny - 1, dims.nz - 1);
+                for v in child.ones() {
+                    for x in level1_blocks(v.x, lx) {
+                        for y in level1_blocks(v.y, ly) {
+                            for z in level1_blocks(v.z, lz) {
+                                level.set(GridCoord::new(x, y, z), true);
                             }
                         }
                     }
+                }
+            } else {
+                // The two children per axis tile their parent's coverage.
+                for j in child.ones() {
+                    level.set(GridCoord::new(j.x / 2, j.y / 2, j.z / 2), true);
                 }
             }
             let done = dims.nx == 1 && dims.ny == 1 && dims.nz == 1;
@@ -141,8 +156,8 @@ impl OccupancyMip {
 
     /// Inclusive bounds `(lo, hi)` of the occupied vertex set
     /// ([`Bitmap::occupied_bounds`] of the base, kept from the build), or
-    /// `None` when the grid is entirely empty. A source that carries this
-    /// pyramid answers the renderer's occupied box with it.
+    /// `None` when the grid is entirely empty. The renderer clips each ray
+    /// against this box.
     pub fn occupied_bounds(&self) -> Option<(GridCoord, GridCoord)> {
         self.occupied_bounds
     }
@@ -154,8 +169,7 @@ impl OccupancyMip {
         !self.levels[0].any_in_cell(base)
     }
 
-    /// The largest provably-empty region of cell bases containing `base`,
-    /// probing at most `max_level` coarse levels.
+    /// The largest provably-empty region of cell bases containing `base`.
     ///
     /// Descends coarsest-first: if the level-`k` block containing `base` is
     /// empty, returns the inclusive cell-base range
@@ -165,15 +179,8 @@ impl OccupancyMip {
     /// single-cell check ([`Self::cell_empty`]) when every enclosing block
     /// is occupied, and returns `None` when the cell itself may touch an
     /// occupied vertex (the sample must be marched).
-    ///
-    /// `max_level` caps the coarsest level probed (`usize::MAX` uses the
-    /// whole pyramid; `0` degenerates to the fine-level cell check).
-    pub fn empty_region(
-        &self,
-        base: GridCoord,
-        max_level: usize,
-    ) -> Option<(GridCoord, GridCoord)> {
-        for level in (1..=self.levels().min(max_level)).rev() {
+    pub fn empty_region(&self, base: GridCoord) -> Option<(GridCoord, GridCoord)> {
+        for level in (1..=self.levels()).rev() {
             let k = level as u32;
             // Clamp to the level's last block: a base on the far grid
             // boundary (b = n−1, beyond every interior block) still lies
@@ -252,16 +259,31 @@ mod tests {
 
     #[test]
     fn levels_match_coverage_definition() {
-        for dims in [GridDims::cube(6), GridDims::new(9, 5, 13), GridDims::cube(17)] {
-            let bitmap = scattered_bitmap(dims, 23);
+        // Scattered fills (grids of side 1 and 2; 2×3×130 rows straddle u64
+        // words), then every single-bit bitmap of three grids: each vertex,
+        // shared even plane and far face sets exactly the blocks whose
+        // coverage holds it.
+        let shapes =
+            [(6, 6, 6), (9, 5, 13), (17, 17, 17), (1, 1, 1), (2, 2, 2), (1, 8, 5), (2, 3, 130)];
+        let scattered = shapes.map(|(x, y, z)| scattered_bitmap(GridDims::new(x, y, z), 23));
+        let singles = [GridDims::cube(1), GridDims::cube(2), GridDims::new(5, 7, 9)]
+            .into_iter()
+            .flat_map(|dims| {
+                (0..dims.len()).map(move |i| {
+                    let mut single = Bitmap::zeros(dims);
+                    single.set_index(i, true);
+                    single
+                })
+            });
+        for bitmap in scattered.into_iter().chain(singles) {
+            let (dims, first) = (bitmap.dims(), bitmap.ones().next());
             let mip = OccupancyMip::build(bitmap.clone());
             for level in 1..=mip.levels() {
-                let ldims = level_dims(dims, level as u32);
-                for block in ldims.iter() {
+                for block in level_dims(dims, level as u32).iter() {
                     assert_eq!(
                         mip.block_occupied(level, block),
                         coverage_occupied(&bitmap, level as u32, block),
-                        "level {level} block {block} in {dims}"
+                        "level {level} block {block} in {dims}, first set bit {first:?}"
                     );
                 }
             }
@@ -287,15 +309,16 @@ mod tests {
             let mut b = Bitmap::zeros(dims);
             b.set(GridCoord::new(n - 1, n - 1, n - 1), true);
             let mip = OccupancyMip::build(b);
+            // The far cell (base n−2) touches the occupied corner n−1; its
+            // block's closed coverage must include that vertex at every
+            // level, and the descent must not call the cell empty.
+            let b = n - 2;
             for level in 1..=mip.levels() {
                 let k = level as u32;
-                // The far cell (base n−2) touches the occupied corner n−1;
-                // its block's closed coverage must include that vertex.
-                let b = n - 2;
                 let block = GridCoord::new(b >> k, b >> k, b >> k);
                 assert!(mip.block_occupied(level, block), "side {n} level {level}");
-                assert!(mip.empty_region(GridCoord::new(b, b, b), level).is_none());
             }
+            assert!(mip.empty_region(GridCoord::new(b, b, b)).is_none(), "side {n}");
         }
     }
 
@@ -306,7 +329,7 @@ mod tests {
         let mip = OccupancyMip::build(bitmap.clone());
         for base in dims.iter() {
             let truly_empty = base.cell_corners().iter().all(|c| !bitmap.get_clamped(*c));
-            match mip.empty_region(base, usize::MAX) {
+            match mip.empty_region(base) {
                 Some((lo, hi)) => {
                     assert!(truly_empty, "claimed empty at occupied cell {base}");
                     assert!(
@@ -330,24 +353,10 @@ mod tests {
     }
 
     #[test]
-    fn empty_region_level_cap_still_sound() {
-        let dims = GridDims::cube(12);
-        let mip = OccupancyMip::build(scattered_bitmap(dims, 51));
-        for base in [GridCoord::new(0, 0, 0), GridCoord::new(5, 7, 3)] {
-            let capped = mip.empty_region(base, 0);
-            let full = mip.empty_region(base, usize::MAX);
-            assert_eq!(capped.is_some(), full.is_some(), "cap changes only the region size");
-            if let (Some((cl, ch)), Some((fl, fh))) = (capped, full) {
-                assert!(fl <= cl && ch <= fh || (cl, ch) == (fl, fh));
-            }
-        }
-    }
-
-    #[test]
     fn all_empty_grid_skips_everything() {
         let mip = OccupancyMip::build(Bitmap::zeros(GridDims::cube(9)));
         assert_eq!(mip.occupied_bounds(), None);
-        let (lo, hi) = mip.empty_region(GridCoord::new(4, 4, 4), usize::MAX).unwrap();
+        let (lo, hi) = mip.empty_region(GridCoord::new(4, 4, 4)).unwrap();
         assert_eq!(lo, GridCoord::new(0, 0, 0));
         // Every cell base (≤ n−2 = 7) lies inside the top-level block.
         assert!(hi.x >= 7, "top-level block spans the grid, got hi {hi}");
@@ -384,7 +393,7 @@ mod tests {
             let mip = OccupancyMip::build(b);
             let edge = GridCoord::new(n - 1, n - 1, n - 1);
             assert!(
-                mip.empty_region(edge, usize::MAX).is_none(),
+                mip.empty_region(edge).is_none(),
                 "side {n}: the cell at the occupied far corner is not empty"
             );
 
@@ -392,7 +401,7 @@ mod tests {
             // region that contains the queried base (the documented
             // contract), even when the block index clamps.
             let empty = OccupancyMip::build(Bitmap::zeros(dims));
-            let (lo, hi) = empty.empty_region(edge, usize::MAX).expect("everything is empty");
+            let (lo, hi) = empty.empty_region(edge).expect("everything is empty");
             assert!(
                 lo.x <= edge.x && edge.x <= hi.x && lo.z <= edge.z && edge.z <= hi.z,
                 "side {n}: region ({lo}, {hi}) must contain {edge}"

@@ -367,10 +367,12 @@ impl PipelineBuilder {
     }
 }
 
-/// Lazily built, `Arc`-shared occupancy pyramids — one per render source,
-/// because each source must be skipped against its **own** decode support
-/// (the unmasked ablation's support exceeds the pruned bitmap, so sharing
-/// one pyramid would change its pixels).
+/// Lazily built, `Arc`-shared occupancy pyramids of the render sources
+/// that carry none of their own, one per source, because each must be
+/// skipped against a pyramid covering its **own** decode support (the
+/// unmasked ablation's support exceeds the pruned bitmap, so sharing the
+/// model's pyramid would change its pixels). The masked view needs no
+/// cell: the SpNeRF model carries its bitmap's pyramid.
 ///
 /// Built on first use by a `SkipMode::Mip` session and reused by every
 /// subsequent render of the same scene bundle, mirroring how the grid and
@@ -379,7 +381,6 @@ impl PipelineBuilder {
 struct MipCache {
     grid: OnceLock<Arc<OccupancyMip>>,
     vqrf: OnceLock<Arc<OccupancyMip>>,
-    masked: OnceLock<Arc<OccupancyMip>>,
     unmasked: OnceLock<Arc<OccupancyMip>>,
 }
 
@@ -561,11 +562,11 @@ impl Scene {
     ) -> Result<Scene, Error> {
         let model = SpNerfModel::build_with(&self.vqrf, &cfg, opts)?;
         // The grid/VQRF pyramids depend only on the shared offline
-        // artifacts, so carry them over; the SpNeRF-model pyramids belong
-        // to the old operating point and must be rebuilt on demand. The
-        // bake cache depends only on the grid and MLP — both shared — so
-        // the whole cell carries over (a bake done before respecializing
-        // stays done after).
+        // artifacts, so carry them over; the unmasked pyramid belongs to
+        // the old operating point and is rebuilt on demand (the new model
+        // carries its own masked one). The bake cache depends only on the
+        // grid and MLP — both shared — so the whole cell carries over (a
+        // bake done before respecializing stays done after).
         let mips = MipCache::default();
         if let Some(m) = self.mips.grid.get() {
             let _ = mips.grid.set(Arc::clone(m));
@@ -596,9 +597,11 @@ impl Scene {
     }
 
     /// The empty-space-skipping occupancy pyramid of one render source,
-    /// built from that source's **exact decode support** on first use and
-    /// `Arc`-shared (with every session, worker thread, and clone of this
-    /// bundle) afterwards.
+    /// `Arc`-shared with every session, worker thread, and clone of this
+    /// bundle. The masked SpNeRF view's is its model's bitmap pyramid
+    /// ([`SpNerfModel::occupancy`]), built with the model, which covers its
+    /// decode support; every other source's is built from that source's
+    /// **exact decode support** on first use.
     ///
     /// Sessions running [`SkipMode::Mip`] call this internally; it is
     /// public so custom render paths can attach the same pyramid via
@@ -619,12 +622,10 @@ impl Scene {
             RenderSource::Vqrf => {
                 Arc::clone(self.mips.vqrf.get_or_init(|| build(support_bitmap(self.vqrf.as_ref()))))
             }
-            RenderSource::SpNerf { mask } => {
-                let cell = match mask {
-                    MaskMode::Masked => &self.mips.masked,
-                    MaskMode::Unmasked => &self.mips.unmasked,
-                };
-                Arc::clone(cell.get_or_init(|| build(self.model.view(mask).support_bitmap())))
+            RenderSource::SpNerf { mask: MaskMode::Masked } => Arc::clone(self.model.occupancy()),
+            RenderSource::SpNerf { mask: MaskMode::Unmasked } => {
+                let view = self.model.unmasked();
+                Arc::clone(self.mips.unmasked.get_or_init(|| build(view.support_bitmap())))
             }
         }
     }
@@ -1139,15 +1140,20 @@ mod tests {
         // offline-artifact pyramids but drops the model-dependent ones.
         let clone = scene.clone();
         assert!(Arc::ptr_eq(&a, &clone.occupancy_mip(RenderSource::GroundTruth)));
+        // The masked view's pyramid is the one its model carries.
         let masked = scene.occupancy_mip(RenderSource::spnerf_masked());
+        assert!(Arc::ptr_eq(&masked, scene.model().occupancy()));
+        assert!(Arc::ptr_eq(&masked, &clone.occupancy_mip(RenderSource::spnerf_masked())));
         let re = scene
             .with_spnerf(SpNerfConfig { subgrid_count: 2, table_size: 1024, codebook_size: 16 })
             .unwrap();
         assert!(Arc::ptr_eq(&a, &re.occupancy_mip(RenderSource::GroundTruth)));
+        let re_masked = re.occupancy_mip(RenderSource::spnerf_masked());
         assert!(
-            !Arc::ptr_eq(&masked, &re.occupancy_mip(RenderSource::spnerf_masked())),
-            "a respecialized model must get its own decode-support pyramid"
+            !Arc::ptr_eq(&masked, &re_masked),
+            "a respecialized model must get its own bitmap pyramid"
         );
+        assert!(Arc::ptr_eq(&re_masked, re.model().occupancy()));
     }
 
     #[test]
