@@ -13,10 +13,9 @@ use spnerf_core::model::SpNerfModel;
 use spnerf_render::camera::PinholeCamera;
 use spnerf_render::composite::{alpha_from_density, RayAccumulator};
 use spnerf_render::image::ImageBuffer;
-use spnerf_render::interp::GridFrame;
 use spnerf_render::mlp::{encode_direction, Mlp, MLP_INPUT_DIM};
-use spnerf_render::ray::{Aabb, UniformSampler};
-use spnerf_render::renderer::{RenderConfig, BACKGROUND, DENSITY_SCALE};
+use spnerf_render::ray::UniformSampler;
+use spnerf_render::renderer::{RenderConfig, RenderFrame, BACKGROUND, DENSITY_SCALE};
 use spnerf_render::vec3::Vec3;
 use spnerf_voxel::FEATURE_DIM;
 
@@ -72,18 +71,15 @@ impl<'a> FunctionalPipeline<'a> {
     /// colors composite back into the owning rays (which is legal because
     /// compositing per ray is order-respecting here: each ray's samples
     /// enter in march order and batches flush in arrival order).
-    pub fn render(
-        &mut self,
-        camera: &PinholeCamera,
-        aabb: &Aabb,
-        cfg: &RenderConfig,
-    ) -> ImageBuffer {
-        let model_dims = {
-            let m = self.sgpu.model();
-            m.dims()
-        };
-        let frame = GridFrame::new(model_dims, aabb.min, aabb.max);
-        let step = aabb.size().max_component() * 1.74 / cfg.samples_per_ray as f32;
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.samples_per_ray` is zero.
+    pub fn render(&mut self, camera: &PinholeCamera, cfg: &RenderConfig) -> ImageBuffer {
+        // The march geometry of the software renderer: the scene box, its
+        // world↔grid frame and the step.
+        let frame = RenderFrame::new(self.sgpu.model().dims(), cfg);
+        let step = frame.step();
 
         let mut accumulators = vec![RayAccumulator::new(); (camera.width * camera.height) as usize];
         let mut alive = vec![true; accumulators.len()];
@@ -95,11 +91,12 @@ impl<'a> FunctionalPipeline<'a> {
                 let ray = camera.ray_for_pixel(px, py);
                 let dir_enc = encode_direction(ray.dir);
                 let idx = (py * camera.width + px) as usize;
-                for (_t, pos) in UniformSampler::new(ray, aabb, step) {
+                for (_t, pos) in UniformSampler::new(ray, frame.aabb(), step) {
                     if !alive[idx] {
                         break;
                     }
-                    let (density, features) = self.sgpu.decode_sample(frame.world_to_grid(pos));
+                    let (density, features) =
+                        self.sgpu.decode_sample(frame.grid().world_to_grid(pos));
                     if density <= 0.0 {
                         continue;
                     }
@@ -206,7 +203,7 @@ mod tests {
     use super::*;
     use spnerf_core::SpNerfConfig;
     use spnerf_render::renderer::render_view;
-    use spnerf_render::scene::{build_grid, default_camera, scene_aabb, SceneId};
+    use spnerf_render::scene::{build_grid, default_camera, SceneId};
     use spnerf_voxel::vqrf::{VqrfConfig, VqrfModel};
 
     fn fixture() -> (SpNerfModel, Mlp) {
@@ -231,10 +228,10 @@ mod tests {
         let cfg = RenderConfig { samples_per_ray: 40, ..Default::default() };
 
         let view = model.view(MaskMode::Masked);
-        let (sw, _) = render_view(&view, &mlp, &cam, &scene_aabb(), &cfg);
+        let (sw, _) = render_view(&view, &mlp, &cam, &cfg);
 
         let mut hw_pipe = FunctionalPipeline::new(&model, &mlp, SystolicArray::new(8, 8), 16);
-        let hw = hw_pipe.render(&cam, &scene_aabb(), &cfg);
+        let hw = hw_pipe.render(&cam, &cfg);
 
         // The hardware path rounds through FP16 in the SGPU; tolerate a
         // small PSNR-level difference but demand near-identity.
@@ -250,16 +247,10 @@ mod tests {
         let (model, mlp) = fixture();
         let cam = default_camera(10, 10, 1, 8);
         let cfg = RenderConfig { samples_per_ray: 32, ..Default::default() };
-        let img_a = FunctionalPipeline::new(&model, &mlp, SystolicArray::new(4, 4), 8).render(
-            &cam,
-            &scene_aabb(),
-            &cfg,
-        );
-        let img_b = FunctionalPipeline::new(&model, &mlp, SystolicArray::new(16, 16), 64).render(
-            &cam,
-            &scene_aabb(),
-            &cfg,
-        );
+        let img_a =
+            FunctionalPipeline::new(&model, &mlp, SystolicArray::new(4, 4), 8).render(&cam, &cfg);
+        let img_b = FunctionalPipeline::new(&model, &mlp, SystolicArray::new(16, 16), 64)
+            .render(&cam, &cfg);
         // Identical math, different tiling/batching → identical images up to
         // float associativity inside GEMM tiles.
         assert!(
@@ -275,7 +266,7 @@ mod tests {
         let cam = default_camera(8, 8, 0, 8);
         let cfg = RenderConfig { samples_per_ray: 24, ..Default::default() };
         let mut pipe = FunctionalPipeline::new(&model, &mlp, SystolicArray::new(8, 8), 16);
-        let _ = pipe.render(&cam, &scene_aabb(), &cfg);
+        let _ = pipe.render(&cam, &cfg);
         assert!(pipe.sgpu().gid.samples() > 0);
         assert!(pipe.sgpu().blu.lookups() > 0);
     }

@@ -44,7 +44,7 @@ use spnerf::render::mlp::{
 };
 use spnerf::render::ray::{Ray, UniformSampler};
 use spnerf::render::renderer::{render_view_serial, trace_rays, RenderConfig, RenderFrame, Shader};
-use spnerf::render::scene::{build_grid, default_camera, scene_aabb, SceneId};
+use spnerf::render::scene::{build_grid, default_camera, SceneId};
 use spnerf::render::source::VoxelSource;
 use spnerf::render::temporal::{
     advance_frame, disocclusion_mask, warp_splat, ReuseMode, TrajectorySpec,
@@ -244,7 +244,7 @@ fn probe_cells(grid: &DenseGrid, n: usize) -> Vec<TrilinearCell> {
 fn view_cells(source: &impl VoxelSource, mlp: &Mlp, camera: &PinholeCamera) -> Vec<TrilinearCell> {
     let cfg = RenderConfig::default();
     let dims = source.dims();
-    let frame = RenderFrame::new(dims, &scene_aabb(), &cfg);
+    let frame = RenderFrame::new(dims, &cfg);
     let rays: Vec<Ray> = (0..camera.height)
         .flat_map(|py| (0..camera.width).map(move |px| camera.ray_for_pixel(px, py)))
         .collect();
@@ -319,7 +319,6 @@ pub fn measure(label: &str, quick: bool) -> Snapshot {
         &&grid,
         Shader::PerSample(&mlp),
         &warp_cams[0],
-        &scene_aabb(),
         &warp_render,
         ReuseMode::warp(),
         0,
@@ -336,9 +335,7 @@ pub fn measure(label: &str, quick: bool) -> Snapshot {
     // The same still through the whole march, one op per marched sample.
     let still_camera = default_camera(32, 32, 0, 1);
     let decode_cells = view_cells(&masked, &mlp, &still_camera);
-    let still = || {
-        render_view_serial(&masked, &mlp, &still_camera, &scene_aabb(), &RenderConfig::default())
-    };
+    let still = || render_view_serial(&masked, &mlp, &still_camera, &RenderConfig::default());
     let still_marched = still().1.samples_marched as u64;
 
     // k-means assignment: 12-dim rows against the paper's 4096-entry VQRF

@@ -93,11 +93,6 @@ impl PinholeCamera {
             .normalized();
         Ray::new(self.pose.position, dir)
     }
-
-    /// Total pixel (= primary ray) count.
-    pub fn ray_count(&self) -> usize {
-        self.width as usize * self.height as usize
-    }
 }
 
 /// Generates `n` poses orbiting `target` at distance `radius` and elevation

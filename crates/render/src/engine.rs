@@ -11,7 +11,8 @@
 //! ([`crate::renderer::render_view`] submits one job per tile) and the
 //! temporal warp pass ([`crate::temporal`] submits one job per chunk of
 //! re-marched pixels; a frame with nothing to warp from re-marches them
-//! all). A job is a list of bare rays.
+//! all). A job is a list of bare rays, traced against one
+//! [`crate::renderer::RenderFrame`] per view.
 //!
 //! # Determinism guarantee
 //!
@@ -31,14 +32,14 @@
 //! ```
 //! use spnerf_render::mlp::Mlp;
 //! use spnerf_render::renderer::{render_view, render_view_serial, RenderConfig};
-//! use spnerf_render::scene::{build_grid, default_camera, scene_aabb, SceneId};
+//! use spnerf_render::scene::{build_grid, default_camera, SceneId};
 //!
 //! let grid = build_grid(SceneId::Lego, 24);
 //! let mlp = Mlp::random(0);
 //! let camera = default_camera(16, 16, 0, 8);
 //! let cfg = RenderConfig { samples_per_ray: 32, parallelism: 4, tile_size: 8, ..Default::default() };
-//! let parallel = render_view(&grid, &mlp, &camera, &scene_aabb(), &cfg);
-//! let serial = render_view_serial(&grid, &mlp, &camera, &scene_aabb(), &cfg);
+//! let parallel = render_view(&grid, &mlp, &camera, &cfg);
+//! let serial = render_view_serial(&grid, &mlp, &camera, &cfg);
 //! assert_eq!(parallel, serial);
 //! ```
 
@@ -142,7 +143,7 @@ mod tests {
     use super::*;
     use crate::mlp::Mlp;
     use crate::renderer::{render_view, render_view_serial, RenderConfig};
-    use crate::scene::{build_grid, default_camera, scene_aabb, SceneId};
+    use crate::scene::{build_grid, default_camera, SceneId};
 
     #[test]
     fn scheduler_covers_image_exactly_once() {
@@ -198,10 +199,10 @@ mod tests {
         let base = RenderConfig { samples_per_ray: 24, ..Default::default() };
         for (w, h) in [(9u32, 7u32), (16, 16)] {
             let cam = default_camera(w, h, 0, 4);
-            let serial = render_view_serial(&grid, &mlp, &cam, &scene_aabb(), &base);
+            let serial = render_view_serial(&grid, &mlp, &cam, &base);
             for (tile_size, threads) in [(1, 2), (3, 4), (32, 8), (4, 0)] {
                 let cfg = RenderConfig { tile_size, parallelism: threads, ..base };
-                let got = render_view(&grid, &mlp, &cam, &scene_aabb(), &cfg);
+                let got = render_view(&grid, &mlp, &cam, &cfg);
                 assert_eq!(got, serial, "{w}x{h} tile={tile_size} threads={threads}");
             }
         }

@@ -231,14 +231,6 @@ pub fn f16_bits_to_f32(h: u16) -> f32 {
     f32::from_bits(bits)
 }
 
-/// Rounds every element of `v` through f16 — models storing a vector in an
-/// FP16 buffer.
-pub fn round_slice_to_f16(v: &mut [f32]) {
-    for x in v.iter_mut() {
-        *x = F16::from_f32(*x).to_f32();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -354,14 +346,5 @@ mod tests {
     fn epsilon_is_ulp_of_one() {
         let next = F16::from_bits(F16::ONE.to_bits() + 1);
         assert_eq!((next - F16::ONE).to_bits(), F16::EPSILON.to_bits());
-    }
-
-    #[test]
-    fn round_slice() {
-        let mut v = [0.1f32, 1.0, 1e6];
-        round_slice_to_f16(&mut v);
-        assert_eq!(v[1], 1.0);
-        assert!(v[2].is_infinite());
-        assert_ne!(v[0], 0.1); // 0.1 is not representable
     }
 }

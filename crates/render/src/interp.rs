@@ -46,11 +46,6 @@ impl GridFrame {
     pub fn world_to_grid(&self, p: Vec3) -> Vec3 {
         (p - self.origin) * self.scale
     }
-
-    /// Continuous grid coordinates → world position.
-    pub fn grid_to_world(&self, g: Vec3) -> Vec3 {
-        Vec3::new(g.x / self.scale.x, g.y / self.scale.y, g.z / self.scale.z) + self.origin
-    }
 }
 
 /// A continuous grid position located in its interpolation cell: the
@@ -525,10 +520,6 @@ mod tests {
     #[test]
     fn grid_frame_round_trip() {
         let frame = GridFrame::new(GridDims::cube(9), Vec3::splat(-1.0), Vec3::splat(1.0));
-        let w = Vec3::new(0.3, -0.6, 0.9);
-        let g = frame.world_to_grid(w);
-        let back = frame.grid_to_world(g);
-        assert!((back - w).length() < 1e-5);
         // AABB min maps to vertex 0, max to vertex n-1.
         assert!((frame.world_to_grid(Vec3::splat(-1.0)) - Vec3::ZERO).length() < 1e-5);
         assert!((frame.world_to_grid(Vec3::splat(1.0)) - Vec3::splat(8.0)).length() < 1e-4);

@@ -37,7 +37,9 @@
 //!
 //! Rendering is layered: [`renderer::trace_rays`] is the one pure job
 //! kernel (march → decode → interpolate → MLP → composite) over a
-//! read-only [`renderer::RenderFrame`], for either [`renderer::Shader`]: it
+//! read-only [`renderer::RenderFrame`] (the world↔grid frame and march step
+//! of the one scene box, [`scene::scene_aabb`], so no entry point takes a
+//! box), for either [`renderer::Shader`]: it
 //! takes bare rays and reports each ray's color, depth and
 //! [`renderer::RenderStats`].
 //! Like the accelerator's MLP Unit, it shades in batches: a job marches
@@ -59,13 +61,13 @@
 //! ```
 //! use spnerf_render::mlp::Mlp;
 //! use spnerf_render::renderer::{render_view, RenderConfig};
-//! use spnerf_render::scene::{build_grid, default_camera, scene_aabb, SceneId};
+//! use spnerf_render::scene::{build_grid, default_camera, SceneId};
 //!
 //! let grid = build_grid(SceneId::Lego, 24);
 //! let mlp = Mlp::random(0);
 //! let camera = default_camera(16, 16, 0, 8);
 //! let cfg = RenderConfig { samples_per_ray: 32, ..Default::default() };
-//! let (image, stats) = render_view(&grid, &mlp, &camera, &scene_aabb(), &cfg);
+//! let (image, stats) = render_view(&grid, &mlp, &camera, &cfg);
 //! assert_eq!(image.width(), 16);
 //! assert!(stats.samples_marched > 0);
 //! ```
@@ -108,7 +110,6 @@ pub use renderer::{
 pub use scene::SceneId;
 pub use source::{support_bitmap, VoxelData, VoxelSource, WithOccupancy};
 pub use temporal::{
-    advance_frame, render_trajectory, PathKind, ReuseMode, ReuseState, TemporalFrame,
-    TrajectorySpec, WARP_TOLERANCE,
+    advance_frame, PathKind, ReuseMode, ReuseState, TemporalFrame, TrajectorySpec, WARP_TOLERANCE,
 };
 pub use vec3::Vec3;

@@ -16,7 +16,9 @@
 //!
 //! 1. [`trace_rays`] — the one pure job kernel: march, decode, shade and
 //!    composite a list of bare primary rays against a shared read-only
-//!    [`RenderFrame`], returning each ray's color, depth and
+//!    [`RenderFrame`] (every scene sits in [`scene_aabb`], so the frame
+//!    derives its grid mapping and step from a source's dimensions and
+//!    the config alone), returning each ray's color, depth and
 //!    [`RenderStats`]. Like the accelerator's MLP Unit (Fig. 4), it shades
 //!    in batches: every ray of the job is marched first, then the queued
 //!    samples run through [`Mlp::forward_batch`] eight at a time, then each
@@ -44,6 +46,7 @@ use crate::mlp::{
     encode_direction, DeferredMlp, Mlp, DEFERRED_INPUT_DIM, MLP_INPUT_DIM, VIEW_ENC_DIM,
 };
 use crate::ray::{Aabb, Ray, UniformSampler};
+use crate::scene::scene_aabb;
 use crate::source::VoxelSource;
 use crate::vec3::Vec3;
 use spnerf_voxel::baked::{DIFFUSE_DIM, SPEC_DIM};
@@ -344,6 +347,10 @@ pub struct TracedRay {
 
 /// Per-view context precomputed once and shared read-only by every ray:
 /// the world↔grid frame, the scene AABB, and the march step size.
+///
+/// Every scene sits in the one box [`scene_aabb`], so the box is not a
+/// parameter: a source's lattice always spans `[-1, 1]³`, as SpNeRF's Grid
+/// ID Unit maps every sample into one fixed voxel lattice.
 #[derive(Debug, Clone)]
 pub struct RenderFrame {
     grid: GridFrame,
@@ -352,15 +359,19 @@ pub struct RenderFrame {
 }
 
 impl RenderFrame {
-    /// Builds the per-view context for a source of dimensions `dims`.
+    /// Builds the per-view context for a source of dimensions `dims`: the
+    /// frame mapping [`scene_aabb`] onto the lattice, and the step that
+    /// spreads `cfg.samples_per_ray` samples over the box's longest chord
+    /// ([`RAY_DIAGONAL_FACTOR`]).
     ///
     /// # Panics
     ///
     /// Panics if `cfg.samples_per_ray` is zero.
-    pub fn new(dims: GridDims, aabb: &Aabb, cfg: &RenderConfig) -> Self {
+    pub fn new(dims: GridDims, cfg: &RenderConfig) -> Self {
         assert!(cfg.samples_per_ray > 0, "samples_per_ray must be non-zero");
+        let aabb = scene_aabb();
         let step = aabb.size().max_component() * RAY_DIAGONAL_FACTOR / cfg.samples_per_ray as f32;
-        Self { grid: GridFrame::new(dims, aabb.min, aabb.max), aabb: *aabb, step }
+        Self { grid: GridFrame::new(dims, aabb.min, aabb.max), aabb, step }
     }
 
     /// The world↔grid coordinate frame.
@@ -731,12 +742,11 @@ pub fn render_view<'a, S: VoxelSource + Sync>(
     source: &S,
     shader: impl Into<Shader<'a>>,
     camera: &PinholeCamera,
-    aabb: &Aabb,
     cfg: &RenderConfig,
 ) -> (ImageBuffer, RenderStats) {
     let shader = shader.into();
     let sched = TileScheduler::new(camera.width, camera.height, cfg.tile_size);
-    let frame = RenderFrame::new(source.dims(), aabb, cfg);
+    let frame = RenderFrame::new(source.dims(), cfg);
     let tiles = run_ordered(cfg.parallelism, sched.tile_count(), |i| {
         // One job per tile.
         let rays: Vec<Ray> =
@@ -776,11 +786,10 @@ pub fn render_view_serial<'a, S: VoxelSource + ?Sized>(
     source: &S,
     shader: impl Into<Shader<'a>>,
     camera: &PinholeCamera,
-    aabb: &Aabb,
     cfg: &RenderConfig,
 ) -> (ImageBuffer, RenderStats) {
     let shader = shader.into();
-    let frame = RenderFrame::new(source.dims(), aabb, cfg);
+    let frame = RenderFrame::new(source.dims(), cfg);
     let mut stats = RenderStats::default();
     let mut img = ImageBuffer::new(camera.width, camera.height);
     let pixels = || (0..camera.height).flat_map(|py| (0..camera.width).map(move |px| (px, py)));
@@ -795,7 +804,7 @@ pub fn render_view_serial<'a, S: VoxelSource + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scene::{build_grid, default_camera, scene_aabb, SceneId};
+    use crate::scene::{build_grid, default_camera, SceneId};
     use spnerf_voxel::coord::GridDims;
     use spnerf_voxel::grid::DenseGrid;
 
@@ -808,7 +817,7 @@ mod tests {
         let grid = DenseGrid::zeros(GridDims::cube(16));
         let mlp = Mlp::random(0);
         let cam = default_camera(8, 8, 0, 4);
-        let (img, stats) = render_view(&grid, &mlp, &cam, &scene_aabb(), &tiny_cfg());
+        let (img, stats) = render_view(&grid, &mlp, &cam, &tiny_cfg());
         for p in img.pixels() {
             assert_eq!(*p, Vec3::ONE);
         }
@@ -821,7 +830,7 @@ mod tests {
         let grid = build_grid(SceneId::Lego, 32);
         let mlp = Mlp::random(0);
         let cam = default_camera(16, 16, 0, 4);
-        let (img, stats) = render_view(&grid, &mlp, &cam, &scene_aabb(), &tiny_cfg());
+        let (img, stats) = render_view(&grid, &mlp, &cam, &tiny_cfg());
         assert!(stats.samples_shaded > 0, "object must be hit");
         let non_bg = img.pixels().iter().filter(|p| (**p - Vec3::ONE).length() > 0.05).count();
         assert!(non_bg > 10, "object should cover some pixels, got {non_bg}");
@@ -832,8 +841,8 @@ mod tests {
         let grid = build_grid(SceneId::Mic, 24);
         let mlp = Mlp::random(1);
         let cam = default_camera(8, 8, 1, 4);
-        let (a, _) = render_view(&grid, &mlp, &cam, &scene_aabb(), &tiny_cfg());
-        let (b, _) = render_view(&grid, &mlp, &cam, &scene_aabb(), &tiny_cfg());
+        let (a, _) = render_view(&grid, &mlp, &cam, &tiny_cfg());
+        let (b, _) = render_view(&grid, &mlp, &cam, &tiny_cfg());
         assert_eq!(a, b);
     }
 
@@ -842,10 +851,10 @@ mod tests {
         let grid = build_grid(SceneId::Lego, 28);
         let mlp = Mlp::random(0);
         let cam = default_camera(13, 11, 0, 4);
-        let serial = render_view_serial(&grid, &mlp, &cam, &scene_aabb(), &tiny_cfg());
+        let serial = render_view_serial(&grid, &mlp, &cam, &tiny_cfg());
         for threads in [1, 2, 3, 8] {
             let cfg = RenderConfig { parallelism: threads, tile_size: 5, ..tiny_cfg() };
-            let parallel = render_view(&grid, &mlp, &cam, &scene_aabb(), &cfg);
+            let parallel = render_view(&grid, &mlp, &cam, &cfg);
             assert_eq!(parallel, serial, "threads={threads}");
         }
     }
@@ -862,9 +871,9 @@ mod tests {
                 grid.set_density(c, 4.0);
                 grid.set_features(c, &[(c.x + c.y + c.z) as f32 * 0.05; FEATURE_DIM]);
             }
-            let serial = render_view_serial(&grid, &mlp, &cam, &scene_aabb(), &tiny_cfg());
+            let serial = render_view_serial(&grid, &mlp, &cam, &tiny_cfg());
             let cfg = RenderConfig { parallelism: 2, tile_size: 4, ..tiny_cfg() };
-            let parallel = render_view(&grid, &mlp, &cam, &scene_aabb(), &cfg);
+            let parallel = render_view(&grid, &mlp, &cam, &cfg);
             assert_eq!(parallel, serial, "{dims}");
             let (img, stats) = serial;
             assert!(stats.samples_shaded > 0, "{dims}: the plane must be hit");
@@ -880,7 +889,7 @@ mod tests {
         let grid = build_grid(SceneId::Chair, 28);
         let mlp = Mlp::random(0);
         let cam = default_camera(12, 12, 2, 4);
-        let (_, stats) = render_view(&grid, &mlp, &cam, &scene_aabb(), &tiny_cfg());
+        let (_, stats) = render_view(&grid, &mlp, &cam, &tiny_cfg());
         assert_eq!(stats.rays, 144);
         assert!(stats.samples_shaded <= stats.samples_marched);
         assert!(stats.rays_terminated_early <= stats.rays);
@@ -894,8 +903,8 @@ mod tests {
         let cam = default_camera(6, 6, 0, 4);
         let lo = RenderConfig { samples_per_ray: 16, ..Default::default() };
         let hi = RenderConfig { samples_per_ray: 64, ..Default::default() };
-        let (_, s_lo) = render_view(&grid, &mlp, &cam, &scene_aabb(), &lo);
-        let (_, s_hi) = render_view(&grid, &mlp, &cam, &scene_aabb(), &hi);
+        let (_, s_lo) = render_view(&grid, &mlp, &cam, &lo);
+        let (_, s_hi) = render_view(&grid, &mlp, &cam, &hi);
         assert!(s_hi.samples_marched > 2 * s_lo.samples_marched);
     }
 
@@ -906,8 +915,8 @@ mod tests {
         let cam = default_camera(10, 10, 0, 4);
         let eager = RenderConfig { early_stop: 0.5, ..tiny_cfg() };
         let never = RenderConfig { early_stop: 0.0, ..tiny_cfg() };
-        let (_, s_eager) = render_view(&grid, &mlp, &cam, &scene_aabb(), &eager);
-        let (_, s_never) = render_view(&grid, &mlp, &cam, &scene_aabb(), &never);
+        let (_, s_eager) = render_view(&grid, &mlp, &cam, &eager);
+        let (_, s_never) = render_view(&grid, &mlp, &cam, &never);
         assert!(s_eager.samples_shaded <= s_never.samples_shaded);
         assert!(s_eager.rays_terminated_early > 0);
         assert_eq!(s_never.rays_terminated_early, 0);
@@ -1031,10 +1040,10 @@ mod tests {
             let grid = build_grid(id, 28);
             let mlp = Mlp::random(0);
             let cam = default_camera(12, 12, 0, 4);
-            let off = render_view(&grid, &mlp, &cam, &scene_aabb(), &tiny_cfg());
+            let off = render_view(&grid, &mlp, &cam, &tiny_cfg());
             let skippable = WithOccupancy::build(&grid);
             let cfg = RenderConfig { skip_mode: SkipMode::mip(), ..tiny_cfg() };
-            let on = render_view(&skippable, &mlp, &cam, &scene_aabb(), &cfg);
+            let on = render_view(&skippable, &mlp, &cam, &cfg);
             assert_eq!(on.0, off.0, "{id:?}: images must be bitwise-identical");
             assert_eq!(on.1.samples_shaded, off.1.samples_shaded);
             assert_eq!(on.1.rays_terminated_early, off.1.rays_terminated_early);
@@ -1154,8 +1163,8 @@ mod tests {
         let mlp = Mlp::random(0);
         let cam = default_camera(8, 8, 0, 4);
         let cfg = RenderConfig { skip_mode: SkipMode::mip(), ..tiny_cfg() };
-        let on = render_view(&grid, &mlp, &cam, &scene_aabb(), &cfg);
-        let off = render_view(&grid, &mlp, &cam, &scene_aabb(), &tiny_cfg());
+        let on = render_view(&grid, &mlp, &cam, &cfg);
+        let off = render_view(&grid, &mlp, &cam, &tiny_cfg());
         assert_eq!(on, off, "a bare source has no pyramid, so nothing skips");
         assert_eq!(on.1.samples_skipped, 0);
     }
@@ -1168,7 +1177,7 @@ mod tests {
         let cam = default_camera(8, 8, 0, 4);
         let skippable = WithOccupancy::build(&grid);
         let cfg = RenderConfig { skip_mode: SkipMode::mip(), ..tiny_cfg() };
-        let (img, stats) = render_view(&skippable, &mlp, &cam, &scene_aabb(), &cfg);
+        let (img, stats) = render_view(&skippable, &mlp, &cam, &cfg);
         for p in img.pixels() {
             assert_eq!(*p, Vec3::ONE);
         }
@@ -1182,8 +1191,8 @@ mod tests {
         let mlp = Mlp::random(0);
         let cam = default_camera(10, 10, 0, 4);
         let cfg = tiny_cfg();
-        let (img, view_stats) = render_view_serial(&grid, &mlp, &cam, &scene_aabb(), &cfg);
-        let frame = RenderFrame::new(grid.dims(), &scene_aabb(), &cfg);
+        let (img, view_stats) = render_view_serial(&grid, &mlp, &cam, &cfg);
+        let frame = RenderFrame::new(grid.dims(), &cfg);
         let mut stats = RenderStats::default();
         let mut hits = 0;
         for py in 0..10 {
@@ -1226,7 +1235,7 @@ mod tests {
         let mlp = Mlp::random(0);
         let cam = default_camera(8, 8, 0, 4);
         let cfg = tiny_cfg();
-        let frame = RenderFrame::new(grid.dims(), &scene_aabb(), &cfg);
+        let frame = RenderFrame::new(grid.dims(), &cfg);
         let rays: Vec<Ray> = (0..8)
             .flat_map(|py| (0..8).map(move |px| (px, py)))
             .map(|(px, py)| cam.ray_for_pixel(px, py))
@@ -1249,8 +1258,7 @@ mod tests {
         let baked = bake(&grid, &Mlp::random(0));
         let deferred = DeferredMlp::random(0);
         let cam = default_camera(12, 12, 0, 4);
-        let (img, stats) =
-            render_view(&baked, Shader::Deferred(&deferred), &cam, &scene_aabb(), &tiny_cfg());
+        let (img, stats) = render_view(&baked, Shader::Deferred(&deferred), &cam, &tiny_cfg());
         assert!(stats.pixels_shaded > 0, "object must be hit");
         assert!(stats.pixels_shaded <= stats.rays, "at most one deferred eval per ray");
         assert!(
@@ -1265,7 +1273,7 @@ mod tests {
         // Marching workload is identical to per-sample rendering of the
         // same baked grid: density (and therefore support) is copied
         // verbatim by the bake.
-        let per_sample = render_view(&baked, &Mlp::random(0), &cam, &scene_aabb(), &tiny_cfg());
+        let per_sample = render_view(&baked, &Mlp::random(0), &cam, &tiny_cfg());
         assert_eq!(stats.samples_marched, per_sample.1.samples_marched);
         assert_eq!(stats.samples_shaded, per_sample.1.samples_shaded);
         assert_eq!(per_sample.1.pixels_shaded, 0, "no deferred evaluations in per-sample mode");
@@ -1280,10 +1288,10 @@ mod tests {
         let deferred = DeferredMlp::random(1);
         let cam = default_camera(13, 11, 1, 4);
         let shader = Shader::Deferred(&deferred);
-        let serial = render_view_serial(&baked, shader, &cam, &scene_aabb(), &tiny_cfg());
+        let serial = render_view_serial(&baked, shader, &cam, &tiny_cfg());
         for threads in [2usize, 3, 8] {
             let cfg = RenderConfig { parallelism: threads, tile_size: 5, ..tiny_cfg() };
-            let parallel = render_view(&baked, shader, &cam, &scene_aabb(), &cfg);
+            let parallel = render_view(&baked, shader, &cam, &cfg);
             assert_eq!(parallel, serial, "threads={threads}");
         }
     }
@@ -1298,10 +1306,10 @@ mod tests {
         let deferred = DeferredMlp::random(2);
         let cam = default_camera(10, 10, 2, 4);
         let shader = Shader::Deferred(&deferred);
-        let off = render_view(&baked, shader, &cam, &scene_aabb(), &tiny_cfg());
+        let off = render_view(&baked, shader, &cam, &tiny_cfg());
         let skippable = WithOccupancy::build(&baked);
         let cfg = RenderConfig { skip_mode: SkipMode::mip(), ..tiny_cfg() };
-        let on = render_view(&skippable, shader, &cam, &scene_aabb(), &cfg);
+        let on = render_view(&skippable, shader, &cam, &cfg);
         assert_eq!(on.0, off.0, "skipping must not change a deferred pixel");
         assert_eq!(on.1.pixels_shaded, off.1.pixels_shaded);
         assert_eq!(on.1.samples_shaded, off.1.samples_shaded);

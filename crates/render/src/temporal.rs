@@ -19,8 +19,9 @@
 //!   validation subset). A frame with nothing to warp from is the same
 //!   pass with every pixel a hole, so every ray re-marches. Only radiance
 //!   and depth carry between frames; each re-marched ray starts afresh;
-//! * [`advance_frame`] / [`render_trajectory`] — the stateful
-//!   per-frame driver and the one-shot path renderer.
+//! * [`advance_frame`] — the stateful per-frame step. A path is this step
+//!   advanced over the path's cameras with one [`ReuseState`] threaded
+//!   through (the `spnerf` facade's `TrajectoryStream` is that loop).
 //!
 //! # Reuse semantics and determinism
 //!
@@ -54,7 +55,7 @@ use rand::{Rng, SeedableRng};
 use crate::camera::{PinholeCamera, Pose};
 use crate::engine::run_ordered;
 use crate::image::ImageBuffer;
-use crate::ray::{Aabb, Ray};
+use crate::ray::Ray;
 use crate::renderer::{
     render_view, trace_rays, RenderConfig, RenderFrame, RenderStats, Shader, TracedRay,
 };
@@ -449,12 +450,10 @@ pub struct TemporalFrame {
 ///
 /// Panics if `cfg.samples_per_ray` or `cfg.tile_size` is zero, or if a
 /// worker thread panics.
-#[allow(clippy::too_many_arguments)] // the low-level frame step: every knob is load-bearing
 pub fn advance_frame<S: VoxelSource + Sync>(
     source: &S,
     shader: Shader<'_>,
     camera: &PinholeCamera,
-    aabb: &Aabb,
     cfg: &RenderConfig,
     mode: ReuseMode,
     frame_idx: usize,
@@ -462,10 +461,10 @@ pub fn advance_frame<S: VoxelSource + Sync>(
 ) -> TemporalFrame {
     if mode == ReuseMode::Off {
         *state = None;
-        let (image, stats) = render_view(source, shader, camera, aabb, cfg);
+        let (image, stats) = render_view(source, shader, camera, cfg);
         return TemporalFrame { image, stats, validation_error: 0.0 };
     }
-    let frame = RenderFrame::new(source.dims(), aabb, cfg);
+    let frame = RenderFrame::new(source.dims(), cfg);
     let prev = state.take().filter(|s| {
         s.camera.width == camera.width
             && s.camera.height == camera.height
@@ -504,31 +503,6 @@ pub fn advance_frame<S: VoxelSource + Sync>(
     let image = image_from_colors(camera, &colors);
     *state = Some(ReuseState { camera: *camera, colors, depths });
     TemporalFrame { image, stats, validation_error }
-}
-
-/// Renders a whole camera path, threading reuse state frame to frame.
-///
-/// With [`ReuseMode::Off`] the result is bitwise-identical to calling
-/// [`render_view`] once per camera.
-///
-/// # Panics
-///
-/// Panics if `cfg.samples_per_ray` or `cfg.tile_size` is zero, or if a
-/// worker thread panics.
-pub fn render_trajectory<S: VoxelSource + Sync>(
-    source: &S,
-    shader: Shader<'_>,
-    cameras: &[PinholeCamera],
-    aabb: &Aabb,
-    cfg: &RenderConfig,
-    mode: ReuseMode,
-) -> Vec<TemporalFrame> {
-    let mut state = None;
-    cameras
-        .iter()
-        .enumerate()
-        .map(|(i, camera)| advance_frame(source, shader, camera, aabb, cfg, mode, i, &mut state))
-        .collect()
 }
 
 /// Builds an image from a row-major color buffer.
@@ -576,10 +550,27 @@ mod tests {
     use super::*;
     use crate::mlp::Mlp;
     use crate::renderer::SkipMode;
-    use crate::scene::{build_grid, scene_aabb, SceneId};
+    use crate::scene::{build_grid, SceneId};
 
     fn tiny_cfg() -> RenderConfig {
         RenderConfig { samples_per_ray: 32, ..Default::default() }
+    }
+
+    /// Renders a whole path: [`advance_frame`] over the cameras, threading
+    /// one reuse state frame to frame.
+    fn render_path<S: VoxelSource + Sync>(
+        source: &S,
+        shader: Shader<'_>,
+        cameras: &[PinholeCamera],
+        cfg: &RenderConfig,
+        mode: ReuseMode,
+    ) -> Vec<TemporalFrame> {
+        let mut state = None;
+        cameras
+            .iter()
+            .enumerate()
+            .map(|(i, camera)| advance_frame(source, shader, camera, cfg, mode, i, &mut state))
+            .collect()
     }
 
     #[test]
@@ -613,9 +604,9 @@ mod tests {
         let shader = Shader::PerSample(&mlp);
         let cfg = tiny_cfg();
         let cams = TrajectorySpec::orbit(3, 10, 10).cameras();
-        let frames = render_trajectory(&grid, shader, &cams, &scene_aabb(), &cfg, ReuseMode::Off);
+        let frames = render_path(&grid, shader, &cams, &cfg, ReuseMode::Off);
         for (frame, cam) in frames.iter().zip(&cams) {
-            let (img, stats) = render_view(&grid, shader, cam, &scene_aabb(), &cfg);
+            let (img, stats) = render_view(&grid, shader, cam, &cfg);
             assert_eq!(frame.image, img);
             assert_eq!(frame.stats, stats);
             assert_eq!(frame.stats.rays_warped, 0);
@@ -631,17 +622,8 @@ mod tests {
         let cfg = tiny_cfg();
         let cam = TrajectorySpec::orbit(3, 12, 12).cameras()[0];
         let mut state = None;
-        let frame = advance_frame(
-            &grid,
-            shader,
-            &cam,
-            &scene_aabb(),
-            &cfg,
-            ReuseMode::warp(),
-            0,
-            &mut state,
-        );
-        let (img, stats) = render_view(&grid, shader, &cam, &scene_aabb(), &cfg);
+        let frame = advance_frame(&grid, shader, &cam, &cfg, ReuseMode::warp(), 0, &mut state);
+        let (img, stats) = render_view(&grid, shader, &cam, &cfg);
         assert_eq!(frame.image, img, "a stateless warp frame is a full render");
         assert_eq!(frame.stats, RenderStats { rays_remarched: stats.rays, ..stats });
         assert_eq!(frame.validation_error, 0.0, "nothing was warped, so nothing is validated");
@@ -655,8 +637,7 @@ mod tests {
         let shader = Shader::PerSample(&mlp);
         let cfg = tiny_cfg();
         let cams = TrajectorySpec::orbit(4, 16, 16).cameras();
-        let frames =
-            render_trajectory(&grid, shader, &cams, &scene_aabb(), &cfg, ReuseMode::warp());
+        let frames = render_path(&grid, shader, &cams, &cfg, ReuseMode::warp());
         let tolerance = WARP_TOLERANCE;
         for (i, (frame, cam)) in frames.iter().zip(&cams).enumerate().skip(1) {
             assert!(
@@ -668,7 +649,7 @@ mod tests {
             assert_eq!(frame.stats.rays_warped + frame.stats.rays_remarched, frame.stats.rays);
             assert!(frame.validation_error <= tolerance, "frame {i}: {}", frame.validation_error);
             // Warped frames approximate the exact render within tolerance.
-            let (exact, _) = render_view(&grid, shader, cam, &scene_aabb(), &cfg);
+            let (exact, _) = render_view(&grid, shader, cam, &cfg);
             for (a, b) in frame.image.pixels().iter().zip(exact.pixels()) {
                 let d = *a - *b;
                 for ch in [d.x, d.y, d.z] {
@@ -684,12 +665,10 @@ mod tests {
         let mlp = Mlp::random(2);
         let shader = Shader::PerSample(&mlp);
         let cams = TrajectorySpec::orbit(3, 14, 11).cameras();
-        let base =
-            render_trajectory(&grid, shader, &cams, &scene_aabb(), &tiny_cfg(), ReuseMode::warp());
+        let base = render_path(&grid, shader, &cams, &tiny_cfg(), ReuseMode::warp());
         for (threads, tile) in [(2usize, 4u32), (4, 7), (0, 32)] {
             let cfg = RenderConfig { parallelism: threads, tile_size: tile, ..tiny_cfg() };
-            let got =
-                render_trajectory(&grid, shader, &cams, &scene_aabb(), &cfg, ReuseMode::warp());
+            let got = render_path(&grid, shader, &cams, &cfg, ReuseMode::warp());
             assert_eq!(got, base, "threads={threads} tile={tile}");
         }
     }
@@ -703,10 +682,8 @@ mod tests {
         let skippable = WithOccupancy::build(&grid);
         let cfg = RenderConfig { skip_mode: SkipMode::mip(), ..tiny_cfg() };
         let cams = TrajectorySpec::orbit(3, 12, 12).cameras();
-        let skipped =
-            render_trajectory(&skippable, shader, &cams, &scene_aabb(), &cfg, ReuseMode::warp());
-        let plain =
-            render_trajectory(&grid, shader, &cams, &scene_aabb(), &tiny_cfg(), ReuseMode::warp());
+        let skipped = render_path(&skippable, shader, &cams, &cfg, ReuseMode::warp());
+        let plain = render_path(&grid, shader, &cams, &tiny_cfg(), ReuseMode::warp());
         for (s, p) in skipped.iter().zip(&plain) {
             assert_eq!(s.image, p.image, "skipping must never change a temporal pixel");
             assert_eq!(s.stats.rays_remarched, p.stats.rays_remarched);
@@ -723,29 +700,11 @@ mod tests {
         let mut state = None;
         let small = TrajectorySpec::orbit(2, 10, 10).cameras();
         let big = TrajectorySpec::orbit(2, 14, 14).cameras();
-        advance_frame(
-            &grid,
-            shader,
-            &small[0],
-            &scene_aabb(),
-            &cfg,
-            ReuseMode::warp(),
-            0,
-            &mut state,
-        );
-        let frame = advance_frame(
-            &grid,
-            shader,
-            &big[1],
-            &scene_aabb(),
-            &cfg,
-            ReuseMode::warp(),
-            1,
-            &mut state,
-        );
+        advance_frame(&grid, shader, &small[0], &cfg, ReuseMode::warp(), 0, &mut state);
+        let frame = advance_frame(&grid, shader, &big[1], &cfg, ReuseMode::warp(), 1, &mut state);
         assert_eq!(frame.stats.rays_warped, 0, "incompatible state must not be warped from");
         assert_eq!(frame.stats.rays_remarched, frame.stats.rays);
-        let (img, _) = render_view(&grid, shader, &big[1], &scene_aabb(), &cfg);
+        let (img, _) = render_view(&grid, shader, &big[1], &cfg);
         assert_eq!(frame.image, img, "the reset frame is a full render");
     }
 }

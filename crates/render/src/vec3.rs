@@ -84,11 +84,6 @@ impl Vec3 {
         Vec3::new(self.x.abs(), self.y.abs(), self.z.abs())
     }
 
-    /// Linear interpolation `self + t (o - self)`.
-    pub fn lerp(self, o: Vec3, t: f32) -> Vec3 {
-        self + (o - self) * t
-    }
-
     /// Largest component.
     pub fn max_component(self) -> f32 {
         self.x.max(self.y).max(self.z)
@@ -171,15 +166,6 @@ mod tests {
         assert_eq!(a / 2.0, Vec3::new(0.5, 1.0, 1.5));
         assert_eq!(-a, Vec3::new(-1.0, -2.0, -3.0));
         assert_eq!(a * b, Vec3::new(4.0, 10.0, 18.0));
-    }
-
-    #[test]
-    fn lerp_endpoints() {
-        let a = Vec3::ZERO;
-        let b = Vec3::ONE;
-        assert_eq!(a.lerp(b, 0.0), a);
-        assert_eq!(a.lerp(b, 1.0), b);
-        assert_eq!(a.lerp(b, 0.5), Vec3::splat(0.5));
     }
 
     #[test]

@@ -13,7 +13,7 @@ use spnerf_render::renderer::{
     render_view, render_view_serial, trace_rays, RenderConfig, RenderFrame, RenderStats, Shader,
     SkipMode, TracedRay,
 };
-use spnerf_render::scene::{build_grid, default_camera, scene_aabb, SceneId};
+use spnerf_render::scene::{build_grid, default_camera, SceneId};
 use spnerf_render::source::{VoxelSource, WithOccupancy};
 use spnerf_testkit::corpus::{generate, Archetype, CorpusSpec};
 
@@ -52,8 +52,8 @@ proptest! {
             ..Default::default()
         };
         let (serial_img, serial_stats) =
-            render_view_serial(&grid, &mlp, &cam, &scene_aabb(), &cfg);
-        let (img, stats) = render_view(&grid, &mlp, &cam, &scene_aabb(), &cfg);
+            render_view_serial(&grid, &mlp, &cam, &cfg);
+        let (img, stats) = render_view(&grid, &mlp, &cam, &cfg);
         prop_assert_eq!(
             stats, serial_stats,
             "stats diverged: scene={} {}x{} tile={} threads={}",
@@ -83,8 +83,8 @@ proptest! {
             parallelism: 0,
             ..Default::default()
         };
-        let serial = render_view_serial(&grid, &mlp, &cam, &scene_aabb(), &cfg);
-        let parallel = render_view(&grid, &mlp, &cam, &scene_aabb(), &cfg);
+        let serial = render_view_serial(&grid, &mlp, &cam, &cfg);
+        let parallel = render_view(&grid, &mlp, &cam, &cfg);
         prop_assert!(parallel == serial, "auto-thread render diverged on {}", scene);
     }
 
@@ -109,8 +109,8 @@ proptest! {
             parallelism: threads,
             ..Default::default()
         };
-        let serial = render_view_serial(&grid, &mlp, &cam, &scene_aabb(), &cfg);
-        let parallel = render_view(&grid, &mlp, &cam, &scene_aabb(), &cfg);
+        let serial = render_view_serial(&grid, &mlp, &cam, &cfg);
+        let parallel = render_view(&grid, &mlp, &cam, &cfg);
         prop_assert!(
             parallel == serial,
             "corpus render diverged: {} tile={} threads={}",
@@ -137,8 +137,8 @@ proptest! {
         let cam = default_camera(10, 8, 3, 6);
         let off = RenderConfig { samples_per_ray: 20, ..Default::default() };
         let on = RenderConfig { tile_size, parallelism: threads, skip_mode: SkipMode::Mip, ..off };
-        let (ref_img, ref_stats) = render_view_serial(&grid, &mlp, &cam, &scene_aabb(), &off);
-        let (img, stats) = render_view(&skippable, &mlp, &cam, &scene_aabb(), &on);
+        let (ref_img, ref_stats) = render_view_serial(&grid, &mlp, &cam, &off);
+        let (img, stats) = render_view(&skippable, &mlp, &cam, &on);
         prop_assert!(
             img == ref_img,
             "skip render changed pixels: {} tile={} threads={}",
@@ -152,7 +152,7 @@ proptest! {
             spec.label()
         );
         // And the serial skipped render agrees with the parallel one.
-        let serial_on = render_view_serial(&skippable, &mlp, &cam, &scene_aabb(), &on);
+        let serial_on = render_view_serial(&skippable, &mlp, &cam, &on);
         prop_assert!(serial_on == (img, stats), "{}: thread-count variance", spec.label());
     }
 
@@ -185,8 +185,8 @@ proptest! {
             ..reference_cfg
         };
         let (ref_img, ref_stats) =
-            render_view_serial(&baked, shader, &cam, &scene_aabb(), &reference_cfg);
-        let (img, stats) = render_view(&skippable, shader, &cam, &scene_aabb(), &varied_cfg);
+            render_view_serial(&baked, shader, &cam, &reference_cfg);
+        let (img, stats) = render_view(&skippable, shader, &cam, &varied_cfg);
         prop_assert!(
             img == ref_img,
             "baked render diverged: {} tile={} threads={}",
@@ -237,7 +237,7 @@ fn job_split_mismatch<S: VoxelSource + ?Sized>(
     skip_mode: SkipMode,
 ) -> Option<usize> {
     let cfg = RenderConfig { samples_per_ray: 20, skip_mode, ..Default::default() };
-    let frame = RenderFrame::new(source.dims(), &scene_aabb(), &cfg);
+    let frame = RenderFrame::new(source.dims(), &cfg);
     let cam = default_camera(10, 9, 2, 6);
     let rays: Vec<Ray> = (0..cam.height)
         .flat_map(|py| (0..cam.width).map(move |px| (px, py)))

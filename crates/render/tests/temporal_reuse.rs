@@ -10,12 +10,12 @@
 
 use proptest::prelude::*;
 use spnerf_render::bake::bake;
+use spnerf_render::camera::PinholeCamera;
 use spnerf_render::mlp::{DeferredMlp, Mlp};
 use spnerf_render::renderer::{render_view, RenderConfig, Shader};
-use spnerf_render::scene::scene_aabb;
 use spnerf_render::source::VoxelSource;
 use spnerf_render::temporal::{
-    render_trajectory, ReuseMode, TemporalFrame, TrajectorySpec, WARP_TOLERANCE,
+    advance_frame, ReuseMode, TemporalFrame, TrajectorySpec, WARP_TOLERANCE,
 };
 use spnerf_testkit::corpus::{generate, Archetype, CorpusSpec};
 use spnerf_testkit::fixtures;
@@ -38,6 +38,23 @@ fn render_cfg() -> RenderConfig {
     RenderConfig { samples_per_ray: 16, ..Default::default() }
 }
 
+/// Renders a whole path: `advance_frame` over the cameras, threading one
+/// reuse state frame to frame.
+fn render_path<S: VoxelSource + Sync>(
+    source: &S,
+    shader: Shader<'_>,
+    cameras: &[PinholeCamera],
+    cfg: &RenderConfig,
+    mode: ReuseMode,
+) -> Vec<TemporalFrame> {
+    let mut state = None;
+    cameras
+        .iter()
+        .enumerate()
+        .map(|(i, camera)| advance_frame(source, shader, camera, cfg, mode, i, &mut state))
+        .collect()
+}
+
 /// Renders one trajectory over a source picked by index: the raw grid
 /// per-sample, the SpNeRF masked decode per-sample, or the baked grid
 /// through the deferred per-pixel shader.
@@ -52,17 +69,17 @@ fn trajectory_over_source(
     let mlp = Mlp::random(fixtures::MLP_SEED);
     let cams = spec.cameras();
     match source_idx {
-        0 => render_trajectory(&&grid, Shader::PerSample(&mlp), &cams, &scene_aabb(), cfg, mode),
+        0 => render_path(&&grid, Shader::PerSample(&mlp), &cams, cfg, mode),
         1 => {
             let cspec = CorpusSpec::archetype_default(Archetype::ALL[arch_idx], 16, 31);
             let (_g, _v, model) = fixtures::corpus_fixture(&cspec, 32, 8, 4096);
             let view = model.masked();
-            render_trajectory(&view, Shader::PerSample(&mlp), &cams, &scene_aabb(), cfg, mode)
+            render_path(&view, Shader::PerSample(&mlp), &cams, cfg, mode)
         }
         _ => {
             let baked = bake(&grid, &mlp);
             let deferred = DeferredMlp::random(fixtures::MLP_SEED);
-            render_trajectory(&&baked, Shader::Deferred(&deferred), &cams, &scene_aabb(), cfg, mode)
+            render_path(&&baked, Shader::Deferred(&deferred), &cams, cfg, mode)
         }
     }
 }
@@ -74,7 +91,7 @@ fn independent_frames<S: VoxelSource + Sync>(
     spec: &TrajectorySpec,
     cfg: &RenderConfig,
 ) -> Vec<(spnerf_render::image::ImageBuffer, spnerf_render::renderer::RenderStats)> {
-    spec.cameras().iter().map(|cam| render_view(source, shader, cam, &scene_aabb(), cfg)).collect()
+    spec.cameras().iter().map(|cam| render_view(source, shader, cam, cfg)).collect()
 }
 
 proptest! {

@@ -145,7 +145,7 @@ where
     let pixels: Vec<(u32, u32)> =
         (0..camera.height).flat_map(|y| (0..camera.width).map(move |x| (x, y))).collect();
     let rays: Vec<Ray> = pixels.iter().map(|&(x, y)| camera.ray_for_pixel(x, y)).collect();
-    let frame = RenderFrame::new(source.dims(), &aabb, cfg);
+    let frame = RenderFrame::new(source.dims(), cfg);
     let traced = trace_rays(source, shader, &frame, &rays, cfg);
     let skipping = cfg.skip_mode.is_on();
     let mut want = RenderStats::default();
@@ -181,8 +181,8 @@ where
     }
     let tiled = RenderConfig { parallelism: 2, tile_size: 5, ..*cfg };
     for (name, (image, stats)) in [
-        ("render_view_serial", render_view_serial(source, shader, camera, &aabb, cfg)),
-        ("render_view", render_view(source, shader, camera, &aabb, &tiled)),
+        ("render_view_serial", render_view_serial(source, shader, camera, cfg)),
+        ("render_view", render_view(source, shader, camera, &tiled)),
     ] {
         for (&(x, y), got) in pixels.iter().zip(&traced) {
             if color_bits(image.get(x, y)) != color_bits(got.color) {

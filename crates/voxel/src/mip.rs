@@ -217,12 +217,6 @@ impl OccupancyMip {
             None
         }
     }
-
-    /// Storage footprint of the coarse levels (the fine bitmap is accounted
-    /// where it already lives — the model footprint / the BLU).
-    pub fn coarse_storage_bytes(&self) -> usize {
-        self.levels[1..].iter().map(Bitmap::storage_bytes).sum()
-    }
 }
 
 #[cfg(test)]
@@ -378,7 +372,6 @@ mod tests {
         let mip = OccupancyMip::build(Bitmap::from_grid(&g));
         assert!(!mip.cell_empty(GridCoord::new(2, 2, 2)), "corner (3,3,3) is occupied");
         assert!(mip.cell_empty(GridCoord::new(5, 5, 5)));
-        assert!(mip.coarse_storage_bytes() > 0);
     }
 
     #[test]

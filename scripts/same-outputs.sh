@@ -14,7 +14,9 @@
 #   * `fig9_temporal` and `fig2_profiling` at `--quick --corpus --skip-mode
 #     mip`, the runs that march through the occupancy pyramid;
 #   * `spnerf_serve --quick --seed 7`;
-#   * `spnerf_serve --quick --replay crates/serve/tests/data/smoke.trace`.
+#   * `spnerf_serve --quick --replay crates/serve/tests/data/smoke.trace`;
+#   * the facade examples whose output is deterministic: `quickstart`,
+#     `accelerator_sim`, `design_space` and `dram_traffic`.
 # None of these prints wall-clock time, so any difference is a real one.
 #
 # Then it builds each tree's perfbench (`perfbench/`, its own workspace) and
@@ -43,6 +45,7 @@ fi
 
 FIGURES="table1_platforms fig2_profiling fig6_memory_psnr fig7_sweeps fig8_formats
     fig8_speedup_energy fig9_area_power fig9_temporal table2_comparison ablation_preprocess"
+EXAMPLES="quickstart accelerator_sim design_space dram_traffic"
 WORKLOADS="paper-stills orbit-warp serve-churn"
 SEEDS="1 20261016"
 
@@ -64,7 +67,7 @@ for side in parent change; do
     dir="$out/$side"
     mkdir -p "$dir"
     echo "same-outputs: building $tree" >&2
-    (cd "$tree" && cargo build --release -q --target-dir "$tree/target") || exit 2
+    (cd "$tree" && cargo build --release -q --bins --examples --target-dir "$tree/target") || exit 2
     for bin in $FIGURES; do
         run "$bin" "$bin" --quick
     done
@@ -75,6 +78,9 @@ for side in parent change; do
     run fig2_profiling-corpus-mip fig2_profiling --quick --corpus --skip-mode mip
     run serve-seed7 spnerf_serve --quick --seed 7
     run serve-smoke-replay spnerf_serve --quick --replay crates/serve/tests/data/smoke.trace
+    for example in $EXAMPLES; do
+        run "example-$example" "examples/$example"
+    done
 
     echo "same-outputs: building perfbench in $tree" >&2
     cargo build --release -q --offline --manifest-path "$tree/perfbench/Cargo.toml" || exit 2

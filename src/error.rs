@@ -28,6 +28,10 @@ pub enum Error {
     Render(RenderConfigError),
     /// A scene name did not match any of the eight Synthetic-NeRF scenes.
     UnknownScene(String),
+    /// The labelled scene's grid has no occupied voxel (no positive
+    /// density), so VQRF has nothing to compress. Only a custom grid
+    /// ([`crate::pipeline::PipelineBuilder::from_grid`]) can be empty.
+    EmptyGrid(String),
     /// A [`crate::pipeline::RenderRequest`] was malformed (the message
     /// explains what; e.g. an empty camera batch or a reference image count
     /// that does not match the batch).
@@ -47,6 +51,9 @@ impl fmt::Display for Error {
             Error::Render(e) => write!(f, "invalid render configuration: {e}"),
             Error::UnknownScene(name) => {
                 write!(f, "unknown scene '{name}' (expected one of the Synthetic-NeRF eight)")
+            }
+            Error::EmptyGrid(label) => {
+                write!(f, "scene '{label}' has no occupied voxel, so there is nothing to compress")
             }
             Error::Request(msg) => write!(f, "invalid render request: {msg}"),
             Error::Io(e) => write!(f, "I/O error: {e}"),

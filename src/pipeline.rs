@@ -74,7 +74,7 @@ use spnerf_render::eval::PsnrStats;
 use spnerf_render::image::ImageBuffer;
 use spnerf_render::mlp::{DeferredMlp, Mlp};
 use spnerf_render::renderer::{RenderConfig, RenderStats, Shader};
-use spnerf_render::scene::{build_grid, scene_aabb, SceneId};
+use spnerf_render::scene::{build_grid, SceneId};
 use spnerf_render::source::{support_bitmap, VoxelSource, WithOccupancy};
 use spnerf_render::temporal::{advance_frame, ReuseMode, ReuseState, TemporalFrame};
 use spnerf_voxel::baked::BakedGrid;
@@ -252,7 +252,8 @@ impl PipelineBuilder {
     /// name's place in [`FrameWorkload`]s and reports.
     ///
     /// [`PipelineBuilder::grid_side`] does not apply to custom grids: the
-    /// grid is used exactly as passed.
+    /// grid is used exactly as passed. A grid without an occupied voxel is
+    /// [`Error::EmptyGrid`] from [`PipelineBuilder::build`].
     pub fn from_grid(label: impl Into<String>, grid: DenseGrid) -> Self {
         Self::with_source(GridSource::Custom { label: label.into(), grid: Arc::new(grid) })
     }
@@ -328,9 +329,10 @@ impl PipelineBuilder {
     ///
     /// Returns [`Error::Vqrf`] for an invalid compression configuration,
     /// [`Error::Render`] for a render configuration with a zero
-    /// `samples_per_ray` or `tile_size`, and [`Error::Config`] /
-    /// [`Error::Build`] when the SpNeRF stage rejects its operating point
-    /// (zero fields, codebook mismatch, true-grid overflow).
+    /// `samples_per_ray` or `tile_size`, [`Error::EmptyGrid`] for a grid
+    /// with no positive density, and [`Error::Config`] / [`Error::Build`]
+    /// when the SpNeRF stage rejects its operating point (zero fields,
+    /// codebook mismatch, true-grid overflow).
     pub fn build(self) -> Result<Scene, Error> {
         self.vqrf.validate()?;
         self.spnerf.validate()?;
@@ -342,6 +344,9 @@ impl PipelineBuilder {
             }
             GridSource::Custom { label, grid } => (None, label, grid),
         };
+        if !grid.density_raw().iter().any(|&d| d > 0.0) {
+            return Err(Error::EmptyGrid(label));
+        }
         let vqrf = Arc::new(VqrfModel::build(&grid, &self.vqrf));
         let model = SpNerfModel::build(&vqrf, &self.spnerf)?;
         let mlp = Arc::new(Mlp::random(self.mlp_seed));
@@ -841,12 +846,11 @@ impl RenderSession<'_> {
         frame_idx: usize,
         state: &mut Option<ReuseState>,
     ) -> TemporalFrame {
-        let aabb = scene_aabb();
         if self.cfg.skip_mode.is_on() {
             let data = WithOccupancy::new(data, self.scene.occupancy_mip(source));
-            advance_frame(&data, shader, camera, &aabb, &self.cfg, mode, frame_idx, state)
+            advance_frame(&data, shader, camera, &self.cfg, mode, frame_idx, state)
         } else {
-            advance_frame(&data, shader, camera, &aabb, &self.cfg, mode, frame_idx, state)
+            advance_frame(&data, shader, camera, &self.cfg, mode, frame_idx, state)
         }
     }
 }
@@ -897,6 +901,18 @@ mod tests {
             .spnerf_config(SpNerfConfig { subgrid_count: 4, table_size: 512, codebook_size: 32 })
             .build();
         assert!(matches!(mismatch, Err(Error::Build(_))));
+    }
+
+    #[test]
+    fn builder_rejects_an_empty_grid_with_a_typed_error() {
+        // VQRF cannot compress a grid without one occupied voxel; the
+        // builder says so before it runs, naming the scene.
+        use spnerf_voxel::coord::GridDims;
+        let err = PipelineBuilder::from_grid("void", DenseGrid::zeros(GridDims::cube(6)))
+            .build()
+            .expect_err("an empty grid has nothing to compress");
+        assert!(matches!(&err, Error::EmptyGrid(label) if label == "void"), "{err:?}");
+        assert!(err.to_string().contains("'void'"), "{err}");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use spnerf::core::{MaskMode, SpNerfModel};
 use spnerf::render::mlp::Mlp;
 use spnerf::render::renderer::{render_view, RenderConfig};
-use spnerf::render::scene::{default_camera, scene_aabb, SceneId};
+use spnerf::render::scene::{default_camera, SceneId};
 use spnerf::render::source::VoxelSource;
 use spnerf::voxel::vqrf::VqrfModel;
 use spnerf_testkit::fixtures;
@@ -39,12 +39,12 @@ fn quality_ordering_holds_on_every_scene() {
     let cfg = RenderConfig { samples_per_ray: 40, ..Default::default() };
     for id in SceneId::all() {
         let (grid, vqrf, model) = fixture(id);
-        let (gt, _) = render_view(&grid, &mlp, &cam, &scene_aabb(), &cfg);
-        let (vq, _) = render_view(&vqrf, &mlp, &cam, &scene_aabb(), &cfg);
+        let (gt, _) = render_view(&grid, &mlp, &cam, &cfg);
+        let (vq, _) = render_view(&vqrf, &mlp, &cam, &cfg);
         let masked = model.view(MaskMode::Masked);
-        let (ma, _) = render_view(&masked, &mlp, &cam, &scene_aabb(), &cfg);
+        let (ma, _) = render_view(&masked, &mlp, &cam, &cfg);
         let unmasked = model.view(MaskMode::Unmasked);
-        let (un, _) = render_view(&unmasked, &mlp, &cam, &scene_aabb(), &cfg);
+        let (un, _) = render_view(&unmasked, &mlp, &cam, &cfg);
 
         let p_vq = vq.psnr(&gt);
         let p_ma = ma.psnr(&gt);
@@ -89,7 +89,7 @@ fn masked_render_is_deterministic() {
     let cam = default_camera(12, 12, 0, 8);
     let cfg = RenderConfig { samples_per_ray: 24, ..Default::default() };
     let view = model.view(MaskMode::Masked);
-    let (a, _) = render_view(&view, &mlp, &cam, &scene_aabb(), &cfg);
-    let (b, _) = render_view(&view, &mlp, &cam, &scene_aabb(), &cfg);
+    let (a, _) = render_view(&view, &mlp, &cam, &cfg);
+    let (b, _) = render_view(&view, &mlp, &cam, &cfg);
     assert_eq!(a, b);
 }

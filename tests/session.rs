@@ -14,7 +14,7 @@ use spnerf::render::bake::bake;
 use spnerf::render::camera::PinholeCamera;
 use spnerf::render::mlp::{DeferredMlp, Mlp};
 use spnerf::render::renderer::{render_view, RenderConfig, Shader};
-use spnerf::render::scene::{build_grid, default_camera, scene_aabb, SceneId};
+use spnerf::render::scene::{build_grid, default_camera, SceneId};
 use spnerf::voxel::vqrf::{VqrfConfig, VqrfModel};
 use spnerf::Scene;
 use spnerf_testkit::fixtures;
@@ -50,15 +50,13 @@ fn hand_wired(
     let mlp = Mlp::random(MLP_SEED);
     let cfg = render_cfg();
     match source {
-        RenderSource::GroundTruth => render_view(&grid, &mlp, cam, &scene_aabb(), &cfg),
-        RenderSource::Vqrf => render_view(&vqrf, &mlp, cam, &scene_aabb(), &cfg),
-        RenderSource::SpNerf { mask } => {
-            render_view(&model.view(mask), &mlp, cam, &scene_aabb(), &cfg)
-        }
+        RenderSource::GroundTruth => render_view(&grid, &mlp, cam, &cfg),
+        RenderSource::Vqrf => render_view(&vqrf, &mlp, cam, &cfg),
+        RenderSource::SpNerf { mask } => render_view(&model.view(mask), &mlp, cam, &cfg),
         RenderSource::Baked => {
             let baked = bake(&grid, &mlp);
             let deferred = DeferredMlp::random(MLP_SEED);
-            render_view(&baked, Shader::Deferred(&deferred), cam, &scene_aabb(), &cfg)
+            render_view(&baked, Shader::Deferred(&deferred), cam, &cfg)
         }
     }
 }
@@ -116,8 +114,7 @@ fn respecialized_scene_matches_hand_wired_rebuild() {
     let direct = SpNerfModel::build(&vqrf, &other_cfg).expect("build succeeds");
     let mlp = Mlp::random(MLP_SEED);
     let cam = default_camera(9, 9, 0, 8);
-    let (img, stats) =
-        render_view(&direct.view(MaskMode::Masked), &mlp, &cam, &scene_aabb(), &render_cfg());
+    let (img, stats) = render_view(&direct.view(MaskMode::Masked), &mlp, &cam, &render_cfg());
 
     let resp = respecialized
         .session()
